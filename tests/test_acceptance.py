@@ -38,6 +38,7 @@ from eppsim.presets import (
 )
 from eppsim.series import GridSeries, TickSeries
 from eppsim.taq import build_day_pair, parse_trades, ticker_interarrival_stats
+from golden import GOLDEN_PATH
 
 SEED = 0
 N_REPLICATIONS = 100
@@ -380,8 +381,15 @@ def test_10_tick_data_pipeline_fixture_properties(tmp_path):
 
 
 def test_11_figure_presets_are_deterministic(tmp_path):
-    # two runs per preset at 3 replications; determinism does not depend
-    # on the replication count and the full-size runs are exercised above
+    """Two runs per preset at 3 replications; run "a" also matches the golden digests.
+
+    Determinism does not depend on the replication count and the full-size
+    runs are exercised above. The golden file locks the output bytes from
+    version to version; rewrite it only on purpose, with
+
+        PYTHONPATH=src python tests/golden.py
+    """
+    golden = json.loads(GOLDEN_PATH.read_text())["epps"]
     failures = []
     for name in FIGURE_NAMES:
         dirs = []
@@ -393,6 +401,8 @@ def test_11_figure_presets_are_deterministic(tmp_path):
                 failures.append(f"{name} run {run} exited {proc.returncode}")
                 break
             dirs.append(out_dir)
+        if dirs and json.loads((dirs[0] / "manifest.json").read_text())["outputs"] != golden[name]:
+            failures.append(f"{name}: output digests differ from {GOLDEN_PATH.name}")
         if len(dirs) != 2:
             continue
         files_a = sorted(p.name for p in dirs[0].iterdir())

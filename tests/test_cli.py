@@ -8,6 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from eppsim import cli
+from golden import GOLDEN_PATH, SIMULATE_MODELS
+
 HEADER = "date,ticker,timestamp,price,volume"
 
 
@@ -122,6 +125,22 @@ def test_simulate_same_seed_gives_identical_digests(tmp_path):
         assert manifest["outputs"]["path.csv"]["sha256"] == sha256(out_dir / "path.csv")
         digests.append(manifest["outputs"]["path.csv"]["sha256"])
     assert digests[0] == digests[1]
+
+
+def test_simulate_reference_matches_golden_digests(tmp_path):
+    """Every model's reference output is locked by the golden digests.
+
+    Rewrite the golden file only on purpose, with
+
+        PYTHONPATH=src python tests/golden.py
+    """
+    golden = json.loads(GOLDEN_PATH.read_text())["simulate"]
+    for model in SIMULATE_MODELS:
+        out_dir = tmp_path / model
+        assert cli.main(["simulate", "--model", model, "--preset", "reference",
+                         "--seed", "3", "--out", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["outputs"] == golden[model], model
 
 
 def test_simulate_hawkes_price_emits_arrival_components(tmp_path):
