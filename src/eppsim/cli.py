@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -143,6 +144,34 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _number(value, name: str, integer: bool = False):
+    """A finite numeric config or flag value (an int for an integer field).
+
+    Numbers and numeric strings are accepted; a boolean, a non-finite
+    value or, for an integer field, a fractional one raises ParameterError
+    naming the field.
+    """
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ParameterError(f"{name}: expected {kind}, got {value!r}")
+    if integer:
+        return value if isinstance(value, int) else int(x)
+    return x
+
+
+def _verdict_args(doc: dict) -> tuple[float, float]:
+    """(tau_abs, z) of the discrimination rule from the config's verdict table."""
+    vdoc = doc.get("verdict", {})
+    return (
+        _number(vdoc.get("tau_abs", 0.05), "verdict.tau_abs"),
+        _number(vdoc.get("z", 1.0), "verdict.z"),
+    )
+
+
 def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
     try:
         return tuple(float(part) for part in text.split(","))
@@ -219,10 +248,10 @@ def _write_theory_csv(theory: dict, path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
     model = args.model
     sim = doc.get("simulate", {})
-    horizon = float(sim.get("horizon", DAY_SECONDS))
+    horizon = _number(sim.get("horizon", DAY_SECONDS), "simulate.horizon")
     if args.preset == "reference":
         params = {"gbm": gbm_reference, "merton": merton_reference, "hawkes-price": hawkes_price_reference}[model]()
     else:
@@ -281,16 +310,19 @@ def _figure_outputs(run: Run, result, verdict_overrides) -> None:
 
 def cmd_epps(args) -> int:
     doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    threads = args.threads if args.threads is not None else int(doc.get("threads", 1))
+    seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
+    threads = _number(
+        args.threads if args.threads is not None else doc.get("threads", 1), "threads", integer=True
+    )
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     figure = args.figure or doc.get("figure")
-    vdoc = doc.get("verdict", {})
-    overrides = None
-    if vdoc:
-        overrides = (float(vdoc.get("tau_abs", 0.05)), float(vdoc.get("z", 1.0)))
+    overrides = _verdict_args(doc) if doc.get("verdict") else None
 
     if figure is not None:
-        reps = args.replications if args.replications is not None else doc.get("replications")
+        reps = args.replications
+        if reps is None and doc.get("replications") is not None:
+            reps = _number(doc["replications"], "replications", integer=True)
         recipe = figure_recipe(figure, seed=seed, n_replications=reps)
         cfg = recipe.config
         if args.dt_grid is not None:
@@ -388,11 +420,9 @@ def cmd_taq(args) -> int:
     dt_grid = (
         _floats_arg(args.dt_grid, "--dt-grid")
         if args.dt_grid is not None
-        else tuple(float(x) for x in taq_doc.get("dt_grid", FIG_DT_GRID))
+        else tuple(_number(x, "taq.dt_grid") for x in taq_doc.get("dt_grid", FIG_DT_GRID))
     )
-    vdoc = doc.get("verdict", {})
-    tau_abs = float(vdoc.get("tau_abs", 0.05))
-    z = float(vdoc.get("z", 1.0))
+    tau_abs, z = _verdict_args(doc)
 
     base_config = {
         "taq_command": args.taq_command,
@@ -462,7 +492,9 @@ def cmd_taq(args) -> int:
         return 0
 
     if args.taq_command == "kskip":
-        k_max = args.kmax if args.kmax is not None else int(taq_doc.get("kmax", 50))
+        k_max = args.kmax
+        if k_max is None:
+            k_max = _number(taq_doc.get("kmax", 50), "taq.kmax", integer=True)
         base_config.update({"kmax": k_max, "tau_abs": tau_abs, "z": z})
         run = Run("taq", args.out, base_config, 0)
         run.notes["skipped_days"] = skipped

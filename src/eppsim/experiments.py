@@ -18,6 +18,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats as _stats
@@ -50,22 +51,20 @@ from .series import PricePath, TickSeries
 
 ESTIMATOR_NAMES = ("measured", "flat_trade", "overlap", "hy")
 
-_DEFAULT_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
+FIG_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
 
 
-def ribbon(values, confidence: float, n: int | None = None) -> tuple[float, float]:
-    """Mean and Student-t half-width of an ensemble of estimates.
+def ribbon(values, confidence: float) -> tuple[float, float]:
+    """Mean and Student-t half-width of an ensemble of n estimates.
 
     half_width = t_{(1+confidence)/2, n-1} * sample standard deviation.
     """
     vals = np.asarray(values, dtype=float)
-    if n is None:
-        n = vals.size
-    if n < 2 or vals.size < 2:
+    if vals.size < 2:
         raise InsufficientDataError(f"ribbon needs at least 2 values, got {vals.size}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    quantile = float(_stats.t.ppf(0.5 * (1.0 + confidence), n - 1))
+    quantile = float(_stats.t.ppf(0.5 * (1.0 + confidence), vals.size - 1))
     return float(vals.mean()), quantile * float(vals.std(ddof=1))
 
 
@@ -127,7 +126,7 @@ class ExperimentConfig:
     price_params: GbmParams | MertonParams | HawkesPriceParams
     sampler: str
     horizon: float = DAY_SECONDS
-    dt_grid: tuple[float, ...] = _DEFAULT_DT_GRID
+    dt_grid: tuple[float, ...] = FIG_DT_GRID
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     n_replications: int = 100
     confidence: float = 0.95
@@ -262,15 +261,53 @@ def estimate_matrix(
     return out
 
 
-def _replicate(cfg: ExperimentConfig, path: PricePath | None, r: int) -> np.ndarray:
-    """Estimates of one replication, shape (n_estimators, n_dt); nan = failed."""
+def _replicate(
+    cfg: ExperimentConfig, path: PricePath | None, r: int, ns: tuple[int, ...] = ()
+) -> np.ndarray:
+    """Estimates of one replication, shape (n_estimators, n_dt); nan = failed.
+
+    ns extends the sampling stream ids, so that each rate of a multi-rate
+    experiment samples independently from the same replication seed.
+    """
     rep_seed = _replication_seed(cfg, r)
     if cfg.fresh_paths or path is None:
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
-    u1, u2, s1, s2 = _sample_ticks(cfg, path, rep_seed, ())
+    u1, u2, s1, s2 = _sample_ticks(cfg, path, rep_seed, ns)
     return estimate_matrix(
         s1, s2, u1, u2, cfg.dt_grid, cfg.estimators, cfg.horizon, cfg.kappa_stride
     )
+
+
+def _hy_replicate(cfg: ExperimentConfig, path: PricePath, r: int) -> np.ndarray:
+    """HY estimates of one replication at every mean inter-arrival, shape (1, n_m)."""
+    rep_seed = _replication_seed(cfg, r)
+    row = np.full((1, len(cfg.mean_interarrivals)), np.nan)
+    for j, m in enumerate(cfg.mean_interarrivals):
+        rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
+        _, _, s1, s2 = _sample_ticks(rate_cfg, path, rep_seed, (j,))
+        try:
+            row[0, j] = hayashi_yoshida(s1, s2).rho
+        except EstimationError:
+            pass
+    return row
+
+
+def _map_replications(fn, n: int, max_workers: int) -> np.ndarray:
+    """np.stack of fn(r) for r = 0..n-1, in replication order.
+
+    With max_workers > 1 the replications run in a process pool. fn is a
+    functools.partial over a module-level function, so it pickles, and it
+    is sent once per chunk of replications rather than once per
+    replication. Results are stacked in replication order whatever the
+    order of completion, so the worker count never changes an output bit.
+    """
+    if max_workers < 1:
+        raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    if max_workers == 1:
+        return np.stack([fn(r) for r in range(n)])
+    with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        chunksize = max(1, n // (4 * max_workers))
+        return np.stack(list(pool.map(fn, range(n), chunksize=chunksize)))
 
 
 def aggregate_curve(
@@ -290,15 +327,10 @@ def aggregate_curve(
             elif n_ok == 1:
                 pts.append(CurvePoint(float(a), float(ok[0]), 0.0, 1, n_fail))
             else:
-                mean, hw = ribbon(ok, confidence, n_ok)
+                mean, hw = ribbon(ok, confidence)
                 pts.append(CurvePoint(float(a), mean, hw, n_ok, n_fail))
         series[name] = tuple(pts)
     return EppsCurve(axis_label=label, series=series, meta=meta)
-
-
-def _worker(args):
-    cfg, path, r = args
-    return r, _replicate(cfg, path, r)
 
 
 def epps_curve(cfg: ExperimentConfig, max_workers: int = 1) -> EppsCurve:
@@ -311,18 +343,7 @@ def epps_curve(cfg: ExperimentConfig, max_workers: int = 1) -> EppsCurve:
     change a single output bit.
     """
     path = None if cfg.fresh_paths else _simulate_path(cfg, cfg.seed)
-    stack = np.empty((cfg.n_replications, len(cfg.estimators), len(cfg.dt_grid)))
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for r, est in pool.map(
-                _worker,
-                [(cfg, path, r) for r in range(cfg.n_replications)],
-                chunksize=max(1, cfg.n_replications // (4 * max_workers)),
-            ):
-                stack[r] = est
-    else:
-        for r in range(cfg.n_replications):
-            stack[r] = _replicate(cfg, path, r)
+    stack = _map_replications(partial(_replicate, cfg, path), cfg.n_replications, max_workers)
     meta = {
         "experiment": "epps_curve",
         "price_model": cfg.price_model,
@@ -344,19 +365,7 @@ def experiment_hy_vs_interarrival(cfg: ExperimentConfig, max_workers: int = 1) -
     so "early" means densely sampled.
     """
     path = _simulate_path(cfg, cfg.seed)
-    grid = cfg.mean_interarrivals
-    stack = np.full((cfg.n_replications, 1, len(grid)), np.nan)
-    jobs = [(cfg, path, grid, r) for r in range(cfg.n_replications)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for r, row in pool.map(
-                _hy_worker, jobs, chunksize=max(1, cfg.n_replications // (4 * max_workers))
-            ):
-                stack[r, 0] = row
-    else:
-        for job in jobs:
-            r, row = _hy_worker(job)
-            stack[r, 0] = row
+    stack = _map_replications(partial(_hy_replicate, cfg, path), cfg.n_replications, max_workers)
     meta = {
         "experiment": "hy_vs_interarrival",
         "price_model": cfg.price_model,
@@ -364,23 +373,9 @@ def experiment_hy_vs_interarrival(cfg: ExperimentConfig, max_workers: int = 1) -
         "confidence": cfg.confidence,
         "seed": cfg.seed,
     }
-    return aggregate_curve(("hy",), cfg.confidence, grid, "mean_interarrival", stack, meta)
-
-
-def _hy_worker(args):
-    cfg, path, grid, r = args
-    rep_seed = _replication_seed(cfg, r)
-    row = np.full(len(grid), np.nan)
-    for j, m in enumerate(grid):
-        rate_cfg = replace(
-            cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m
-        )
-        _, _, s1, s2 = _sample_ticks(rate_cfg, path, rep_seed, (j,))
-        try:
-            row[j] = hayashi_yoshida(s1, s2).rho
-        except EstimationError:
-            pass
-    return r, row
+    return aggregate_curve(
+        ("hy",), cfg.confidence, cfg.mean_interarrivals, "mean_interarrival", stack, meta
+    )
 
 
 def experiment_overlap_multi_rate(
@@ -399,19 +394,11 @@ def experiment_overlap_multi_rate(
             sampler="poisson",
             poisson_rate=1.0 / m,
             estimators=tuple(e for e in cfg.estimators if e != "hy") or ("measured", "overlap"),
+            fresh_paths=False,
         )
-        stack = np.empty((sub.n_replications, len(sub.estimators), len(sub.dt_grid)))
-        if max_workers > 1:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                for r, est in pool.map(
-                    _rate_worker,
-                    [(sub, path, idx, r) for r in range(sub.n_replications)],
-                    chunksize=max(1, sub.n_replications // (4 * max_workers)),
-                ):
-                    stack[r] = est
-        else:
-            for r in range(sub.n_replications):
-                stack[r] = _rate_replicate(sub, path, idx, r)
+        stack = _map_replications(
+            partial(_replicate, sub, path, ns=(idx,)), sub.n_replications, max_workers
+        )
         meta = {
             "experiment": "overlap_multi_rate",
             "mean_interarrival": m,
@@ -424,17 +411,28 @@ def experiment_overlap_multi_rate(
     return out
 
 
-def _rate_replicate(sub: ExperimentConfig, path: PricePath, idx: int, r: int) -> np.ndarray:
-    rep_seed = _replication_seed(sub, r)
-    u1, u2, s1, s2 = _sample_ticks(sub, path, rep_seed, (idx,))
-    return estimate_matrix(
-        s1, s2, u1, u2, sub.dt_grid, sub.estimators, sub.horizon, sub.kappa_stride
-    )
+def k_skip_stack(pairs, k_max: int) -> np.ndarray:
+    """HY estimates of tick-series pairs thinned to every k-th tick, k = 1..k_max.
 
-
-def _rate_worker(args):
-    sub, path, idx, r = args
-    return r, _rate_replicate(sub, path, idx, r)
+    Returns shape (n_pairs, 1, k_max), nan where either thinned leg has
+    fewer than two ticks or the estimate fails. This is the one k-loop of
+    the simulated and the empirical k-skip experiments.
+    """
+    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
+        raise ParameterError(f"k_max must be a positive integer, got {k_max!r}")
+    pairs = list(pairs)
+    stack = np.full((len(pairs), 1, int(k_max)), np.nan)
+    for r, (si, sj) in enumerate(pairs):
+        for k in range(1, int(k_max) + 1):
+            a = k_skip(si, k)
+            b = k_skip(sj, k)
+            if len(a) < 2 or len(b) < 2:
+                continue
+            try:
+                stack[r, 0, k - 1] = hayashi_yoshida(a, b).rho
+            except EstimationError:
+                pass
+    return stack
 
 
 def experiment_k_skip(
@@ -448,27 +446,13 @@ def experiment_k_skip(
     a single estimate per k, so ribbons are zero-width and the verdict
     threshold reduces to its absolute floor.
     """
-    if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
-        raise ParameterError(f"k_max must be a positive integer, got {k_max!r}")
-    pts = []
-    truncated_at = None
-    for k in range(1, int(k_max) + 1):
-        a = k_skip(si, k)
-        b = k_skip(sj, k)
-        if len(a) < 2 or len(b) < 2:
-            pts.append(CurvePoint(float(k), math.nan, math.nan, 0, 1))
-            truncated_at = truncated_at or k
-            continue
-        try:
-            rho = hayashi_yoshida(a, b).rho
-        except EstimationError:
-            pts.append(CurvePoint(float(k), math.nan, math.nan, 0, 1))
-            continue
-        pts.append(CurvePoint(float(k), rho, 0.0, 1, 0))
+    stack = k_skip_stack([(si, sj)], k_max)
     meta = {"experiment": "k_skip", "k_max": int(k_max), "confidence": confidence}
-    if truncated_at is not None:
-        meta["first_infeasible_k"] = truncated_at
-    curve = EppsCurve(axis_label="k", series={"hy": tuple(pts)}, meta=meta)
+    # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
+    first_infeasible = min(len(si), len(sj)) // 2 + 1
+    if first_infeasible <= k_max:
+        meta["first_infeasible_k"] = first_infeasible
+    curve = aggregate_curve(("hy",), confidence, range(1, int(k_max) + 1), "k", stack, meta)
     return curve, discriminate(curve, "hy")
 
 

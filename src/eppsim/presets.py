@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from . import seeding
 from .errors import ParameterError
 from .experiments import (
+    FIG_DT_GRID,
     EppsCurve,
     ExperimentConfig,
     Verdict,
@@ -36,7 +37,6 @@ from .estimators import theoretical_poisson_epps
 POISSON_MEAN_INTERARRIVAL = 15.0
 KSKIP_TICK_RATE = 1.0  # per second; one dense tick set thinned by k
 
-FIG_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
 WIDE_DT_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 
 FIGURE_NAMES = ("2a", "2b", "3a", "3b", "5", "6a", "6b", "8a", "8b", "9", "10a", "10b")

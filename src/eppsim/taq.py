@@ -22,16 +22,15 @@ from datetime import date as _date, time as _time
 
 import numpy as np
 
-from .errors import DataError, EstimationError, ParameterError, ScalingError, SkipDay
-from .estimators import hayashi_yoshida
+from .errors import DataError, ParameterError, ScalingError, SkipDay
 from .experiments import (
     CurvePoint,
     EppsCurve,
     aggregate_curve,
     discriminate,
     estimate_matrix,
+    k_skip_stack,
 )
-from .sampling import k_skip
 from .series import ArrivalSet, TickSeries
 
 DAY_WINDOW = 28200.0
@@ -341,7 +340,6 @@ def empirical_curve(
     dt_grid,
     estimators=("measured", "flat_trade", "overlap", "hy"),
     confidence: float = 0.95,
-    kappa_stride: float | None = None,
 ) -> EppsCurve:
     """Correlation curves over a day ensemble, one replication per day.
 
@@ -358,14 +356,7 @@ def empirical_curve(
         u1 = ArrivalSet(times=day.series_a.times, horizon=day.horizon)
         u2 = ArrivalSet(times=day.series_b.times, horizon=day.horizon)
         stack[r] = estimate_matrix(
-            day.series_a,
-            day.series_b,
-            u1,
-            u2,
-            dt_grid,
-            estimators,
-            day.horizon,
-            kappa_stride,
+            day.series_a, day.series_b, u1, u2, dt_grid, estimators, day.horizon
         )
     meta = {
         "experiment": "empirical",
@@ -393,20 +384,7 @@ def empirical_kskip(
     days = list(days)
     if not days:
         raise DataError("no usable days: cannot run the k-skip experiment")
-    if k_max < 1:
-        raise ParameterError(f"k_max must be >= 1, got {k_max}")
-    ks = tuple(float(k) for k in range(1, int(k_max) + 1))
-    stack = np.full((len(days), 1, len(ks)), np.nan)
-    for r, day in enumerate(days):
-        for j, k in enumerate(range(1, int(k_max) + 1)):
-            a = k_skip(day.series_a, k)
-            b = k_skip(day.series_b, k)
-            if len(a) < 2 or len(b) < 2:
-                continue
-            try:
-                stack[r, 0, j] = hayashi_yoshida(a, b).rho
-            except EstimationError:
-                continue
+    stack = k_skip_stack(((d.series_a, d.series_b) for d in days), k_max)
     meta = {
         "experiment": "empirical_kskip",
         "n_days": len(days),
@@ -414,7 +392,7 @@ def empirical_kskip(
         "confidence": confidence,
         "dates": [d.date for d in days],
     }
-    curve = aggregate_curve(("hy",), confidence, ks, "k", stack, meta)
+    curve = aggregate_curve(("hy",), confidence, range(1, int(k_max) + 1), "k", stack, meta)
     return curve, discriminate(curve, "hy", tau_abs, z)
 
 

@@ -86,6 +86,34 @@ def test_epps_without_figure_or_config_is_usage_error(tmp_path):
     assert "nothing to run" in out.stderr
 
 
+@pytest.mark.parametrize(
+    "command, config, flags, field",
+    [
+        ("epps", {"seed": "abc"}, [], "seed"),
+        ("epps", {"threads": "x"}, [], "threads"),
+        ("epps", {"replications": "abc"}, [], "replications"),
+        ("epps", {"verdict": {"tau_abs": "x"}}, [], "verdict.tau_abs"),
+        ("epps", {}, ["--threads", "0"], "threads"),
+        ("epps", {}, ["--threads", "-3"], "threads"),
+        ("simulate", {"seed": "abc"}, [], "seed"),
+        ("taq", {"taq": {"kmax": 2.5}}, [], "taq.kmax"),
+    ],
+)
+def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, flags, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    trades = tmp_path / "trades.csv"
+    write_fixture(trades)
+    argv = {
+        "epps": ["epps", "--figure", "10b"],
+        "simulate": ["simulate", "--model", "gbm", "--preset", "reference"],
+        "taq": ["taq", "kskip", str(trades), "--pair", "AAA,BBB"],
+    }[command]
+    code = cli.main([*argv, "--config", str(cfg), *flags, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}" in capsys.readouterr().err
+
+
 def test_simulate_without_params_is_usage_error(tmp_path):
     out = run_cli("simulate", "--model", "gbm", "--out", str(tmp_path / "x"))
     assert out.returncode == 2

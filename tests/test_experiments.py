@@ -18,6 +18,7 @@ from eppsim.experiments import (
     epps_curve,
     experiment_hy_vs_interarrival,
     experiment_k_skip,
+    experiment_overlap_multi_rate,
     ribbon,
     verdict_to_dict,
     write_curve_csv,
@@ -101,6 +102,18 @@ def test_epps_curve_parallel_matches_serial_bitwise():
     serial = epps_curve(cfg, max_workers=1)
     parallel = epps_curve(cfg, max_workers=3)
     assert serial == parallel
+    with pytest.raises(ParameterError):
+        epps_curve(cfg, max_workers=0)
+
+
+def test_overlap_multi_rate_parallel_matches_serial_bitwise():
+    cfg = small_cfg(n_replications=3, estimators=("measured", "overlap"), overlap_rates=(2.0, 5.0))
+    serial = experiment_overlap_multi_rate(cfg, max_workers=1)
+    parallel = experiment_overlap_multi_rate(cfg, max_workers=2)
+    assert list(serial) == [2.0, 5.0]
+    assert {m: curve_to_dict(c) for m, c in serial.items()} == {
+        m: curve_to_dict(c) for m, c in parallel.items()
+    }
 
 
 def test_replication_order_does_not_move_the_mean():

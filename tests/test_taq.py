@@ -332,6 +332,9 @@ def test_empirical_kskip_produces_curve_and_verdict():
     assert curve.meta["n_days"] == 3
     with pytest.raises(DataError):
         empirical_kskip([], 10)
+    for bad in (0, 7.9, True):
+        with pytest.raises(ParameterError):
+            empirical_kskip(days, bad)
 
 
 # ---------------------------------------------------------------------------
