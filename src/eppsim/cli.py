@@ -163,9 +163,16 @@ def _number(value, name: str, integer: bool = False):
     return x
 
 
+def _table(value, name: str) -> dict:
+    """A config table, which must be a JSON object; ParameterError names it."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
 def _verdict_args(doc: dict) -> tuple[float, float]:
     """(tau_abs, z) of the discrimination rule from the config's verdict table."""
-    vdoc = doc.get("verdict", {})
+    vdoc = _table(doc.get("verdict", {}), "verdict")
     return (
         _number(vdoc.get("tau_abs", 0.05), "verdict.tau_abs"),
         _number(vdoc.get("z", 1.0), "verdict.z"),
@@ -194,29 +201,59 @@ def _price_params_from(model: str, d: dict):
     raise ParameterError(f"experiment.price_model: unknown model {model!r}")
 
 
-def _experiment_from(doc: dict) -> ExperimentConfig:
+# numeric fields of the experiment table: name -> is an integer
+_EXPERIMENT_NUMBERS = {
+    "horizon": False,
+    "n_replications": True,
+    "confidence": False,
+    "seed": True,
+    "poisson_rate": False,
+    "kappa_stride": False,
+}
+_EXPERIMENT_NUMBER_LISTS = {
+    "dt_grid": False,
+    "mean_interarrivals": False,
+    "overlap_rates": False,
+    "replication_seeds": True,
+}
+
+
+def _experiment_from(doc) -> ExperimentConfig:
     """Build an ExperimentConfig from the config file's experiment table."""
-    if not isinstance(doc, dict):
-        raise ParameterError("experiment: must be an object")
-    d = dict(doc)
+    d = dict(_table(doc, "experiment"))
     model = d.get("price_model")
     params_doc = d.pop("price_params", None)
     if model is None or params_doc is None:
         raise ParameterError("experiment: price_model and price_params are required")
-    d["price_params"] = _price_params_from(model, dict(params_doc))
+    d["price_params"] = _price_params_from(
+        model, dict(_table(params_doc, "experiment.price_params"))
+    )
     sampler_doc = d.pop("hawkes_sampler", None)
     if sampler_doc is not None:
-        try:
-            d["hawkes_sampler"] = mutual_excitation_spec(
-                sampler_doc["baseline"], sampler_doc["amplitude"], sampler_doc["decay"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(
-                "experiment.hawkes_sampler: needs baseline, amplitude, decay"
-            ) from exc
-    for key in ("dt_grid", "estimators", "mean_interarrivals", "overlap_rates", "replication_seeds"):
-        if key in d and d[key] is not None:
-            d[key] = tuple(d[key])
+        sampler_doc = _table(sampler_doc, "experiment.hawkes_sampler")
+        keys = ("baseline", "amplitude", "decay")
+        if any(k not in sampler_doc for k in keys):
+            raise ParameterError("experiment.hawkes_sampler: needs baseline, amplitude, decay")
+        d["hawkes_sampler"] = mutual_excitation_spec(
+            *(_number(sampler_doc[k], f"experiment.hawkes_sampler.{k}") for k in keys)
+        )
+    fresh = d.get("fresh_paths", False)
+    if not isinstance(fresh, bool):
+        raise ParameterError(f"experiment.fresh_paths: expected true or false, got {fresh!r}")
+    # null stands for "not set" only where that is the field's default
+    nullable = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
+    for key, integer in _EXPERIMENT_NUMBERS.items():
+        if key in d and not (d[key] is None and key in nullable):
+            d[key] = _number(d[key], f"experiment.{key}", integer=integer)
+    for key in ("estimators", *_EXPERIMENT_NUMBER_LISTS):
+        if key not in d or (d[key] is None and key in nullable):
+            continue
+        if not isinstance(d[key], list):
+            raise ParameterError(f"experiment.{key}: expected a list, got {d[key]!r}")
+        if key in _EXPERIMENT_NUMBER_LISTS:
+            integer = _EXPERIMENT_NUMBER_LISTS[key]
+            d[key] = [_number(x, f"experiment.{key}", integer=integer) for x in d[key]]
+        d[key] = tuple(d[key])
     try:
         return ExperimentConfig(**d)
     except TypeError as exc:
@@ -250,7 +287,7 @@ def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
     seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
     model = args.model
-    sim = doc.get("simulate", {})
+    sim = _table(doc.get("simulate", {}), "simulate")
     horizon = _number(sim.get("horizon", DAY_SECONDS), "simulate.horizon")
     if args.preset == "reference":
         params = {"gbm": gbm_reference, "merton": merton_reference, "hawkes-price": hawkes_price_reference}[model]()
@@ -260,6 +297,7 @@ def cmd_simulate(args) -> int:
             raise ParameterError(
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
             )
+        pdoc = _table(pdoc, "simulate.params")
         params = _price_params_from(model.replace("-price", ""), dict(pdoc))
 
     run = Run(
@@ -317,7 +355,7 @@ def cmd_epps(args) -> int:
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     figure = args.figure or doc.get("figure")
-    overrides = _verdict_args(doc) if doc.get("verdict") else None
+    overrides = _verdict_args(doc) if _table(doc.get("verdict", {}), "verdict") else None
 
     if figure is not None:
         reps = args.replications
@@ -416,7 +454,7 @@ def _pair_arg(text: str) -> tuple[str, str]:
 def cmd_taq(args) -> int:
     doc = _load_config(args.config)
     parsed = _parse_taq_files(args.files)
-    taq_doc = doc.get("taq", {})
+    taq_doc = _table(doc.get("taq", {}), "taq")
     dt_grid = (
         _floats_arg(args.dt_grid, "--dt-grid")
         if args.dt_grid is not None

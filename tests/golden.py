@@ -12,6 +12,8 @@ is meant to alter output bytes (such as a new way of drawing random
 numbers), and is logged in CHANGES.md with its reason:
 
     PYTHONPATH=src python tests/golden.py
+
+It prints to stderr the entries whose digests changed, for that log.
 """
 
 import json
@@ -56,8 +58,26 @@ def main() -> None:
                 for model in SIMULATE_MODELS
             },
         }
+    old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
+    for line in changed_entries(old, doc):
+        print(line, file=sys.stderr)
+
+
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """'changed: SECTION NAME' (or added/removed) for every differing entry."""
+    lines = []
+    for section in sorted(old.keys() | new.keys()):
+        before, after = old.get(section, {}), new.get(section, {})
+        for name in sorted(before.keys() | after.keys()):
+            if name not in before:
+                lines.append(f"added: {section} {name}")
+            elif name not in after:
+                lines.append(f"removed: {section} {name}")
+            elif before[name] != after[name]:
+                lines.append(f"changed: {section} {name}")
+    return lines or ["no entry changed"]
 
 
 if __name__ == "__main__":

@@ -287,7 +287,7 @@ def test_09_estimators_match_brute_force_oracles():
             rejections += 1
     # Binomial(50, 0.01): P(X >= 4) ~ 1.7e-3, so 3 chance rejections is the cap
     if rejections > 3:
-        failures.append(f"thinning with alpha=0: {rejections}/50 KS rejections at 1%")
+        failures.append(f"simulate_hawkes with alpha=0: {rejections}/50 KS rejections at 1%")
 
     check(9, "oracle equivalence", failures)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eppsim import cli
-from golden import GOLDEN_PATH, SIMULATE_MODELS
+from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries
 
 HEADER = "date,ticker,timestamp,price,volume"
 
@@ -112,6 +112,86 @@ def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, 
     code = cli.main([*argv, "--config", str(cfg), *flags, "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, config, table",
+    [
+        ("epps", {"verdict": 5}, "verdict"),
+        ("epps", {"verdict": [1]}, "verdict"),
+        ("simulate", {"simulate": [1]}, "simulate"),
+        ("simulate-params", {"simulate": {"params": 3}}, "simulate.params"),
+        ("taq", {"taq": "x"}, "taq"),
+        ("taq", {"verdict": 5}, "verdict"),
+        ("adhoc", {"experiment": 7}, "experiment"),
+        ("adhoc", {"experiment": {"price_model": "gbm", "price_params": [1]}},
+         "experiment.price_params"),
+    ],
+)
+def test_config_tables_that_are_not_objects_are_usage_errors(
+    tmp_path, capsys, command, config, table
+):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    trades = tmp_path / "trades.csv"
+    write_fixture(trades)
+    argv = {
+        "epps": ["epps", "--figure", "10b"],
+        "adhoc": ["epps"],
+        "simulate": ["simulate", "--model", "gbm", "--preset", "reference"],
+        "simulate-params": ["simulate", "--model", "gbm"],
+        "taq": ["taq", "kskip", str(trades), "--pair", "AAA,BBB"],
+    }[command]
+    code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {table}: expected an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, field",
+    [
+        ({"n_replications": "abc"}, "experiment.n_replications"),
+        ({"n_replications": 2.5}, "experiment.n_replications"),
+        ({"horizon": "long"}, "experiment.horizon"),
+        ({"seed": True}, "experiment.seed"),
+        ({"confidence": None}, "experiment.confidence"),
+        ({"poisson_rate": "fast"}, "experiment.poisson_rate"),
+        ({"dt_grid": [5.0, "x"]}, "experiment.dt_grid"),
+        ({"dt_grid": 5.0}, "experiment.dt_grid"),
+        ({"estimators": 3}, "experiment.estimators"),
+        ({"replication_seeds": [1, 2, 3.5]}, "experiment.replication_seeds"),
+        (
+            {
+                "sampler": "hawkes",
+                "hawkes_sampler": {"baseline": 0.1, "amplitude": "x", "decay": 1},
+            },
+            "experiment.hawkes_sampler.amplitude",
+        ),
+        ({"sampler": "hawkes", "hawkes_sampler": [0.1]}, "experiment.hawkes_sampler"),
+        ({"dt_grid": None}, "experiment.dt_grid"),
+        ({"fresh_paths": "no"}, "experiment.fresh_paths"),
+    ],
+)
+def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
+    cfg = small_gbm_config(tmp_path, **experiment)
+    code = cli.main(["epps", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+
+
+def test_experiment_numeric_strings_are_read_as_numbers(tmp_path):
+    # the same experiment, once with numbers and once with numeric strings
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    plain = small_gbm_config(tmp_path / "a", n_replications=2)
+    text = small_gbm_config(
+        tmp_path / "b", n_replications="2", horizon="2000", dt_grid=["5", "15.0"]
+    )
+    digests = []
+    for name, cfg in (("a", plain), ("b", text)):
+        assert cli.main(["epps", "--config", str(cfg), "--out", str(tmp_path / name / "out")]) == 0
+        digests.append(sha256(tmp_path / name / "out" / "curve.csv"))
+    assert digests[0] == digests[1]
 
 
 def test_simulate_without_params_is_usage_error(tmp_path):
@@ -339,3 +419,10 @@ def test_taq_pair_flag_required(tmp_path):
     res = run_cli("taq", "epps", str(src), "--out", str(tmp_path / "out"))
     assert res.returncode == 2
     assert "--pair" in res.stderr
+
+
+def test_golden_tool_lists_changed_entries():
+    old = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 1}, "9": {}}, "simulate": {"gbm": {}}}
+    new = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 2}, "6a": {}}, "simulate": {"gbm": {}}}
+    assert changed_entries(old, new) == ["changed: epps 5", "added: epps 6a", "removed: epps 9"]
+    assert changed_entries(new, new) == ["no entry changed"]

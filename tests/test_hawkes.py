@@ -1,4 +1,4 @@
-"""Hawkes engine: branching algebra, thinning law, closed-form covariance."""
+"""Hawkes engine: branching algebra, cluster simulation law, closed-form covariance."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eppsim.errors import ParameterError, StabilityError
+from eppsim import hawkes, seeding
+from eppsim.errors import NumericError, ParameterError, StabilityError
 from eppsim.hawkes import (
     HawkesPriceParams,
     HawkesSpec,
@@ -22,6 +23,7 @@ from eppsim.hawkes import (
     theoretical_hawkes_covariance,
 )
 from eppsim.sampling import mutual_excitation_spec
+from eppsim.series import ArrivalSet
 
 PRICE = HawkesPriceParams(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.11)
 SAMPLING = mutual_excitation_spec(0.015, 0.023, 0.11)
@@ -185,6 +187,22 @@ def test_simulate_rejects_unstable_without_override():
     assert len(out) == 2
 
 
+def test_simulate_unstable_run_stops_at_event_cap(monkeypatch):
+    # supercritical: the expected event count grows like exp(0.09 t)
+    hot = two_dim_spec(0.2, 0.11)
+    monkeypatch.setattr(hawkes, "MAX_EVENTS", 1000)
+    with pytest.raises(NumericError, match="1000 events"):
+        simulate_hawkes(hot, 1000.0, seed=0, allow_unstable=True)
+
+
+def test_simulate_refuses_unusable_horizons():
+    with pytest.raises(NumericError):
+        simulate_hawkes(SAMPLING, 1e30, seed=0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            simulate_hawkes(SAMPLING, bad, seed=0)
+
+
 def test_simulate_deterministic_per_seed():
     a1 = simulate_hawkes(SAMPLING, 5000.0, seed=9)
     a2 = simulate_hawkes(SAMPLING, 5000.0, seed=9)
@@ -199,6 +217,64 @@ def test_simulate_times_strictly_increasing_within_horizon():
         if len(arr):
             assert np.all(np.diff(arr.times) > 0)
             assert arr.times[0] >= 0.0 and arr.times[-1] <= 2000.0
+
+
+def thinning_oracle(spec: HawkesSpec, horizon: float, seed: int) -> tuple[ArrivalSet, ...]:
+    """Ogata thinning, the reference law for simulate_hawkes.
+
+    The candidate wait is exponential at the current total intensity I(t);
+    the mark u ~ U[0, I(t)] accepts the candidate iff u <= I(t + tau) and
+    attributes it to the component whose cumulative intensity bracket
+    contains u. The excitation state decays across rejected candidates too.
+    """
+    rng = seeding.stream(seed, seeding.HAWKES)
+    # S[m, n]: excitation of component m from past events of component n,
+    # decayed to the current time
+    state = np.zeros((spec.dim, spec.dim))
+    events: list[list[float]] = [[] for _ in range(spec.dim)]
+    t = 0.0
+    while True:
+        total = float(spec.lambda0.sum() + state.sum())
+        if total <= 0.0:
+            break
+        tau = rng.exponential(1.0 / total)
+        u = rng.uniform(0.0, total)
+        t_cand = t + tau
+        if t_cand > horizon:
+            break
+        state *= np.exp(-spec.beta * tau)
+        t = t_cand
+        cum = np.cumsum(spec.lambda0 + state.sum(axis=1))
+        if u <= cum[-1]:
+            i = int(np.searchsorted(cum, u, side="left"))
+            events[i].append(t)
+            state[:, i] += spec.alpha[:, i]
+    return tuple(ArrivalSet(times=np.asarray(ev), horizon=horizon) for ev in events)
+
+
+# Fixed before the first run: 30 seeds per sampler, disjoint seed sets, a
+# 20 000 s horizon and level 1e-3 for each per-component test.
+ORACLE_HORIZON = 20000.0
+CLUSTER_SEEDS = range(30)
+ORACLE_SEEDS = range(1000, 1030)
+ORACLE_LEVEL = 1e-3
+
+
+@pytest.mark.parametrize("spec", [SAMPLING, price_spec(PRICE)], ids=["sampling", "price"])
+def test_cluster_sampler_matches_thinning_oracle(spec):
+    cluster = [simulate_hawkes(spec, ORACLE_HORIZON, seed=s) for s in CLUSTER_SEEDS]
+    oracle = [thinning_oracle(spec, ORACLE_HORIZON, seed=s) for s in ORACLE_SEEDS]
+    for m in range(spec.dim):
+        # per-run counts: overdispersed, so Welch's t-test rather than a
+        # Poisson comparison
+        counts_c = [len(run[m]) for run in cluster]
+        counts_o = [len(run[m]) for run in oracle]
+        p_counts = stats.ttest_ind(counts_c, counts_o, equal_var=False).pvalue
+        assert p_counts > ORACLE_LEVEL, (m, np.mean(counts_c), np.mean(counts_o))
+        gaps_c = np.concatenate([np.diff(run[m].times) for run in cluster])
+        gaps_o = np.concatenate([np.diff(run[m].times) for run in oracle])
+        p_gaps = stats.ks_2samp(gaps_c, gaps_o).pvalue
+        assert p_gaps > ORACLE_LEVEL, (m, p_gaps)
 
 
 def test_intensity_positive_along_simulated_history():
