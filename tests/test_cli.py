@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eppsim import cli
-from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries
+from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries, taq_outputs
 
 HEADER = "date,ticker,timestamp,price,volume"
 
@@ -331,6 +331,12 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
 
 # ---------------------------------------------------------------------------
 # taq
+
+
+def test_taq_matches_golden_digests(tmp_path):
+    """taq stats|epps|kskip on the seeded pair of trade files of tests/golden.py."""
+    golden = json.loads(GOLDEN_PATH.read_text())["taq"]
+    assert taq_outputs(cli, tmp_path) == golden
 
 
 def test_taq_stats_exact_fixture_means(tmp_path):
