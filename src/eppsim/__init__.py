@@ -82,6 +82,7 @@ from .sampling import (
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 from .taq import (
     DayPair,
+    TradeDay,
     TradeRecord,
     build_day_pair,
     empirical_curve,

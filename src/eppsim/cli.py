@@ -186,19 +186,31 @@ def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
         raise ParameterError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _price_params_from(model: str, d: dict):
+_PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
+
+
+def _price_params_from(model: str, d: dict, name: str):
+    """Price-model parameters from the config table called name.
+
+    Every field is a number but the hawkes x0, a list of two; a bad value
+    raises ParameterError naming the field.
+    """
+    cls = _PRICE_PARAMS.get(model)
+    if cls is None:
+        raise ParameterError(f"experiment.price_model: unknown model {model!r}")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    d = dict(d)
+    for key in fields & d.keys():
+        if key == "x0":
+            if not isinstance(d[key], list) or len(d[key]) != 2:
+                raise ParameterError(f"{name}.x0: expected a list of two numbers, got {d[key]!r}")
+            d[key] = tuple(_number(x, f"{name}.x0") for x in d[key])
+        else:
+            d[key] = _number(d[key], f"{name}.{key}")
     try:
-        if model == "gbm":
-            return GbmParams(**d)
-        if model == "merton":
-            return MertonParams(**d)
-        if model == "hawkes":
-            if "x0" in d:
-                d = dict(d, x0=tuple(d["x0"]))
-            return HawkesPriceParams(**d)
+        return cls(**d)
     except TypeError as exc:
-        raise ParameterError(f"experiment.price_params: {exc}") from exc
-    raise ParameterError(f"experiment.price_model: unknown model {model!r}")
+        raise ParameterError(f"{name}: {exc}") from exc
 
 
 # numeric fields of the experiment table: name -> is an integer
@@ -226,7 +238,7 @@ def _experiment_from(doc) -> ExperimentConfig:
     if model is None or params_doc is None:
         raise ParameterError("experiment: price_model and price_params are required")
     d["price_params"] = _price_params_from(
-        model, dict(_table(params_doc, "experiment.price_params"))
+        model, _table(params_doc, "experiment.price_params"), "experiment.price_params"
     )
     sampler_doc = d.pop("hawkes_sampler", None)
     if sampler_doc is not None:
@@ -298,7 +310,7 @@ def cmd_simulate(args) -> int:
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
             )
         pdoc = _table(pdoc, "simulate.params")
-        params = _price_params_from(model.replace("-price", ""), dict(pdoc))
+        params = _price_params_from(model.replace("-price", ""), pdoc, "simulate.params")
 
     run = Run(
         "simulate",

@@ -21,13 +21,14 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import stdtrit
 
 from . import seeding
 from .errors import (
     EstimationError,
     InsufficientDataError,
     ParameterError,
+    StabilityError,
 )
 from .estimators import (
     flat_trade_correction,
@@ -37,7 +38,7 @@ from .estimators import (
     overlap_correction,
     overlap_expectation,
 )
-from .hawkes import HawkesPriceParams, HawkesSpec, hawkes_price_model
+from .hawkes import HawkesPriceParams, HawkesSpec, classify_stability, hawkes_price_model
 from .paths import DAY_SECONDS, GbmParams, MertonParams, simulate_gbm, simulate_merton
 from .sampling import (
     hawkes_arrivals,
@@ -64,7 +65,9 @@ def ribbon(values, confidence: float) -> tuple[float, float]:
         raise InsufficientDataError(f"ribbon needs at least 2 values, got {vals.size}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    quantile = float(_stats.t.ppf(0.5 * (1.0 + confidence), vals.size - 1))
+    # scipy.stats.t.ppf is stdtrit behind argument checks; importing
+    # scipy.stats would add about a second to every CLI start-up
+    quantile = float(stdtrit(vals.size - 1, 0.5 * (1.0 + confidence)))
     return float(vals.mean()), quantile * float(vals.std(ddof=1))
 
 
@@ -154,6 +157,13 @@ class ExperimentConfig:
             raise ParameterError("poisson sampler needs a positive poisson_rate")
         if self.sampler == "hawkes" and self.hawkes_sampler is None:
             raise ParameterError("hawkes sampler needs a hawkes_sampler spec")
+        if self.sampler == "hawkes":
+            report = classify_stability(self.hawkes_sampler)
+            if report.classification != "stationary":
+                raise StabilityError(
+                    f"hawkes_sampler: kernel is {report.classification} (spectral radius "
+                    f"{report.spectral_radius:.6f}); the sampler needs a stationary kernel"
+                )
         if self.sampler == "synchronous" and set(self.estimators) != {"measured"}:
             raise ParameterError(
                 "synchronous sampling produces no arrival sets; only the "

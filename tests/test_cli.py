@@ -170,6 +170,21 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
         ({"sampler": "hawkes", "hawkes_sampler": [0.1]}, "experiment.hawkes_sampler"),
         ({"dt_grid": None}, "experiment.dt_grid"),
         ({"fresh_paths": "no"}, "experiment.fresh_paths"),
+        ({"price_params": {"mu1": 0.01, "mu2": 0.01, "sigma_sq1": "abc", "sigma_sq2": 0.2,
+                           "rho": 0.65, "horizon": 2000.0}}, "experiment.price_params.sigma_sq1"),
+        ({"price_model": "hawkes", "price_params": {"mu": 0.01, "alpha_r": 0.0, "alpha_c": 0.0,
+                                                    "beta": 1.0, "x0": 5}},
+         "experiment.price_params.x0"),
+        ({"price_model": "hawkes", "price_params": {"mu": 0.01, "alpha_r": 0.0, "alpha_c": 0.0,
+                                                    "beta": 1.0, "x0": [0.0, "up"]}},
+         "experiment.price_params.x0"),
+        (
+            {
+                "sampler": "hawkes",
+                "hawkes_sampler": {"baseline": 0.1, "amplitude": 2, "decay": 1},
+            },
+            "hawkes_sampler",
+        ),
     ],
 )
 def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
@@ -192,6 +207,16 @@ def test_experiment_numeric_strings_are_read_as_numbers(tmp_path):
         assert cli.main(["epps", "--config", str(cfg), "--out", str(tmp_path / name / "out")]) == 0
         digests.append(sha256(tmp_path / name / "out" / "curve.csv"))
     assert digests[0] == digests[1]
+
+
+def test_bad_simulate_params_are_named(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"simulate": {"params": {"mu": "x", "alpha_r": 0.0,
+                                                       "alpha_c": 0.0, "beta": 1.0}}}))
+    code = cli.main(["simulate", "--model", "hawkes-price", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: simulate.params.mu: " in capsys.readouterr().err
 
 
 def test_simulate_without_params_is_usage_error(tmp_path):
@@ -417,6 +442,15 @@ def test_taq_zero_usable_days_is_fatal(tmp_path):
                   "--out", str(tmp_path / "out"))
     assert res.returncode == 3
     assert "zero usable days" in res.stderr
+
+
+def test_taq_file_that_is_not_utf8_is_a_data_error(tmp_path):
+    src = tmp_path / "trades.csv"
+    src.write_bytes(f"{HEADER}\n2023-01-02,AAA,0.0,100,1\n2023-01-02,Caf\xe9,1.0,5,1\n".encode("latin-1"))
+    res = run_cli("taq", "stats", str(src), "--out", str(tmp_path / "out"))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    assert f"{src}: not UTF-8 text: byte 0xe9 at offset 74" in res.stderr
 
 
 def test_taq_pair_flag_required(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eppsim.errors import InsufficientDataError, ParameterError
+from eppsim.errors import InsufficientDataError, ParameterError, StabilityError
 from eppsim.experiments import (
     CurvePoint,
     EppsCurve,
@@ -26,6 +26,7 @@ from eppsim.experiments import (
     write_verdict_json,
 )
 from eppsim.paths import GbmParams
+from eppsim.sampling import mutual_excitation_spec
 from eppsim.series import TickSeries
 
 GBM = GbmParams(mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65)
@@ -160,6 +161,16 @@ def test_config_validation_errors():
         small_cfg(confidence=0.0)
     with pytest.raises(ParameterError):
         small_cfg(replication_seeds=(1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "amplitude, kind, radius", [(2.0, "non_stationary", "2.000000"), (1.0, "quasi_stationary", "1.000000")]
+)
+def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind, radius):
+    with pytest.raises(StabilityError, match=rf"^hawkes_sampler: kernel is {kind} \(spectral radius {radius}\)"):
+        small_cfg(sampler="hawkes", hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
+    # the same kernel is not checked when no replication would sample it
+    small_cfg(hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
 
 
 # ---------------------------------------------------------------------------

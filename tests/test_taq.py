@@ -2,16 +2,25 @@
 
 import io
 import math
+import tempfile
+from dataclasses import replace
+from datetime import date as _date
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eppsim import taq
 from eppsim.errors import DataError, ParameterError, ScalingError, SkipDay
 from eppsim.experiments import CurvePoint, EppsCurve, ribbon
 from eppsim.estimators import measured_correlation
 from eppsim.sampling import previous_tick_grid
 from eppsim.taq import (
     DAY_WINDOW,
+    ParseResult,
+    TradeDay,
     TradeRecord,
     build_day_pair,
     combine,
@@ -167,6 +176,244 @@ def test_combine_merges_across_files():
     assert merged.n_rows == 3
     with pytest.raises(DataError):
         combine([])
+
+
+def test_records_are_read_only_columnar_days():
+    res = parse_text(f"{HEADER}\n2023-01-02,AAA,10.0,100,1\n2023-01-02,AAA,5.0,101,2\n")
+    day = res.records[("AAA", "2023-01-02")]
+    assert isinstance(day, TradeDay)
+    assert day.timestamp.tolist() == [5.0, 10.0]
+    assert day[-1] == rec(10.0, 100.0)
+    assert list(day) == [rec(5.0, 101.0, 2.0), rec(10.0, 100.0)]
+    with pytest.raises(ValueError):
+        day.price[0] = 1.0
+    assert day != replace(day, volume=np.array([2.0, 2.0]))
+
+
+def test_parse_and_pair_build_no_trade_records(monkeypatch):
+    monkeypatch.setattr(taq, "TradeRecord", None)
+    parsed = parse_text(
+        f"{HEADER}\n2023-01-02,AAA,10.0,100,1\n2023-01-02,AAA,10.0,102,3\n"
+        "2023-01-02,BBB,20.0,50,1\n"
+    )
+    days, skipped = pair_days(combine([parsed, parsed]), "AAA", "BBB")
+    assert len(days) == 1 and not skipped
+    assert all(math.isnan(x) for x in ticker_interarrival_stats(parsed, "AAA"))
+
+
+@pytest.mark.parametrize("chunk", [1, taq.CHUNK_LINES])
+def test_non_utf8_file_is_a_data_error_with_its_offset(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(taq, "CHUNK_LINES", chunk)
+    data = f"{HEADER}\n2023-01-02,AAA,1.0,100,1\n2023-01-02,Caf\xe9,2.0,1,1\n".encode("latin-1")
+    src = tmp_path / "trades.csv"
+    src.write_bytes(data)
+    offset = data.index(b"\xe9")
+    with pytest.raises(DataError, match=f"trades.csv: not UTF-8 text: byte 0xe9 at offset {offset}$"):
+        parse_trades(src)
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row parser, kept as the oracle of parse_trades and combine
+
+
+def _oracle_merge(day) -> tuple[TradeRecord, ...]:
+    merged: list[TradeRecord] = []
+    i = 0
+    while i < len(day):
+        j = i
+        while j + 1 < len(day) and day[j + 1].timestamp == day[i].timestamp:
+            j += 1
+        if j == i:
+            merged.append(day[i])
+        else:
+            batch = day[i : j + 1]
+            vol = 0.0
+            notional = 0.0
+            for r in batch:  # strictly left to right, as parse_trades sums
+                vol += r.volume
+                notional += r.price * r.volume
+            merged.append(replace(batch[0], price=notional / vol, volume=vol))
+        i = j + 1
+    return tuple(merged)
+
+
+def row_parse_oracle(text: str) -> ParseResult:
+    """parse_trades one row at a time, with one TradeRecord per row."""
+    lines = text.splitlines()
+    if not lines:
+        raise DataError("empty file")
+    header = tuple(h.strip().lower() for h in lines[0].split(","))
+    if header != ("date", "ticker", "timestamp", "price", "volume"):
+        raise DataError("bad header")
+    fmt = None
+    for line in lines[1:]:
+        parts = [p.strip() for p in line.split(",")]
+        if line.strip() and len(parts) == 5:
+            fmt = "clock" if ":" in parts[2] else "seconds"
+            break
+    diagnostics: list[str] = []
+    raw: list[TradeRecord] = []
+    n_rows = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        n_rows += 1
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 5:
+            diagnostics.append(f"line {lineno}: expected 5 fields, got {len(parts)}")
+            continue
+        date_s, ticker, ts_s, price_s, vol_s = parts
+        try:
+            _date.fromisoformat(date_s)
+        except ValueError:
+            diagnostics.append(f"line {lineno}: bad date {date_s!r}")
+            continue
+        if not ticker:
+            diagnostics.append(f"line {lineno}: empty ticker")
+            continue
+        is_clock = ":" in ts_s
+        if is_clock != (fmt == "clock"):
+            diagnostics.append(
+                f"line {lineno}: timestamp {ts_s!r} does not match the {fmt}-format column"
+            )
+            continue
+        try:
+            ts = taq._parse_clock(ts_s) if is_clock else float(ts_s)
+        except ValueError:
+            diagnostics.append(f"line {lineno}: bad timestamp {ts_s!r}")
+            continue
+        if not math.isfinite(ts) or ts < 0.0:
+            diagnostics.append(f"line {lineno}: timestamp {ts_s!r} outside the day")
+            continue
+        try:
+            price = float(price_s)
+            volume = float(vol_s)
+        except ValueError:
+            diagnostics.append(f"line {lineno}: bad price/volume {price_s!r}/{vol_s!r}")
+            continue
+        if not math.isfinite(price) or price <= 0.0:
+            diagnostics.append(f"line {lineno}: non-positive price {price_s}")
+            continue
+        if not math.isfinite(volume) or volume <= 0.0:
+            diagnostics.append(f"line {lineno}: non-positive volume {vol_s}")
+            continue
+        raw.append(TradeRecord(ts, price, volume, ticker, date_s))
+    if fmt == "clock" and raw:
+        origin: dict[str, float] = {}
+        for r in raw:
+            origin[r.date] = min(origin.get(r.date, math.inf), r.timestamp)
+        raw = [replace(r, timestamp=r.timestamp - origin[r.date]) for r in raw]
+    grouped: dict[tuple[str, str], list[TradeRecord]] = {}
+    for r in raw:
+        grouped.setdefault((r.ticker, r.date), []).append(r)
+    return ParseResult(
+        records={
+            key: _oracle_merge(sorted(grouped[key], key=lambda r: r.timestamp))
+            for key in sorted(grouped)
+        },
+        diagnostics=tuple(diagnostics),
+        n_rows=n_rows,
+        n_used=len(raw),
+        timestamp_format=fmt if n_rows else None,
+    )
+
+
+def row_combine_oracle(results) -> dict:
+    pooled: dict[tuple[str, str], list[TradeRecord]] = {}
+    for res in results:
+        for key, recs in res.records.items():
+            pooled.setdefault(key, []).extend(recs)
+    return {
+        key: _oracle_merge(sorted(pooled[key], key=lambda r: r.timestamp))
+        for key in sorted(pooled)
+    }
+
+
+def bits(records: dict) -> dict:
+    """Every record as exact float bits, so -0.0 and 0.0 differ."""
+    return {
+        key: [(r.timestamp.hex(), r.price.hex(), r.volume.hex(), r.ticker, r.date) for r in day]
+        for key, day in records.items()
+    }
+
+
+# field values, the valid ones first: (valid, invalid)
+_DATES = (("2024-01-02", "2024-01-03", "20240104"), ("2024-02-30", "not-a-date", ""))
+_TICKERS = (("AAA", "BBB", "C C"), ("",))
+_SECONDS = (("0", "0.0", "-0.0", "1.5", "1.50", "15e-1", "2", "7.25", "1_0"),
+            ("-3", "inf", "nan", "x", "", "09:30:00"))
+_CLOCK = (("09:30:00", "09:30:00.250", "09:30", "10:00:00", "10:00:00+01:00", "09:45:00"),
+          ("25:00:00", "ab:cd", "12.5"))
+_PRICES = (("100", "100.5", "99.25", "1e-3", "3", "0.1"), ("0", "-1", "nan", "inf", "n/a", ""))
+_VOLUMES = (("1", "2", "3.5", "100", "0.7"), ("0", "-2", "nan", "x", ""))
+_PADS = ("", " ", "\t", "\xa0 ")
+
+
+def _values(pool):
+    valid, invalid = pool
+    return st.sampled_from(valid * 8 + invalid)
+
+
+@st.composite
+def trade_lines(draw, clock: bool):
+    """Data lines of one trade file: every row kind, padding and long runs."""
+    pools = (_DATES, _TICKERS, _CLOCK if clock else _SECONDS, _PRICES, _VOLUMES)
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["row"] * 8 + ["short", "long", "blank", "run"]),
+                              max_size=40)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+            continue
+        if kind == "run":  # one valid trade time, nine to twelve times over
+            stamp = draw(st.sampled_from(["09:45:00"] if clock else ["7.25", "0"]))
+            ticker = draw(st.sampled_from(_TICKERS[0]))
+            lines += [f"2024-01-02,{ticker},{stamp},{draw(st.sampled_from(_PRICES[0]))},"
+                      f"{draw(st.sampled_from(_VOLUMES[0]))}"
+                      for _ in range(draw(st.integers(9, 12)))]
+            continue
+        parts = [draw(_values(pool)) for pool in pools]
+        if kind == "short":
+            parts = parts[: draw(st.integers(1, 4))]
+        elif kind == "long":
+            parts.append("7")
+        pad = draw(st.sampled_from(_PADS))
+        lines.append(",".join(f"{pad}{p}{pad}" if draw(st.booleans()) else p for p in parts))
+    return lines
+
+
+@st.composite
+def trade_files(draw):
+    """Text of two trade files and the block size to parse them with."""
+    texts = []
+    for _ in range(2):
+        lines = draw(trade_lines(clock=draw(st.booleans())))
+        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+        body = "".join(line + end for line, end in zip(lines, ends))
+        texts.append(HEADER + "\n" + (body if draw(st.booleans()) else body.rstrip("\r\n")))
+    return texts, draw(st.sampled_from([1, 2, 3, 7, taq.CHUNK_LINES]))
+
+
+@given(trade_files())
+@settings(max_examples=150, deadline=None)
+def test_parse_trades_matches_row_parser_oracle(files):
+    texts, chunk = files
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(taq, "CHUNK_LINES", chunk)
+        parsed = []
+        for k, text in enumerate(texts):
+            path = Path(tmp) / f"{k}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            want = row_parse_oracle(text)
+            for got in (parse_trades(io.StringIO(text)), parse_trades(path)):
+                assert got.diagnostics == want.diagnostics
+                assert (got.n_rows, got.n_used, got.timestamp_format) == (
+                    want.n_rows, want.n_used, want.timestamp_format
+                )
+                assert list(got.records) == list(want.records)
+                assert bits(got.records) == bits(want.records)
+            parsed.append((got, want))
+        both = combine([got for got, _ in parsed])
+        assert bits(both.records) == bits(row_combine_oracle([want for _, want in parsed]))
 
 
 # ---------------------------------------------------------------------------
