@@ -37,6 +37,7 @@ from .errors import (
     ScalingError,
 )
 from .experiments import (
+    PRICE_PARAMS,
     ExperimentConfig,
     discriminate,
     epps_curve,
@@ -46,8 +47,8 @@ from .experiments import (
     write_curve_json,
     write_verdict_json,
 )
-from .hawkes import HawkesPriceParams, hawkes_price_model
-from .paths import DAY_SECONDS, GbmParams, MertonParams, simulate_gbm, simulate_merton
+from .hawkes import hawkes_price_model
+from .paths import DAY_SECONDS, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
     FIGURE_NAMES,
@@ -186,16 +187,13 @@ def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
         raise ParameterError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
 
 
-_PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
-
-
 def _price_params_from(model: str, d: dict, name: str):
     """Price-model parameters from the config table called name.
 
     Every field is a number but the hawkes x0, a list of two; a bad value
     raises ParameterError naming the field.
     """
-    cls = _PRICE_PARAMS.get(model)
+    cls = PRICE_PARAMS.get(model)
     if cls is None:
         raise ParameterError(f"experiment.price_model: unknown model {model!r}")
     fields = {f.name for f in dataclasses.fields(cls)}

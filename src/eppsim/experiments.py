@@ -54,6 +54,9 @@ ESTIMATOR_NAMES = ("measured", "flat_trade", "overlap", "hy")
 
 FIG_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
 
+# the parameter type of each price model
+PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
+
 
 def ribbon(values, confidence: float) -> tuple[float, float]:
     """Mean and Student-t half-width of an ensemble of n estimates.
@@ -143,12 +146,11 @@ class ExperimentConfig:
     overlap_rates: tuple[float, ...] = (1.0, 10.0, 25.0)
 
     def __post_init__(self):
-        if self.price_model not in ("gbm", "merton", "hawkes"):
+        if self.price_model not in PRICE_PARAMS:
             raise ParameterError(f"unknown price model {self.price_model!r}")
-        expected = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
-        if not isinstance(self.price_params, expected[self.price_model]):
+        if not isinstance(self.price_params, PRICE_PARAMS[self.price_model]):
             raise ParameterError(
-                f"price_params must be {expected[self.price_model].__name__} "
+                f"price_params must be {PRICE_PARAMS[self.price_model].__name__} "
                 f"for model {self.price_model!r}"
             )
         if self.sampler not in ("poisson", "hawkes", "synchronous"):

@@ -90,11 +90,8 @@ class TradeDay:
         if not isinstance(other, TradeDay):
             return NotImplemented
         return (self.ticker, self.date) == (other.ticker, other.date) and all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                (self.timestamp, self.price, self.volume),
-                (other.timestamp, other.price, other.volume),
-            )
+            np.array_equal(getattr(self, c), getattr(other, c))
+            for c in ("timestamp", "price", "volume")
         )
 
     __hash__ = None
@@ -433,11 +430,12 @@ def combine(results) -> ParseResult:
     days = [(g, r.records[key]) for g, key in enumerate(keys) for r in results if key in r.records]
     records = {}
     if days:
-        records = _trade_days(
-            np.concatenate([np.full(len(d), g) for g, d in days]),
-            *(np.concatenate([getattr(d, c) for _, d in days]) for c in ("timestamp", "price", "volume")),
-            keys.__getitem__,
+        columns = (
+            np.concatenate([getattr(d, c) for _, d in days])
+            for c in ("timestamp", "price", "volume")
         )
+        group = np.concatenate([np.full(len(d), g) for g, d in days])
+        records = _trade_days(group, *columns, keys.__getitem__)
     fmts = {r.timestamp_format for r in results} - {None}
     return ParseResult(
         records=records,
@@ -492,11 +490,9 @@ def build_day_pair(records_a, records_b, date: str = "") -> DayPair:
         inside = (ts >= 0.0) & (ts <= DAY_WINDOW)
         legs.append((ts[inside], price[inside]))
     (ts_a, px_a), (ts_b, px_b) = legs
-    if not ts_a.size or not ts_b.size:
-        empty = (
-            "both legs" if not ts_a.size and not ts_b.size
-            else ("leg a" if not ts_a.size else "leg b")
-        )
+    a, b = ts_a.size, ts_b.size
+    if not a or not b:
+        empty = "both legs" if not a and not b else ("leg a" if not a else "leg b")
         raise SkipDay(f"{date or 'day'}: no trades inside the day window for {empty}")
     origin = float(max(ts_a[0], ts_b[0]))
     return DayPair(

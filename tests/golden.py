@@ -79,7 +79,8 @@ def write_trade_files(directory: Path, seed: int = 3) -> list[Path]:
             vol = rng.integers(1, 40, size=ms.size) * 100
             lines = [f"{date},{ticker},{m / 1000:.3f},{p:.4f},{v}" for m, p, v in zip(ms, px, vol)]
             if ticker == "AAA" and d == 1:
-                lines += [f"{date},AAA,1000.125,{50 + k / 8:.4f},{100 * (k + 1)}" for k in range(10)]
+                lines += [f"{date},AAA,1000.125,{50 + k / 8:.4f},{100 * (k + 1)}"
+                          for k in range(10)]
             for k, kind in enumerate(_ODD_ROWS):
                 ts = f"{(28250.5 if late else 17.5) + k:.3f}"
                 row = kind.format(date=date, ticker=ticker, ts=ts, px="12.5")

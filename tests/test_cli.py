@@ -446,7 +446,8 @@ def test_taq_zero_usable_days_is_fatal(tmp_path):
 
 def test_taq_file_that_is_not_utf8_is_a_data_error(tmp_path):
     src = tmp_path / "trades.csv"
-    src.write_bytes(f"{HEADER}\n2023-01-02,AAA,0.0,100,1\n2023-01-02,Caf\xe9,1.0,5,1\n".encode("latin-1"))
+    text = f"{HEADER}\n2023-01-02,AAA,0.0,100,1\n2023-01-02,Caf\xe9,1.0,5,1\n"
+    src.write_bytes(text.encode("latin-1"))
     res = run_cli("taq", "stats", str(src), "--out", str(tmp_path / "out"))
     assert res.returncode == 3
     assert "Traceback" not in res.stderr

@@ -164,10 +164,12 @@ def test_config_validation_errors():
 
 
 @pytest.mark.parametrize(
-    "amplitude, kind, radius", [(2.0, "non_stationary", "2.000000"), (1.0, "quasi_stationary", "1.000000")]
+    "amplitude, kind, radius",
+    [(2.0, "non_stationary", "2.000000"), (1.0, "quasi_stationary", "1.000000")],
 )
 def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind, radius):
-    with pytest.raises(StabilityError, match=rf"^hawkes_sampler: kernel is {kind} \(spectral radius {radius}\)"):
+    message = rf"^hawkes_sampler: kernel is {kind} \(spectral radius {radius}\)"
+    with pytest.raises(StabilityError, match=message):
         small_cfg(sampler="hawkes", hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
     # the same kernel is not checked when no replication would sample it
     small_cfg(hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))

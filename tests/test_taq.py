@@ -208,7 +208,8 @@ def test_non_utf8_file_is_a_data_error_with_its_offset(tmp_path, monkeypatch, ch
     src = tmp_path / "trades.csv"
     src.write_bytes(data)
     offset = data.index(b"\xe9")
-    with pytest.raises(DataError, match=f"trades.csv: not UTF-8 text: byte 0xe9 at offset {offset}$"):
+    message = f"trades.csv: not UTF-8 text: byte 0xe9 at offset {offset}$"
+    with pytest.raises(DataError, match=message):
         parse_trades(src)
 
 
