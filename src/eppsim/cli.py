@@ -209,6 +209,8 @@ def _price_params_from(model: str, d: dict, name: str):
         return cls(**d)
     except TypeError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
+    except ParameterError as exc:  # StabilityError included, kept as such
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 # numeric fields of the experiment table: name -> is an integer
@@ -309,6 +311,12 @@ def cmd_simulate(args) -> int:
             )
         pdoc = _table(pdoc, "simulate.params")
         params = _price_params_from(model.replace("-price", ""), pdoc, "simulate.params")
+    if model != "hawkes-price" and "horizon" in sim:
+        # the diffusion models carry their horizon in their parameters
+        try:
+            params = dataclasses.replace(params, horizon=horizon)
+        except ParameterError as exc:
+            raise type(exc)(f"simulate.horizon: {exc}") from exc
 
     run = Run(
         "simulate",
@@ -322,11 +330,9 @@ def cmd_simulate(args) -> int:
         },
         seed,
     )
-    if model == "gbm":
-        path = simulate_gbm(params, seed)
-        run.emit("path.csv", path.write_csv)
-    elif model == "merton":
-        path = simulate_merton(params, seed)
+    if model in ("gbm", "merton"):
+        path = (simulate_gbm if model == "gbm" else simulate_merton)(params, seed)
+        run.config["horizon"] = path.horizon  # the span of the path
         run.emit("path.csv", path.write_csv)
     else:
         path, arrivals = hawkes_price_model(params, horizon, seed)

@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
     SaturationError,
 )
+from .sampling import _tick_counts
 from .series import ArrivalSet, GridSeries, TickSeries
 
 
@@ -152,24 +153,72 @@ def overlap_expectation(
         stride = dt
     if not 0 < stride <= horizon:
         raise ParameterError(f"stride must lie in (0, horizon], got {stride}")
-    n_eval = int(math.floor((horizon - dt) / stride + 1e-9))
-    t_eval = dt + stride * np.arange(n_eval + 1)
-    first_common = max(ui.times[0], uj.times[0])
-    t_eval = t_eval[t_eval - dt >= first_common]
-    if t_eval.size == 0:
+    m = _grid_windows(dt, horizon) if stride == dt else None
+    if m is not None:
+        # one count per grid point serves both window ends and starts
+        grid = dt * np.arange(m + 1)
+        ci, cj = _tick_counts(ui.times, grid, dt), _tick_counts(uj.times, grid, dt)
+        return _overlap_stats(ui.times, uj.times, (ci[1:], ci[:-1]), (cj[1:], cj[:-1]), dt)
+    ends, starts = _overlap_windows(dt, horizon, stride)
+    return _overlap_stats(
+        ui.times,
+        uj.times,
+        (_tick_counts(ui.times, ends, stride), _tick_counts(ui.times, starts, stride)),
+        (_tick_counts(uj.times, ends, stride), _tick_counts(uj.times, starts, stride)),
+        dt,
+    )
+
+
+def _overlap_windows(dt: float, horizon: float, stride: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ends t = dt + k*stride and starts t - dt of the evaluation windows."""
+    ends = dt + stride * np.arange(_n_windows(dt, horizon, stride))
+    return ends, ends - dt
+
+
+def _n_windows(dt: float, horizon: float, stride: float) -> int:
+    return int(math.floor((horizon - dt) / stride + 1e-9)) + 1
+
+
+def _grid_windows(dt: float, horizon: float) -> int | None:
+    """The number m of windows at stride dt when they are certain to be,
+    bit for bit, [h*dt, (h+1)*dt] for h < m; else None.
+
+    dt = num/2**e exactly; while num*(m+1) <= 2**53 every multiple k*dt,
+    and every sum or difference of two of them, is exact, so the window
+    ends dt + h*dt and starts (dt + h*dt) - dt are the grid points. At
+    dt = 0.1 float rounding moves some of them off the grid by an ulp.
+    """
+    if not dt <= horizon:
+        return None
+    m = _n_windows(dt, horizon, dt)
+    num, _ = float(dt).as_integer_ratio()
+    return m if num * (m + 1) <= 2**53 else None
+
+
+def _overlap_stats(ti, tj, counts_i, counts_j, dt: float) -> OverlapStats:
+    """OverlapStats from each asset's arrival counts at the window (ends, starts).
+
+    A count of k at a time means the last arrival at or before it is
+    times[k - 1]; a window starts after an asset's first arrival exactly
+    when its start count is positive. Counts never fall, so the windows
+    kept form a suffix.
+    """
+    (ci_hi, ci_lo), (cj_hi, cj_lo) = counts_i, counts_j
+    first = max(np.count_nonzero(ci_lo == 0), np.count_nonzero(cj_lo == 0))
+    if first == ci_lo.size:
         raise InsufficientDataError(
             "no evaluation windows start after both assets' first observations"
         )
-    gi_hi = ui.times[np.searchsorted(ui.times, t_eval, side="right") - 1]
-    gi_lo = ui.times[np.searchsorted(ui.times, t_eval - dt, side="right") - 1]
-    gj_hi = uj.times[np.searchsorted(uj.times, t_eval, side="right") - 1]
-    gj_lo = uj.times[np.searchsorted(uj.times, t_eval - dt, side="right") - 1]
+    gi_hi = ti[ci_hi[first:] - 1]
+    gi_lo = ti[ci_lo[first:] - 1]
+    gj_hi = tj[cj_hi[first:] - 1]
+    gj_lo = tj[cj_lo[first:] - 1]
     cross = np.minimum(gi_hi, gj_hi) - np.maximum(gi_lo, gj_lo)
     return OverlapStats(
         kappa_ii=float(np.mean(gi_hi - gi_lo)),
         kappa_jj=float(np.mean(gj_hi - gj_lo)),
         kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
-        n_windows=int(t_eval.size),
+        n_windows=int(ci_lo.size - first),
         dt=dt,
     )
 

@@ -31,6 +31,8 @@ from .errors import (
     StabilityError,
 )
 from .estimators import (
+    _grid_windows,
+    _overlap_stats,
     flat_trade_correction,
     flat_trade_probability,
     hayashi_yoshida,
@@ -41,11 +43,12 @@ from .estimators import (
 from .hawkes import HawkesPriceParams, HawkesSpec, classify_stability, hawkes_price_model
 from .paths import DAY_SECONDS, GbmParams, MertonParams, simulate_gbm, simulate_merton
 from .sampling import (
+    _grid_series,
+    _previous_tick_counts,
     hawkes_arrivals,
     k_skip,
     observe_path,
     poisson_arrivals,
-    previous_tick_grid,
     synchronous_ticks,
 )
 from .series import PricePath, TickSeries
@@ -248,10 +251,21 @@ def estimate_matrix(
             out[col["hy"], :] = hayashi_yoshida(s1, s2).rho
         except EstimationError:
             pass
+    overlap = "overlap" in col and u1 is not None and u2 is not None
+    # the arrival sets are the tick times (always so for sampled and
+    # traded data), so the grid's tick counts serve the overlap windows too
+    shared = (
+        overlap
+        and stride is None
+        and np.array_equal(u1.times, s1.times)
+        and np.array_equal(u2.times, s2.times)
+    )
     for j, dt in enumerate(dt_grid):
         try:
-            g1 = previous_tick_grid(s1, dt, horizon)
-            g2 = previous_tick_grid(s2, dt, horizon)
+            c1 = _previous_tick_counts(s1, dt, horizon)
+            c2 = _previous_tick_counts(s2, dt, horizon)
+            g1 = _grid_series(s1, dt, c1)
+            g2 = _grid_series(s2, dt, c2)
             measured = measured_correlation(g1, g2)
         except EstimationError:
             continue  # the grid estimators all need the measured value
@@ -264,9 +278,16 @@ def estimate_matrix(
                 out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
             except EstimationError:
                 pass
-        if "overlap" in col and u1 is not None and u2 is not None:
+        if overlap:
             try:
-                kap = overlap_expectation(u1, u2, dt, horizon, stride=stride)
+                m = _grid_windows(dt, horizon) if shared else None
+                if m is not None and m < c1.size:
+                    # windows [h*dt, (h+1)*dt]: ends are counts[1:], starts counts[:-1]
+                    kap = _overlap_stats(
+                        u1.times, u2.times, (c1[1 : m + 1], c1[:m]), (c2[1 : m + 1], c2[:m]), dt
+                    )
+                else:
+                    kap = overlap_expectation(u1, u2, dt, horizon, stride=stride)
                 out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
             except EstimationError:
                 pass

@@ -234,10 +234,21 @@ class HawkesPriceParams:
     def __post_init__(self):
         if self.mu < 0 or not np.isfinite(self.mu):
             raise ParameterError(f"mu must be finite and >= 0, got {self.mu}")
+        for name in ("alpha_r", "alpha_c", "beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha_r < 0 or self.alpha_c < 0:
             raise ParameterError("excitation amplitudes must be >= 0")
         if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
+        if len(self.x0) != 2 or not np.all(np.isfinite(self.x0)):
+            raise ParameterError(f"x0 must be two finite log-prices, got {self.x0}")
+        report = classify_stability(price_spec(self))
+        if report.classification != "stationary":
+            raise StabilityError(
+                f"kernel is {report.classification} (spectral radius "
+                f"{report.spectral_radius:.6f}); the price model needs a stationary kernel"
+            )
 
     @property
     def gamma_r(self) -> float:

@@ -7,7 +7,7 @@ jump-diffusion with jump intensity zero reproduces the plain GBM path
 bitwise under the same seed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,13 +33,16 @@ def _n_steps(horizon: float, dt: float) -> int:
     return n
 
 
-def _check_diffusion(mu1, mu2, sigma_sq1, sigma_sq2, rho):
-    if sigma_sq1 < 0 or sigma_sq2 < 0:
+def _check_diffusion(params):
+    """Every field finite (the error names it), variances >= 0, |rho| <= 1."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if not np.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value}")
+    if params.sigma_sq1 < 0 or params.sigma_sq2 < 0:
         raise ParameterError("variances must be non-negative")
-    if not -1.0 <= rho <= 1.0:
-        raise ParameterError(f"rho must lie in [-1, 1], got {rho}")
-    if not (np.isfinite(mu1) and np.isfinite(mu2)):
-        raise ParameterError("drifts must be finite")
+    if not -1.0 <= params.rho <= 1.0:
+        raise ParameterError(f"rho must lie in [-1, 1], got {params.rho}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class GbmParams:
     horizon: float = DAY_SECONDS
 
     def __post_init__(self):
-        _check_diffusion(self.mu1, self.mu2, self.sigma_sq1, self.sigma_sq2, self.rho)
+        _check_diffusion(self)
         _n_steps(self.horizon, self.dt)
 
 
@@ -87,7 +90,7 @@ class MertonParams:
     horizon: float = DAY_SECONDS
 
     def __post_init__(self):
-        _check_diffusion(self.mu1, self.mu2, self.sigma_sq1, self.sigma_sq2, self.rho)
+        _check_diffusion(self)
         if self.jump_rate < 0:
             raise ParameterError(f"jump_rate must be non-negative, got {self.jump_rate}")
         if self.jump_std < 0:

@@ -4,7 +4,9 @@ Arrival processes (homogeneous Poisson or mutually exciting Hawkes) pick
 the observation times of each asset; observe_path reads the latent path at
 those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
-series to every k-th observation.
+series to every k-th observation. Both searches are against a uniform
+grid, so they place ticks by arithmetic in linear time (_rank) rather than
+by bisection; the overlap correction reads the same tick counts.
 """
 
 import math
@@ -25,6 +27,56 @@ def grid_count(horizon: float, dt: float) -> int:
     if not horizon >= 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     return int(math.floor(horizon / dt + 1e-9))
+
+
+# The index kernels below visit every tick once, bisection visits every
+# grid point once at log(ticks) cost; past this many ticks per grid point
+# bisection is the cheaper (figure 5's one-second synchronous legs at
+# dt >= 5, for example).
+MAX_TICKS_PER_POINT = 2
+
+
+def _rank(x: np.ndarray, n: int, node, step: float, right: bool) -> np.ndarray:
+    """np.searchsorted(node(np.arange(n)), x, side="right" if right else "left").
+
+    node(k) is ascending, close to node(0) + step*k, and defined for k = -1
+    (before every x) and k = n (after every x). Each rank is guessed from
+    that arithmetic, then corrected against node itself until no rank
+    moves, so ties and one-ulp neighbours land where bisection puts them.
+    Linear in the size of x.
+    """
+    r = np.subtract(x, node(0))
+    r /= step
+    if right:
+        np.floor(r, out=r)
+        r += 1.0
+    else:
+        np.ceil(r, out=r)
+    r = np.clip(r, 0, n, out=r).astype(np.intp)
+    before = np.less_equal if right else np.less
+    at, ranks, values = None, r, x
+    while True:
+        up = before(node(ranks), values)
+        down = ~before(node(ranks - 1), values)
+        moved = np.flatnonzero(up | down)
+        if moved.size == 0:
+            return r
+        at = moved if at is None else at[moved]
+        r[at] += up[moved].astype(np.intp) - down[moved]
+        ranks, values = r[at], x[at]
+
+
+def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:
+    """np.searchsorted(times, queries, side="right") for ascending queries about step apart.
+
+    Each tick is ranked among the queries, and the ticks at or before each
+    query are counted by np.bincount and a cumulative sum.
+    """
+    if times.size >= MAX_TICKS_PER_POINT * queries.size:
+        return np.searchsorted(times, queries, side="right")
+    padded = np.concatenate(([-np.inf], queries, [np.inf]))
+    pos = _rank(times, queries.size, lambda k: padded[k + 1], step, right=False)
+    return np.cumsum(np.bincount(pos, minlength=queries.size + 1)[:-1])
 
 
 def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
@@ -85,7 +137,9 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
                 f"arrivals span [{t[0]}, {t[-1]}] outside the path domain "
                 f"[{path.t0}, {path.horizon}]"
             )
-    idx = np.searchsorted(path.times(), t, side="right") - 1
+    # the last node of path.times() at or before each t, each node computed
+    # as PricePath.times computes it, without building the whole grid
+    idx = _rank(t, path.n_steps + 1, lambda k: path.t0 + path.dt * k, path.dt, right=True) - 1
     return TickSeries(
         times=t, values=path.values[idx, asset], horizon=arrivals.horizon
     )
@@ -98,13 +152,19 @@ def previous_tick_grid(ticks: TickSeries, dt: float, horizon: float) -> GridSeri
     before the first tick are backfilled with the first tick value (they
     produce leading zero returns, the flat-trading convention).
     """
+    return _grid_series(ticks, dt, _previous_tick_counts(ticks, dt, horizon))
+
+
+def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.ndarray:
+    """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    n = grid_count(horizon, dt)
-    grid_t = dt * np.arange(n + 1)
-    idx = np.searchsorted(ticks.times, grid_t, side="right") - 1
-    idx = np.maximum(idx, 0)
-    return GridSeries(dt=dt, values=ticks.values[idx])
+    return _tick_counts(ticks.times, dt * np.arange(grid_count(horizon, dt) + 1), dt)
+
+
+def _grid_series(ticks: TickSeries, dt: float, counts: np.ndarray) -> GridSeries:
+    """The previous-tick grid read off its tick counts (backfilled before the first tick)."""
+    return GridSeries(dt=dt, values=ticks.values[np.maximum(counts - 1, 0)])
 
 
 def synchronous_ticks(path: PricePath, asset: int) -> TickSeries:

@@ -219,6 +219,25 @@ def test_bad_simulate_params_are_named(tmp_path, capsys):
     assert "error: simulate.params.mu: " in capsys.readouterr().err
 
 
+UNSTABLE_PRICE = {"mu": 0.01, "alpha_r": 0.5, "alpha_c": 0.6, "beta": 1.0}
+
+
+@pytest.mark.parametrize("command", ["simulate", "epps"])
+def test_unstable_price_kernel_is_a_usage_error(tmp_path, capsys, command):
+    cfg = tmp_path / "config.json"
+    if command == "simulate":
+        cfg.write_text(json.dumps({"simulate": {"params": UNSTABLE_PRICE}}))
+        argv, table = ["simulate", "--model", "hawkes-price"], "simulate.params"
+    else:
+        cfg = small_gbm_config(tmp_path, price_model="hawkes", price_params=UNSTABLE_PRICE)
+        argv, table = ["epps"], "experiment.price_params"
+    code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {table}: kernel is non_stationary (spectral radius 1.100000)" in err
+    assert "allow_unstable" not in err
+
+
 def test_simulate_without_params_is_usage_error(tmp_path):
     out = run_cli("simulate", "--model", "gbm", "--out", str(tmp_path / "x"))
     assert out.returncode == 2
@@ -244,6 +263,36 @@ def simulate_config(tmp_path):
         )
     )
     return cfg
+
+
+@pytest.mark.parametrize("model", ["gbm", "merton"])
+@pytest.mark.parametrize("preset", [None, "reference"])
+def test_simulate_horizon_sets_the_path_span(tmp_path, model, preset):
+    params = {"mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2, "rho": 0.65}
+    if model == "merton":
+        params["jump_rate"] = 0.001
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"simulate": {"horizon": 3600, "params": params}}))
+    flags = ["--preset", preset] if preset else []
+    out_dir = tmp_path / "run"
+    code = cli.main(["simulate", "--model", model, *flags, "--config", str(cfg),
+                     "--out", str(out_dir)])
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    last_t = float((out_dir / "path.csv").read_text().splitlines()[-1].split(",")[0])
+    assert manifest["config"]["horizon"] == last_t == 3600.0
+    assert manifest["config"]["params"]["horizon"] == 3600.0
+
+
+def test_simulate_horizon_off_the_grid_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(json.dumps({"simulate": {"horizon": 3600.5}}))
+    code = cli.main(["simulate", "--model", "gbm", "--preset", "reference", "--config", str(cfg),
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "error: simulate.horizon: horizon 3600.5 is not a positive integer multiple" in (
+        capsys.readouterr().err
+    )
 
 
 def test_simulate_same_seed_gives_identical_digests(tmp_path):

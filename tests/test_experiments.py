@@ -8,14 +8,30 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from eppsim.errors import InsufficientDataError, ParameterError, StabilityError
+from eppsim.errors import (
+    DegenerateSeriesError,
+    EstimationError,
+    InsufficientDataError,
+    ParameterError,
+    StabilityError,
+)
+from eppsim.estimators import (
+    OverlapStats,
+    flat_trade_correction,
+    flat_trade_probability,
+    hayashi_yoshida,
+    measured_correlation,
+    overlap_correction,
+)
 from eppsim.experiments import (
+    FIG_DT_GRID,
     CurvePoint,
     EppsCurve,
     ExperimentConfig,
     curve_to_dict,
     discriminate,
     epps_curve,
+    estimate_matrix,
     experiment_hy_vs_interarrival,
     experiment_k_skip,
     experiment_overlap_multi_rate,
@@ -25,9 +41,15 @@ from eppsim.experiments import (
     write_curve_json,
     write_verdict_json,
 )
-from eppsim.paths import GbmParams
-from eppsim.sampling import mutual_excitation_spec
-from eppsim.series import TickSeries
+from eppsim.paths import GbmParams, simulate_gbm
+from eppsim.sampling import (
+    grid_count,
+    hawkes_arrivals,
+    mutual_excitation_spec,
+    observe_path,
+    poisson_arrivals,
+)
+from eppsim.series import ArrivalSet, GridSeries, TickSeries
 
 GBM = GbmParams(mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65)
 
@@ -46,6 +68,132 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+# ---------------------------------------------------------------------------
+# estimate_matrix against its bisection form
+
+
+def searchsorted_oracle(s1, s2, u1, u2, dt_grid, estimators, horizon, stride=None):
+    """estimate_matrix as it was written with np.searchsorted: a bisection
+    for each leg's previous-tick grid and four for the overlap windows."""
+
+    def grid(ticks, dt):
+        if len(ticks) == 0:
+            raise DegenerateSeriesError("cannot synchronise an empty tick series")
+        grid_t = dt * np.arange(grid_count(horizon, dt) + 1)
+        idx = np.maximum(np.searchsorted(ticks.times, grid_t, side="right") - 1, 0)
+        return GridSeries(dt=dt, values=ticks.values[idx])
+
+    def overlap(dt):
+        if len(u1) == 0 or len(u2) == 0:
+            raise DegenerateSeriesError("overlap expectation needs non-empty arrivals")
+        step = dt if stride is None else stride
+        if not 0 < step <= horizon:
+            raise ParameterError(f"stride must lie in (0, horizon], got {step}")
+        n_eval = int(math.floor((horizon - dt) / step + 1e-9))
+        t_eval = dt + step * np.arange(n_eval + 1)
+        t_eval = t_eval[t_eval - dt >= max(u1.times[0], u2.times[0])]
+        if t_eval.size == 0:
+            raise InsufficientDataError("no evaluation windows")
+        gi_hi = u1.times[np.searchsorted(u1.times, t_eval, side="right") - 1]
+        gi_lo = u1.times[np.searchsorted(u1.times, t_eval - dt, side="right") - 1]
+        gj_hi = u2.times[np.searchsorted(u2.times, t_eval, side="right") - 1]
+        gj_lo = u2.times[np.searchsorted(u2.times, t_eval - dt, side="right") - 1]
+        cross = np.minimum(gi_hi, gj_hi) - np.maximum(gi_lo, gj_lo)
+        return OverlapStats(
+            kappa_ii=float(np.mean(gi_hi - gi_lo)),
+            kappa_jj=float(np.mean(gj_hi - gj_lo)),
+            kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
+            n_windows=int(t_eval.size),
+            dt=dt,
+        )
+
+    out = np.full((len(estimators), len(dt_grid)), np.nan)
+    col = {name: i for i, name in enumerate(estimators)}
+    if "hy" in col:
+        try:
+            out[col["hy"], :] = hayashi_yoshida(s1, s2).rho
+        except EstimationError:
+            pass
+    for j, dt in enumerate(dt_grid):
+        try:
+            g1, g2 = grid(s1, dt), grid(s2, dt)
+            measured = measured_correlation(g1, g2)
+        except EstimationError:
+            continue
+        if "measured" in col:
+            out[col["measured"], j] = measured.rho
+        if "flat_trade" in col:
+            try:
+                p1, p2 = flat_trade_probability(g1), flat_trade_probability(g2)
+                out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
+            except EstimationError:
+                pass
+        if "overlap" in col and u1 is not None and u2 is not None:
+            try:
+                out[col["overlap"], j] = overlap_correction(measured.rho, overlap(dt)).rho
+            except EstimationError:
+                pass
+    return out
+
+
+ORACLE_GRIDS = {
+    "figures": (72000.0, FIG_DT_GRID),
+    "fractional": (3000.0, (0.1, 0.7, 3.0, 7.3, 2999.9999999999995, 3000.0, 4000.0)),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+@pytest.mark.parametrize("clock", ["poisson", "hawkes", "other_arrivals"])
+def test_estimate_matrix_matches_searchsorted_oracle(grid, clock):
+    horizon, dt_grid = ORACLE_GRIDS[grid]
+    path = simulate_gbm(replace(GBM, horizon=horizon), seed=11)
+    estimators = ("measured", "flat_trade", "overlap", "hy")
+    for seed in range(4):
+        if clock == "hawkes":
+            spec = mutual_excitation_spec(0.015 * (1 + seed), 0.023, 0.11)
+            u1, u2 = hawkes_arrivals(spec, horizon, seed)
+        else:
+            rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
+            u1 = poisson_arrivals(rates, horizon, 2 * seed)
+            u2 = poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)
+        s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
+        if clock == "other_arrivals":
+            # overlap windows from arrival sets other than the ticks
+            u1 = poisson_arrivals(0.2, horizon, 100 + seed)
+            u2 = ArrivalSet(times=u2.times[::2], horizon=horizon)
+        for stride in (None, 1.5):
+            args = (s1, s2, u1, u2, dt_grid, estimators, horizon, stride)
+            want = searchsorted_oracle(*args)
+            got = estimate_matrix(*args)
+            assert np.array_equal(got, want, equal_nan=True), (seed, stride)
+            assert np.isfinite(want).sum() > want.size // 2
+
+
+def test_estimate_matrix_overlap_windows_off_the_grid():
+    # for these dt the window ends dt + k*dt and starts (dt + k*dt) - dt
+    # miss some grid points h*dt by an ulp; ticks placed on exactly those
+    # grid points are counted differently by the two, so the grid's counts
+    # must not stand in for the windows there
+    horizon, dt_grid = 300.0, (0.1, 0.7, 7.3)
+    path = simulate_gbm(replace(GBM, horizon=horizon), seed=5)
+    snapped = []
+    for dt in dt_grid:
+        k = np.arange(int(horizon / dt))
+        ends, grid = dt + dt * k, dt * (k + 1)
+        starts = ends - dt
+        snapped += [grid[ends != grid], (dt * k)[starts != dt * k]]
+    snapped = np.concatenate(snapped)
+    assert snapped.size > 50
+    base = poisson_arrivals(0.5, horizon, 1).times
+    u1 = ArrivalSet(times=np.unique(np.concatenate([base, snapped])), horizon=horizon)
+    u2 = poisson_arrivals(0.5, horizon, 2)
+    s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
+    args = (s1, s2, u1, u2, dt_grid, ("measured", "overlap"), horizon)
+    want = searchsorted_oracle(*args)
+    assert np.isfinite(want).all()
+    assert np.array_equal(estimate_matrix(*args), want)
 
 
 # ---------------------------------------------------------------------------

@@ -412,3 +412,30 @@ def test_spec_validation_errors():
         HawkesSpec(lambda0=np.array([0.1, 0.1]), alpha=np.zeros((1, 1)), beta=np.ones((1, 1)))
     with pytest.raises(ParameterError):
         HawkesPriceParams(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha_r, alpha_c, kind, radius",
+    [(0.5, 0.6, "non_stationary", "1.100000"), (0.4, 0.6, "quasi_stationary", "1.000000")],
+)
+def test_price_params_refuse_a_kernel_that_is_not_stationary(alpha_r, alpha_c, kind, radius):
+    message = rf"^kernel is {kind} \(spectral radius {radius}\)"
+    with pytest.raises(StabilityError, match=message):
+        HawkesPriceParams(mu=0.01, alpha_r=alpha_r, alpha_c=alpha_c, beta=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("alpha_r", dict(alpha_r=float("nan"))),
+        ("alpha_c", dict(alpha_c=float("inf"))),
+        ("beta", dict(beta=float("inf"))),
+        ("x0", dict(x0=(0.0, float("nan")))),
+        ("x0", dict(x0=(0.0,))),
+    ],
+)
+def test_price_params_refuse_non_finite_fields(field, kwargs):
+    base = dict(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.11)
+    base.update(kwargs)
+    with pytest.raises(ParameterError, match=rf"^{field} must be"):
+        HawkesPriceParams(**base)

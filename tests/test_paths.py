@@ -124,6 +124,27 @@ def test_merton_invalid_params_rejected(kwargs):
         MertonParams(**PAPER_GBM, **kwargs)
 
 
+NON_FINITE_FIELDS = ["mu1", "sigma_sq1", "sigma_sq2", "rho", "dt", "horizon"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", NON_FINITE_FIELDS)
+def test_gbm_non_finite_field_is_named(name, value):
+    base = dict(PAPER_GBM, dt=1.0, horizon=100.0)
+    base[name] = value
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite"):
+        GbmParams(**base)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", [*NON_FINITE_FIELDS, "jump_rate", "jump_mean", "jump_std"])
+def test_merton_non_finite_field_is_named(name, value):
+    base = dict(PAPER_GBM, jump_rate=0.01, dt=1.0, horizon=100.0)
+    base[name] = value
+    with pytest.raises(ParameterError, match=rf"^{name} must be finite"):
+        MertonParams(**base)
+
+
 def test_path_csv_export(tmp_path):
     params = GbmParams(**PAPER_GBM, dt=1.0, horizon=10.0)
     path = simulate_gbm(params, seed=2)

@@ -1,6 +1,7 @@
 """Arrival generation, previous-tick synchronization, k-skip thinning."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from eppsim import sampling
 from eppsim.errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from eppsim.paths import GbmParams, simulate_gbm
 from eppsim.sampling import (
@@ -20,7 +22,7 @@ from eppsim.sampling import (
     previous_tick_grid,
     synchronous_ticks,
 )
-from eppsim.series import ArrivalSet, TickSeries
+from eppsim.series import ArrivalSet, PricePath, TickSeries
 
 
 def make_path(values_by_asset, dt=1.0):
@@ -224,6 +226,86 @@ def test_grid_count_tolerates_float_division():
     assert grid_count(1.0, 0.1) == 10
     assert grid_count(72000.0, 15.0) == 4800
     assert grid_count(10.0, 3.0) == 3
+
+
+# ---------------------------------------------------------------------------
+# linear-time index kernels against bisection
+
+
+def near_nodes(nodes, picks, rng):
+    """Nodes themselves, their one-ulp neighbours and points between them."""
+    at = nodes[picks % nodes.size]
+    kind = rng.integers(0, 4, at.size)
+    out = np.where(kind == 1, np.nextafter(at, -np.inf), at)
+    out = np.where(kind == 2, np.nextafter(at, np.inf), out)
+    gap = nodes[1] - nodes[0] if nodes.size > 1 else 1.0
+    return np.where(kind == 3, at + rng.uniform(0.0, 1.0, at.size) * gap, out)
+
+
+kernel_cases = dict(
+    dt=st.sampled_from([0.1, 0.7, 3.0, 1.0, 0.3, 2.5e-3]),
+    n_grid=st.integers(min_value=0, max_value=300),
+    n_ticks=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    always_linear=st.booleans(),
+)
+
+
+@given(**kernel_cases)
+@settings(max_examples=300, deadline=None)
+def test_tick_counts_equal_bisection(dt, n_grid, n_ticks, seed, always_linear):
+    # grids both denser and sparser than the ticks, ticks on grid points, at
+    # one ulp of them and past the last one; always_linear keeps sparse grids
+    # off the bisection fallback so that the kernel itself is checked there
+    rng = np.random.default_rng(seed)
+    horizon = dt * n_grid
+    nodes = dt * np.arange(n_grid + 1)
+    times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng)
+    times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * horizon + dt, 3)])))
+    ticks = TickSeries(times=times, values=np.arange(times.size, dtype=float), horizon=times.max(initial=0.0))
+    limit = 10**9 if always_linear else sampling.MAX_TICKS_PER_POINT
+    with mock.patch.object(sampling, "MAX_TICKS_PER_POINT", limit):
+        got = sampling._tick_counts(times, nodes, dt)
+        np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+        # the overlap windows: ends dt + k*dt and starts (dt + k*dt) - dt
+        ends = dt + dt * np.arange(n_grid)
+        for queries in (ends, ends - dt):
+            got = sampling._tick_counts(times, queries, dt)
+            np.testing.assert_array_equal(got, np.searchsorted(times, queries, side="right"))
+        if len(ticks):
+            grid = previous_tick_grid(ticks, dt, horizon)
+            want = np.maximum(np.searchsorted(times, nodes, side="right") - 1, 0)
+            np.testing.assert_array_equal(grid.values, want.astype(float))
+
+
+@pytest.mark.parametrize("n_ticks, n_grid", [(0, 50), (1, 50), (1, 1), (5000, 10), (10, 5000)])
+def test_tick_counts_edge_sizes(n_ticks, n_grid):
+    rng = np.random.default_rng(n_ticks + n_grid)
+    times = np.sort(rng.uniform(0.0, 100.0, n_ticks))
+    nodes = (100.0 / n_grid) * np.arange(n_grid + 1)
+    got = sampling._tick_counts(times, nodes, 100.0 / n_grid)
+    np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+
+
+@given(
+    dt=st.sampled_from([0.1, 0.7, 3.0, 1.0]),
+    t0=st.sampled_from([0.0, 0.3, 1000.0]),
+    n_steps=st.integers(min_value=0, max_value=300),
+    n_arrivals=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_observe_path_equals_bisection(dt, t0, n_steps, n_arrivals, seed):
+    rng = np.random.default_rng(seed)
+    values = np.column_stack([np.arange(n_steps + 1.0), -np.arange(n_steps + 1.0)])
+    path = PricePath(t0=t0, dt=dt, values=values)
+    nodes = path.times()
+    times = near_nodes(nodes, rng.integers(0, 2**31, n_arrivals), rng)
+    times = np.unique(np.clip(times, path.t0, path.horizon))
+    arrivals = ArrivalSet(times=times, horizon=path.horizon)
+    want = np.searchsorted(nodes, times, side="right") - 1
+    np.testing.assert_array_equal(observe_path(path, arrivals, 0).values, want.astype(float))
+    np.testing.assert_array_equal(observe_path(path, arrivals, 1).values, -want.astype(float))
 
 
 # ---------------------------------------------------------------------------
