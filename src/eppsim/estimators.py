@@ -153,13 +153,8 @@ def overlap_expectation(
         stride = dt
     if not 0 < stride <= horizon:
         raise ParameterError(f"stride must lie in (0, horizon], got {stride}")
-    m = _grid_windows(dt, horizon) if stride == dt else None
-    if m is not None:
-        # one count per grid point serves both window ends and starts
-        grid = dt * np.arange(m + 1)
-        ci, cj = _tick_counts(ui.times, grid, dt), _tick_counts(uj.times, grid, dt)
-        return _overlap_stats(ui.times, uj.times, (ci[1:], ci[:-1]), (cj[1:], cj[:-1]), dt)
-    ends, starts = _overlap_windows(dt, horizon, stride)
+    ends = dt + stride * np.arange(_n_windows(dt, horizon, stride))
+    starts = ends - dt
     return _overlap_stats(
         ui.times,
         uj.times,
@@ -169,30 +164,29 @@ def overlap_expectation(
     )
 
 
-def _overlap_windows(dt: float, horizon: float, stride: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ends t = dt + k*stride and starts t - dt of the evaluation windows."""
-    ends = dt + stride * np.arange(_n_windows(dt, horizon, stride))
-    return ends, ends - dt
-
-
 def _n_windows(dt: float, horizon: float, stride: float) -> int:
     return int(math.floor((horizon - dt) / stride + 1e-9)) + 1
 
 
-def _grid_windows(dt: float, horizon: float) -> int | None:
-    """The number m of windows at stride dt when they are certain to be,
-    bit for bit, [h*dt, (h+1)*dt] for h < m; else None.
+def _grid_overlap(ti, tj, ci, cj, dt: float, horizon: float) -> OverlapStats | None:
+    """overlap_expectation at stride dt, read off each asset's arrival counts
+    ci, cj at the grid points h*dt; None when the windows are not certainly
+    the grid cells.
 
-    dt = num/2**e exactly; while num*(m+1) <= 2**53 every multiple k*dt,
-    and every sum or difference of two of them, is exact, so the window
-    ends dt + h*dt and starts (dt + h*dt) - dt are the grid points. At
-    dt = 0.1 float rounding moves some of them off the grid by an ulp.
+    The m windows are [h*dt, (h+1)*dt] bit for bit when dt = num/2**e with
+    num*(m+1) <= 2**53: every multiple k*dt, and every sum or difference
+    of two of them, is then exact, so the window ends dt + h*dt and starts
+    (dt + h*dt) - dt are grid points, and their counts are ci[1:m+1] and
+    ci[:m]. At dt = 0.1 float rounding moves some of them off the grid by
+    an ulp.
     """
     if not dt <= horizon:
         return None
     m = _n_windows(dt, horizon, dt)
     num, _ = float(dt).as_integer_ratio()
-    return m if num * (m + 1) <= 2**53 else None
+    if num * (m + 1) > 2**53 or m >= ci.size:
+        return None
+    return _overlap_stats(ti, tj, (ci[1 : m + 1], ci[:m]), (cj[1 : m + 1], cj[:m]), dt)
 
 
 def _overlap_stats(ti, tj, counts_i, counts_j, dt: float) -> OverlapStats:

@@ -31,8 +31,7 @@ from .errors import (
     StabilityError,
 )
 from .estimators import (
-    _grid_windows,
-    _overlap_stats,
+    _grid_overlap,
     flat_trade_correction,
     flat_trade_probability,
     hayashi_yoshida,
@@ -280,13 +279,8 @@ def estimate_matrix(
                 pass
         if overlap:
             try:
-                m = _grid_windows(dt, horizon) if shared else None
-                if m is not None and m < c1.size:
-                    # windows [h*dt, (h+1)*dt]: ends are counts[1:], starts counts[:-1]
-                    kap = _overlap_stats(
-                        u1.times, u2.times, (c1[1 : m + 1], c1[:m]), (c2[1 : m + 1], c2[:m]), dt
-                    )
-                else:
+                kap = _grid_overlap(u1.times, u2.times, c1, c2, dt, horizon) if shared else None
+                if kap is None:
                     kap = overlap_expectation(u1, u2, dt, horizon, stride=stride)
                 out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
             except EstimationError:
