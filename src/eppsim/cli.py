@@ -47,8 +47,8 @@ from .experiments import (
     write_curve_json,
     write_verdict_json,
 )
-from .hawkes import hawkes_price_model
-from .paths import DAY_SECONDS, simulate_gbm, simulate_merton
+from .hawkes import PRICE_GRID_DT, hawkes_price_model
+from .paths import DAY_SECONDS, _n_steps, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
     FIGURE_NAMES,
@@ -311,12 +311,14 @@ def cmd_simulate(args) -> int:
             )
         pdoc = _table(pdoc, "simulate.params")
         params = _price_params_from(model.replace("-price", ""), pdoc, "simulate.params")
-    if model != "hawkes-price" and "horizon" in sim:
-        # the diffusion models carry their horizon in their parameters
-        try:
+    try:
+        if model == "hawkes-price":
+            _n_steps(horizon, PRICE_GRID_DT)  # the path must span the horizon
+        elif "horizon" in sim:
+            # the diffusion models carry their horizon in their parameters
             params = dataclasses.replace(params, horizon=horizon)
-        except ParameterError as exc:
-            raise type(exc)(f"simulate.horizon: {exc}") from exc
+    except ParameterError as exc:
+        raise type(exc)(f"simulate.horizon: {exc}") from exc
 
     run = Run(
         "simulate",

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     SaturationError,
 )
-from .sampling import _tick_counts
+from .index import _left_right_counts, _tick_counts
 from .series import ArrivalSet, GridSeries, TickSeries
 
 
@@ -96,23 +96,31 @@ def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
     endpoint does not count as overlap. The own-variance legs reduce to
     plain sums of squared returns because a series' own intervals are
     disjoint. The double sum is evaluated by a two-cursor sweep: for each
-    interval of leg i, the range of overlapping leg-j intervals is located
-    by bisection and their return sum read off a prefix-sum table.
+    interval of leg i, the range of overlapping leg-j intervals is read off
+    the counts of leg-j ticks before and at or before each leg-i tick, and
+    their return sum off a prefix-sum table.
     """
     if len(si) < 2 or len(sj) < 2:
         raise DegenerateSeriesError("each leg needs at least two observations")
-    di = np.diff(si.values)
-    dj = np.diff(sj.values)
+    return _hy_estimate(si.values, sj.values, *_left_right_counts(sj.times, si.times))
+
+
+def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
+    """hayashi_yoshida from the legs' values (two or more each) and, for each
+    leg-i tick, the number of leg-j ticks before it (below) and at or before
+    it (upto)."""
+    di = np.diff(vi)
+    dj = np.diff(vj)
     var_i = float(np.sum(di * di))
     var_j = float(np.sum(dj * dj))
     if var_i <= 0:
         raise DegenerateSeriesError("leg i has zero realised variance", leg="i")
     if var_j <= 0:
         raise DegenerateSeriesError("leg j has zero realised variance", leg="j")
-    # j-interval k = (starts[k], ends[k]] overlaps i-interval (a, b] iff
-    # ends[k] > a and starts[k] < b; both bounds are monotone in k
-    k_lo = np.searchsorted(sj.times[1:], si.times[:-1], side="right")
-    k_hi = np.searchsorted(sj.times[:-1], si.times[1:], side="left")
+    # j-interval k = (tj[k], tj[k+1]] overlaps i-interval (a, b] iff
+    # tj[k+1] > a and tj[k] < b; both bounds are monotone in k
+    k_lo = np.maximum(upto[:-1] - 1, 0)
+    k_hi = np.minimum(below[1:], dj.size)
     pref = np.concatenate([[0.0], np.cumsum(dj)])
     cov = float(np.sum(di * (pref[k_hi] - pref[k_lo])))
     rho = cov / math.sqrt(var_i * var_j)
@@ -124,8 +132,8 @@ def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
             "cov": cov,
             "var_i": var_i,
             "var_j": var_j,
-            "n_i": len(si),
-            "n_j": len(sj),
+            "n_i": len(vi),
+            "n_j": len(vj),
         },
     )
 

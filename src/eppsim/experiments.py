@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import seeding
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .estimators import (
     _grid_overlap,
+    _hy_estimate,
     flat_trade_correction,
     flat_trade_probability,
     hayashi_yoshida,
@@ -39,13 +39,19 @@ from .estimators import (
     overlap_correction,
     overlap_expectation,
 )
-from .hawkes import HawkesPriceParams, HawkesSpec, classify_stability, hawkes_price_model
-from .paths import DAY_SECONDS, GbmParams, MertonParams, simulate_gbm, simulate_merton
+from .hawkes import (
+    PRICE_GRID_DT,
+    HawkesPriceParams,
+    HawkesSpec,
+    classify_stability,
+    hawkes_price_model,
+)
+from .index import _left_right_counts
+from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
 from .sampling import (
     _grid_series,
     _previous_tick_counts,
     hawkes_arrivals,
-    k_skip,
     observe_path,
     poisson_arrivals,
     synchronous_ticks,
@@ -71,7 +77,10 @@ def ribbon(values, confidence: float) -> tuple[float, float]:
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
     # scipy.stats.t.ppf is stdtrit behind argument checks; importing
-    # scipy.stats would add about a second to every CLI start-up
+    # scipy.stats would add about a second to every CLI start-up, and even
+    # scipy.special about 0.4 s, so it is imported only where it is used
+    from scipy.special import stdtrit
+
     quantile = float(stdtrit(vals.size - 1, 0.5 * (1.0 + confidence)))
     return float(vals.mean()), quantile * float(vals.std(ddof=1))
 
@@ -175,6 +184,16 @@ class ExperimentConfig:
             )
         if not self.horizon > 0:
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
+        if self.price_model == "hawkes":
+            try:
+                _n_steps(self.horizon, PRICE_GRID_DT)
+            except ParameterError as exc:
+                raise ParameterError(f"horizon: {exc}") from exc
+        elif self.horizon > self.price_params.horizon:
+            raise ParameterError(
+                f"horizon: {self.horizon} exceeds price_params.horizon "
+                f"{self.price_params.horizon}, the span of the latent path"
+            )
         if len(self.dt_grid) == 0 or any(d <= 0 for d in self.dt_grid):
             raise ParameterError("dt_grid must be non-empty and positive")
         if any(b <= a for a, b in zip(self.dt_grid, self.dt_grid[1:])):
@@ -443,20 +462,24 @@ def k_skip_stack(pairs, k_max: int) -> np.ndarray:
 
     Returns shape (n_pairs, 1, k_max), nan where either thinned leg has
     fewer than two ticks or the estimate fails. This is the one k-loop of
-    the simulated and the empirical k-skip experiments.
+    the simulated and the empirical k-skip experiments. Each pair is
+    ranked once: of the c leg-j ticks before (or at) a leg-i tick, leg j
+    thinned to every k-th tick keeps c // k, so each k reads its HY index
+    off strided views of the pair's arrays.
     """
     if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
         raise ParameterError(f"k_max must be a positive integer, got {k_max!r}")
     pairs = list(pairs)
     stack = np.full((len(pairs), 1, int(k_max)), np.nan)
     for r, (si, sj) in enumerate(pairs):
-        for k in range(1, int(k_max) + 1):
-            a = k_skip(si, k)
-            b = k_skip(sj, k)
-            if len(a) < 2 or len(b) < 2:
-                continue
+        below, upto = _left_right_counts(sj.times, si.times)
+        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
+        for k in range(1, min(int(k_max), len(si) // 2, len(sj) // 2) + 1):
+            thinned = slice(k - 1, None, k)
             try:
-                stack[r, 0, k - 1] = hayashi_yoshida(a, b).rho
+                stack[r, 0, k - 1] = _hy_estimate(
+                    si.values[thinned], sj.values[thinned], below[thinned] // k, upto[thinned] // k
+                ).rho
             except EstimationError:
                 pass
     return stack

@@ -23,11 +23,15 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError, NumericError, ParameterError, StabilityError
+from .index import _tick_counts
+from .paths import _n_steps
 from .series import ArrivalSet, PricePath
 
 STABILITY_TOL = 1e-9
 # most events simulate_hawkes draws in one run before it raises NumericError
 MAX_EVENTS = 5_000_000
+# the step of the grid hawkes_price_model reads its log-prices on, in seconds
+PRICE_GRID_DT = 1.0
 
 
 @dataclass(frozen=True)
@@ -284,23 +288,19 @@ def hawkes_price_model(
     params: HawkesPriceParams,
     horizon: float,
     seed: int,
-    grid_dt: float = 1.0,
+    grid_dt: float = PRICE_GRID_DT,
 ) -> tuple[PricePath, tuple[ArrivalSet, ...]]:
     """Simulate the price model and extract the log-price pair on a grid.
 
     The grid value at k*grid_dt counts events up to and including k*grid_dt
     (the counting processes are right-continuous and an event landing
-    exactly on a grid point belongs to that grid point).
+    exactly on a grid point belongs to that grid point). The horizon must
+    be a positive integer multiple of grid_dt, so that the path spans it.
     """
-    if not grid_dt > 0:
-        raise ParameterError(f"grid_dt must be positive, got {grid_dt}")
+    n = _n_steps(horizon, grid_dt)
     arrivals = simulate_hawkes(price_spec(params), horizon, seed)
-    n = int(math.floor(horizon / grid_dt + 1e-9))
     grid = grid_dt * np.arange(n + 1)
-    counts = [
-        np.searchsorted(a.times, grid, side="right").astype(np.float64)
-        for a in arrivals
-    ]
+    counts = [_tick_counts(a.times, grid, grid_dt).astype(np.float64) for a in arrivals]
     values = np.empty((n + 1, 2))
     values[:, 0] = params.x0[0] + counts[0] - counts[1]
     values[:, 1] = params.x0[1] + counts[2] - counts[3]

@@ -1,0 +1,112 @@
+"""Searches against sorted arrays: grid counts, tick ranks and tick counts.
+
+Every place that asks how many ticks lie before or at a time asks it here.
+Against a uniform grid the answer comes by arithmetic in linear time
+(_rank, _tick_counts), and for a leg whose ticks are the grid's own points
+by a strided read (_strided_counts); against another tick series it comes
+from one bisection and a tie test (_left_right_counts). Each kernel equals
+np.searchsorted bit for bit. The module imports only numpy and errors, so
+hawkes, sampling and estimators can all use it.
+"""
+
+import math
+
+import numpy as np
+
+from .errors import ParameterError
+
+
+def grid_count(horizon: float, dt: float) -> int:
+    """floor(horizon/dt) with a tolerance absorbing float division error."""
+    if not dt > 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
+    if not horizon >= 0:
+        raise ParameterError(f"horizon must be non-negative, got {horizon}")
+    return int(math.floor(horizon / dt + 1e-9))
+
+
+# The index kernels below visit every tick once, bisection visits every
+# grid point once at log(ticks) cost; past this many ticks per grid point
+# bisection is the cheaper (a dense leg on a coarse grid, for example).
+MAX_TICKS_PER_POINT = 2
+
+
+def _rank(x: np.ndarray, n: int, node, step: float, right: bool) -> np.ndarray:
+    """np.searchsorted(node(np.arange(n)), x, side="right" if right else "left").
+
+    node(k) is ascending, close to node(0) + step*k, and defined for k = -1
+    (before every x) and k = n (after every x). Each rank is guessed from
+    that arithmetic, then corrected against node itself until no rank
+    moves, so ties and one-ulp neighbours land where bisection puts them.
+    Linear in the size of x.
+    """
+    r = np.subtract(x, node(0))
+    r /= step
+    if right:
+        np.floor(r, out=r)
+        r += 1.0
+    else:
+        np.ceil(r, out=r)
+    r = np.clip(r, 0, n, out=r).astype(np.intp)
+    before = np.less_equal if right else np.less
+    at, ranks, values = None, r, x
+    while True:
+        up = before(node(ranks), values)
+        down = ~before(node(ranks - 1), values)
+        moved = np.flatnonzero(up | down)
+        if moved.size == 0:
+            return r
+        at = moved if at is None else at[moved]
+        r[at] += up[moved].astype(np.intp) - down[moved]
+        ranks, values = r[at], x[at]
+
+
+def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:
+    """np.searchsorted(times, queries, side="right") for ascending queries about step apart.
+
+    Each tick is ranked among the queries, and the ticks at or before each
+    query are counted by np.bincount and a cumulative sum.
+    """
+    if times.size >= MAX_TICKS_PER_POINT * queries.size:
+        return np.searchsorted(times, queries, side="right")
+    padded = np.concatenate(([-np.inf], queries, [np.inf]))
+    pos = _rank(times, queries.size, lambda k: padded[k + 1], step, right=False)
+    return np.cumsum(np.bincount(pos, minlength=queries.size + 1)[:-1])
+
+
+def _strided_counts(times: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
+    """np.searchsorted(times, queries, side="right") when every query is a tick.
+
+    For strictly increasing times and ascending queries that start at
+    times[0] and are s ticks apart (a synchronous leg on a grid whose step
+    is s path steps), query h is tick s*h, so s*h + 1 ticks lie at or
+    before it, and every tick at or before a query past the last one. That
+    is checked bit for bit against the queries, never assumed; None when
+    it does not hold.
+    """
+    n = times.size
+    if n < 2 or queries.size < 2 or times[0] != queries[0]:
+        return None
+    t0, t1, q1 = float(times[0]), float(times[1]), float(queries[1])
+    s = round(min((q1 - t0) / (t1 - t0), n))  # Python floats: inf, not a warning
+    if s < 1:
+        return None
+    m = min((n - 1) // s + 1, queries.size)  # the queries that can be ticks
+    if not np.array_equal(times[: s * (m - 1) + 1 : s], queries[:m]):
+        return None
+    if m < queries.size and not queries[m] >= times[-1]:
+        return None
+    return np.minimum(s * np.arange(queries.size) + 1, n)
+
+
+def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.searchsorted(times, x, side) for side "left" and "right", times strictly increasing.
+
+    One bisection gives the ticks before each x; at most one tick can
+    equal x, so a tie test against the next tick gives those at or before.
+    """
+    below = np.searchsorted(times, x, side="left")
+    if times.size == 0:
+        return below, below.copy()
+    tie = times[np.minimum(below, times.size - 1)] == x
+    return below, below + tie

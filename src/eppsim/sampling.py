@@ -5,8 +5,9 @@ the observation times of each asset; observe_path reads the latent path at
 those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
-grid, so they place ticks by arithmetic in linear time (_rank) rather than
-by bisection; the overlap correction reads the same tick counts.
+grid, so they place ticks with the linear-time kernels of the index
+module rather than by bisection; a synchronous leg's grid is a strided
+read of its ticks, and the overlap correction reads the same tick counts.
 """
 
 import math
@@ -17,66 +18,8 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
+from .index import _rank, _strided_counts, _tick_counts, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
-
-
-def grid_count(horizon: float, dt: float) -> int:
-    """floor(horizon/dt) with a tolerance absorbing float division error."""
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    if not horizon >= 0:
-        raise ParameterError(f"horizon must be non-negative, got {horizon}")
-    return int(math.floor(horizon / dt + 1e-9))
-
-
-# The index kernels below visit every tick once, bisection visits every
-# grid point once at log(ticks) cost; past this many ticks per grid point
-# bisection is the cheaper (figure 5's one-second synchronous legs at
-# dt >= 5, for example).
-MAX_TICKS_PER_POINT = 2
-
-
-def _rank(x: np.ndarray, n: int, node, step: float, right: bool) -> np.ndarray:
-    """np.searchsorted(node(np.arange(n)), x, side="right" if right else "left").
-
-    node(k) is ascending, close to node(0) + step*k, and defined for k = -1
-    (before every x) and k = n (after every x). Each rank is guessed from
-    that arithmetic, then corrected against node itself until no rank
-    moves, so ties and one-ulp neighbours land where bisection puts them.
-    Linear in the size of x.
-    """
-    r = np.subtract(x, node(0))
-    r /= step
-    if right:
-        np.floor(r, out=r)
-        r += 1.0
-    else:
-        np.ceil(r, out=r)
-    r = np.clip(r, 0, n, out=r).astype(np.intp)
-    before = np.less_equal if right else np.less
-    at, ranks, values = None, r, x
-    while True:
-        up = before(node(ranks), values)
-        down = ~before(node(ranks - 1), values)
-        moved = np.flatnonzero(up | down)
-        if moved.size == 0:
-            return r
-        at = moved if at is None else at[moved]
-        r[at] += up[moved].astype(np.intp) - down[moved]
-        ranks, values = r[at], x[at]
-
-
-def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:
-    """np.searchsorted(times, queries, side="right") for ascending queries about step apart.
-
-    Each tick is ranked among the queries, and the ticks at or before each
-    query are counted by np.bincount and a cumulative sum.
-    """
-    if times.size >= MAX_TICKS_PER_POINT * queries.size:
-        return np.searchsorted(times, queries, side="right")
-    padded = np.concatenate(([-np.inf], queries, [np.inf]))
-    pos = _rank(times, queries.size, lambda k: padded[k + 1], step, right=False)
-    return np.cumsum(np.bincount(pos, minlength=queries.size + 1)[:-1])
 
 
 def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
@@ -159,7 +102,9 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    return _tick_counts(ticks.times, dt * np.arange(grid_count(horizon, dt) + 1), dt)
+    queries = dt * np.arange(grid_count(horizon, dt) + 1)
+    counts = _strided_counts(ticks.times, queries)
+    return _tick_counts(ticks.times, queries, dt) if counts is None else counts
 
 
 def _grid_series(ticks: TickSeries, dt: float, counts: np.ndarray) -> GridSeries:

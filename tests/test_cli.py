@@ -185,6 +185,10 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
             },
             "hawkes_sampler",
         ),
+        ({"horizon": 72000.0}, "horizon"),
+        ({"price_model": "hawkes", "price_params": {"mu": 0.01, "alpha_r": 0.0, "alpha_c": 0.0,
+                                                    "beta": 1.0}, "horizon": 2000.5},
+         "horizon"),
     ],
 )
 def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
@@ -287,12 +291,22 @@ def test_simulate_horizon_sets_the_path_span(tmp_path, model, preset):
 def test_simulate_horizon_off_the_grid_is_a_usage_error(tmp_path, capsys):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"simulate": {"horizon": 3600.5}}))
-    code = cli.main(["simulate", "--model", "gbm", "--preset", "reference", "--config", str(cfg),
-                     "--out", str(tmp_path / "run")])
-    assert code == 2
-    assert "error: simulate.horizon: horizon 3600.5 is not a positive integer multiple" in (
-        capsys.readouterr().err
-    )
+    for model in SIMULATE_MODELS:
+        code = cli.main(["simulate", "--model", model, "--preset", "reference",
+                         "--config", str(cfg), "--out", str(tmp_path / model)])
+        assert code == 2, model
+        assert "error: simulate.horizon: horizon 3600.5 is not a positive integer multiple" in (
+            capsys.readouterr().err
+        ), model
+        assert not (tmp_path / model).exists(), model
+
+
+def test_cli_start_up_does_not_import_scipy():
+    # scipy is needed only by the ribbon; importing it costs about 0.4 s
+    code = "import sys, eppsim.cli; eppsim.cli.build_parser(); print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_simulate_same_seed_gives_identical_digests(tmp_path):

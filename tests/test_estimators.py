@@ -188,6 +188,71 @@ def test_hy_sweep_matches_double_loop_fuzz(data):
     assert got == pytest.approx(hy_brute_force(si, sj), abs=1e-12)
 
 
+def hy_two_bisections(si, sj):
+    """hayashi_yoshida as it was written with two bisections per leg-i tick."""
+    if len(si) < 2 or len(sj) < 2:
+        raise DegenerateSeriesError("each leg needs at least two observations")
+    di = np.diff(si.values)
+    dj = np.diff(sj.values)
+    var_i = float(np.sum(di * di))
+    var_j = float(np.sum(dj * dj))
+    if var_i <= 0:
+        raise DegenerateSeriesError("leg i has zero realised variance", leg="i")
+    if var_j <= 0:
+        raise DegenerateSeriesError("leg j has zero realised variance", leg="j")
+    k_lo = np.searchsorted(sj.times[1:], si.times[:-1], side="right")
+    k_hi = np.searchsorted(sj.times[:-1], si.times[1:], side="left")
+    pref = np.concatenate([[0.0], np.cumsum(dj)])
+    cov = float(np.sum(di * (pref[k_hi] - pref[k_lo])))
+    return cov / math.sqrt(var_i * var_j), {
+        "cov": cov, "var_i": var_i, "var_j": var_j, "n_i": len(si), "n_j": len(sj)
+    }
+
+
+def shared_time_legs(rng, n_i, n_j, n_shared, flat_i=False):
+    """Two tick series on [0, 100] with up to n_shared timestamps in common
+    and values on a coarse lattice, so that equal and zero returns occur;
+    leg i is flat on request."""
+    pool = np.unique(np.round(rng.uniform(0.0, 100.0, n_i + n_j + n_shared), 1))
+    shared = rng.choice(pool, size=min(n_shared, pool.size), replace=False)
+    rest = np.setdiff1d(pool, shared)
+    own_i = rng.choice(rest, size=min(n_i, rest.size), replace=False)
+    own_j = np.setdiff1d(rest, own_i)[:n_j]
+    ti = np.unique(np.concatenate([shared, own_i]))
+    tj = np.unique(np.concatenate([shared, own_j]))
+    vi = np.zeros(ti.size) if flat_i else rng.integers(-2, 3, ti.size).astype(float)
+    vj = rng.integers(-2, 3, tj.size).astype(float)
+    return (
+        TickSeries(times=ti, values=vi, horizon=100.0),
+        TickSeries(times=tj, values=vj, horizon=100.0),
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_i=st.integers(min_value=0, max_value=40),
+    n_j=st.integers(min_value=0, max_value=40),
+    n_shared=st.integers(min_value=0, max_value=40),
+    flat_i=st.booleans(),
+    swap=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_hy_equals_two_bisection_oracle_bitwise(seed, n_i, n_j, n_shared, flat_i, swap):
+    # shared timestamps (ties between the legs), legs of 0-3 ticks, flat legs
+    si, sj = shared_time_legs(np.random.default_rng(seed), n_i, n_j, n_shared, flat_i)
+    if swap:
+        si, sj = sj, si
+    try:
+        want = hy_two_bisections(si, sj)
+    except DegenerateSeriesError as exc:
+        with pytest.raises(DegenerateSeriesError) as got:
+            hayashi_yoshida(si, sj)
+        assert (str(got.value), got.value.leg) == (str(exc), exc.leg)
+        return
+    got = hayashi_yoshida(si, sj)
+    assert (got.rho, got.diagnostics) == want
+
+
 # ---------------------------------------------------------------------------
 # overlap correction
 

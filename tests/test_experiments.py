@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from test_estimators import hy_two_bisections, shared_time_legs
 
 from eppsim.errors import (
     DegenerateSeriesError,
@@ -35,16 +38,19 @@ from eppsim.experiments import (
     experiment_hy_vs_interarrival,
     experiment_k_skip,
     experiment_overlap_multi_rate,
+    k_skip_stack,
     ribbon,
     verdict_to_dict,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
 )
-from eppsim.paths import GbmParams, simulate_gbm
+from eppsim.hawkes import HawkesPriceParams
+from eppsim.paths import GbmParams, MertonParams, simulate_gbm
+from eppsim.index import grid_count
 from eppsim.sampling import (
-    grid_count,
     hawkes_arrivals,
+    k_skip,
     mutual_excitation_spec,
     observe_path,
     poisson_arrivals,
@@ -311,6 +317,25 @@ def test_config_validation_errors():
         small_cfg(replication_seeds=(1, 2, 3))
 
 
+def test_config_refuses_a_horizon_past_the_latent_path():
+    # the path of a gbm/merton model spans price_params.horizon, and the
+    # observation times must lie on it
+    with pytest.raises(ParameterError, match=r"^horizon: 72000.0 exceeds price_params.horizon 3000.0"):
+        small_cfg(horizon=72000.0)
+    with pytest.raises(ParameterError, match=r"^horizon: "):
+        small_cfg(price_model="merton", horizon=3000.5, price_params=MertonParams(
+            mu1=0.0, mu2=0.0, sigma_sq1=0.1, sigma_sq2=0.1, rho=0.5, jump_rate=0.0,
+            horizon=3000.0))
+    assert small_cfg(horizon=2999.5).horizon == 2999.5
+
+
+def test_config_refuses_a_hawkes_price_horizon_off_its_grid():
+    params = HawkesPriceParams(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.11)
+    with pytest.raises(ParameterError, match=r"^horizon: horizon 3600.5 is not a positive integer"):
+        small_cfg(price_model="hawkes", price_params=params, horizon=3600.5)
+    assert small_cfg(price_model="hawkes", price_params=params, horizon=3600.0).horizon == 3600.0
+
+
 @pytest.mark.parametrize(
     "amplitude, kind, radius",
     [(2.0, "non_stationary", "2.000000"), (1.0, "quasi_stationary", "1.000000")],
@@ -375,6 +400,66 @@ def test_k_skip_truncates_when_ticks_run_out():
     assert all(p.n_ok == 0 and math.isnan(p.mean) for p in pts if p.axis > 30)
     assert all(p.n_ok == 1 and p.half_width == 0.0 for p in pts if p.axis <= 30)
     assert verdict.n_points == 30
+
+
+def k_skip_stack_per_k(pairs, k_max):
+    """k_skip_stack as it was written: thinned tick series for every k, and
+    hayashi_yoshida with two bisections on each."""
+    pairs = list(pairs)
+    stack = np.full((len(pairs), 1, k_max), np.nan)
+    for r, (si, sj) in enumerate(pairs):
+        for k in range(1, k_max + 1):
+            a, b = k_skip(si, k), k_skip(sj, k)
+            if len(a) < 2 or len(b) < 2:
+                continue
+            try:
+                stack[r, 0, k - 1] = hy_two_bisections(a, b)[0]
+            except EstimationError:
+                pass
+    return stack
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sizes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=30),
+            st.integers(min_value=0, max_value=30),
+            st.integers(min_value=0, max_value=30),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    period=st.integers(min_value=0, max_value=3),
+    k_max=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=200, deadline=None)
+def test_k_skip_stack_equals_per_k_oracle_bitwise(seed, sizes, period, k_max):
+    # legs of 0-3 ticks with k far past n/2, shared timestamps, and with a
+    # period, leg j values that repeat every period ticks, so that leg j
+    # thinned to every k-th tick has zero variance whenever period divides k
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n_i, n_j, n_shared in sizes:
+        si, sj = shared_time_legs(rng, n_i, n_j, n_shared)
+        if period:
+            sj = replace(sj, values=(np.arange(len(sj)) % period).astype(float))
+        pairs.append((si, sj))
+    got = k_skip_stack(pairs, k_max)
+    want = k_skip_stack_per_k(pairs, k_max)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_k_skip_stack_equals_per_k_oracle_on_long_legs():
+    si = random_walk_ticks(3000, seed=5)
+    rng = np.random.default_rng(6)
+    # half of leg j's ticks are leg i's
+    tj = np.union1d(si.times[::2], np.sort(rng.uniform(0.0, si.horizon, 1500)))
+    sj = TickSeries(times=tj, values=np.cumsum(rng.normal(size=tj.size)), horizon=si.horizon)
+    pairs = [(si, sj), (sj, si)]
+    want = k_skip_stack_per_k(pairs, 50)
+    assert np.isfinite(want).all()
+    assert np.array_equal(k_skip_stack(pairs, 50), want)
 
 
 def test_k_skip_rejects_bad_kmax():

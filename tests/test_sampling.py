@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from eppsim import sampling
+from eppsim import index, sampling
 from eppsim.errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from eppsim.paths import GbmParams, simulate_gbm
+from eppsim.index import grid_count
 from eppsim.sampling import (
-    grid_count,
     hawkes_arrivals,
     k_skip,
     mutual_excitation_spec,
@@ -263,14 +263,14 @@ def test_tick_counts_equal_bisection(dt, n_grid, n_ticks, seed, always_linear):
     times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng)
     times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * horizon + dt, 3)])))
     ticks = TickSeries(times=times, values=np.arange(times.size, dtype=float), horizon=times.max(initial=0.0))
-    limit = 10**9 if always_linear else sampling.MAX_TICKS_PER_POINT
-    with mock.patch.object(sampling, "MAX_TICKS_PER_POINT", limit):
-        got = sampling._tick_counts(times, nodes, dt)
+    limit = 10**9 if always_linear else index.MAX_TICKS_PER_POINT
+    with mock.patch.object(index, "MAX_TICKS_PER_POINT", limit):
+        got = index._tick_counts(times, nodes, dt)
         np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
         # the overlap windows: ends dt + k*dt and starts (dt + k*dt) - dt
         ends = dt + dt * np.arange(n_grid)
         for queries in (ends, ends - dt):
-            got = sampling._tick_counts(times, queries, dt)
+            got = index._tick_counts(times, queries, dt)
             np.testing.assert_array_equal(got, np.searchsorted(times, queries, side="right"))
         if len(ticks):
             grid = previous_tick_grid(ticks, dt, horizon)
@@ -283,8 +283,74 @@ def test_tick_counts_edge_sizes(n_ticks, n_grid):
     rng = np.random.default_rng(n_ticks + n_grid)
     times = np.sort(rng.uniform(0.0, 100.0, n_ticks))
     nodes = (100.0 / n_grid) * np.arange(n_grid + 1)
-    got = sampling._tick_counts(times, nodes, 100.0 / n_grid)
+    got = index._tick_counts(times, nodes, 100.0 / n_grid)
     np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+
+
+@given(
+    step=st.sampled_from([1.0, 0.5, 0.1]),
+    t0=st.sampled_from([0.0, 0.0, 0.3, 1000.0]),
+    n_steps=st.integers(min_value=0, max_value=400),
+    multiple=st.sampled_from([1, 2, 5, 15, 1.5, 0.5]),
+    span=st.sampled_from([1.0, 0.3, 0.77, 1.3]),
+)
+@settings(max_examples=300, deadline=None)
+def test_synchronous_grid_counts_equal_bisection(step, t0, n_steps, multiple, span):
+    # a synchronous leg's previous-tick counts at dt = multiple * step over
+    # horizons that are not multiples of dt, short of the path's and past it
+    path = PricePath(t0=t0, dt=step, values=np.zeros((n_steps + 1, 2)))
+    ticks = synchronous_ticks(path, 0)
+    dt = multiple * step
+    horizon = span * (path.horizon + step)
+    queries = dt * np.arange(grid_count(horizon, dt) + 1)
+    want = np.searchsorted(ticks.times, queries, side="right")
+    np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, dt, horizon), want)
+    np.testing.assert_array_equal(index._tick_counts(ticks.times, queries, dt), want)
+    strided = index._strided_counts(ticks.times, queries)
+    if strided is not None:
+        np.testing.assert_array_equal(strided, want)
+    lattice = t0 == 0.0 and step != 0.1 and n_steps >= 1
+    if lattice and isinstance(multiple, int) and queries.size >= 2:
+        assert strided is not None
+    # at dt = 1.5 * step the second grid point falls between two ticks
+    # unless the leg ends before it
+    between = multiple == 1.5 and n_steps >= 2 and queries.size >= 2
+    if t0 != 0.0 or multiple == 0.5 or between:
+        assert strided is None
+
+
+@pytest.mark.parametrize("dt, strided", [(0.3, False), (0.7, False), (1.1, False),
+                                          (0.2, True), (1.0, True), (5.0, True)])
+def test_synchronous_grid_at_a_step_of_a_tenth(dt, strided):
+    # 0.1 * 3 is 0.30000000000000004, so the grid h * 0.3 misses ticks by an
+    # ulp and takes the general path; 0.1 * (10 * h) rounds to h exactly, so
+    # the one-second grid is every tenth tick
+    path = PricePath(t0=0.0, dt=0.1, values=np.zeros((3001, 2)))
+    ticks = synchronous_ticks(path, 0)
+    queries = dt * np.arange(grid_count(300.0, dt) + 1)
+    want = np.searchsorted(ticks.times, queries, side="right")
+    got = index._strided_counts(ticks.times, queries)
+    assert (got is not None) == strided
+    if strided:
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, dt, 300.0), want)
+
+
+@pytest.mark.parametrize("at, nudge", [(0, np.inf), (1, -np.inf), (40, -np.inf),
+                                       (40, np.inf), (99, np.inf), (100, -np.inf)])
+def test_strided_counts_check_every_tick_they_read(at, nudge):
+    # one tick of a one-second lattice moved by an ulp: an even one is no
+    # longer a point of the two-second grid, an odd one is not read
+    times = np.arange(101.0)
+    times[at] = np.nextafter(times[at], nudge)
+    queries = 2.0 * np.arange(grid_count(103.0, 2.0) + 1)
+    want = np.searchsorted(times, queries, side="right")
+    got = index._strided_counts(times, queries)
+    assert (got is None) == (at % 2 == 0)
+    if got is not None:
+        np.testing.assert_array_equal(got, want)
+    ticks = TickSeries(times=times, values=times, horizon=times[-1])
+    np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, 2.0, 103.0), want)
 
 
 @given(
