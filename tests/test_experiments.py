@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from test_estimators import hy_two_bisections, shared_time_legs
 
 from eppsim.errors import (
@@ -28,6 +28,11 @@ from eppsim.estimators import (
 )
 from eppsim.experiments import (
     FIG_DT_GRID,
+    _hy_replicate,
+    _replication_seed,
+    _sample_ticks,
+    _simulate_path,
+    _t_quantile,
     CurvePoint,
     EppsCurve,
     ExperimentConfig,
@@ -227,6 +232,33 @@ def test_ribbon_multiplier_n40():
     assert hw / vals.std(ddof=1) == pytest.approx(2.0227, abs=5e-5)
 
 
+QUANTILE_CONFIDENCES = (0.8, 0.9, 0.95, 0.99, 0.999)
+QUANTILE_DFS = tuple(range(1, 301)) + tuple(
+    sorted({int(round(v)) for v in np.logspace(np.log10(301), 4, 25)})
+)
+
+
+def test_t_quantile_matches_stdtrit():
+    for c in QUANTILE_CONFIDENCES:
+        want = special.stdtrit(np.array(QUANTILE_DFS), 0.5 * (1.0 + c))
+        got = np.array([_t_quantile(df, c) for df in QUANTILE_DFS])
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0, err_msg=f"confidence {c}")
+
+
+def test_t_quantile_closed_forms_for_one_and_two_df():
+    for c in QUANTILE_CONFIDENCES:
+        p = 0.5 * (1.0 + c)
+        # df = 1 is the Cauchy law; df = 2 has F(t) = 1/2 + t / (2 sqrt(2 + t^2))
+        assert _t_quantile(1, c) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-11)
+        assert _t_quantile(2, c) == pytest.approx((2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-11)
+
+
+def test_t_quantile_rises_with_confidence_and_falls_with_df():
+    table = np.array([[_t_quantile(df, c) for df in QUANTILE_DFS] for c in QUANTILE_CONFIDENCES])
+    assert (np.diff(table, axis=0) > 0).all()
+    assert (np.diff(table, axis=1) < 0).all()
+
+
 def test_ribbon_rejects_degenerate_input():
     with pytest.raises(InsufficientDataError):
         ribbon(np.array([1.0]), 0.95)
@@ -361,6 +393,19 @@ def test_hy_vs_interarrival_single_rate_single_replication():
     assert pts[0].n_ok == 1
     assert pts[0].half_width == 0.0
     assert math.isfinite(pts[0].mean)
+
+
+def test_hy_replicate_draws_the_poisson_sampler_streams():
+    # each rate's legs are those a Poisson-sampled replication draws at stream ids (j,)
+    cfg = small_cfg(n_replications=2, mean_interarrivals=(2.0, 5.0, 10.0))
+    path = _simulate_path(cfg, cfg.seed)
+    for r in range(cfg.n_replications):
+        want = []
+        for j, m in enumerate(cfg.mean_interarrivals):
+            rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
+            _, _, s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
+            want.append(hayashi_yoshida(s1, s2).rho)
+        assert np.array_equal(_hy_replicate(cfg, path, r), np.array([want]))
 
 
 def test_hy_vs_interarrival_parallel_matches_serial():
