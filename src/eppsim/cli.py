@@ -181,10 +181,17 @@ def _verdict_args(doc: dict) -> tuple[float, float]:
 
 
 def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ParameterError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    """The finite numbers of a comma-separated flag value."""
+    return tuple(_number(part, flag) for part in text.split(","))
+
+
+def _dt_grid(values, name: str) -> tuple[float, ...]:
+    """A taq dt grid: non-empty, positive and strictly increasing, as the
+    experiment's; ParameterError names the flag or field."""
+    grid = tuple(values)
+    if not grid or grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ParameterError(f"{name}: expected positive, strictly increasing steps, got {grid}")
+    return grid
 
 
 def _price_params_from(model: str, d: dict, name: str):
@@ -473,11 +480,13 @@ def cmd_taq(args) -> int:
     doc = _load_config(args.config)
     parsed = _parse_taq_files(args.files)
     taq_doc = _table(doc.get("taq", {}), "taq")
-    dt_grid = (
-        _floats_arg(args.dt_grid, "--dt-grid")
-        if args.dt_grid is not None
-        else tuple(_number(x, "taq.dt_grid") for x in taq_doc.get("dt_grid", FIG_DT_GRID))
-    )
+    if args.dt_grid is not None:
+        dt_grid = _dt_grid(_floats_arg(args.dt_grid, "--dt-grid"), "--dt-grid")
+    else:
+        grid_doc = taq_doc.get("dt_grid", list(FIG_DT_GRID))
+        if not isinstance(grid_doc, list):
+            raise ParameterError(f"taq.dt_grid: expected a list, got {grid_doc!r}")
+        dt_grid = _dt_grid((_number(x, "taq.dt_grid") for x in grid_doc), "taq.dt_grid")
     tau_abs, z = _verdict_args(doc)
 
     base_config = {

@@ -57,8 +57,7 @@ class OverlapStats:
     dt: float
 
 
-def realised_covariance(gi: GridSeries, gj: GridSeries) -> float:
-    """Sum of products of grid returns over h = 1..floor(T/dt)."""
+def _check_common_grid(gi: GridSeries, gj: GridSeries) -> None:
     if len(gi) != len(gj):
         raise ParameterError(
             f"grid series lengths differ: {len(gi)} vs {len(gj)}"
@@ -67,14 +66,25 @@ def realised_covariance(gi: GridSeries, gj: GridSeries) -> float:
         raise ParameterError(f"grid steps differ: {gi.dt} vs {gj.dt}")
     if len(gi) < 2:
         raise DegenerateSeriesError("need at least two grid points")
+
+
+def realised_covariance(gi: GridSeries, gj: GridSeries) -> float:
+    """Sum of products of grid returns over h = 1..floor(T/dt)."""
+    _check_common_grid(gi, gj)
     return float(np.sum(gi.returns() * gj.returns()))
 
 
 def measured_correlation(gi: GridSeries, gj: GridSeries) -> CorrelationEstimate:
     """Realised-covariance correlation on a common grid."""
-    cov = realised_covariance(gi, gj)
-    var_i = realised_covariance(gi, gi)
-    var_j = realised_covariance(gj, gj)
+    return _measured_correlation(gi, gj, gi.returns(), gj.returns())
+
+
+def _measured_correlation(gi, gj, ri, rj) -> CorrelationEstimate:
+    """measured_correlation of two grids with returns ri and rj."""
+    _check_common_grid(gi, gj)
+    cov = float(np.sum(ri * rj))
+    var_i = float(np.sum(ri * ri))
+    var_j = float(np.sum(rj * rj))
     if var_i <= 0:
         raise DegenerateSeriesError("realised variance of leg i is zero", leg="i")
     if var_j <= 0:
@@ -252,7 +262,11 @@ def overlap_correction(rho_measured: float, stats: OverlapStats) -> CorrelationE
 
 def flat_trade_probability(g: GridSeries) -> float:
     """Fraction of exactly-zero grid returns."""
-    r = g.returns()
+    return _zero_fraction(g.returns())
+
+
+def _zero_fraction(r: np.ndarray) -> float:
+    """flat_trade_probability of a grid with returns r."""
     if r.size == 0:
         raise DegenerateSeriesError("need at least one grid return")
     return float(np.mean(r == 0.0))

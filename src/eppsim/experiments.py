@@ -31,10 +31,10 @@ from .errors import (
 from .estimators import (
     _grid_overlap,
     _hy_estimate,
+    _measured_correlation,
+    _zero_fraction,
     flat_trade_correction,
-    flat_trade_probability,
     hayashi_yoshida,
-    measured_correlation,
     overlap_correction,
     overlap_expectation,
 )
@@ -266,8 +266,10 @@ class ExperimentConfig:
                 f"horizon: {self.horizon} exceeds price_params.horizon "
                 f"{self.price_params.horizon}, the span of the latent path"
             )
-        if len(self.dt_grid) == 0 or any(d <= 0 for d in self.dt_grid):
-            raise ParameterError("dt_grid must be non-empty and positive")
+        if len(self.dt_grid) == 0 or not all(0 < d < math.inf for d in self.dt_grid):
+            raise ParameterError(
+                f"dt_grid must be non-empty, positive and finite, got {self.dt_grid}"
+            )
         if any(b <= a for a, b in zip(self.dt_grid, self.dt_grid[1:])):
             raise ParameterError("dt_grid must be strictly increasing")
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
@@ -356,15 +358,16 @@ def estimate_matrix(
             c2 = _previous_tick_counts(s2, dt, horizon)
             g1 = _grid_series(s1, dt, c1)
             g2 = _grid_series(s2, dt, c2)
-            measured = measured_correlation(g1, g2)
+            r1, r2 = g1.returns(), g2.returns()  # each grid differenced once
+            measured = _measured_correlation(g1, g2, r1, r2)
         except EstimationError:
             continue  # the grid estimators all need the measured value
         if "measured" in col:
             out[col["measured"], j] = measured.rho
         if "flat_trade" in col:
             try:
-                p1 = flat_trade_probability(g1)
-                p2 = flat_trade_probability(g2)
+                p1 = _zero_fraction(r1)
+                p2 = _zero_fraction(r2)
                 out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
             except EstimationError:
                 pass

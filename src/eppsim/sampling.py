@@ -42,7 +42,7 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     while total[-1] <= horizon:
         gaps = rng.exponential(1.0 / rate, size=block)
         total = np.append(total, total[-1] + np.cumsum(gaps))
-    return ArrivalSet(times=total[total <= horizon], horizon=horizon)
+    return ArrivalSet(times=total[: np.searchsorted(total, horizon, "right")], horizon=horizon)
 
 
 def mutual_excitation_spec(baseline: float, amplitude: float, decay: float) -> HawkesSpec:

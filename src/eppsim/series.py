@@ -75,7 +75,7 @@ class ArrivalSet:
         if not self.horizon >= 0:
             raise ParameterError(f"horizon must be non-negative, got {self.horizon}")
         if t.size:
-            if np.any(np.diff(t) <= 0):
+            if np.any(t[1:] <= t[:-1]):
                 raise ParameterError("arrival times must be strictly increasing")
             if t[0] < 0 or t[-1] > self.horizon:
                 raise ParameterError("arrival times must lie in [0, horizon]")
@@ -108,7 +108,7 @@ class TickSeries:
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ParameterError("times and values must be 1-d and equally long")
         if t.size:
-            if np.any(np.diff(t) <= 0):
+            if np.any(t[1:] <= t[:-1]):
                 raise ParameterError("tick times must be strictly increasing")
             if t[0] < 0 or t[-1] > self.horizon:
                 raise ParameterError("tick times must lie in [0, horizon]")

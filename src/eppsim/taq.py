@@ -8,9 +8,12 @@ across all tickers sits at 0, putting both conventions on the same
 "seconds since day start" footing.
 
 The file must be UTF-8 (anything else is a DataError naming the byte
-offset, exit 3 from the CLI). It is read CHUNK_LINES lines at a time into
-numpy columns, and each (ticker, date) comes out as a TradeDay: read-only
-timestamp, price and volume arrays that index and iterate as
+offset, exit 3 from the CLI). It is read in byte blocks of about
+CHUNK_BYTES, each cut after a line break; numpy finds every line and its
+field count on the raw bytes, and the five-field lines of a block are
+decoded and split in one call each, into numpy columns. Lines end where
+str.splitlines ends them. Each (ticker, date) comes out as a TradeDay:
+read-only timestamp, price and volume arrays that index and iterate as
 TradeRecords.
 
 Cleaning conventions: trades of one ticker sharing a bit-equal timestamp
@@ -27,7 +30,6 @@ n_days - 1 degrees of freedom.
 import math
 from dataclasses import dataclass
 from datetime import date as _date, time as _time
-from itertools import islice
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .experiments import (
 from .series import ArrivalSet, TickSeries
 
 DAY_WINDOW = 28200.0
-CHUNK_LINES = 32768  # lines parsed per block; bounds the parse's transient memory
+CHUNK_BYTES = 1 << 20  # bytes read per block; bounds the parse's transient memory
 
 _HEADER = ("date", "ticker", "timestamp", "price", "volume")
 
@@ -179,6 +181,7 @@ class _TradeTable:
 
     def __init__(self):
         self.fmt: str | None = None
+        self.n_lines = 1  # the header
         self.n_rows = 0
         self.diagnostics: list[str] = []
         self.tickers: dict[str, int] = {}
@@ -186,32 +189,42 @@ class _TradeTable:
         self.date_ok: list[bool] = []
         self.columns: list[tuple[np.ndarray, ...]] = []  # (ticker, date, t, price, volume)
 
-    def add(self, lines: list[str], first_lineno: int) -> None:
-        """Validate one block of data lines, the first numbered first_lineno."""
-        n_fields = np.fromiter(
-            (line.count(",") + 1 for line in lines), dtype=np.int64, count=len(lines)
-        )
-        five = np.flatnonzero(n_fields == len(_HEADER))
+    def add(self, block: bytes) -> None:
+        """Validate the next block of data lines: UTF-8, each ending in b"\\n"."""
+        data = np.frombuffer(block, dtype=np.uint8)
+        ends = np.flatnonzero(data == ord("\n"))
+        n_fields = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0) + 1
+        first = self.n_lines + 1
+        self.n_lines += ends.size
+        # the rare lines without five fields, one at a time; a blank one is no row
+        other = np.flatnonzero(n_fields != len(_HEADER))
+        starts = np.concatenate(([0], ends[:-1] + 1))[other].tolist()
+        stops = ends[other].tolist()
         problems = [
-            (first_lineno + i, f"expected 5 fields, got {n_fields[i]}")
-            for i in np.flatnonzero(n_fields != len(_HEADER)).tolist()
-            if lines[i].strip()
+            (first + i, f"expected 5 fields, got {n}")
+            for i, n, lo, hi in zip(other.tolist(), n_fields[other].tolist(), starts, stops)
+            if block[lo:hi].decode("utf-8", "surrogatepass").strip()
         ]
+        five = np.flatnonzero(n_fields == len(_HEADER))
         self.n_rows += five.size + len(problems)
-        rows = lines if five.size == len(lines) else [lines[i] for i in five.tolist()]
-        if rows:
-            problems += self._add_rows(rows, first_lineno + five)
+        if five.size:
+            if other.size:  # the runs of five-field lines between the others
+                runs = zip([0, *(hi + 1 for hi in stops)], [*starts, len(block)])
+                block = b"".join(block[lo:hi] for lo, hi in runs)
+            text = block.decode("utf-8", "surrogatepass")
+            fields = text.replace("\n", ",").split(",")
+            fields.pop()  # the empty string after the last line's newline
+            if not text.isascii() or any(c in text for c in _ASCII_FIELD_SPACE):
+                fields = [f.strip() for f in fields]
+            problems += self._add_rows(fields, first + five)
         problems.sort()
-        self.diagnostics.extend(f"line {n}: {text}" for n, text in problems)
+        self.diagnostics.extend(f"line {n}: {message}" for n, message in problems)
 
-    def _add_rows(self, rows: list[str], linenos: np.ndarray) -> list[tuple[int, str]]:
-        """Keep the valid rows of five fields; (line, message) for the others."""
+    def _add_rows(self, fields: list[str], linenos: np.ndarray) -> list[tuple[int, str]]:
+        """Keep the valid rows of five stripped fields each, the fields of all
+        rows in one list; (line, message) for the others."""
         if self.fmt is None:
-            self.fmt = "clock" if ":" in rows[0].split(",")[2] else "seconds"
-        joined = ",".join(rows)
-        fields = joined.split(",")
-        if not joined.isascii() or any(c in joined for c in _ASCII_FIELD_SPACE):
-            fields = [f.strip() for f in fields]
+            self.fmt = "clock" if ":" in fields[2] else "seconds"
         date_s, ticker_s, ts_s, price_s, vol_s = (fields[k::5] for k in range(5))
 
         dates = _codes(date_s, self.dates)
@@ -347,29 +360,52 @@ def _trade_days(group, ts, price, volume, key_of) -> dict[tuple[str, str], Trade
     return records
 
 
-def _text_blocks(stream):
-    """An open text file's content, CHUNK_LINES lines at a time."""
-    while block := "".join(islice(stream, CHUNK_LINES)):
-        yield block
+# str.splitlines ends a line at each of these; within a UTF-8 block every
+# one of them becomes b"\n", b"\r\n" as a whole
+_BYTE_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+_TO_NEWLINE = bytes.maketrans(_BYTE_BREAKS, b"\n" * len(_BYTE_BREAKS))
+_WIDE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
 
 
-def _utf8_blocks(fh, name: str):
-    """A binary file's content decoded as UTF-8, CHUNK_LINES lines at a time.
+def _line_blocks(read, errors: str, name: str):
+    """A file's lines in UTF-8 blocks of about CHUNK_BYTES, each line ending in b"\\n".
 
-    Blocks end at a newline byte, which never falls inside a UTF-8
-    sequence. Bytes that are not UTF-8 raise DataError with their offset.
+    read(n) gives the next piece of the file: bytes, or str that is encoded
+    with errors. A block is cut after its last b"\\n" or b"\\r", never
+    between b"\\r" and b"\\n", so no line and no UTF-8 sequence spans two
+    blocks. A block that does not decode as UTF-8 with errors raises
+    DataError naming the file offset of its first bad byte.
     """
+    buf = bytearray()
     offset = 0
-    while block := b"".join(islice(fh, CHUNK_LINES)):
+    while piece := read(CHUNK_BYTES):
+        buf += piece if isinstance(piece, bytes) else piece.encode("utf-8", errors)
+        cut = max(buf.rfind(b"\n"), buf.rfind(b"\r", 0, len(buf) - 1)) + 1
+        if cut:
+            yield _newlines(bytes(buf[:cut]), offset, errors, name)
+            del buf[:cut]
+            offset += cut
+    if buf:  # a last line without a break; a blank line after a break is no row
+        yield _newlines(bytes(buf) + b"\n", offset, errors, name)
+
+
+def _newlines(block: bytes, offset: int, errors: str, name: str) -> bytes:
+    """block, checked as UTF-8, with every str.splitlines line break as one b"\\n"."""
+    if block.isascii():
+        if len(block.translate(None, _BYTE_BREAKS)) == len(block):
+            return block
+    else:
         try:
-            text = block.decode("utf-8")
+            block.decode("utf-8", errors)
         except UnicodeDecodeError as exc:
             raise DataError(
                 f"{name}: not UTF-8 text: byte {block[exc.start]:#04x} at offset "
                 f"{offset + exc.start}"
             ) from None
-        offset += len(block)
-        yield text
+    block = block.replace(b"\r\n", b"\n").translate(_TO_NEWLINE)
+    for wide in _WIDE_BREAKS:  # a whole UTF-8 sequence matches only itself
+        block = block.replace(wide, b"\n")
+    return block
 
 
 def parse_trades(source) -> ParseResult:
@@ -383,32 +419,35 @@ def parse_trades(source) -> ParseResult:
     surviving rows are sorted by timestamp (stable) and same-timestamp
     trades are merged into one record with the volume-weighted price and
     the summed volume, which conserves traded notional. The file is read
-    and checked CHUNK_LINES lines at a time, into columns.
+    and checked in blocks of about CHUNK_BYTES, into columns. A text
+    stream's characters, lone surrogates included, parse as they read.
     """
     if hasattr(source, "read"):
-        return _parse_blocks(_text_blocks(source), getattr(source, "name", "<stream>"))
+        name = getattr(source, "name", "<stream>")
+        return _parse_blocks(_line_blocks(source.read, "surrogatepass", name), name)
     name = str(source)
     try:
         with open(source, "rb") as fh:
-            return _parse_blocks(_utf8_blocks(fh, name), name)
+            return _parse_blocks(_line_blocks(fh.read, "strict", name), name)
     except OSError as exc:
         raise DataError(f"cannot read {name}: {exc}") from exc
 
 
 def _parse_blocks(blocks, name: str) -> ParseResult:
     table = None
-    lineno = 2
     for block in blocks:
-        lines = block.splitlines()
         if table is None:
-            header = tuple(h.strip().lower() for h in lines[0].split(","))
+            head, _, block = block.partition(b"\n")
+            header = tuple(
+                h.strip().lower() for h in head.decode("utf-8", "surrogatepass").split(",")
+            )
             if header != _HEADER:
                 raise DataError(
                     f"{name}: bad header {','.join(header)!r}, expected {','.join(_HEADER)}"
                 )
-            table, lines = _TradeTable(), lines[1:]
-        table.add(lines, lineno)
-        lineno += len(lines)
+            table = _TradeTable()
+        if block:
+            table.add(block)
     if table is None:
         raise DataError(f"{name}: empty file, expected header {','.join(_HEADER)}")
     return table.result()

@@ -99,6 +99,14 @@ def test_epps_without_figure_or_config_is_usage_error(tmp_path):
         ("epps", {}, ["--threads", "-3"], "threads"),
         ("simulate", {"seed": "abc"}, [], "seed"),
         ("taq", {"taq": {"kmax": 2.5}}, [], "taq.kmax"),
+        ("epps", {}, ["--dt-grid", "1,inf"], "--dt-grid"),
+        ("epps", {}, ["--dt-grid", "1,nan"], "--dt-grid"),
+        ("taq", {}, ["--dt-grid", "1,inf"], "--dt-grid"),
+        ("taq", {}, ["--dt-grid", "2,1"], "--dt-grid"),
+        ("taq", {}, ["--dt-grid", "0,5"], "--dt-grid"),
+        ("taq", {"taq": {"dt_grid": [5, "inf"]}}, [], "taq.dt_grid"),
+        ("taq", {"taq": {"dt_grid": [5, 5]}}, [], "taq.dt_grid"),
+        ("taq", {"taq": {"dt_grid": 5}}, [], "taq.dt_grid"),
     ],
 )
 def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, flags, field):

@@ -341,6 +341,9 @@ def test_config_validation_errors():
         small_cfg(sampler="synchronous", estimators=("measured", "hy"))
     with pytest.raises(ParameterError):
         small_cfg(dt_grid=(15.0, 5.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="dt_grid must be non-empty, positive and finite"):
+            small_cfg(dt_grid=(5.0, bad))
     with pytest.raises(ParameterError):
         small_cfg(estimators=("kernel",))
     with pytest.raises(ParameterError):

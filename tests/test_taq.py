@@ -3,6 +3,7 @@
 import io
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from datetime import date as _date
 from pathlib import Path
@@ -201,9 +202,13 @@ def test_parse_and_pair_build_no_trade_records(monkeypatch):
     assert all(math.isnan(x) for x in ticker_interarrival_stats(parsed, "AAA"))
 
 
-@pytest.mark.parametrize("chunk", [1, taq.CHUNK_LINES])
+# block sizes that cut files inside lines, fields and UTF-8 sequences
+BLOCK_SIZES = [1, 2, 3, 7, taq.CHUNK_BYTES]
+
+
+@pytest.mark.parametrize("chunk", BLOCK_SIZES)
 def test_non_utf8_file_is_a_data_error_with_its_offset(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(taq, "CHUNK_LINES", chunk)
+    monkeypatch.setattr(taq, "CHUNK_BYTES", chunk)
     data = f"{HEADER}\n2023-01-02,AAA,1.0,100,1\n2023-01-02,Caf\xe9,2.0,1,1\n".encode("latin-1")
     src = tmp_path / "trades.csv"
     src.write_bytes(data)
@@ -211,6 +216,78 @@ def test_non_utf8_file_is_a_data_error_with_its_offset(tmp_path, monkeypatch, ch
     message = f"trades.csv: not UTF-8 text: byte 0xe9 at offset {offset}$"
     with pytest.raises(DataError, match=message):
         parse_trades(src)
+
+
+def _parse_both(tmp_path, text: str) -> list[ParseResult]:
+    src = tmp_path / "trades.csv"
+    src.write_bytes(text.encode("utf-8"))
+    return [parse_trades(io.StringIO(text)), parse_trades(src)]
+
+
+def test_crlf_across_a_block_cut_is_one_line_break(tmp_path, monkeypatch):
+    text = f"{HEADER}\r\n2023-01-02,AAA,10.0,100,1\r\n2023-01-02,AAA,11.0\r\n2023-01-02,AAA,x,1,1\r\n"
+    want = row_parse_oracle(text)
+    assert want.diagnostics == ("line 3: expected 5 fields, got 3", "line 4: bad timestamp 'x'")
+    # every block size puts some cut between the b"\r" and b"\n" of a line end
+    for chunk in range(1, len(text) + 1):
+        monkeypatch.setattr(taq, "CHUNK_BYTES", chunk)
+        for got in _parse_both(tmp_path, text):
+            assert got.diagnostics == want.diagnostics, chunk
+            assert bits(got.records) == bits(want.records), chunk
+
+
+@pytest.mark.parametrize("tail, n_rows", [("\n2023-01-02,AAA,10.0,100,1\n", 1), ("\n", 0), ("", 0)])
+def test_header_longer_than_the_first_block(tmp_path, monkeypatch, tail, n_rows):
+    monkeypatch.setattr(taq, "CHUNK_BYTES", len(HEADER) // 2)
+    for got in _parse_both(tmp_path, HEADER + tail):
+        assert got.n_rows == got.n_used == n_rows
+        assert got.diagnostics == ()
+
+
+def test_stream_characters_parse_as_read_and_file_bytes_must_be_utf8(tmp_path):
+    # a lone surrogate is a character of a text stream but no UTF-8 of a file
+    text = f"{HEADER}\n2023-01-02,A\ud800,10.0,100,1\n2023-01-02, B ,11.0,100,1\n"
+    got = parse_text(text)
+    assert list(got.records) == [("A\ud800", "2023-01-02"), ("B", "2023-01-02")]
+    src = tmp_path / "trades.csv"
+    src.write_bytes(text.encode("utf-8", "surrogatepass"))
+    offset = text.index("\ud800")
+    with pytest.raises(DataError, match=f"byte 0xed at offset {offset}$"):
+        parse_trades(src)
+
+
+def _transient_parse_bytes(path) -> int:
+    """Peak traced memory of parse_trades(path) while it reads blocks, less
+    what it holds when the last block is read."""
+    seen = []
+    result = taq._TradeTable.result
+
+    def at_result(table):
+        current, peak = tracemalloc.get_traced_memory()
+        seen.append(peak - current)
+        return result(table)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(taq._TradeTable, "result", at_result)
+        tracemalloc.start()
+        try:
+            parse_trades(path)
+        finally:
+            tracemalloc.stop()
+    return seen[0]
+
+
+def test_parse_transient_memory_does_not_grow_with_file_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(taq, "CHUNK_BYTES", 1 << 16)
+    rows = [f"2023-01-0{2 + i % 5},{'AB'[i % 2]}{i % 7},{i * 0.37:.3f},{100 + i % 13},{1 + i % 9}\n"
+            for i in range(80_000)]
+    transient = {}
+    for n in (20_000, 80_000):
+        src = tmp_path / f"trades{n}.csv"
+        src.write_text(HEADER + "\n" + "".join(rows[:n]))
+        assert src.stat().st_size > 8 * taq.CHUNK_BYTES
+        transient[n] = _transient_parse_bytes(src)
+    assert transient[80_000] < 1.5 * transient[20_000], transient
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +459,21 @@ def trade_lines(draw, clock: bool):
     return lines
 
 
+# every line break of str.splitlines
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
 @st.composite
 def trade_files(draw):
     """Text of two trade files and the block size to parse them with."""
     texts = []
     for _ in range(2):
         lines = draw(trade_lines(clock=draw(st.booleans())))
-        ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
-        body = "".join(line + end for line, end in zip(lines, ends))
-        texts.append(HEADER + "\n" + (body if draw(st.booleans()) else body.rstrip("\r\n")))
-    return texts, draw(st.sampled_from([1, 2, 3, 7, taq.CHUNK_LINES]))
+        ends = [draw(st.sampled_from(LINE_BREAKS)) for _ in range(len(lines) + 1)]
+        body = "".join(line + end for line, end in zip([HEADER, *lines], ends))
+        texts.append(body if draw(st.booleans()) else body.rstrip("".join(LINE_BREAKS)))
+    return texts, draw(st.sampled_from(BLOCK_SIZES))
 
 
 @given(trade_files())
@@ -399,7 +481,7 @@ def trade_files(draw):
 def test_parse_trades_matches_row_parser_oracle(files):
     texts, chunk = files
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(taq, "CHUNK_LINES", chunk)
+        mp.setattr(taq, "CHUNK_BYTES", chunk)
         parsed = []
         for k, text in enumerate(texts):
             path = Path(tmp) / f"{k}.csv"
