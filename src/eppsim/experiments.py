@@ -238,8 +238,12 @@ class ExperimentConfig:
             )
         if self.sampler not in ("poisson", "hawkes", "synchronous"):
             raise ParameterError(f"unknown sampler {self.sampler!r}")
-        if self.sampler == "poisson" and not (self.poisson_rate and self.poisson_rate > 0):
-            raise ParameterError("poisson sampler needs a positive poisson_rate")
+        if self.sampler == "poisson" and not (
+            self.poisson_rate is not None and 0 < self.poisson_rate < math.inf
+        ):
+            raise ParameterError(
+                f"poisson sampler needs a positive, finite poisson_rate, got {self.poisson_rate}"
+            )
         if self.sampler == "hawkes" and self.hawkes_sampler is None:
             raise ParameterError("hawkes sampler needs a hawkes_sampler spec")
         if self.sampler == "hawkes":
@@ -282,12 +286,17 @@ class ExperimentConfig:
         seeding.check_seed(self.seed)
         if self.replication_seeds is not None and len(self.replication_seeds) != self.n_replications:
             raise ParameterError("replication_seeds must have one seed per replication")
-        if any(m <= 0 for m in self.mean_interarrivals) or any(
+        if not all(0 < m < math.inf for m in self.mean_interarrivals) or any(
             b <= a for a, b in zip(self.mean_interarrivals, self.mean_interarrivals[1:])
         ):
-            raise ParameterError("mean_interarrivals must be positive and increasing")
-        if any(m <= 0 for m in self.overlap_rates):
-            raise ParameterError("overlap_rates must be positive")
+            raise ParameterError(
+                f"mean_interarrivals must be positive, finite and increasing, "
+                f"got {self.mean_interarrivals}"
+            )
+        if not all(0 < m < math.inf for m in self.overlap_rates):
+            raise ParameterError(
+                f"overlap_rates must be positive and finite, got {self.overlap_rates}"
+            )
 
 
 def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:

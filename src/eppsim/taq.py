@@ -11,7 +11,9 @@ The file must be UTF-8 (anything else is a DataError naming the byte
 offset, exit 3 from the CLI). It is read in byte blocks of about
 CHUNK_BYTES, each cut after a line break; numpy finds every line and its
 field count on the raw bytes, and the five-field lines of a block are
-decoded and split in one call each, into numpy columns. Lines end where
+decoded and split in one call each, into numpy columns. The columns are
+then joined, sorted and merged one at a time, so the parse holds one
+block's transient data plus its result. Lines end where
 str.splitlines ends them. Each (ticker, date) comes out as a TradeDay:
 read-only timestamp, price and volume arrays that index and iterate as
 TradeRecords.
@@ -45,7 +47,7 @@ from .experiments import (
 from .series import ArrivalSet, TickSeries
 
 DAY_WINDOW = 28200.0
-CHUNK_BYTES = 1 << 20  # bytes read per block; bounds the parse's transient memory
+CHUNK_BYTES = 1 << 18  # bytes read per block; bounds the whole parse's transient memory
 
 _HEADER = ("date", "ticker", "timestamp", "price", "volume")
 
@@ -168,7 +170,7 @@ def _codes(strings, table: dict[str, int]) -> np.ndarray:
     """The code of each string in table, adding new strings with the next code."""
     for text in dict.fromkeys(strings):
         table.setdefault(text, len(table))
-    return np.fromiter(map(table.__getitem__, strings), dtype=np.int64, count=len(strings))
+    return np.fromiter(map(table.__getitem__, strings), dtype=np.int32, count=len(strings))
 
 
 # outside any line, str.strip removes these ASCII characters and no others;
@@ -187,7 +189,8 @@ class _TradeTable:
         self.tickers: dict[str, int] = {}
         self.dates: dict[str, int] = {}
         self.date_ok: list[bool] = []
-        self.columns: list[tuple[np.ndarray, ...]] = []  # (ticker, date, t, price, volume)
+        # the accepted rows' ticker, date, t, price and volume: one piece per block each
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
 
     def add(self, block: bytes) -> None:
         """Validate the next block of data lines: UTF-8, each ending in b"\\n"."""
@@ -249,7 +252,8 @@ class _TradeTable:
         checks = (date_ok, ticker_ok, fmt_ok, ts_read, in_day, price_read & volume_read,
                   price_ok, volume_ok)
         ok = np.logical_and.reduce(checks)
-        self.columns.append((tickers[ok], dates[ok], ts[ok], price[ok], volume[ok]))
+        for pieces, column in zip(self.columns, (tickers, dates, ts, price, volume)):
+            pieces.append(column[ok])
 
         problems = []
         for i in np.flatnonzero(~ok).tolist():
@@ -267,29 +271,33 @@ class _TradeTable:
         return problems
 
     def result(self) -> ParseResult:
-        if self.columns:
-            tickers, dates, ts, price, volume = map(np.concatenate, zip(*self.columns))
-        else:
-            tickers = dates = np.empty(0, dtype=np.int64)
-            ts = price = volume = np.empty(0)
-        if self.fmt == "clock" and ts.size:
+        """The parse of every block added; consumes the table's columns."""
+        tickers, dates, ts, price, volume = self.columns
+        n_used = sum(t.size for t in ts)
+        if self.fmt == "clock":
             # put each date's earliest trade (over all tickers) at t=0
             origin = np.full(len(self.dates), np.inf)
-            np.minimum.at(origin, dates, ts)
-            ts = ts - origin[dates]
+            for d, t in zip(dates, ts):
+                np.minimum.at(origin, d, t)
+            for d, t in zip(dates, ts):
+                t -= origin[d]
         ticker_names, ticker_rank = _sorted_codes(self.tickers)
         date_names, date_rank = _sorted_codes(self.dates)
         n_dates = max(len(date_names), 1)
-        group = ticker_rank[tickers] * n_dates + date_rank[dates]
-        records = _trade_days(
-            group, ts, price, volume,
-            lambda g: (ticker_names[g // n_dates], date_names[g % n_dates]),
-        )
+        group = [ticker_rank[t] * n_dates + date_rank[d] for t, d in zip(tickers, dates)]
+        tickers.clear()
+        dates.clear()
+        records = {}
+        if n_used:
+            records = _trade_days(
+                [group, ts, price, volume],
+                lambda g: (ticker_names[g // n_dates], date_names[g % n_dates]),
+            )
         return ParseResult(
             records=records,
             diagnostics=tuple(self.diagnostics),
             n_rows=self.n_rows,
-            n_used=int(ts.size),
+            n_used=n_used,
             timestamp_format=self.fmt if self.n_rows else None,
         )
 
@@ -309,23 +317,27 @@ def _sorted_codes(table: dict[str, int]) -> tuple[list[str], np.ndarray]:
     return names, rank
 
 
-def _merge_equal_times(group, ts, price, volume):
+def _merge_equal_times(columns: list[np.ndarray]) -> None:
     """Collapse each run of bit-equal timestamps within a group into one trade.
 
-    The arrays are sorted by group, then by time. A run keeps its first
-    timestamp, its summed volume, and the sum of price * volume over that
-    volume as its price. Both sums run strictly left to right, in file
-    order, so merged values depend on no library's summation order.
+    columns is [group, timestamp, price, volume], sorted by group, then by
+    time; each entry is replaced by its merged column, one at a time. A
+    run keeps its first timestamp, its summed volume, and the sum of
+    price * volume over that volume as its price. Both sums run strictly
+    left to right, in file order, so merged values depend on no library's
+    summation order.
     """
+    group, ts, price, volume = columns
     first = np.ones(ts.size, dtype=bool)
     first[1:] = (ts[1:] != ts[:-1]) | (group[1:] != group[:-1])
     starts = np.flatnonzero(first)
     if starts.size == ts.size:
-        return group, ts, price, volume
+        return
     lengths = np.diff(starts, append=ts.size)
     runs = np.flatnonzero(lengths > 1)
     runs = runs[np.argsort(-lengths[runs], kind="stable")]  # longest first
     run_start, run_length = starts[runs], lengths[runs]
+    del first, lengths
     total_volume = volume[run_start]
     notional = price[run_start] * total_volume
     for k in range(1, int(run_length[0])):
@@ -333,22 +345,38 @@ def _merge_equal_times(group, ts, price, volume):
         at = run_start[:live] + k
         total_volume[:live] += volume[at]
         notional[:live] += price[at] * volume[at]
-    price, volume = price[starts], volume[starts]
-    price[runs] = notional / total_volume
-    volume[runs] = total_volume
-    return group[starts], ts[starts], price, volume
+    del group, ts, price, volume  # so that each column is freed as it is replaced
+    for k in range(len(columns)):
+        columns[k] = columns[k][starts]
+    columns[2][runs] = notional / total_volume
+    columns[3][runs] = total_volume
 
 
-def _trade_days(group, ts, price, volume, key_of) -> dict[tuple[str, str], TradeDay]:
+def _joined(pieces: list[np.ndarray]) -> np.ndarray:
+    """The pieces as one array; empties the list, so that they can be freed."""
+    whole = np.concatenate(pieces)
+    pieces.clear()
+    return whole
+
+
+def _trade_days(pieces, key_of) -> dict[tuple[str, str], TradeDay]:
     """TradeDays of flat trade columns, one per group, in group order.
 
-    Rows are sorted stably by (group, timestamp), equal timestamps are
-    merged, and key_of maps a group to its (ticker, date).
+    pieces holds the group, timestamp, price and volume columns, each a
+    non-empty list of arrays that is emptied here. Rows are sorted stably
+    by (group, timestamp), equal timestamps are merged, and key_of maps a
+    group to its (ticker, date). The columns are joined, sorted and merged
+    one at a time, so no step holds two copies of more than one column.
     """
-    order = np.lexsort((ts, group))
-    group, ts, price, volume = _merge_equal_times(
-        group[order], ts[order], price[order], volume[order]
-    )
+    columns = [_joined(pieces[0]), _joined(pieces[1])]
+    order = np.lexsort(columns[::-1])  # by group, then by time
+    for k in range(2):
+        columns[k] = columns[k][order]
+    for k in range(2, 4):
+        columns.append(_joined(pieces[k])[order])
+    del order
+    _merge_equal_times(columns)
+    group, ts, price, volume = columns
     for column in (ts, price, volume):
         column.flags.writeable = False
     cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), group.size]
@@ -469,12 +497,9 @@ def combine(results) -> ParseResult:
     days = [(g, r.records[key]) for g, key in enumerate(keys) for r in results if key in r.records]
     records = {}
     if days:
-        columns = (
-            np.concatenate([getattr(d, c) for _, d in days])
-            for c in ("timestamp", "price", "volume")
-        )
-        group = np.concatenate([np.full(len(d), g) for g, d in days])
-        records = _trade_days(group, *columns, keys.__getitem__)
+        pieces = [[np.full(len(d), g) for g, d in days]]
+        pieces += ([getattr(d, c) for _, d in days] for c in ("timestamp", "price", "volume"))
+        records = _trade_days(pieces, keys.__getitem__)
     fmts = {r.timestamp_format for r in results} - {None}
     return ParseResult(
         records=records,

@@ -16,9 +16,16 @@ numbers), and is logged in CHANGES.md with its reason:
 
     PYTHONPATH=src python tests/golden.py
 
-It prints to stderr the entries whose digests changed, for that log.
+It prints to stderr the entries whose digests changed, for that log. With
+--check it rewrites nothing: it prints the entries whose digests would
+change and exits 1 if any would, so a change that must keep every output
+byte can show that it did:
+
+    PYTHONPATH=src python tests/golden.py --check
 """
 
+import argparse
+import contextlib
 import json
 import sys
 import tempfile
@@ -120,13 +127,14 @@ def taq_outputs(cli, tmp: Path) -> dict:
     }
 
 
-def main() -> None:
+def current_digests() -> dict:
+    """The manifest outputs of every locked run, made now."""
     from eppsim import cli
     from eppsim.presets import FIGURE_NAMES
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        doc = {
+        return {
             "epps": {
                 name: _outputs(
                     cli,
@@ -145,11 +153,27 @@ def main() -> None:
             },
             "taq": taq_outputs(cli, tmp),
         }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Rewrite or check golden_digests.json.")
+    ap.add_argument("--check", action="store_true",
+                    help="print the entries that would change and exit 1 if any would; "
+                         "rewrite nothing")
+    args = ap.parse_args(argv)
+    with contextlib.redirect_stdout(sys.stderr):  # the runs' progress lines
+        doc = current_digests()
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    lines = changed_entries(old, doc)
+    if args.check:
+        for line in lines:
+            print(line)
+        return int(doc != old)
     GOLDEN_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}", file=sys.stderr)
-    for line in changed_entries(old, doc):
+    for line in lines:
         print(line, file=sys.stderr)
+    return 0
 
 
 def changed_entries(old: dict, new: dict) -> list[str]:
@@ -168,4 +192,4 @@ def changed_entries(old: dict, new: dict) -> list[str]:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from eppsim import cli
+import golden
 from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries, taq_outputs, write_trade_files
 
 HEADER = "date,ticker,timestamp,price,volume"
@@ -577,3 +578,20 @@ def test_golden_tool_lists_changed_entries():
     new = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 2}, "6a": {}}, "simulate": {"gbm": {}}}
     assert changed_entries(old, new) == ["changed: epps 5", "added: epps 6a", "removed: epps 9"]
     assert changed_entries(new, new) == ["no entry changed"]
+
+
+def test_golden_check_lists_changed_entries_and_rewrites_nothing(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "golden_digests.json"
+    fresh = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 2}}, "simulate": {"gbm": {}}}
+    monkeypatch.setattr(golden, "GOLDEN_PATH", path)
+    monkeypatch.setattr(golden, "current_digests", lambda: fresh)
+    path.write_text(json.dumps(fresh))
+    assert golden.main(["--check"]) == 0
+    assert capsys.readouterr().out == "no entry changed\n"
+    stale = '{"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 1}}}'
+    path.write_text(stale)
+    assert golden.main(["--check"]) == 1
+    assert capsys.readouterr().out == "changed: epps 5\nadded: simulate gbm\n"
+    assert path.read_text() == stale
+    assert golden.main([]) == 0
+    assert json.loads(path.read_text()) == fresh

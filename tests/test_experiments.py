@@ -350,6 +350,16 @@ def test_config_validation_errors():
         small_cfg(confidence=0.0)
     with pytest.raises(ParameterError):
         small_cfg(replication_seeds=(1, 2, 3))
+    for bad in (math.inf, math.nan, 0.0, None):
+        with pytest.raises(ParameterError, match="poisson_rate"):
+            small_cfg(sampler="poisson", poisson_rate=bad)
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ParameterError, match="^mean_interarrivals must be positive, finite"):
+            small_cfg(mean_interarrivals=(1.0, bad))
+        with pytest.raises(ParameterError, match="^overlap_rates must be positive and finite"):
+            small_cfg(overlap_rates=(bad,))
+    with pytest.raises(ParameterError, match="^mean_interarrivals"):
+        small_cfg(mean_interarrivals=(2.0, 1.0))
 
 
 def test_config_refuses_a_horizon_past_the_latent_path():

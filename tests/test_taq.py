@@ -290,6 +290,61 @@ def test_parse_transient_memory_does_not_grow_with_file_size(tmp_path, monkeypat
     assert transient[80_000] < 1.5 * transient[20_000], transient
 
 
+def _traced_peak(fn, *args):
+    """fn(*args), and the peak memory that tracemalloc counts while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _record_bytes(parsed: ParseResult) -> int:
+    return sum(d.timestamp.nbytes + d.price.nbytes + d.volume.nbytes for d in parsed.records.values())
+
+
+def test_parse_and_combine_peak_is_a_small_multiple_of_the_records(tmp_path, monkeypatch):
+    # the columns are joined, sorted and merged one at a time: a parse peaks
+    # at about 2.6 times the bytes of its records and this combine at 3.1
+    # times; a sort that copies every column at once peaks at 7.6 and 6.1
+    monkeypatch.setattr(taq, "CHUNK_BYTES", 1 << 16)
+    # 70 (ticker, date) groups; every tenth block of 70 rows repeats the
+    # times of the block before it, and the files share half their rows
+    rows = [f"2023-01-0{2 + i % 5},{'AB'[i % 2]}{i % 7},{(i // 70 - (i // 70 % 10 == 5)) * 0.37:.3f},"
+            f"{100 + i % 13},{1 + i % 9}\n" for i in range(75_000)]
+    parsed = []
+    for k, part in enumerate((rows[:50_000], rows[25_000:])):
+        src = tmp_path / f"trades{k}.csv"
+        src.write_text(HEADER + "\n" + "".join(part))
+        got, peak = _traced_peak(parse_trades, src)
+        assert peak < 4.0 * _record_bytes(got), peak / _record_bytes(got)
+        parsed.append(got)
+    both, peak = _traced_peak(combine, parsed)
+    assert len(both.records) == 70 and _record_bytes(both) < sum(map(_record_bytes, parsed))
+    assert peak < 4.5 * _record_bytes(both), peak / _record_bytes(both)
+
+
+def test_equal_time_runs_across_blocks_merge_as_the_row_parser(tmp_path, monkeypatch):
+    # every (ticker, date) has runs of one clock time spread over the whole
+    # file, so over several blocks, with the times out of order
+    n = 20_000
+    rows = []
+    for i in range(n):
+        seconds = 34_200.0 + ((n - i) % 97) * 1.25
+        stamp = f"{int(seconds // 3600):02d}:{int(seconds % 3600 // 60):02d}:{seconds % 60:06.3f}"
+        rows.append(f"2024-01-0{2 + i % 3},{'AB'[i % 2]},{stamp},{100 + (i % 13) * 0.25},{1 + i % 9}\n")
+    text = HEADER + "\n" + "".join(rows)
+    want = row_parse_oracle(text)
+    assert want.timestamp_format == "clock" and want.n_used == n
+    assert len(want.records) == 6 and sum(map(len, want.records.values())) == 6 * 97
+    assert len(text) > 2 * taq.CHUNK_BYTES
+    for chunk in (taq.CHUNK_BYTES, 64):
+        monkeypatch.setattr(taq, "CHUNK_BYTES", chunk)
+        for got in _parse_both(tmp_path, text):
+            assert (got.diagnostics, got.n_rows, got.n_used) == ((), n, n)
+            assert bits(got.records) == bits(want.records), chunk
+
+
 # ---------------------------------------------------------------------------
 # the row-by-row parser, kept as the oracle of parse_trades and combine
 
