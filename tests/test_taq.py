@@ -202,8 +202,9 @@ def test_parse_and_pair_build_no_trade_records(monkeypatch):
     assert all(math.isnan(x) for x in ticker_interarrival_stats(parsed, "AAA"))
 
 
-# block sizes that cut files inside lines, fields and UTF-8 sequences
-BLOCK_SIZES = [1, 2, 3, 7, taq.CHUNK_BYTES]
+# block sizes that cut files inside lines, fields and UTF-8 sequences, and
+# one block (1 MiB) larger than any file these tests write
+BLOCK_SIZES = [1, 2, 3, 7, 1 << 20]
 
 
 @pytest.mark.parametrize("chunk", BLOCK_SIZES)
