@@ -4,11 +4,14 @@ The file holds the manifest `outputs` block (sha256 and size of every file
 a run writes) of
 
     eppsim epps --figure NAME --seed 3 --replications 3      (every preset)
+    eppsim epps --config adhoc.json                           (every ad-hoc mode)
     eppsim simulate --model MODEL --preset reference --seed 3 (every model)
     eppsim taq COMMAND a.csv b.csv ...                        (stats, epps, kskip)
 
-where a.csv and b.csv are the seeded trade files of `write_trade_files`.
-`test_11`, `test_simulate_reference_matches_golden_digests` and
+where adhoc.json is ADHOC_CONFIG with its mode set, and a.csv and b.csv
+are the seeded trade files of `write_trade_files`. `test_11`,
+`test_epps_adhoc_matches_golden_digests`,
+`test_simulate_reference_matches_golden_digests` and
 `test_taq_matches_golden_digests` compare fresh runs against it.
 Rewriting it is a deliberate act, for a change that
 is meant to alter output bytes (such as a new way of drawing random
@@ -37,6 +40,26 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 SEED = "3"
 REPLICATIONS = "3"
 SIMULATE_MODELS = ("gbm", "merton", "hawkes-price")
+# a small gbm/Poisson experiment with a verdict table, run in every mode
+ADHOC_MODES = ("epps", "hy_vs_interarrival", "overlap_multi_rate")
+ADHOC_CONFIG = {
+    "experiment": {
+        "price_model": "gbm",
+        "price_params": {
+            "mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2,
+            "rho": 0.65, "horizon": 2000.0,
+        },
+        "sampler": "poisson",
+        "poisson_rate": 0.2,
+        "horizon": 2000.0,
+        "dt_grid": [2.0, 5.0, 15.0, 30.0],
+        "n_replications": 3,
+        "seed": 5,
+        "mean_interarrivals": [2.0, 4.0, 6.0, 8.0, 10.0],
+        "overlap_rates": [2.0, 10.0],
+    },
+    "verdict": {"tau_abs": 0.02, "z": 2.0},
+}
 TAQ_ARGS = {
     "stats": [],
     "epps": ["--pair", "AAA,BBB", "--dt-grid", "5,30,120,600"],
@@ -127,6 +150,16 @@ def taq_outputs(cli, tmp: Path) -> dict:
     }
 
 
+def adhoc_outputs(cli, tmp: Path) -> dict:
+    """Manifest outputs of `epps --config` in every ad-hoc mode of ADHOC_CONFIG."""
+    out = {}
+    for mode in ADHOC_MODES:
+        config = tmp / f"adhoc_{mode}.json"
+        config.write_text(json.dumps({**ADHOC_CONFIG, "mode": mode}))
+        out[mode] = _outputs(cli, ["epps", "--config", str(config)], tmp / f"adhoc_{mode}")
+    return out
+
+
 def current_digests() -> dict:
     """The manifest outputs of every locked run, made now."""
     from eppsim import cli
@@ -143,6 +176,7 @@ def current_digests() -> dict:
                 )
                 for name in FIGURE_NAMES
             },
+            "adhoc": adhoc_outputs(cli, tmp),
             "simulate": {
                 model: _outputs(
                     cli,

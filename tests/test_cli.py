@@ -12,7 +12,14 @@ import pytest
 
 from eppsim import cli
 import golden
-from golden import GOLDEN_PATH, SIMULATE_MODELS, changed_entries, taq_outputs, write_trade_files
+from golden import (
+    GOLDEN_PATH,
+    SIMULATE_MODELS,
+    adhoc_outputs,
+    changed_entries,
+    taq_outputs,
+    write_trade_files,
+)
 
 HEADER = "date,ticker,timestamp,price,volume"
 
@@ -463,6 +470,12 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
                   "--out", str(tmp_path / "x"))
     assert out.returncode == 2
     assert "kmax" in out.stderr
+
+
+def test_epps_adhoc_matches_golden_digests(tmp_path):
+    """epps --config in every ad-hoc mode, with a verdict table, as tests/golden.py runs it."""
+    golden = json.loads(GOLDEN_PATH.read_text())["adhoc"]
+    assert adhoc_outputs(cli, tmp_path) == golden
 
 
 # ---------------------------------------------------------------------------
