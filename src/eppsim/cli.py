@@ -40,9 +40,6 @@ from .experiments import (
     PRICE_PARAMS,
     ExperimentConfig,
     discriminate,
-    epps_curve,
-    experiment_hy_vs_interarrival,
-    experiment_overlap_multi_rate,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
@@ -52,6 +49,7 @@ from .paths import DAY_SECONDS, _n_steps, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
     FIGURE_NAMES,
+    FigureRecipe,
     figure_recipe,
     gbm_reference,
     hawkes_price_reference,
@@ -279,17 +277,6 @@ def _experiment_from(doc) -> ExperimentConfig:
         raise ParameterError(f"experiment: {exc}") from exc
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    if cfg.hawkes_sampler is not None:
-        d["hawkes_sampler"] = {
-            "lambda0": cfg.hawkes_sampler.lambda0.tolist(),
-            "alpha": cfg.hawkes_sampler.alpha.tolist(),
-            "beta": cfg.hawkes_sampler.beta.tolist(),
-        }
-    return d
-
-
 def _write_theory_csv(theory: dict, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("name,axis,value\n")
@@ -371,6 +358,29 @@ def _figure_outputs(run: Run, result, verdict_overrides) -> None:
         run.emit("theory.csv", lambda p: _write_theory_csv(result.theory, p))
 
 
+# the recipe kind that runs each mode of an ad-hoc config
+_MODE_KINDS = {"epps": "epps", "hy_vs_interarrival": "hy", "overlap_multi_rate": "multirate"}
+
+
+def _adhoc_recipe(doc: dict, args) -> FigureRecipe:
+    """The recipe of a config's mode and experiment table, --seed and
+    --replications applied."""
+    if "experiment" not in doc:
+        raise ParameterError(
+            "epps: nothing to run; pass --figure NAME or a config with an "
+            "experiment table"
+        )
+    mode = doc.get("mode", "epps")
+    if not isinstance(mode, str) or mode not in _MODE_KINDS:
+        raise ParameterError(f"mode: expected one of {', '.join(_MODE_KINDS)}, got {mode!r}")
+    cfg = _experiment_from(doc["experiment"])
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.replications is not None:
+        cfg = dataclasses.replace(cfg, n_replications=args.replications)
+    return FigureRecipe(mode, _MODE_KINDS[mode], cfg)
+
+
 def cmd_epps(args) -> int:
     doc = _load_config(args.config)
     seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
@@ -387,75 +397,35 @@ def cmd_epps(args) -> int:
         if reps is None and doc.get("replications") is not None:
             reps = _number(doc["replications"], "replications", integer=True)
         recipe = figure_recipe(figure, seed=seed, n_replications=reps)
-        cfg = recipe.config
-        if args.dt_grid is not None:
-            cfg = dataclasses.replace(cfg, dt_grid=_floats_arg(args.dt_grid, "--dt-grid"))
-        if args.rates is not None:
-            cfg = dataclasses.replace(cfg, overlap_rates=_floats_arg(args.rates, "--rates"))
-        recipe = dataclasses.replace(recipe, config=cfg)
-        if args.kmax is not None:
-            if recipe.kind != "kskip":
-                raise ParameterError("--kmax only applies to the k-skip figures")
-            recipe = dataclasses.replace(recipe, k_max=args.kmax)
-        run = Run(
-            "epps",
-            args.out,
-            {
-                "figure": figure,
-                "kind": recipe.kind,
-                "seed": seed,
-                "threads": threads,
-                "k_max": recipe.k_max,
-                "experiment": _config_echo(recipe.config),
-            },
-            seed,
-        )
-        result = run_figure(recipe, max_workers=threads)
-        _figure_outputs(run, result, overrides)
-        out = run.finish()
-        print(f"epps: figure {figure} -> {out} ({len(result.curves)} curve(s))")
-        return 0
-
-    if "experiment" not in doc:
-        raise ParameterError(
-            "epps: nothing to run; pass --figure NAME or a config with an "
-            "experiment table"
-        )
-    cfg = _experiment_from(doc["experiment"])
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    else:
+        recipe = _adhoc_recipe(doc, args)
+    cfg = recipe.config
     if args.dt_grid is not None:
         cfg = dataclasses.replace(cfg, dt_grid=_floats_arg(args.dt_grid, "--dt-grid"))
-    if args.replications is not None:
-        cfg = dataclasses.replace(cfg, n_replications=args.replications)
-    mode = doc.get("mode", "epps")
+    if args.rates is not None:
+        cfg = dataclasses.replace(cfg, overlap_rates=_floats_arg(args.rates, "--rates"))
+    recipe = dataclasses.replace(recipe, config=cfg)
+    if args.kmax is not None:
+        if recipe.kind != "kskip":
+            raise ParameterError("--kmax only applies to the k-skip figures")
+        recipe = dataclasses.replace(recipe, k_max=args.kmax)
     run = Run(
         "epps",
         args.out,
-        {"mode": mode, "seed": cfg.seed, "threads": threads, "experiment": _config_echo(cfg)},
+        {
+            "figure" if figure is not None else "mode": recipe.name,
+            "kind": recipe.kind,
+            "seed": cfg.seed,
+            "threads": threads,
+            "k_max": recipe.k_max,
+            "experiment": dataclasses.asdict(cfg),
+        },
         cfg.seed,
     )
-    if mode == "epps":
-        curve = epps_curve(cfg, max_workers=threads)
-        run.emit("curve.csv", lambda p: write_curve_csv(curve, p))
-        run.emit("curve.json", lambda p: write_curve_json(curve, p))
-    elif mode == "hy_vs_interarrival":
-        curve = experiment_hy_vs_interarrival(cfg, max_workers=threads)
-        run.emit("curve.csv", lambda p: write_curve_csv(curve, p))
-        run.emit("curve.json", lambda p: write_curve_json(curve, p))
-        tau_abs, z = overrides or (0.05, 1.0)
-        verdict = discriminate(curve, "hy", tau_abs, z)
-        run.emit("verdict.json", lambda p: write_verdict_json(verdict, p))
-    elif mode == "overlap_multi_rate":
-        if args.rates is not None:
-            cfg = dataclasses.replace(cfg, overlap_rates=_floats_arg(args.rates, "--rates"))
-        for m, curve in sorted(experiment_overlap_multi_rate(cfg, max_workers=threads).items()):
-            run.emit(f"rate_{m:g}.csv", lambda p, c=curve: write_curve_csv(c, p))
-            run.emit(f"rate_{m:g}.json", lambda p, c=curve: write_curve_json(c, p))
-    else:
-        raise ParameterError(f"config mode: unknown {mode!r}")
+    result = run_figure(recipe, max_workers=threads)
+    _figure_outputs(run, result, overrides)
     out = run.finish()
-    print(f"epps: {mode} -> {out}")
+    print(f"epps: {recipe.name} -> {out} ({len(result.curves)} curve(s))")
     return 0
 
 

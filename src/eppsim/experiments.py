@@ -16,7 +16,7 @@ discrete_events; a flat one is diffusion_like.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -314,23 +314,26 @@ def _replication_seed(cfg: ExperimentConfig, r: int) -> int:
     return seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
 
 
+def _poisson_ticks(path: PricePath, rate: float, horizon: float, rep_seed: int, ns: tuple):
+    """The two tick series of Poisson sampling at rate, from streams (*ns, 1) and (*ns, 2)."""
+    u1 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, *ns, 1))
+    u2 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, *ns, 2))
+    return observe_path(path, u1, 0), observe_path(path, u2, 1)
+
+
 def _sample_ticks(cfg: ExperimentConfig, path: PricePath, rep_seed: int, ns: tuple[int, ...]):
-    """Arrival sets and tick series of one replication (None for synchronous)."""
+    """The two tick series of one replication."""
     if cfg.sampler == "synchronous":
-        return None, None, synchronous_ticks(path, 0), synchronous_ticks(path, 1)
+        return synchronous_ticks(path, 0), synchronous_ticks(path, 1)
     if cfg.sampler == "poisson":
-        u1 = poisson_arrivals(cfg.poisson_rate, cfg.horizon, seeding.child_seed(rep_seed, *ns, 1))
-        u2 = poisson_arrivals(cfg.poisson_rate, cfg.horizon, seeding.child_seed(rep_seed, *ns, 2))
-    else:
-        u1, u2 = hawkes_arrivals(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, *ns, 1))
-    return u1, u2, observe_path(path, u1, 0), observe_path(path, u2, 1)
+        return _poisson_ticks(path, cfg.poisson_rate, cfg.horizon, rep_seed, ns)
+    u1, u2 = hawkes_arrivals(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, *ns, 1))
+    return observe_path(path, u1, 0), observe_path(path, u2, 1)
 
 
 def estimate_matrix(
     s1: TickSeries,
     s2: TickSeries,
-    u1,
-    u2,
     dt_grid,
     estimators,
     horizon: float,
@@ -343,7 +346,9 @@ def estimate_matrix(
     repeated across the dt axis; the grid estimators share one previous
     tick interpolation per dt, and the two corrections reuse the measured
     value, so a degenerate grid fails all three together. The overlap
-    correction needs the arrival sets u1/u2 and stays nan without them.
+    correction reads its windows off the tick times (in sampled and traded
+    data the ticks are the arrivals), at the grid points from the grid's
+    own tick counts, at another stride from overlap_expectation.
     """
     out = np.full((len(estimators), len(dt_grid)), np.nan)
     col = {name: i for i, name in enumerate(estimators)}
@@ -352,15 +357,6 @@ def estimate_matrix(
             out[col["hy"], :] = hayashi_yoshida(s1, s2).rho
         except EstimationError:
             pass
-    overlap = "overlap" in col and u1 is not None and u2 is not None
-    # the arrival sets are the tick times (always so for sampled and
-    # traded data), so the grid's tick counts serve the overlap windows too
-    shared = (
-        overlap
-        and stride is None
-        and np.array_equal(u1.times, s1.times)
-        and np.array_equal(u2.times, s2.times)
-    )
     for j, dt in enumerate(dt_grid):
         try:
             c1 = _previous_tick_counts(s1, dt, horizon)
@@ -380,11 +376,11 @@ def estimate_matrix(
                 out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
             except EstimationError:
                 pass
-        if overlap:
+        if "overlap" in col:
             try:
-                kap = _grid_overlap(u1.times, u2.times, c1, c2, dt, horizon) if shared else None
+                kap = _grid_overlap(s1.times, s2.times, c1, c2, dt, horizon) if stride is None else None
                 if kap is None:
-                    kap = overlap_expectation(u1, u2, dt, horizon, stride=stride)
+                    kap = overlap_expectation(s1, s2, dt, horizon, stride=stride)
                 out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
             except EstimationError:
                 pass
@@ -402,10 +398,8 @@ def _replicate(
     rep_seed = _replication_seed(cfg, r)
     if cfg.fresh_paths or path is None:
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
-    u1, u2, s1, s2 = _sample_ticks(cfg, path, rep_seed, ns)
-    return estimate_matrix(
-        s1, s2, u1, u2, cfg.dt_grid, cfg.estimators, cfg.horizon, cfg.kappa_stride
-    )
+    s1, s2 = _sample_ticks(cfg, path, rep_seed, ns)
+    return estimate_matrix(s1, s2, cfg.dt_grid, cfg.estimators, cfg.horizon, cfg.kappa_stride)
 
 
 def _hy_replicate(cfg: ExperimentConfig, path: PricePath, r: int) -> np.ndarray:
@@ -413,10 +407,7 @@ def _hy_replicate(cfg: ExperimentConfig, path: PricePath, r: int) -> np.ndarray:
     rep_seed = _replication_seed(cfg, r)
     row = np.full((1, len(cfg.mean_interarrivals)), np.nan)
     for j, m in enumerate(cfg.mean_interarrivals):
-        # the streams _sample_ticks gives a Poisson sampler at stream ids (j,)
-        u1 = poisson_arrivals(1.0 / m, cfg.horizon, seeding.child_seed(rep_seed, j, 1))
-        u2 = poisson_arrivals(1.0 / m, cfg.horizon, seeding.child_seed(rep_seed, j, 2))
-        s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
+        s1, s2 = _poisson_ticks(path, 1.0 / m, cfg.horizon, rep_seed, (j,))
         try:
             row[0, j] = hayashi_yoshida(s1, s2).rho
         except EstimationError:
@@ -708,20 +699,7 @@ def write_curve_json(curve: EppsCurve, path) -> None:
 
 
 def verdict_to_dict(v: Verdict) -> dict:
-    return {
-        "classification": v.classification,
-        "rho_early": v.rho_early,
-        "rho_late": v.rho_late,
-        "gap": v.gap,
-        "tau_abs": v.tau_abs,
-        "z": v.z,
-        "pooled_half_width": v.pooled_half_width,
-        "threshold": v.threshold,
-        "ci_overlap": v.ci_overlap,
-        "n_points": v.n_points,
-        "axis_label": v.axis_label,
-        "estimator": v.estimator,
-    }
+    return asdict(v)
 
 
 def write_verdict_json(v: Verdict, path) -> None:

@@ -10,12 +10,13 @@ fixed.
 from dataclasses import dataclass, field
 
 from . import seeding
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .experiments import (
     FIG_DT_GRID,
     EppsCurve,
     ExperimentConfig,
     Verdict,
+    _replication_seed,
     _sample_ticks,
     _simulate_path,
     discriminate,
@@ -181,6 +182,8 @@ def _induced_rho(cfg: ExperimentConfig) -> float:
 
 
 def _theory(recipe: FigureRecipe) -> dict[str, tuple[tuple[float, float], ...]]:
+    """The analytic overlays of a recipe; one without a closed form at its
+    parameters (a zero-baseline Hawkes price model, say) is left out."""
     cfg = recipe.config
     out: dict[str, tuple[tuple[float, float], ...]] = {}
     if recipe.kind == "hy":
@@ -192,10 +195,13 @@ def _theory(recipe: FigureRecipe) -> dict[str, tuple[tuple[float, float], ...]]:
     rho_inf = _induced_rho(cfg)
     out["induced_rho"] = tuple((a, rho_inf) for a in axis)
     if recipe.kind in ("epps", "multirate") and cfg.price_model == "hawkes":
-        out["synchronous_epps"] = tuple(
-            (dt, theoretical_hawkes_correlation(cfg.price_params, dt))
-            for dt in cfg.dt_grid
-        )
+        try:
+            out["synchronous_epps"] = tuple(
+                (dt, theoretical_hawkes_correlation(cfg.price_params, dt))
+                for dt in cfg.dt_grid
+            )
+        except DomainError:
+            pass
     if recipe.kind == "epps" and cfg.sampler == "poisson" and cfg.price_model == "gbm":
         out["poisson_epps"] = tuple(
             (dt, theoretical_poisson_epps(cfg.price_params.rho, cfg.poisson_rate, dt))
@@ -212,19 +218,17 @@ def run_figure(recipe: FigureRecipe, max_workers: int = 1) -> FigureResult:
     if recipe.kind == "epps":
         curves["curve"] = epps_curve(cfg, max_workers)
     elif recipe.kind == "hy":
-        curve = experiment_hy_vs_interarrival(cfg, max_workers)
-        curves["curve"] = curve
+        curves["curve"] = curve = experiment_hy_vs_interarrival(cfg, max_workers)
         verdicts["verdict"] = discriminate(curve, "hy")
     elif recipe.kind == "multirate":
         for m, curve in experiment_overlap_multi_rate(cfg, max_workers).items():
             curves[f"rate_{m:g}"] = curve
     elif recipe.kind == "kskip":
         path = _simulate_path(cfg, cfg.seed)
-        rep_seed = seeding.child_seed(cfg.seed, seeding.REPLICATION, 0)
-        _, _, s1, s2 = _sample_ticks(cfg, path, rep_seed, ())
-        curve, verdict = experiment_k_skip(s1, s2, recipe.k_max, cfg.confidence)
-        curves["curve"] = curve
-        verdicts["verdict"] = verdict
+        s1, s2 = _sample_ticks(cfg, path, _replication_seed(cfg, 0), ())
+        curves["curve"], verdicts["verdict"] = experiment_k_skip(
+            s1, s2, recipe.k_max, cfg.confidence
+        )
     else:
         raise ParameterError(f"unknown recipe kind {recipe.kind!r}")
     return FigureResult(

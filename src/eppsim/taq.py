@@ -44,7 +44,7 @@ from .experiments import (
     estimate_matrix,
     k_skip_stack,
 )
-from .series import ArrivalSet, TickSeries
+from .series import TickSeries
 
 DAY_WINDOW = 28200.0
 CHUNK_BYTES = 1 << 18  # bytes read per block; bounds the whole parse's transient memory
@@ -620,9 +620,9 @@ def empirical_curve(
 ) -> EppsCurve:
     """Correlation curves over a day ensemble, one replication per day.
 
-    Each DayPair contributes one estimate per (estimator, dt); the tick
-    times double as the arrival sets for the overlap correction. Ribbons
-    are Student t with n_days - 1 degrees of freedom.
+    Each DayPair contributes one estimate per (estimator, dt) from its two
+    tick series, whose trade times are also the overlap correction's
+    arrivals. Ribbons are Student t with n_days - 1 degrees of freedom.
     """
     days = list(days)
     if not days:
@@ -630,11 +630,7 @@ def empirical_curve(
     dt_grid = tuple(float(d) for d in dt_grid)
     stack = np.empty((len(days), len(estimators), len(dt_grid)))
     for r, day in enumerate(days):
-        u1 = ArrivalSet(times=day.series_a.times, horizon=day.horizon)
-        u2 = ArrivalSet(times=day.series_b.times, horizon=day.horizon)
-        stack[r] = estimate_matrix(
-            day.series_a, day.series_b, u1, u2, dt_grid, estimators, day.horizon
-        )
+        stack[r] = estimate_matrix(day.series_a, day.series_b, dt_grid, estimators, day.horizon)
     meta = {
         "experiment": "empirical",
         "n_days": len(days),

@@ -465,11 +465,54 @@ def test_epps_adhoc_modes_emit_verdicts(tmp_path):
     assert verdict["axis_label"] == "mean_interarrival"
 
 
+@pytest.mark.parametrize("mode", ["nope", [1], {"a": 1}, None])
+def test_epps_unknown_mode_is_a_usage_error_before_any_output(tmp_path, capsys, mode):
+    cfg = small_gbm_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["mode"] = mode
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "run"
+    code = cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: mode: expected one of epps, hy_vs_interarrival, overlap_multi_rate, got {mode!r}" in (
+        capsys.readouterr().err
+    )
+    assert not out_dir.exists()
+
+
+def test_epps_adhoc_zero_baseline_hawkes_leaves_out_the_synchronous_overlay(tmp_path):
+    # no events at all: theoretical_hawkes_correlation has no value to give
+    cfg = small_gbm_config(
+        tmp_path,
+        price_model="hawkes",
+        price_params={"mu": 0.0, "alpha_r": 0.02, "alpha_c": 0.05, "beta": 0.11},
+    )
+    out_dir = tmp_path / "run"
+    assert cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    rows = (out_dir / "theory.csv").read_text().splitlines()
+    assert rows[0] == "name,axis,value"
+    assert {row.split(",")[0] for row in rows[1:]} == {"induced_rho"}
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert "theory.csv" in manifest["outputs"]
+
+
 def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
     out = run_cli("epps", "--figure", "2a", "--kmax", "10",
                   "--out", str(tmp_path / "x"))
     assert out.returncode == 2
     assert "kmax" in out.stderr
+    # an ad-hoc config runs as a recipe of its mode, none of which is k-skip
+    cfg = small_gbm_config(tmp_path)
+    for flags, flag in (
+        (["--kmax", "7"], "--kmax"),
+        (["--rates", "abc"], "--rates"),
+        (["--kmax", "7", "--rates", "abc"], "--rates"),
+    ):
+        out_dir = tmp_path / "adhoc"
+        out = run_cli("epps", "--config", str(cfg), *flags, "--out", str(out_dir))
+        assert out.returncode == 2, flags
+        assert f"error: {flag}" in out.stderr, flags
+        assert not out_dir.exists(), flags
 
 
 def test_epps_adhoc_matches_golden_digests(tmp_path):

@@ -13,6 +13,7 @@ from test_estimators import hy_two_bisections, shared_time_legs
 
 from eppsim.errors import (
     DegenerateSeriesError,
+    EppsimError,
     EstimationError,
     InsufficientDataError,
     ParameterError,
@@ -25,6 +26,7 @@ from eppsim.estimators import (
     hayashi_yoshida,
     measured_correlation,
     overlap_correction,
+    overlap_expectation,
 )
 from eppsim.experiments import (
     FIG_DT_GRID,
@@ -85,9 +87,36 @@ def small_cfg(**kw):
 # estimate_matrix against its bisection form
 
 
-def searchsorted_oracle(s1, s2, u1, u2, dt_grid, estimators, horizon, stride=None):
+def oracle_overlap(u1, u2, dt, horizon, stride=None):
+    """overlap_expectation as it was written with np.searchsorted: four
+    bisections for the window ends and starts of the two legs."""
+    if len(u1) == 0 or len(u2) == 0:
+        raise DegenerateSeriesError("overlap expectation needs non-empty arrivals")
+    step = dt if stride is None else stride
+    if not 0 < step <= horizon:
+        raise ParameterError(f"stride must lie in (0, horizon], got {step}")
+    n_eval = int(math.floor((horizon - dt) / step + 1e-9))
+    t_eval = dt + step * np.arange(n_eval + 1)
+    t_eval = t_eval[t_eval - dt >= max(u1.times[0], u2.times[0])]
+    if t_eval.size == 0:
+        raise InsufficientDataError("no evaluation windows")
+    gi_hi = u1.times[np.searchsorted(u1.times, t_eval, side="right") - 1]
+    gi_lo = u1.times[np.searchsorted(u1.times, t_eval - dt, side="right") - 1]
+    gj_hi = u2.times[np.searchsorted(u2.times, t_eval, side="right") - 1]
+    gj_lo = u2.times[np.searchsorted(u2.times, t_eval - dt, side="right") - 1]
+    cross = np.minimum(gi_hi, gj_hi) - np.maximum(gi_lo, gj_lo)
+    return OverlapStats(
+        kappa_ii=float(np.mean(gi_hi - gi_lo)),
+        kappa_jj=float(np.mean(gj_hi - gj_lo)),
+        kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
+        n_windows=int(t_eval.size),
+        dt=dt,
+    )
+
+
+def searchsorted_oracle(s1, s2, dt_grid, estimators, horizon, stride=None):
     """estimate_matrix as it was written with np.searchsorted: a bisection
-    for each leg's previous-tick grid and four for the overlap windows."""
+    for each leg's previous-tick grid, and oracle_overlap on the tick times."""
 
     def grid(ticks, dt):
         if len(ticks) == 0:
@@ -95,30 +124,6 @@ def searchsorted_oracle(s1, s2, u1, u2, dt_grid, estimators, horizon, stride=Non
         grid_t = dt * np.arange(grid_count(horizon, dt) + 1)
         idx = np.maximum(np.searchsorted(ticks.times, grid_t, side="right") - 1, 0)
         return GridSeries(dt=dt, values=ticks.values[idx])
-
-    def overlap(dt):
-        if len(u1) == 0 or len(u2) == 0:
-            raise DegenerateSeriesError("overlap expectation needs non-empty arrivals")
-        step = dt if stride is None else stride
-        if not 0 < step <= horizon:
-            raise ParameterError(f"stride must lie in (0, horizon], got {step}")
-        n_eval = int(math.floor((horizon - dt) / step + 1e-9))
-        t_eval = dt + step * np.arange(n_eval + 1)
-        t_eval = t_eval[t_eval - dt >= max(u1.times[0], u2.times[0])]
-        if t_eval.size == 0:
-            raise InsufficientDataError("no evaluation windows")
-        gi_hi = u1.times[np.searchsorted(u1.times, t_eval, side="right") - 1]
-        gi_lo = u1.times[np.searchsorted(u1.times, t_eval - dt, side="right") - 1]
-        gj_hi = u2.times[np.searchsorted(u2.times, t_eval, side="right") - 1]
-        gj_lo = u2.times[np.searchsorted(u2.times, t_eval - dt, side="right") - 1]
-        cross = np.minimum(gi_hi, gj_hi) - np.maximum(gi_lo, gj_lo)
-        return OverlapStats(
-            kappa_ii=float(np.mean(gi_hi - gi_lo)),
-            kappa_jj=float(np.mean(gj_hi - gj_lo)),
-            kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
-            n_windows=int(t_eval.size),
-            dt=dt,
-        )
 
     out = np.full((len(estimators), len(dt_grid)), np.nan)
     col = {name: i for i, name in enumerate(estimators)}
@@ -141,9 +146,10 @@ def searchsorted_oracle(s1, s2, u1, u2, dt_grid, estimators, horizon, stride=Non
                 out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
             except EstimationError:
                 pass
-        if "overlap" in col and u1 is not None and u2 is not None:
+        if "overlap" in col:
             try:
-                out[col["overlap"], j] = overlap_correction(measured.rho, overlap(dt)).rho
+                kap = oracle_overlap(s1, s2, dt, horizon, stride)
+                out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
             except EstimationError:
                 pass
     return out
@@ -155,31 +161,56 @@ ORACLE_GRIDS = {
 }
 
 
+def oracle_clock(clock, horizon, seed):
+    """The two arrival sets of oracle case seed on a Poisson or Hawkes clock."""
+    if clock == "hawkes":
+        spec = mutual_excitation_spec(0.015 * (1 + seed), 0.023, 0.11)
+        return hawkes_arrivals(spec, horizon, seed)
+    rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
+    return poisson_arrivals(rates, horizon, 2 * seed), poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)
+
+
 @pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
-@pytest.mark.parametrize("clock", ["poisson", "hawkes", "other_arrivals"])
+@pytest.mark.parametrize("clock", ["poisson", "hawkes"])
 def test_estimate_matrix_matches_searchsorted_oracle(grid, clock):
     horizon, dt_grid = ORACLE_GRIDS[grid]
     path = simulate_gbm(replace(GBM, horizon=horizon), seed=11)
     estimators = ("measured", "flat_trade", "overlap", "hy")
     for seed in range(4):
-        if clock == "hawkes":
-            spec = mutual_excitation_spec(0.015 * (1 + seed), 0.023, 0.11)
-            u1, u2 = hawkes_arrivals(spec, horizon, seed)
-        else:
-            rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
-            u1 = poisson_arrivals(rates, horizon, 2 * seed)
-            u2 = poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)
+        u1, u2 = oracle_clock(clock, horizon, seed)
         s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
-        if clock == "other_arrivals":
-            # overlap windows from arrival sets other than the ticks
-            u1 = poisson_arrivals(0.2, horizon, 100 + seed)
-            u2 = ArrivalSet(times=u2.times[::2], horizon=horizon)
         for stride in (None, 1.5):
-            args = (s1, s2, u1, u2, dt_grid, estimators, horizon, stride)
+            args = (s1, s2, dt_grid, estimators, horizon, stride)
             want = searchsorted_oracle(*args)
             got = estimate_matrix(*args)
             assert np.array_equal(got, want, equal_nan=True), (seed, stride)
             assert np.isfinite(want).sum() > want.size // 2
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the eppsim error it raised."""
+    try:
+        return fn(*args)
+    except EppsimError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+def test_overlap_expectation_matches_searchsorted_oracle(grid):
+    # windows from arrival sets other than any tick series' times
+    horizon, dt_grid = ORACLE_GRIDS[grid]
+    n_stats = 0
+    for seed in range(4):
+        _, u2 = oracle_clock("poisson", horizon, seed)
+        u1 = poisson_arrivals(0.2, horizon, 100 + seed)
+        u2 = ArrivalSet(times=u2.times[::2], horizon=horizon)
+        for stride in (None, 1.5):
+            for dt in dt_grid:
+                want = _outcome(oracle_overlap, u1, u2, dt, horizon, stride)
+                got = _outcome(overlap_expectation, u1, u2, dt, horizon, stride)
+                assert got == want, (seed, stride, dt)
+                n_stats += isinstance(want, OverlapStats)
+    assert n_stats > 4 * 2 * len(dt_grid) // 2
 
 
 def test_estimate_matrix_overlap_windows_off_the_grid():
@@ -201,7 +232,7 @@ def test_estimate_matrix_overlap_windows_off_the_grid():
     u1 = ArrivalSet(times=np.unique(np.concatenate([base, snapped])), horizon=horizon)
     u2 = poisson_arrivals(0.5, horizon, 2)
     s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
-    args = (s1, s2, u1, u2, dt_grid, ("measured", "overlap"), horizon)
+    args = (s1, s2, dt_grid, ("measured", "overlap"), horizon)
     want = searchsorted_oracle(*args)
     assert np.isfinite(want).all()
     assert np.array_equal(estimate_matrix(*args), want)
@@ -416,7 +447,7 @@ def test_hy_replicate_draws_the_poisson_sampler_streams():
         want = []
         for j, m in enumerate(cfg.mean_interarrivals):
             rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
-            _, _, s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
+            s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
             want.append(hayashi_yoshida(s1, s2).rho)
         assert np.array_equal(_hy_replicate(cfg, path, r), np.array([want]))
 
