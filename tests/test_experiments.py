@@ -167,7 +167,8 @@ def oracle_clock(clock, horizon, seed):
         spec = mutual_excitation_spec(0.015 * (1 + seed), 0.023, 0.11)
         return hawkes_arrivals(spec, horizon, seed)
     rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
-    return poisson_arrivals(rates, horizon, 2 * seed), poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)
+    u1 = poisson_arrivals(rates, horizon, 2 * seed)
+    return u1, poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)
 
 
 @pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
