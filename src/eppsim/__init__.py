@@ -41,10 +41,6 @@ from .experiments import (
     ExperimentConfig,
     Verdict,
     discriminate,
-    epps_curve,
-    experiment_hy_vs_interarrival,
-    experiment_k_skip,
-    experiment_overlap_multi_rate,
     ribbon,
     write_curve_csv,
     write_curve_json,

@@ -39,7 +39,6 @@ from .errors import (
 from .experiments import (
     PRICE_PARAMS,
     ExperimentConfig,
-    discriminate,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
@@ -343,16 +342,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _figure_outputs(run: Run, result, verdict_overrides) -> None:
+def _figure_outputs(run: Run, result) -> None:
     for name, curve in sorted(result.curves.items()):
         run.emit(f"{name}.csv", lambda p, c=curve: write_curve_csv(c, p))
         run.emit(f"{name}.json", lambda p, c=curve: write_curve_json(c, p))
-    verdicts = dict(result.verdicts)
-    if verdict_overrides and "verdict" in verdicts:
-        tau_abs, z = verdict_overrides
-        curve = result.curves["curve"]
-        verdicts["verdict"] = discriminate(curve, None, tau_abs, z)
-    for name, verdict in sorted(verdicts.items()):
+    for name, verdict in sorted(result.verdicts.items()):
         run.emit(f"{name}.json", lambda p, v=verdict: write_verdict_json(v, p))
     if result.theory:
         run.emit("theory.csv", lambda p: _write_theory_csv(result.theory, p))
@@ -362,9 +356,8 @@ def _figure_outputs(run: Run, result, verdict_overrides) -> None:
 _MODE_KINDS = {"epps": "epps", "hy_vs_interarrival": "hy", "overlap_multi_rate": "multirate"}
 
 
-def _adhoc_recipe(doc: dict, args) -> FigureRecipe:
-    """The recipe of a config's mode and experiment table, --seed and
-    --replications applied."""
+def _adhoc_recipe(doc: dict) -> FigureRecipe:
+    """The recipe of a config's mode and experiment table."""
     if "experiment" not in doc:
         raise ParameterError(
             "epps: nothing to run; pass --figure NAME or a config with an "
@@ -373,33 +366,34 @@ def _adhoc_recipe(doc: dict, args) -> FigureRecipe:
     mode = doc.get("mode", "epps")
     if not isinstance(mode, str) or mode not in _MODE_KINDS:
         raise ParameterError(f"mode: expected one of {', '.join(_MODE_KINDS)}, got {mode!r}")
-    cfg = _experiment_from(doc["experiment"])
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    if args.replications is not None:
-        cfg = dataclasses.replace(cfg, n_replications=args.replications)
-    return FigureRecipe(mode, _MODE_KINDS[mode], cfg)
+    return FigureRecipe(mode, _MODE_KINDS[mode], _experiment_from(doc["experiment"]))
 
 
 def cmd_epps(args) -> int:
     doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
+    # seed and replications: the flag, else the top-level key; unset (or null)
+    # keeps the recipe's own, a preset's default or the experiment table's
+    overrides = {}
+    for name, flag, key in (
+        ("seed", args.seed, "seed"), ("n_replications", args.replications, "replications")
+    ):
+        value = flag if flag is not None else doc.get(key)
+        if value is not None:
+            overrides[name] = _number(value, key, integer=True)
     threads = _number(
         args.threads if args.threads is not None else doc.get("threads", 1), "threads", integer=True
     )
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     figure = args.figure or doc.get("figure")
-    overrides = _verdict_args(doc) if _table(doc.get("verdict", {}), "verdict") else None
+    tau_abs, z = _verdict_args(doc)
 
     if figure is not None:
-        reps = args.replications
-        if reps is None and doc.get("replications") is not None:
-            reps = _number(doc["replications"], "replications", integer=True)
-        recipe = figure_recipe(figure, seed=seed, n_replications=reps)
+        recipe = figure_recipe(figure, **overrides)
+        cfg = recipe.config
     else:
-        recipe = _adhoc_recipe(doc, args)
-    cfg = recipe.config
+        recipe = _adhoc_recipe(doc)
+        cfg = dataclasses.replace(recipe.config, **overrides)
     if args.dt_grid is not None:
         cfg = dataclasses.replace(cfg, dt_grid=_floats_arg(args.dt_grid, "--dt-grid"))
     if args.rates is not None:
@@ -422,8 +416,8 @@ def cmd_epps(args) -> int:
         },
         cfg.seed,
     )
-    result = run_figure(recipe, max_workers=threads)
-    _figure_outputs(run, result, overrides)
+    result = run_figure(recipe, max_workers=threads, tau_abs=tau_abs, z=z)
+    _figure_outputs(run, result)
     out = run.finish()
     print(f"epps: {recipe.name} -> {out} ({len(result.curves)} curve(s))")
     return 0

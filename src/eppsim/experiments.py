@@ -16,7 +16,7 @@ discrete_events; a flat one is diffusion_like.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -357,6 +357,8 @@ def estimate_matrix(
             out[col["hy"], :] = hayashi_yoshida(s1, s2).rho
         except EstimationError:
             pass
+        if len(col) == 1:
+            return out  # no grid estimator: no previous-tick grid to build
     for j, dt in enumerate(dt_grid):
         try:
             c1 = _previous_tick_counts(s1, dt, horizon)
@@ -387,45 +389,53 @@ def estimate_matrix(
     return out
 
 
-def _replicate(
-    cfg: ExperimentConfig, path: PricePath | None, r: int, ns: tuple[int, ...] = ()
-) -> np.ndarray:
-    """Estimates of one replication, shape (n_estimators, n_dt); nan = failed.
+def _tick_pairs(cfg: ExperimentConfig, path: PricePath | None, rates, r: int):
+    """The tick-series pairs of replication r, drawn one at a time.
 
-    ns extends the sampling stream ids, so that each rate of a multi-rate
-    experiment samples independently from the same replication seed.
+    With rates None this is the one pair of cfg.sampler; otherwise pair j
+    samples the path by Poisson legs at rate 1 / rates[j] from streams
+    (j, 1) and (j, 2), so each rate samples independently from the same
+    replication seed. path None simulates a fresh latent path from
+    stream 0 of the replication seed.
     """
     rep_seed = _replication_seed(cfg, r)
-    if cfg.fresh_paths or path is None:
+    if path is None:
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
-    s1, s2 = _sample_ticks(cfg, path, rep_seed, ns)
-    return estimate_matrix(s1, s2, cfg.dt_grid, cfg.estimators, cfg.horizon, cfg.kappa_stride)
+    if rates is None:
+        yield _sample_ticks(cfg, path, rep_seed, ())
+        return
+    for j, m in enumerate(rates):
+        yield _poisson_ticks(path, 1.0 / m, cfg.horizon, rep_seed, (j,))
 
 
-def _hy_replicate(cfg: ExperimentConfig, path: PricePath, r: int) -> np.ndarray:
-    """HY estimates of one replication at every mean inter-arrival, shape (1, n_m)."""
-    rep_seed = _replication_seed(cfg, r)
-    row = np.full((1, len(cfg.mean_interarrivals)), np.nan)
-    for j, m in enumerate(cfg.mean_interarrivals):
-        s1, s2 = _poisson_ticks(path, 1.0 / m, cfg.horizon, rep_seed, (j,))
-        try:
-            row[0, j] = hayashi_yoshida(s1, s2).rho
-        except EstimationError:
-            pass
-    return row
+def _replicate(
+    cfg: ExperimentConfig, path: PricePath | None, rates, estimators, r: int
+) -> np.ndarray:
+    """Estimates of replication r, shape (n_rates, n_estimators, n_dt); nan = failed.
+
+    rates None counts as one rate, that of cfg.sampler (see _tick_pairs).
+    """
+    return np.stack([
+        estimate_matrix(s1, s2, cfg.dt_grid, estimators, cfg.horizon, cfg.kappa_stride)
+        for s1, s2 in _tick_pairs(cfg, path, rates, r)
+    ])
 
 
-def _map_replications(fn, n: int, max_workers: int) -> np.ndarray:
-    """np.stack of fn(r) for r = 0..n-1, in replication order.
+def _map_replications(cfg: ExperimentConfig, rates, estimators, max_workers: int) -> np.ndarray:
+    """_replicate of every replication, shape (n_rep, n_rates, n_estimators, n_dt).
 
-    With max_workers > 1 the replications run in a process pool. fn is a
-    functools.partial over a module-level function, so it pickles, and it
-    is sent once per chunk of replications rather than once per
-    replication. Results are stacked in replication order whatever the
-    order of completion, so the worker count never changes an output bit.
+    The replications share one latent path simulated from the master seed
+    (fresh_paths re-simulates it per replication). With max_workers > 1
+    they run in one process pool; the job, a functools.partial over a
+    module-level function, pickles once per chunk of replications.
+    Results stack in replication order whatever the order of completion,
+    so the worker count never changes an output bit.
     """
     if max_workers < 1:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    path = None if cfg.fresh_paths else _simulate_path(cfg, cfg.seed)
+    fn = partial(_replicate, cfg, path, rates, estimators)
+    n = cfg.n_replications
     if max_workers == 1:
         return np.stack([fn(r) for r in range(n)])
     # the pool module pulls in multiprocessing, socket and subprocess, which
@@ -460,84 +470,6 @@ def aggregate_curve(
     return EppsCurve(axis_label=label, series=series, meta=meta)
 
 
-def epps_curve(cfg: ExperimentConfig, max_workers: int = 1) -> EppsCurve:
-    """Correlation-vs-dt curves under the configured sampling scheme.
-
-    One latent path is simulated from the master seed and re-sampled
-    n_replications times (fresh_paths re-simulates it per replication).
-    Replications are independent and may run in parallel; aggregation
-    always folds them in replication order, so worker count does not
-    change a single output bit.
-    """
-    path = None if cfg.fresh_paths else _simulate_path(cfg, cfg.seed)
-    stack = _map_replications(partial(_replicate, cfg, path), cfg.n_replications, max_workers)
-    meta = {
-        "experiment": "epps_curve",
-        "price_model": cfg.price_model,
-        "sampler": cfg.sampler,
-        "n_replications": cfg.n_replications,
-        "confidence": cfg.confidence,
-        "seed": cfg.seed,
-        "fresh_paths": cfg.fresh_paths,
-    }
-    return aggregate_curve(cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack, meta)
-
-
-def experiment_hy_vs_interarrival(cfg: ExperimentConfig, max_workers: int = 1) -> EppsCurve:
-    """Hayashi-Yoshida estimates as a function of the mean inter-arrival.
-
-    One latent path; for each mean inter-arrival m the two assets are
-    re-sampled with independent Poisson processes of rate 1/m,
-    n_replications times, and the HY estimate is recorded. The axis is m,
-    so "early" means densely sampled.
-    """
-    path = _simulate_path(cfg, cfg.seed)
-    stack = _map_replications(partial(_hy_replicate, cfg, path), cfg.n_replications, max_workers)
-    meta = {
-        "experiment": "hy_vs_interarrival",
-        "price_model": cfg.price_model,
-        "n_replications": cfg.n_replications,
-        "confidence": cfg.confidence,
-        "seed": cfg.seed,
-    }
-    return aggregate_curve(
-        ("hy",), cfg.confidence, cfg.mean_interarrivals, "mean_interarrival", stack, meta
-    )
-
-
-def experiment_overlap_multi_rate(
-    cfg: ExperimentConfig, max_workers: int = 1
-) -> dict[float, EppsCurve]:
-    """Overlap-corrected curves for several Poisson sampling rates.
-
-    The same latent path is sampled at each mean inter-arrival in
-    cfg.overlap_rates; each rate gets its own full curve over cfg.dt_grid.
-    """
-    path = _simulate_path(cfg, cfg.seed)
-    out: dict[float, EppsCurve] = {}
-    for idx, m in enumerate(cfg.overlap_rates):
-        sub = replace(
-            cfg,
-            sampler="poisson",
-            poisson_rate=1.0 / m,
-            estimators=tuple(e for e in cfg.estimators if e != "hy") or ("measured", "overlap"),
-            fresh_paths=False,
-        )
-        stack = _map_replications(
-            partial(_replicate, sub, path, ns=(idx,)), sub.n_replications, max_workers
-        )
-        meta = {
-            "experiment": "overlap_multi_rate",
-            "mean_interarrival": m,
-            "price_model": cfg.price_model,
-            "n_replications": cfg.n_replications,
-            "confidence": cfg.confidence,
-            "seed": cfg.seed,
-        }
-        out[m] = aggregate_curve(sub.estimators, sub.confidence, sub.dt_grid, "dt", stack, meta)
-    return out
-
-
 def k_skip_stack(pairs, k_max: int) -> np.ndarray:
     """HY estimates of tick-series pairs thinned to every k-th tick, k = 1..k_max.
 
@@ -564,27 +496,6 @@ def k_skip_stack(pairs, k_max: int) -> np.ndarray:
             except EstimationError:
                 pass
     return stack
-
-
-def experiment_k_skip(
-    si: TickSeries, sj: TickSeries, k_max: int, confidence: float = 0.95
-) -> tuple[EppsCurve, Verdict]:
-    """HY estimates from one tick set thinned to every k-th observation.
-
-    Emulates coarser asynchronous sampling without fresh data: k runs from
-    1 to k_max, each leg keeps floor(n/k) ticks. Points where either leg
-    drops below two ticks are recorded as failed, not fabricated. There is
-    a single estimate per k, so ribbons are zero-width and the verdict
-    threshold reduces to its absolute floor.
-    """
-    stack = k_skip_stack([(si, sj)], k_max)
-    meta = {"experiment": "k_skip", "k_max": int(k_max), "confidence": confidence}
-    # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
-    first_infeasible = min(len(si), len(sj)) // 2 + 1
-    if first_infeasible <= k_max:
-        meta["first_infeasible_k"] = first_infeasible
-    curve = aggregate_curve(("hy",), confidence, range(1, int(k_max) + 1), "k", stack, meta)
-    return curve, discriminate(curve, "hy")
 
 
 def discriminate(

@@ -16,14 +16,12 @@ from .experiments import (
     EppsCurve,
     ExperimentConfig,
     Verdict,
-    _replication_seed,
-    _sample_ticks,
+    _map_replications,
     _simulate_path,
+    _tick_pairs,
+    aggregate_curve,
     discriminate,
-    epps_curve,
-    experiment_hy_vs_interarrival,
-    experiment_k_skip,
-    experiment_overlap_multi_rate,
+    k_skip_stack,
 )
 from .hawkes import (
     HawkesPriceParams,
@@ -210,27 +208,67 @@ def _theory(recipe: FigureRecipe) -> dict[str, tuple[tuple[float, float], ...]]:
     return out
 
 
-def run_figure(recipe: FigureRecipe, max_workers: int = 1) -> FigureResult:
-    """Execute a recipe and return its curves, verdicts, and overlays."""
+def run_figure(
+    recipe: FigureRecipe, max_workers: int = 1, tau_abs: float = 0.05, z: float = 1.0
+) -> FigureResult:
+    """Execute a recipe and return its curves, verdicts, and overlays.
+
+    Every kind but kskip maps its replications over one _map_replications
+    call, with max_workers processes: epps at the sampler's own rate, hy
+    by HY alone at each of cfg.mean_interarrivals, multirate at each of
+    cfg.overlap_rates. kskip thins the one tick pair of replication 0.
+    The hy and kskip curves are classified by discriminate with the rule
+    (tau_abs, z).
+    """
     cfg = recipe.config
+    common = {
+        "price_model": cfg.price_model,
+        "n_replications": cfg.n_replications,
+        "confidence": cfg.confidence,
+        "seed": cfg.seed,
+    }
     curves: dict[str, EppsCurve] = {}
-    verdicts: dict[str, Verdict] = {}
     if recipe.kind == "epps":
-        curves["curve"] = epps_curve(cfg, max_workers)
+        stack = _map_replications(cfg, None, cfg.estimators, max_workers)
+        meta = {"experiment": "epps_curve", "sampler": cfg.sampler,
+                "fresh_paths": cfg.fresh_paths, **common}
+        curves["curve"] = aggregate_curve(
+            cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, 0], meta
+        )
     elif recipe.kind == "hy":
-        curves["curve"] = curve = experiment_hy_vs_interarrival(cfg, max_workers)
-        verdicts["verdict"] = discriminate(curve, "hy")
+        stack = _map_replications(cfg, cfg.mean_interarrivals, ("hy",), max_workers)
+        # HY takes no dt: each rate's estimate fills its dt axis, so one
+        # column is the curve over the mean inter-arrivals
+        meta = {"experiment": "hy_vs_interarrival", **common}
+        curves["curve"] = aggregate_curve(
+            ("hy",), cfg.confidence, cfg.mean_interarrivals, "mean_interarrival",
+            stack[..., 0].swapaxes(1, 2), meta,
+        )
     elif recipe.kind == "multirate":
-        for m, curve in experiment_overlap_multi_rate(cfg, max_workers).items():
-            curves[f"rate_{m:g}"] = curve
+        estimators = tuple(e for e in cfg.estimators if e != "hy") or ("measured", "overlap")
+        stack = _map_replications(cfg, cfg.overlap_rates, estimators, max_workers)
+        for j, m in enumerate(cfg.overlap_rates):
+            meta = {"experiment": "overlap_multi_rate", "mean_interarrival": m, **common}
+            curves[f"rate_{m:g}"] = aggregate_curve(
+                estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, j], meta
+            )
     elif recipe.kind == "kskip":
-        path = _simulate_path(cfg, cfg.seed)
-        s1, s2 = _sample_ticks(cfg, path, _replication_seed(cfg, 0), ())
-        curves["curve"], verdicts["verdict"] = experiment_k_skip(
-            s1, s2, recipe.k_max, cfg.confidence
+        si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, 0))
+        stack = k_skip_stack([(si, sj)], recipe.k_max)
+        k_max = int(recipe.k_max)
+        meta = {"experiment": "k_skip", "k_max": k_max, "confidence": cfg.confidence}
+        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
+        first_infeasible = min(len(si), len(sj)) // 2 + 1
+        if first_infeasible <= k_max:
+            meta["first_infeasible_k"] = first_infeasible
+        curves["curve"] = aggregate_curve(
+            ("hy",), cfg.confidence, range(1, k_max + 1), "k", stack, meta
         )
     else:
         raise ParameterError(f"unknown recipe kind {recipe.kind!r}")
+    verdicts: dict[str, Verdict] = {}
+    if recipe.kind in ("hy", "kskip"):
+        verdicts["verdict"] = discriminate(curves["curve"], "hy", tau_abs, z)
     return FigureResult(
         name=recipe.name,
         kind=recipe.kind,

@@ -150,12 +150,13 @@ def taq_outputs(cli, tmp: Path) -> dict:
     }
 
 
-def adhoc_outputs(cli, tmp: Path) -> dict:
-    """Manifest outputs of `epps --config` in every ad-hoc mode of ADHOC_CONFIG."""
+def adhoc_outputs(cli, tmp: Path, **top_level) -> dict:
+    """Manifest outputs of `epps --config` in every ad-hoc mode of ADHOC_CONFIG,
+    with the top-level config keys top_level added (such as threads)."""
     out = {}
     for mode in ADHOC_MODES:
         config = tmp / f"adhoc_{mode}.json"
-        config.write_text(json.dumps({**ADHOC_CONFIG, "mode": mode}))
+        config.write_text(json.dumps({**ADHOC_CONFIG, **top_level, "mode": mode}))
         out[mode] = _outputs(cli, ["epps", "--config", str(config)], tmp / f"adhoc_{mode}")
     return out
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, manifests, determinism, TAQ flows."""
 
 import ast
+import concurrent.futures
 import hashlib
 import json
 import subprocess
@@ -10,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eppsim import cli
+from eppsim import cli, experiments, presets
+from eppsim.experiments import discriminate
 import golden
 from golden import (
+    ADHOC_CONFIG,
+    ADHOC_MODES,
     GOLDEN_PATH,
     SIMULATE_MODELS,
     adhoc_outputs,
@@ -518,6 +522,80 @@ def test_epps_adhoc_matches_golden_digests(tmp_path):
     """epps --config in every ad-hoc mode, with a verdict table, as tests/golden.py runs it."""
     golden = json.loads(GOLDEN_PATH.read_text())["adhoc"]
     assert adhoc_outputs(cli, tmp_path) == golden
+
+
+def test_epps_adhoc_modes_on_two_workers_match_golden_digests_through_one_pool_each(
+    tmp_path, monkeypatch
+):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    golden = json.loads(GOLDEN_PATH.read_text())["adhoc"]
+    assert adhoc_outputs(cli, tmp_path, threads=2) == golden
+    # overlap_multi_rate maps its (rate, replication) jobs over one pool too
+    assert pools == [2] * len(ADHOC_MODES)
+
+
+@pytest.mark.parametrize("mode", ["hy_vs_interarrival", "figure"])
+def test_epps_verdict_table_classifies_once(tmp_path, monkeypatch, mode):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:] + tuple(kwargs.values()))
+        return discriminate(*args, **kwargs)
+
+    # every name a run could call it by
+    monkeypatch.setattr(experiments, "discriminate", counting)
+    monkeypatch.setattr(presets, "discriminate", counting)
+    monkeypatch.setattr(cli, "discriminate", counting, raising=False)
+    if mode == "figure":
+        doc = {"figure": "10b", "verdict": {"tau_abs": 0.03, "z": 2.0}}
+    else:
+        doc = {**ADHOC_CONFIG, "mode": mode}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["epps", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    tau_abs, z = doc["verdict"]["tau_abs"], doc["verdict"]["z"]
+    assert len(calls) == 1
+    verdict = json.loads((tmp_path / "run" / "verdict.json").read_text())
+    assert (verdict["tau_abs"], verdict["z"]) == (tau_abs, z)
+
+
+@pytest.mark.parametrize("table", ["top_level", "experiment"])
+def test_epps_config_seed_and_replications_act_as_the_flags(tmp_path, table):
+    experiment = {k: v for k, v in ADHOC_CONFIG["experiment"].items()
+                  if k not in ("seed", "n_replications")}
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps({"experiment": experiment}))
+    if table == "top_level":
+        doc = {"seed": 9, "replications": 2, "experiment": experiment}
+    else:
+        doc = {"experiment": {**experiment, "seed": 9, "n_replications": 2}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    runs = {
+        "flags": ["--config", str(flagged), "--seed", "9", "--replications", "2"],
+        "config": ["--config", str(config)],
+    }
+    manifests = {}
+    for name, argv in runs.items():
+        assert cli.main(["epps", *argv, "--out", str(tmp_path / name)]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+    for m in manifests.values():
+        assert m["seed"] == 9
+        assert m["config"]["experiment"]["n_replications"] == 2
+    assert manifests["config"]["outputs"]["curve.csv"] == manifests["flags"]["outputs"]["curve.csv"]
+    # a flag still outranks the config's keys
+    argv = ["epps", "--config", str(config), "--seed", "4", "--replications", "3"]
+    assert cli.main([*argv, "--out", str(tmp_path / "flag_wins")]) == 0
+    manifest = json.loads((tmp_path / "flag_wins" / "manifest.json").read_text())
+    assert manifest["seed"] == 4
+    assert manifest["config"]["experiment"]["n_replications"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -28,23 +28,22 @@ from eppsim.estimators import (
     overlap_correction,
     overlap_expectation,
 )
+from eppsim import experiments
 from eppsim.experiments import (
     FIG_DT_GRID,
-    _hy_replicate,
+    _replicate,
     _replication_seed,
     _sample_ticks,
     _simulate_path,
     _t_quantile,
+    _tick_pairs,
     CurvePoint,
     EppsCurve,
     ExperimentConfig,
     curve_to_dict,
+    aggregate_curve,
     discriminate,
-    epps_curve,
     estimate_matrix,
-    experiment_hy_vs_interarrival,
-    experiment_k_skip,
-    experiment_overlap_multi_rate,
     k_skip_stack,
     ribbon,
     verdict_to_dict,
@@ -54,6 +53,7 @@ from eppsim.experiments import (
 )
 from eppsim.hawkes import HawkesPriceParams
 from eppsim.paths import GbmParams, MertonParams, simulate_gbm
+from eppsim.presets import FigureRecipe, run_figure
 from eppsim.index import grid_count
 from eppsim.sampling import (
     hawkes_arrivals,
@@ -62,6 +62,7 @@ from eppsim.sampling import (
     observe_path,
     poisson_arrivals,
 )
+from eppsim import seeding
 from eppsim.series import ArrivalSet, GridSeries, TickSeries
 
 GBM = GbmParams(mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65)
@@ -81,6 +82,19 @@ def small_cfg(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def run_kind(kind, cfg, max_workers=1, k_max=None):
+    """run_figure's result for cfg run as a recipe of kind."""
+    return run_figure(FigureRecipe("test", kind, cfg, k_max=k_max), max_workers=max_workers)
+
+
+def epps_curve(cfg, max_workers=1):
+    return run_kind("epps", cfg, max_workers).curves["curve"]
+
+
+def hy_curve(cfg, max_workers=1):
+    return run_kind("hy", cfg, max_workers).curves["curve"]
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +228,22 @@ def test_overlap_expectation_matches_searchsorted_oracle(grid):
     assert n_stats > 4 * 2 * len(dt_grid) // 2
 
 
+def test_estimate_matrix_hy_alone_builds_no_grid(monkeypatch):
+    path = simulate_gbm(replace(GBM, horizon=600.0), seed=3)
+    u1, u2 = oracle_clock("poisson", 600.0, 0)
+    s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
+    dt_grid = (5.0, 15.0, 30.0)
+    full = estimate_matrix(s1, s2, dt_grid, ("measured", "hy"), 600.0)
+
+    def no_grid(*args):
+        raise AssertionError("a previous-tick grid was built")
+
+    monkeypatch.setattr(experiments, "_previous_tick_counts", no_grid)
+    alone = estimate_matrix(s1, s2, dt_grid, ("hy",), 600.0)
+    assert np.array_equal(alone, full[1:])
+    assert np.isfinite(alone).all()
+
+
 def test_estimate_matrix_overlap_windows_off_the_grid():
     # for these dt the window ends dt + k*dt and starts (dt + k*dt) - dt
     # miss some grid points h*dt by an ulp; ticks placed on exactly those
@@ -299,7 +329,7 @@ def test_ribbon_rejects_degenerate_input():
 
 
 # ---------------------------------------------------------------------------
-# epps_curve harness
+# run_figure replication driver
 
 
 def test_identical_replication_seeds_give_zero_ribbons():
@@ -327,9 +357,9 @@ def test_epps_curve_parallel_matches_serial_bitwise():
 
 def test_overlap_multi_rate_parallel_matches_serial_bitwise():
     cfg = small_cfg(n_replications=3, estimators=("measured", "overlap"), overlap_rates=(2.0, 5.0))
-    serial = experiment_overlap_multi_rate(cfg, max_workers=1)
-    parallel = experiment_overlap_multi_rate(cfg, max_workers=2)
-    assert list(serial) == [2.0, 5.0]
+    serial = run_kind("multirate", cfg, max_workers=1).curves
+    parallel = run_kind("multirate", cfg, max_workers=2).curves
+    assert list(serial) == ["rate_2", "rate_5"]
     assert {m: curve_to_dict(c) for m, c in serial.items()} == {
         m: curve_to_dict(c) for m, c in parallel.items()
     }
@@ -431,13 +461,18 @@ def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind,
 
 def test_hy_vs_interarrival_single_rate_single_replication():
     cfg = small_cfg(n_replications=1, mean_interarrivals=(5.0,))
-    curve = experiment_hy_vs_interarrival(cfg)
+    row = _replicate(cfg, _simulate_path(cfg, cfg.seed), cfg.mean_interarrivals, ("hy",), 0)
+    assert row.shape == (1, 1, len(cfg.dt_grid))
+    assert np.isfinite(row).all()
+    # one point is too few to classify, so the recipe runs five rates
+    with pytest.raises(InsufficientDataError):
+        hy_curve(cfg)
+    curve = hy_curve(replace(cfg, mean_interarrivals=(1.0, 2.0, 3.0, 4.0, 5.0)))
     assert curve.axis_label == "mean_interarrival"
     (pts,) = curve.series.values()
-    assert len(pts) == 1
-    assert pts[0].n_ok == 1
-    assert pts[0].half_width == 0.0
-    assert math.isfinite(pts[0].mean)
+    assert len(pts) == 5
+    assert all(p.n_ok == 1 and p.half_width == 0.0 for p in pts)
+    assert all(math.isfinite(p.mean) for p in pts)
 
 
 def test_hy_replicate_draws_the_poisson_sampler_streams():
@@ -450,14 +485,49 @@ def test_hy_replicate_draws_the_poisson_sampler_streams():
             rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
             s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
             want.append(hayashi_yoshida(s1, s2).rho)
-        assert np.array_equal(_hy_replicate(cfg, path, r), np.array([want]))
+        got = _replicate(cfg, path, cfg.mean_interarrivals, ("hy",), r)
+        # one HY estimate per rate, repeated along the dt axis
+        assert got.shape == (3, 1, len(cfg.dt_grid))
+        assert np.array_equal(got, np.broadcast_to(np.array(want)[:, None, None], got.shape))
 
 
 def test_hy_vs_interarrival_parallel_matches_serial():
-    cfg = small_cfg(n_replications=3, mean_interarrivals=(2.0, 5.0, 10.0))
-    assert experiment_hy_vs_interarrival(cfg, max_workers=1) == experiment_hy_vs_interarrival(
-        cfg, max_workers=2
-    )
+    # five rates, the fewest the verdict of the hy kind classifies
+    cfg = small_cfg(n_replications=3, mean_interarrivals=(2.0, 4.0, 6.0, 8.0, 10.0))
+    assert hy_curve(cfg, max_workers=1) == hy_curve(cfg, max_workers=2)
+
+
+@pytest.mark.parametrize("kind", ["hy", "multirate"])
+def test_rate_kinds_honour_fresh_paths(kind):
+    # replication r samples each rate from a path of its own, simulated from
+    # stream 0 of its seed, as the epps kind does
+    cfg = small_cfg(n_replications=3, fresh_paths=True,
+                    mean_interarrivals=(2.0, 4.0, 6.0, 8.0, 10.0),
+                    overlap_rates=(2.0, 5.0), estimators=("measured", "overlap"))
+    rates = cfg.mean_interarrivals if kind == "hy" else cfg.overlap_rates
+    estimators = ("hy",) if kind == "hy" else cfg.estimators
+    stack = np.full((cfg.n_replications, len(rates), len(estimators), len(cfg.dt_grid)), np.nan)
+    for r in range(cfg.n_replications):
+        rep_seed = _replication_seed(cfg, r)
+        path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
+        for j, m in enumerate(rates):
+            s1, s2 = _sample_ticks(replace(cfg, poisson_rate=1.0 / m), path, rep_seed, (j,))
+            if kind == "hy":
+                stack[r, j] = hayashi_yoshida(s1, s2).rho
+            else:
+                stack[r, j] = estimate_matrix(s1, s2, cfg.dt_grid, estimators, cfg.horizon)
+    got = run_kind(kind, cfg).curves
+    if kind == "hy":
+        want = aggregate_curve(estimators, cfg.confidence, rates, "mean_interarrival",
+                               stack[:, :, :, 0].swapaxes(1, 2), {})
+        assert got["curve"].series == want.series
+    else:
+        for j, m in enumerate(rates):
+            want = aggregate_curve(estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, j], {})
+            assert got[f"rate_{m:g}"].series == want.series
+    # the fixed-path run differs: the flag is not ignored
+    fixed = run_kind(kind, replace(cfg, fresh_paths=False)).curves
+    assert {k: c.series for k, c in fixed.items()} != {k: c.series for k, c in got.items()}
 
 
 def test_hy_vs_interarrival_flat_for_brownian():
@@ -467,7 +537,7 @@ def test_hy_vs_interarrival_flat_for_brownian():
         n_replications=4,
         mean_interarrivals=(1.0, 5.0, 15.0, 30.0, 45.0),
     )
-    curve = experiment_hy_vs_interarrival(cfg)
+    curve = hy_curve(cfg)
     means = [p.mean for p in curve.series["hy"]]
     assert max(means) - min(means) < 0.05
     assert np.mean(means) == pytest.approx(0.65, abs=0.05)
@@ -480,16 +550,19 @@ def random_walk_ticks(n, seed):
 
 
 def test_k_skip_truncates_when_ticks_run_out():
-    si = random_walk_ticks(60, seed=0)
-    rng = np.random.default_rng(1)
-    sj = TickSeries(times=si.times, values=np.cumsum(rng.normal(size=60)), horizon=si.horizon)
-    curve, verdict = experiment_k_skip(si, sj, k_max=40)
+    # legs of about 60 ticks, thinned up to k = 40
+    cfg = small_cfg(n_replications=1, poisson_rate=1.0 / 50.0, estimators=("hy",))
+    si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, 0))
+    last = min(len(si), len(sj)) // 2  # the last k that leaves both legs two ticks
+    assert 20 < last < 40
+    result = run_kind("kskip", cfg, k_max=40)
+    curve, verdict = result.curves["curve"], result.verdicts["verdict"]
     pts = curve.series["hy"]
     assert len(pts) == 40
-    assert curve.meta["first_infeasible_k"] == 31
-    assert all(p.n_ok == 0 and math.isnan(p.mean) for p in pts if p.axis > 30)
-    assert all(p.n_ok == 1 and p.half_width == 0.0 for p in pts if p.axis <= 30)
-    assert verdict.n_points == 30
+    assert curve.meta["first_infeasible_k"] == last + 1
+    assert all(p.n_ok == 0 and math.isnan(p.mean) for p in pts if p.axis > last)
+    assert all(p.n_ok == 1 and p.half_width == 0.0 for p in pts if p.axis <= last)
+    assert verdict.n_points == last
 
 
 def k_skip_stack_per_k(pairs, k_max):
@@ -553,9 +626,9 @@ def test_k_skip_stack_equals_per_k_oracle_on_long_legs():
 
 
 def test_k_skip_rejects_bad_kmax():
-    si = random_walk_ticks(20, seed=2)
-    with pytest.raises(ParameterError):
-        experiment_k_skip(si, si, k_max=0)
+    for k_max in (0, None, 2.5):
+        with pytest.raises(ParameterError):
+            run_kind("kskip", small_cfg(n_replications=1), k_max=k_max)
 
 
 # ---------------------------------------------------------------------------
