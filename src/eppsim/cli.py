@@ -23,11 +23,12 @@ import json
 import math
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, seeding
 from .errors import (
     DataError,
     EppsimError,
@@ -37,8 +38,10 @@ from .errors import (
     ScalingError,
 )
 from .experiments import (
+    MIN_VERDICT_POINTS,
     PRICE_PARAMS,
     ExperimentConfig,
+    check_axis,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
@@ -96,13 +99,13 @@ class Run:
 
     def __init__(self, command: str, out_dir: str, config: dict, seed: int):
         self.command = command
+        self.seed = seeding.check_seed(seed)
         self.dir = Path(out_dir)
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise DataError(f"cannot create output directory {out_dir!r}: {exc}") from exc
         self.config = config
-        self.seed = seed
         self.notes: dict = {}
         self._files: list[str] = []
         self._t0 = time.perf_counter()
@@ -182,98 +185,64 @@ def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
     return tuple(_number(part, flag) for part in text.split(","))
 
 
-def _dt_grid(values, name: str) -> tuple[float, ...]:
-    """A taq dt grid: non-empty, positive and strictly increasing, as the
-    experiment's; ParameterError names the flag or field."""
-    grid = tuple(values)
-    if not grid or grid[0] <= 0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError(f"{name}: expected positive, strictly increasing steps, got {grid}")
-    return grid
+def _read(hint, value, name: str):
+    """A config value read as its field's type hint says.
 
-
-def _price_params_from(model: str, d: dict, name: str):
-    """Price-model parameters from the config table called name.
-
-    Every field is a number but the hawkes x0, a list of two; a bad value
-    raises ParameterError naming the field.
+    float and int go through _number, bool and str are type-checked,
+    tuple[T, ...] and tuple[T, T] must be lists of T, and X | None also
+    takes null; any other type is passed on for its class to check.
     """
-    cls = PRICE_PARAMS.get(model)
-    if cls is None:
-        raise ParameterError(f"experiment.price_model: unknown model {model!r}")
-    fields = {f.name for f in dataclasses.fields(cls)}
-    d = dict(d)
-    for key in fields & d.keys():
-        if key == "x0":
-            if not isinstance(d[key], list) or len(d[key]) != 2:
-                raise ParameterError(f"{name}.x0: expected a list of two numbers, got {d[key]!r}")
-            d[key] = tuple(_number(x, f"{name}.x0") for x in d[key])
-        else:
-            d[key] = _number(d[key], f"{name}.{key}")
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, name)
+    if hint in (float, int):
+        return _number(value, name, integer=hint is int)
+    if hint in (bool, str):
+        if not isinstance(value, hint):
+            kind = "true or false" if hint is bool else "a string"
+            raise ParameterError(f"{name}: expected {kind}, got {value!r}")
+        return value
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ParameterError(f"{name}: expected a list, got {value!r}")
+        return tuple(_read(args[0], x, name) for x in value)
+    return value
+
+
+def _from_table(cls, table, name: str, **given):
+    """cls (a dataclass or an annotated function) called with the config
+    table called name, each field read by _read; given holds the fields
+    built from sub-tables. Errors name the field, or the table for a value
+    cls itself refuses (StabilityError kept as such)."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {
+        key: _read(hints[key], value, f"{name}.{key}") if key in hints else value
+        for key, value in _table(table, name).items()
+        if key not in given
+    }
     try:
-        return cls(**d)
+        return cls(**kwargs, **given)
     except TypeError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
-    except ParameterError as exc:  # StabilityError included, kept as such
+    except ParameterError as exc:
         raise type(exc)(f"{name}: {exc}") from exc
-
-
-# numeric fields of the experiment table: name -> is an integer
-_EXPERIMENT_NUMBERS = {
-    "horizon": False,
-    "n_replications": True,
-    "confidence": False,
-    "seed": True,
-    "poisson_rate": False,
-    "kappa_stride": False,
-}
-_EXPERIMENT_NUMBER_LISTS = {
-    "dt_grid": False,
-    "mean_interarrivals": False,
-    "overlap_rates": False,
-    "replication_seeds": True,
-}
 
 
 def _experiment_from(doc) -> ExperimentConfig:
     """Build an ExperimentConfig from the config file's experiment table."""
-    d = dict(_table(doc, "experiment"))
+    d = _table(doc, "experiment")
     model = d.get("price_model")
-    params_doc = d.pop("price_params", None)
-    if model is None or params_doc is None:
-        raise ParameterError("experiment: price_model and price_params are required")
-    d["price_params"] = _price_params_from(
-        model, _table(params_doc, "experiment.price_params"), "experiment.price_params"
+    # compared, not hashed: the value may be any JSON type
+    params_cls = next((cls for m, cls in PRICE_PARAMS.items() if m == model), None)
+    if params_cls is None:
+        raise ParameterError(f"experiment.price_model: unknown model {model!r}")
+    params = _from_table(params_cls, d.get("price_params"), "experiment.price_params")
+    sampler = d.get("hawkes_sampler")
+    if sampler is not None:
+        sampler = _from_table(mutual_excitation_spec, sampler, "experiment.hawkes_sampler")
+    return _from_table(
+        ExperimentConfig, d, "experiment", price_params=params, hawkes_sampler=sampler
     )
-    sampler_doc = d.pop("hawkes_sampler", None)
-    if sampler_doc is not None:
-        sampler_doc = _table(sampler_doc, "experiment.hawkes_sampler")
-        keys = ("baseline", "amplitude", "decay")
-        if any(k not in sampler_doc for k in keys):
-            raise ParameterError("experiment.hawkes_sampler: needs baseline, amplitude, decay")
-        d["hawkes_sampler"] = mutual_excitation_spec(
-            *(_number(sampler_doc[k], f"experiment.hawkes_sampler.{k}") for k in keys)
-        )
-    fresh = d.get("fresh_paths", False)
-    if not isinstance(fresh, bool):
-        raise ParameterError(f"experiment.fresh_paths: expected true or false, got {fresh!r}")
-    # null stands for "not set" only where that is the field's default
-    nullable = {f.name for f in dataclasses.fields(ExperimentConfig) if f.default is None}
-    for key, integer in _EXPERIMENT_NUMBERS.items():
-        if key in d and not (d[key] is None and key in nullable):
-            d[key] = _number(d[key], f"experiment.{key}", integer=integer)
-    for key in ("estimators", *_EXPERIMENT_NUMBER_LISTS):
-        if key not in d or (d[key] is None and key in nullable):
-            continue
-        if not isinstance(d[key], list):
-            raise ParameterError(f"experiment.{key}: expected a list, got {d[key]!r}")
-        if key in _EXPERIMENT_NUMBER_LISTS:
-            integer = _EXPERIMENT_NUMBER_LISTS[key]
-            d[key] = [_number(x, f"experiment.{key}", integer=integer) for x in d[key]]
-        d[key] = tuple(d[key])
-    try:
-        return ExperimentConfig(**d)
-    except TypeError as exc:
-        raise ParameterError(f"experiment: {exc}") from exc
 
 
 def _write_theory_csv(theory: dict, path: Path) -> None:
@@ -302,8 +271,7 @@ def cmd_simulate(args) -> int:
             raise ParameterError(
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
             )
-        pdoc = _table(pdoc, "simulate.params")
-        params = _price_params_from(model.replace("-price", ""), pdoc, "simulate.params")
+        params = _from_table(PRICE_PARAMS[model.replace("-price", "")], pdoc, "simulate.params")
     try:
         if model == "hawkes-price":
             _n_steps(horizon, PRICE_GRID_DT)  # the path must span the horizon
@@ -356,8 +324,8 @@ def _figure_outputs(run: Run, result) -> None:
 _MODE_KINDS = {"epps": "epps", "hy_vs_interarrival": "hy", "overlap_multi_rate": "multirate"}
 
 
-def _adhoc_recipe(doc: dict) -> FigureRecipe:
-    """The recipe of a config's mode and experiment table."""
+def _adhoc_recipe(doc: dict, overrides: dict) -> FigureRecipe:
+    """The recipe of a config's mode and experiment table, overrides applied."""
     if "experiment" not in doc:
         raise ParameterError(
             "epps: nothing to run; pass --figure NAME or a config with an "
@@ -366,7 +334,11 @@ def _adhoc_recipe(doc: dict) -> FigureRecipe:
     mode = doc.get("mode", "epps")
     if not isinstance(mode, str) or mode not in _MODE_KINDS:
         raise ParameterError(f"mode: expected one of {', '.join(_MODE_KINDS)}, got {mode!r}")
-    return FigureRecipe(mode, _MODE_KINDS[mode], _experiment_from(doc["experiment"]))
+    cfg = dataclasses.replace(_experiment_from(doc["experiment"]), **overrides)
+    try:
+        return FigureRecipe(mode, _MODE_KINDS[mode], cfg)
+    except ParameterError as exc:
+        raise ParameterError(f"experiment: {exc}") from exc
 
 
 def cmd_epps(args) -> int:
@@ -390,19 +362,27 @@ def cmd_epps(args) -> int:
 
     if figure is not None:
         recipe = figure_recipe(figure, **overrides)
-        cfg = recipe.config
     else:
-        recipe = _adhoc_recipe(doc)
-        cfg = dataclasses.replace(recipe.config, **overrides)
-    if args.dt_grid is not None:
-        cfg = dataclasses.replace(cfg, dt_grid=_floats_arg(args.dt_grid, "--dt-grid"))
-    if args.rates is not None:
-        cfg = dataclasses.replace(cfg, overlap_rates=_floats_arg(args.rates, "--rates"))
-    recipe = dataclasses.replace(recipe, config=cfg)
-    if args.kmax is not None:
-        if recipe.kind != "kskip":
-            raise ParameterError("--kmax only applies to the k-skip figures")
-        recipe = dataclasses.replace(recipe, k_max=args.kmax)
+        recipe = _adhoc_recipe(doc, overrides)
+    # each flag sets the field of the recipe kinds that read it
+    for flag, value, fields in (
+        ("--dt-grid", args.dt_grid, {"epps": "dt_grid", "multirate": "dt_grid"}),
+        ("--rates", args.rates, {"hy": "mean_interarrivals", "multirate": "overlap_rates"}),
+        ("--kmax", args.kmax, {"kskip": "k_max"}),
+    ):
+        if value is None:
+            continue
+        if recipe.kind not in fields:
+            raise ParameterError(f"{flag} only applies to {' and '.join(fields)} recipes, "
+                                 f"not to {recipe.name} ({recipe.kind})")
+        change = {fields[recipe.kind]: value if flag == "--kmax" else _floats_arg(value, flag)}
+        try:
+            if flag != "--kmax":
+                change = {"config": dataclasses.replace(recipe.config, **change)}
+            recipe = dataclasses.replace(recipe, **change)
+        except ParameterError as exc:
+            raise ParameterError(f"{flag}: {exc}") from exc
+    cfg = recipe.config
     run = Run(
         "epps",
         args.out,
@@ -445,12 +425,10 @@ def cmd_taq(args) -> int:
     parsed = _parse_taq_files(args.files)
     taq_doc = _table(doc.get("taq", {}), "taq")
     if args.dt_grid is not None:
-        dt_grid = _dt_grid(_floats_arg(args.dt_grid, "--dt-grid"), "--dt-grid")
+        dt_grid = check_axis(_floats_arg(args.dt_grid, "--dt-grid"), "--dt-grid")
     else:
         grid_doc = taq_doc.get("dt_grid", list(FIG_DT_GRID))
-        if not isinstance(grid_doc, list):
-            raise ParameterError(f"taq.dt_grid: expected a list, got {grid_doc!r}")
-        dt_grid = _dt_grid((_number(x, "taq.dt_grid") for x in grid_doc), "taq.dt_grid")
+        dt_grid = check_axis(_read(tuple[float, ...], grid_doc, "taq.dt_grid"), "taq.dt_grid")
     tau_abs, z = _verdict_args(doc)
 
     base_config = {
@@ -521,9 +499,13 @@ def cmd_taq(args) -> int:
         return 0
 
     if args.taq_command == "kskip":
-        k_max = args.kmax
+        k_max, name = args.kmax, "--kmax"
         if k_max is None:
-            k_max = _number(taq_doc.get("kmax", 50), "taq.kmax", integer=True)
+            k_max, name = _number(taq_doc.get("kmax", 50), "taq.kmax", integer=True), "taq.kmax"
+        if k_max < MIN_VERDICT_POINTS:
+            raise ParameterError(
+                f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {k_max}"
+            )
         base_config.update({"kmax": k_max, "tau_abs": tau_abs, "z": z})
         run = Run("taq", args.out, base_config, 0)
         run.notes["skipped_days"] = skipped

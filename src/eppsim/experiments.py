@@ -64,6 +64,22 @@ FIG_DT_GRID = (1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0, 75.0, 100.0)
 # the parameter type of each price model
 PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceParams}
 
+# the fewest usable curve points discriminate classifies
+MIN_VERDICT_POINTS = 5
+
+
+def check_axis(values, name: str) -> tuple:
+    """values as a tuple if they are a curve axis: non-empty, positive,
+    finite and strictly increasing; else ParameterError naming the axis."""
+    values = tuple(values)
+    if not values or not all(0 < v < math.inf for v in values) or any(
+        b <= a for a, b in zip(values, values[1:])
+    ):
+        raise ParameterError(
+            f"{name} must be non-empty, positive, finite and strictly increasing, got {values}"
+        )
+    return values
+
 
 def _t_central(t: float, df: int) -> float:
     """P(|T| <= t) for a Student t with integer df, t >= 0.
@@ -270,12 +286,8 @@ class ExperimentConfig:
                 f"horizon: {self.horizon} exceeds price_params.horizon "
                 f"{self.price_params.horizon}, the span of the latent path"
             )
-        if len(self.dt_grid) == 0 or not all(0 < d < math.inf for d in self.dt_grid):
-            raise ParameterError(
-                f"dt_grid must be non-empty, positive and finite, got {self.dt_grid}"
-            )
-        if any(b <= a for a, b in zip(self.dt_grid, self.dt_grid[1:])):
-            raise ParameterError("dt_grid must be strictly increasing")
+        for axis in ("dt_grid", "mean_interarrivals", "overlap_rates"):
+            check_axis(getattr(self, axis), axis)
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
@@ -286,17 +298,6 @@ class ExperimentConfig:
         seeding.check_seed(self.seed)
         if self.replication_seeds is not None and len(self.replication_seeds) != self.n_replications:
             raise ParameterError("replication_seeds must have one seed per replication")
-        if not all(0 < m < math.inf for m in self.mean_interarrivals) or any(
-            b <= a for a, b in zip(self.mean_interarrivals, self.mean_interarrivals[1:])
-        ):
-            raise ParameterError(
-                f"mean_interarrivals must be positive, finite and increasing, "
-                f"got {self.mean_interarrivals}"
-            )
-        if not all(0 < m < math.inf for m in self.overlap_rates):
-            raise ParameterError(
-                f"overlap_rates must be positive and finite, got {self.overlap_rates}"
-            )
 
 
 def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:
@@ -522,9 +523,9 @@ def discriminate(
     if estimator not in curve.series:
         raise ParameterError(f"curve has no series {estimator!r}")
     pts = [p for p in curve.series[estimator] if p.n_ok > 0 and math.isfinite(p.mean)]
-    if len(pts) < 5:
+    if len(pts) < MIN_VERDICT_POINTS:
         raise InsufficientDataError(
-            f"discrimination needs >= 5 usable points, got {len(pts)}"
+            f"discrimination needs >= {MIN_VERDICT_POINTS} usable points, got {len(pts)}"
         )
     axis = np.array([p.axis for p in pts])
     lo, hi = axis.min(), axis.max()

@@ -8,11 +8,12 @@ fixed.
 """
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
-from . import seeding
 from .errors import DomainError, ParameterError
 from .experiments import (
     FIG_DT_GRID,
+    MIN_VERDICT_POINTS,
     EppsCurve,
     ExperimentConfig,
     Verdict,
@@ -69,10 +70,28 @@ def hawkes_sampling_reference() -> HawkesSpec:
 
 @dataclass(frozen=True)
 class FigureRecipe:
+    """An experiment and the kind of curve run_figure makes of it; the hy
+    and kskip curves are classified, so they need MIN_VERDICT_POINTS points."""
+
     name: str
     kind: str  # "epps" | "hy" | "multirate" | "kskip"
     config: ExperimentConfig
     k_max: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("epps", "hy", "multirate", "kskip"):
+            raise ParameterError(f"unknown recipe kind {self.kind!r}")
+        if self.kind == "kskip" and not (
+            isinstance(self.k_max, Integral) and self.k_max >= MIN_VERDICT_POINTS
+        ):
+            raise ParameterError(
+                f"k_max must be an integer >= {MIN_VERDICT_POINTS}, got {self.k_max!r}"
+            )
+        n_points = len(self.config.mean_interarrivals)
+        if self.kind == "hy" and n_points < MIN_VERDICT_POINTS:
+            raise ParameterError(
+                f"mean_interarrivals must hold >= {MIN_VERDICT_POINTS} points, got {n_points}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,7 +135,6 @@ def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -
     seed and n_replications may be overridden (the defaults are 0 and the
     standard 100); unknown names raise ParameterError.
     """
-    seeding.check_seed(seed)
     n = 100 if n_replications is None else int(n_replications)
     if n < 1:
         raise ParameterError(f"n_replications must be >= 1, got {n_replications}")
@@ -252,7 +270,7 @@ def run_figure(
             curves[f"rate_{m:g}"] = aggregate_curve(
                 estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, j], meta
             )
-    elif recipe.kind == "kskip":
+    else:  # kskip
         si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, 0))
         stack = k_skip_stack([(si, sj)], recipe.k_max)
         k_max = int(recipe.k_max)
@@ -264,8 +282,6 @@ def run_figure(
         curves["curve"] = aggregate_curve(
             ("hy",), cfg.confidence, range(1, k_max + 1), "k", stack, meta
         )
-    else:
-        raise ParameterError(f"unknown recipe kind {recipe.kind!r}")
     verdicts: dict[str, Verdict] = {}
     if recipe.kind in ("hy", "kskip"):
         verdicts["verdict"] = discriminate(curves["curve"], "hy", tau_abs, z)

@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -71,6 +72,13 @@ def small_gbm_config(tmp_path, **experiment):
     base.update(experiment)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"experiment": base}))
+    return cfg
+
+
+def adhoc_config(tmp_path, mode, **experiment):
+    """small_gbm_config run in the ad-hoc mode called mode."""
+    cfg = small_gbm_config(tmp_path, **experiment)
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "mode": mode}))
     return cfg
 
 
@@ -205,12 +213,13 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
                 "sampler": "hawkes",
                 "hawkes_sampler": {"baseline": 0.1, "amplitude": 2, "decay": 1},
             },
-            "hawkes_sampler",
+            "experiment: hawkes_sampler",
         ),
-        ({"horizon": 72000.0}, "horizon"),
+        ({"horizon": 72000.0}, "experiment: horizon"),
         ({"price_model": "hawkes", "price_params": {"mu": 0.01, "alpha_r": 0.0, "alpha_c": 0.0,
                                                     "beta": 1.0}, "horizon": 2000.5},
-         "horizon"),
+         "experiment: horizon"),
+        ({"price_model": [1]}, "experiment.price_model"),
     ],
 )
 def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
@@ -218,6 +227,55 @@ def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
     code = cli.main(["epps", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {field}: " in capsys.readouterr().err
+
+
+# every field the CLI reads from a table, taken from the dataclasses themselves
+TABLE_FIELDS = [
+    ("experiment", f.name)
+    for f in dataclasses.fields(experiments.ExperimentConfig)
+    if f.name not in ("price_params", "hawkes_sampler")
+] + [
+    (model, f.name)
+    for model, params_cls in experiments.PRICE_PARAMS.items()
+    for f in dataclasses.fields(params_cls)
+]
+
+
+@pytest.mark.parametrize(
+    "table, field", TABLE_FIELDS, ids=[f"{t}.{f}" for t, f in TABLE_FIELDS]
+)
+def test_an_object_in_any_field_is_a_usage_error_naming_it(tmp_path, capsys, table, field):
+    if table == "experiment":
+        cfg = small_gbm_config(tmp_path, **{field: {}})
+        name = f"experiment.{field}"
+    else:
+        cfg = small_gbm_config(tmp_path, price_model=table, price_params={field: {}})
+        name = f"experiment.price_params.{field}"
+    out_dir = tmp_path / "out"
+    code = cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: {name}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"overlap_rates": []},
+        {"mean_interarrivals": []},
+        {"overlap_rates": [2, 2]},
+        {"dt_grid": []},
+    ],
+)
+def test_bad_axes_are_named(tmp_path, capsys, experiment):
+    ((field, values),) = experiment.items()
+    cfg = small_gbm_config(tmp_path, **experiment)
+    out_dir = tmp_path / "out"
+    code = cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: experiment: {field} must be non-empty, positive, finite")
+    assert not out_dir.exists()
 
 
 def test_experiment_numeric_strings_are_read_as_numbers(tmp_path):
@@ -516,6 +574,85 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
         assert out.returncode == 2, flags
         assert f"error: {flag}" in out.stderr, flags
         assert not out_dir.exists(), flags
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["hy_vs_interarrival"], "experiment: mean_interarrivals"),
+        (["--figure", "10a", "--kmax", "3"], "--kmax: k_max"),
+        (["--figure", "10a", "--kmax", "0"], "--kmax: k_max"),
+        (["--figure", "8b", "--rates", "1,2,3"], "--rates: mean_interarrivals"),
+        (["taq", "--kmax", "3"], "--kmax"),
+    ],
+    ids=["adhoc_hy_3_rates", "kmax_3", "kmax_0", "figure_8b_3_rates", "taq_kmax_3"],
+)
+def test_unclassifiable_curves_are_refused_before_any_output(tmp_path, capsys, argv, field):
+    # a classified curve needs MIN_VERDICT_POINTS points: refused before --out exists
+    out_dir = tmp_path / "out"
+    if argv[0] == "hy_vs_interarrival":
+        cfg = adhoc_config(tmp_path, argv[0], mean_interarrivals=[2.0, 4.0, 6.0])
+        argv = ["epps", "--config", str(cfg)]
+    elif argv[0] == "taq":
+        trades = tmp_path / "trades.csv"
+        write_fixture(trades)
+        argv = ["taq", "kskip", str(trades), "--pair", "AAA,BBB", *argv[1:]]
+    else:
+        argv = ["epps", *argv]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "figure, flags",
+    [
+        ("2a", ["--rates", "1,2"]),
+        ("8b", ["--dt-grid", "1,2"]),
+        ("10b", ["--dt-grid", "1,2"]),
+        ("10b", ["--rates", "1,2,3,4,5"]),
+    ],
+)
+def test_axis_flags_the_recipe_does_not_read_are_refused(tmp_path, capsys, figure, flags):
+    out_dir = tmp_path / "out"
+    assert cli.main(["epps", "--figure", figure, *flags, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} only applies to ")
+    assert not out_dir.exists()
+
+
+def test_rates_set_the_mean_interarrivals_of_a_hy_figure(tmp_path):
+    out_dir = tmp_path / "out"
+    argv = ["epps", "--figure", "8b", "--rates", "1,2,3,4,5", "--replications", "2"]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    experiment = json.loads((out_dir / "manifest.json").read_text())["config"]["experiment"]
+    assert experiment["mean_interarrivals"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert experiment["overlap_rates"] == list(presets.figure_recipe("8b").config.overlap_rates)
+    curve = json.loads((out_dir / "curve.json").read_text())
+    assert [p["axis"] for p in curve["series"]["hy"]] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_rates_and_dt_grid_set_the_axes_of_a_multirate_run(tmp_path):
+    cfg = adhoc_config(tmp_path, "overlap_multi_rate", estimators=["measured", "overlap"])
+    out_dir = tmp_path / "out"
+    argv = ["epps", "--config", str(cfg), "--rates", "2,5", "--dt-grid", "10,20,30"]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    experiment = json.loads((out_dir / "manifest.json").read_text())["config"]["experiment"]
+    assert experiment["overlap_rates"] == [2.0, 5.0]
+    assert experiment["dt_grid"] == [10.0, 20.0, 30.0]
+    for name in ("rate_2", "rate_5"):
+        curve = json.loads((out_dir / f"{name}.json").read_text())
+        assert [p["axis"] for p in curve["series"]["measured"]] == [10.0, 20.0, 30.0]
+
+
+@pytest.mark.parametrize("config, flags", [({}, ["--seed", "-1"]), ({"seed": -1}, [])])
+def test_simulate_refuses_a_negative_seed_before_any_output(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--model", "gbm", "--preset", "reference", "--config", str(cfg)]
+    assert cli.main([*argv, *flags, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+    assert not out_dir.exists()
 
 
 def test_epps_adhoc_matches_golden_digests(tmp_path):

@@ -404,7 +404,7 @@ def test_config_validation_errors():
     with pytest.raises(ParameterError):
         small_cfg(dt_grid=(15.0, 5.0))
     for bad in (math.inf, math.nan):
-        with pytest.raises(ParameterError, match="dt_grid must be non-empty, positive and finite"):
+        with pytest.raises(ParameterError, match="^dt_grid must be non-empty, positive, finite"):
             small_cfg(dt_grid=(5.0, bad))
     with pytest.raises(ParameterError):
         small_cfg(estimators=("kernel",))
@@ -416,9 +416,9 @@ def test_config_validation_errors():
         with pytest.raises(ParameterError, match="poisson_rate"):
             small_cfg(sampler="poisson", poisson_rate=bad)
     for bad in (math.inf, math.nan, 0.0):
-        with pytest.raises(ParameterError, match="^mean_interarrivals must be positive, finite"):
+        with pytest.raises(ParameterError, match="^mean_interarrivals must be non-empty, positive, finite"):
             small_cfg(mean_interarrivals=(1.0, bad))
-        with pytest.raises(ParameterError, match="^overlap_rates must be positive and finite"):
+        with pytest.raises(ParameterError, match="^overlap_rates must be non-empty, positive, finite"):
             small_cfg(overlap_rates=(bad,))
     with pytest.raises(ParameterError, match="^mean_interarrivals"):
         small_cfg(mean_interarrivals=(2.0, 1.0))
@@ -465,7 +465,7 @@ def test_hy_vs_interarrival_single_rate_single_replication():
     assert row.shape == (1, 1, len(cfg.dt_grid))
     assert np.isfinite(row).all()
     # one point is too few to classify, so the recipe runs five rates
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ParameterError, match="^mean_interarrivals must hold >= 5 points"):
         hy_curve(cfg)
     curve = hy_curve(replace(cfg, mean_interarrivals=(1.0, 2.0, 3.0, 4.0, 5.0)))
     assert curve.axis_label == "mean_interarrival"
