@@ -9,7 +9,10 @@ a run writes) of
     eppsim taq COMMAND a.csv b.csv ...                        (stats, epps, kskip)
 
 where adhoc.json is ADHOC_CONFIG with its mode set, and a.csv and b.csv
-are the seeded trade files of `write_trade_files`. `test_11`,
+are the seeded trade files of `write_trade_files`. Its `recipes` section
+holds, for each preset run, the sha256 of the manifest `config` block (the
+resolved experiment, kind and k_max), so a recipe field that no output
+reads is locked as well. `test_11`, `test_figure_recipes_match_golden_digests`,
 `test_epps_adhoc_matches_golden_digests`,
 `test_simulate_reference_matches_golden_digests` and
 `test_taq_matches_golden_digests` compare fresh runs against it.
@@ -29,6 +32,7 @@ byte can show that it did:
 
 import argparse
 import contextlib
+import hashlib
 import json
 import sys
 import tempfile
@@ -134,11 +138,25 @@ def write_trade_files(directory: Path, seed: int = 3) -> list[Path]:
     return paths
 
 
-def _outputs(cli, argv, out_dir: Path) -> dict:
+def _manifest(cli, argv, out_dir: Path) -> dict:
     code = cli.main([*argv, "--out", str(out_dir)])
     if code != 0:
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    return json.loads((out_dir / "manifest.json").read_text())
+
+
+def _outputs(cli, argv, out_dir: Path) -> dict:
+    return _manifest(cli, argv, out_dir)["outputs"]
+
+
+def figure_argv(name: str) -> list[str]:
+    """The locked run of the figure preset called name."""
+    return ["epps", "--figure", name, "--seed", SEED, "--replications", REPLICATIONS]
+
+
+def recipe_digest(config: dict) -> str:
+    """sha256 of a manifest's config block, as the recipes section holds it."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
 
 
 def taq_outputs(cli, tmp: Path) -> dict:
@@ -168,15 +186,12 @@ def current_digests() -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        figures = {
+            name: _manifest(cli, figure_argv(name), tmp / f"fig{name}") for name in FIGURE_NAMES
+        }
         return {
-            "epps": {
-                name: _outputs(
-                    cli,
-                    ["epps", "--figure", name, "--seed", SEED, "--replications", REPLICATIONS],
-                    tmp / f"fig{name}",
-                )
-                for name in FIGURE_NAMES
-            },
+            "epps": {name: m["outputs"] for name, m in figures.items()},
+            "recipes": {name: recipe_digest(m["config"]) for name, m in figures.items()},
             "adhoc": adhoc_outputs(cli, tmp),
             "simulate": {
                 model: _outputs(

@@ -22,6 +22,8 @@ from golden import (
     SIMULATE_MODELS,
     adhoc_outputs,
     changed_entries,
+    figure_argv,
+    recipe_digest,
     taq_outputs,
     write_trade_files,
 )
@@ -653,6 +655,20 @@ def test_simulate_refuses_a_negative_seed_before_any_output(tmp_path, capsys, co
     assert cli.main([*argv, *flags, "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("error: seed must be non-negative")
     assert not out_dir.exists()
+
+
+def test_figure_recipes_match_golden_digests(tmp_path, monkeypatch):
+    """Each preset's manifest config, as tests/golden.py runs it, without a replication."""
+    golden = json.loads(GOLDEN_PATH.read_text())["recipes"]
+    monkeypatch.setattr(
+        cli, "run_figure", lambda recipe, **_: presets.FigureResult(recipe.name, recipe.kind, {})
+    )
+    digests = {}
+    for name in presets.FIGURE_NAMES:
+        out_dir = tmp_path / name
+        assert cli.main([*figure_argv(name), "--out", str(out_dir)]) == 0
+        digests[name] = recipe_digest(json.loads((out_dir / "manifest.json").read_text())["config"])
+    assert digests == golden
 
 
 def test_epps_adhoc_matches_golden_digests(tmp_path):
