@@ -51,11 +51,10 @@ from .paths import DAY_SECONDS, _n_steps, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
     FIGURE_NAMES,
+    REFERENCE_PARAMS,
     FigureRecipe,
+    FigureResult,
     figure_recipe,
-    gbm_reference,
-    hawkes_price_reference,
-    merton_reference,
     run_figure,
 )
 from .sampling import mutual_excitation_spec
@@ -264,7 +263,7 @@ def cmd_simulate(args) -> int:
     sim = _table(doc.get("simulate", {}), "simulate")
     horizon = _number(sim.get("horizon", DAY_SECONDS), "simulate.horizon")
     if args.preset == "reference":
-        params = {"gbm": gbm_reference, "merton": merton_reference, "hawkes-price": hawkes_price_reference}[model]()
+        params = REFERENCE_PARAMS[model.removesuffix("-price")]()
     else:
         pdoc = sim.get("params")
         if pdoc is None:
@@ -421,6 +420,15 @@ def _pair_arg(text: str) -> tuple[str, str]:
 
 
 def cmd_taq(args) -> int:
+    # each flag applies to the commands that read it
+    for flag, value, commands in (
+        ("--dt-grid", args.dt_grid, ("epps",)),
+        ("--kmax", args.kmax, ("kskip",)),
+        ("--pair", args.pair, ("epps", "kskip")),
+    ):
+        if value is not None and args.taq_command not in commands:
+            raise ParameterError(f"{flag} only applies to taq {' and '.join(commands)}, "
+                                 f"not to taq {args.taq_command}")
     doc = _load_config(args.config)
     parsed = _parse_taq_files(args.files)
     taq_doc = _table(doc.get("taq", {}), "taq")
@@ -484,16 +492,13 @@ def cmd_taq(args) -> int:
         base_config["dt_grid"] = list(dt_grid)
         run = Run("taq", args.out, base_config, 0)
         run.notes["skipped_days"] = skipped
-        curve = empirical_curve(days, dt_grid)
-        run.emit("curve.csv", lambda p: write_curve_csv(curve, p))
-        run.emit("curve.json", lambda p: write_curve_json(curve, p))
+        curves = {"curve": empirical_curve(days, dt_grid)}
         try:
-            scaled = saturation_scale(curve)
-            run.emit("curve_scaled.csv", lambda p: write_curve_csv(scaled, p))
-            run.emit("curve_scaled.json", lambda p: write_curve_json(scaled, p))
+            curves["curve_scaled"] = saturation_scale(curves["curve"])
         except ScalingError as exc:
             run.notes["saturation_scale"] = f"skipped: {exc}"
             print(f"warning: saturation scaling skipped: {exc}", file=sys.stderr)
+        _figure_outputs(run, FigureResult("taq epps", "epps", curves))
         out = run.finish()
         print(f"taq epps: {ticker_a}/{ticker_b} over {len(days)} day(s) -> {out}")
         return 0
@@ -510,9 +515,8 @@ def cmd_taq(args) -> int:
         run = Run("taq", args.out, base_config, 0)
         run.notes["skipped_days"] = skipped
         curve, verdict = empirical_kskip(days, k_max, tau_abs=tau_abs, z=z)
-        run.emit("curve.csv", lambda p: write_curve_csv(curve, p))
-        run.emit("curve.json", lambda p: write_curve_json(curve, p))
-        run.emit("verdict.json", lambda p: write_verdict_json(verdict, p))
+        _figure_outputs(run, FigureResult("taq kskip", "kskip", {"curve": curve},
+                                          {"verdict": verdict}))
         out = run.finish()
         print(
             f"taq kskip: {ticker_a}/{ticker_b} -> {verdict.classification} "

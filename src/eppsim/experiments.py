@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
+from numbers import Integral
 
 import numpy as np
 
@@ -291,13 +292,21 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
-        if self.n_replications < 1:
-            raise ParameterError("n_replications must be >= 1")
+        if not (isinstance(self.n_replications, Integral) and self.n_replications >= 1):
+            raise ParameterError(
+                f"n_replications must be an integer >= 1, got {self.n_replications!r}"
+            )
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must lie in (0, 1), got {self.confidence}")
         seeding.check_seed(self.seed)
-        if self.replication_seeds is not None and len(self.replication_seeds) != self.n_replications:
-            raise ParameterError("replication_seeds must have one seed per replication")
+        if self.replication_seeds is not None:
+            if len(self.replication_seeds) != self.n_replications:
+                raise ParameterError("replication_seeds must have one seed per replication")
+            try:
+                for seed in self.replication_seeds:
+                    seeding.check_seed(seed)
+            except ParameterError as exc:
+                raise ParameterError(f"replication_seeds: {exc}") from exc
 
 
 def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:
@@ -311,7 +320,7 @@ def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:
 
 def _replication_seed(cfg: ExperimentConfig, r: int) -> int:
     if cfg.replication_seeds is not None:
-        return seeding.check_seed(cfg.replication_seeds[r])
+        return cfg.replication_seeds[r]
     return seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
 
 

@@ -7,7 +7,7 @@ seed and replication count that callers may override; everything else is
 fixed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Integral
 
 from .errors import DomainError, ParameterError
@@ -38,8 +38,6 @@ POISSON_MEAN_INTERARRIVAL = 15.0
 KSKIP_TICK_RATE = 1.0  # per second; one dense tick set thinned by k
 
 WIDE_DT_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
-
-FIGURE_NAMES = ("2a", "2b", "3a", "3b", "5", "6a", "6b", "8a", "8b", "9", "10a", "10b")
 
 
 def gbm_reference() -> GbmParams:
@@ -103,91 +101,55 @@ class FigureResult:
     theory: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
 
 
-def _price(model: str):
-    return {
-        "gbm": ("gbm", gbm_reference()),
-        "merton": ("merton", merton_reference()),
-        "hawkes": ("hawkes", hawkes_price_reference()),
-    }[model]
+# the reference parameters of each price model
+REFERENCE_PARAMS = {
+    "gbm": gbm_reference, "merton": merton_reference, "hawkes": hawkes_price_reference,
+}
 
-
-def _epps_cfg(model: str, sampler: str, seed: int, n: int, **kw) -> ExperimentConfig:
-    kind, params = _price(model)
-    base = dict(
-        price_model=kind,
-        price_params=params,
-        sampler=sampler,
-        dt_grid=FIG_DT_GRID,
-        n_replications=n,
-        seed=seed,
-    )
-    if sampler == "poisson":
-        base["poisson_rate"] = 1.0 / POISSON_MEAN_INTERARRIVAL
-    elif sampler == "hawkes":
-        base["hawkes_sampler"] = hawkes_sampling_reference()
-    base.update(kw)
-    return ExperimentConfig(**base)
+# name -> (kind, price model, sampler, config fields other than the
+# defaults of ExperimentConfig and of the sampler)
+_FIGURES = {
+    "2a": ("epps", "gbm", "poisson", {}),
+    "2b": ("epps", "gbm", "hawkes", {}),
+    "3a": ("epps", "merton", "poisson", {}),
+    "3b": ("epps", "merton", "hawkes", {}),
+    "5": ("epps", "hawkes", "synchronous",
+          {"estimators": ("measured",), "dt_grid": WIDE_DT_GRID, "fresh_paths": True}),
+    "6a": ("epps", "hawkes", "poisson", {}),
+    "6b": ("epps", "hawkes", "hawkes", {}),
+    "8a": ("hy", "hawkes", "poisson", {"estimators": ("hy",)}),
+    "8b": ("hy", "gbm", "poisson", {"estimators": ("hy",)}),
+    "9": ("multirate", "hawkes", "poisson",
+          {"estimators": ("measured", "overlap"), "dt_grid": WIDE_DT_GRID}),
+    "10a": ("kskip", "hawkes", "poisson", {"estimators": ("hy",), "poisson_rate": KSKIP_TICK_RATE}),
+    "10b": ("kskip", "gbm", "poisson", {"estimators": ("hy",), "poisson_rate": KSKIP_TICK_RATE}),
+}
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -> FigureRecipe:
     """Build the full recipe for one figure panel.
 
     seed and n_replications may be overridden (the defaults are 0 and the
-    standard 100); unknown names raise ParameterError.
+    standard 100; a kskip figure records one replication); unknown names
+    raise ParameterError.
     """
-    n = 100 if n_replications is None else int(n_replications)
-    if n < 1:
-        raise ParameterError(f"n_replications must be >= 1, got {n_replications}")
-    if name == "2a":
-        cfg = _epps_cfg("gbm", "poisson", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name == "2b":
-        cfg = _epps_cfg("gbm", "hawkes", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name == "3a":
-        cfg = _epps_cfg("merton", "poisson", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name == "3b":
-        cfg = _epps_cfg("merton", "hawkes", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name == "5":
-        cfg = _epps_cfg(
-            "hawkes", "synchronous", seed, n,
-            estimators=("measured",), dt_grid=WIDE_DT_GRID, fresh_paths=True,
+    if name not in _FIGURES:
+        raise ParameterError(
+            f"unknown figure {name!r}; choose one of {', '.join(FIGURE_NAMES)}"
         )
-        return FigureRecipe(name, "epps", cfg)
-    if name == "6a":
-        cfg = _epps_cfg("hawkes", "poisson", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name == "6b":
-        cfg = _epps_cfg("hawkes", "hawkes", seed, n)
-        return FigureRecipe(name, "epps", cfg)
-    if name in ("8a", "8b"):
-        model = "hawkes" if name == "8a" else "gbm"
-        cfg = _epps_cfg(
-            model, "poisson", seed, n,
-            estimators=("hy",),
-            mean_interarrivals=tuple(float(m) for m in range(1, 46)),
-        )
-        return FigureRecipe(name, "hy", cfg)
-    if name == "9":
-        cfg = _epps_cfg(
-            "hawkes", "poisson", seed, n,
-            estimators=("measured", "overlap"),
-            dt_grid=WIDE_DT_GRID,
-            overlap_rates=(1.0, 10.0, 25.0),
-        )
-        return FigureRecipe(name, "multirate", cfg)
-    if name in ("10a", "10b"):
-        model = "hawkes" if name == "10a" else "gbm"
-        cfg = _epps_cfg(
-            model, "poisson", seed, 1,
-            estimators=("hy",), poisson_rate=KSKIP_TICK_RATE,
-        )
-        return FigureRecipe(name, "kskip", cfg, k_max=50)
-    raise ParameterError(
-        f"unknown figure {name!r}; choose one of {', '.join(FIGURE_NAMES)}"
-    )
+    kind, model, sampler, fields = _FIGURES[name]
+    base = {"seed": seed}
+    if n_replications is not None:
+        base["n_replications"] = n_replications
+    if sampler == "poisson":
+        base["poisson_rate"] = 1.0 / POISSON_MEAN_INTERARRIVAL
+    elif sampler == "hawkes":
+        base["hawkes_sampler"] = hawkes_sampling_reference()
+    cfg = ExperimentConfig(model, REFERENCE_PARAMS[model](), sampler, **{**base, **fields})
+    if kind == "kskip":  # the override is checked above, but k-skip thins one tick pair
+        return FigureRecipe(name, kind, replace(cfg, n_replications=1), k_max=50)
+    return FigureRecipe(name, kind, cfg)
 
 
 def _induced_rho(cfg: ExperimentConfig) -> float:

@@ -118,12 +118,6 @@ class TickSeries:
     def __len__(self) -> int:
         return self.times.size
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,logp\n")
-            for t, v in zip(self.times, self.values):
-                fh.write(f"{_fmt(t)},{_fmt(v)}\n")
-
 
 @dataclass(frozen=True)
 class GridSeries:
@@ -145,9 +139,3 @@ class GridSeries:
 
     def returns(self) -> np.ndarray:
         return np.diff(self.values)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("h,t,logp\n")
-            for h, v in enumerate(self.values):
-                fh.write(f"{h},{_fmt(h * self.dt)},{_fmt(v)}\n")

@@ -121,14 +121,17 @@ def test_epps_without_figure_or_config_is_usage_error(tmp_path):
         ("epps", {}, ["--threads", "-3"], "threads"),
         ("simulate", {"seed": "abc"}, [], "seed"),
         ("taq", {"taq": {"kmax": 2.5}}, [], "taq.kmax"),
-        ("epps", {}, ["--dt-grid", "1,inf"], "--dt-grid"),
-        ("epps", {}, ["--dt-grid", "1,nan"], "--dt-grid"),
+        ("epps", {}, ["--figure", "2a", "--dt-grid", "1,inf"], "--dt-grid"),
+        ("epps", {}, ["--figure", "2a", "--dt-grid", "1,nan"], "--dt-grid"),
         ("taq", {}, ["--dt-grid", "1,inf"], "--dt-grid"),
         ("taq", {}, ["--dt-grid", "2,1"], "--dt-grid"),
         ("taq", {}, ["--dt-grid", "0,5"], "--dt-grid"),
         ("taq", {"taq": {"dt_grid": [5, "inf"]}}, [], "taq.dt_grid"),
         ("taq", {"taq": {"dt_grid": [5, 5]}}, [], "taq.dt_grid"),
         ("taq", {"taq": {"dt_grid": 5}}, [], "taq.dt_grid"),
+        ("epps", {}, ["--figure", "2a", "--replications", "0"], "n_replications"),
+        ("epps", {}, ["--figure", "10a", "--replications", "0"], "n_replications"),
+        ("epps", {}, ["--replications", "0"], "n_replications"),
     ],
 )
 def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, flags, field):
@@ -137,13 +140,17 @@ def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, 
     trades = tmp_path / "trades.csv"
     write_fixture(trades)
     argv = {
-        "epps": ["epps", "--figure", "10b"],
+        "epps": ["epps", "--figure", "10b"],  # a --figure in flags replaces 10b
         "simulate": ["simulate", "--model", "gbm", "--preset", "reference"],
-        "taq": ["taq", "kskip", str(trades), "--pair", "AAA,BBB"],
+        # --dt-grid goes to the one taq command that reads it
+        "taq": ["taq", "epps" if "--dt-grid" in flags else "kskip", str(trades),
+                "--pair", "AAA,BBB"],
     }[command]
-    code = cli.main([*argv, "--config", str(cfg), *flags, "--out", str(tmp_path / "out")])
+    out_dir = tmp_path / "out"
+    code = cli.main([*argv, "--config", str(cfg), *flags, "--out", str(out_dir)])
     assert code == 2
     assert f"error: {field}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -222,6 +229,7 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
                                                     "beta": 1.0}, "horizon": 2000.5},
          "experiment: horizon"),
         ({"price_model": [1]}, "experiment.price_model"),
+        ({"n_replications": 2, "replication_seeds": [-1, 3]}, "experiment: replication_seeds"),
     ],
 )
 def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
@@ -229,6 +237,7 @@ def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
     code = cli.main(["epps", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # every field the CLI reads from a table, taken from the dataclasses themselves
@@ -622,6 +631,13 @@ def test_axis_flags_the_recipe_does_not_read_are_refused(tmp_path, capsys, figur
     assert not out_dir.exists()
 
 
+def test_a_kskip_figure_records_its_one_replication(tmp_path):
+    out_dir = tmp_path / "out"
+    assert cli.main(["epps", "--figure", "10a", "--replications", "5", "--out", str(out_dir)]) == 0
+    experiment = json.loads((out_dir / "manifest.json").read_text())["config"]["experiment"]
+    assert experiment["n_replications"] == 1
+
+
 def test_rates_set_the_mean_interarrivals_of_a_hy_figure(tmp_path):
     out_dir = tmp_path / "out"
     argv = ["epps", "--figure", "8b", "--rates", "1,2,3,4,5", "--replications", "2"]
@@ -667,7 +683,8 @@ def test_figure_recipes_match_golden_digests(tmp_path, monkeypatch):
     for name in presets.FIGURE_NAMES:
         out_dir = tmp_path / name
         assert cli.main([*figure_argv(name), "--out", str(out_dir)]) == 0
-        digests[name] = recipe_digest(json.loads((out_dir / "manifest.json").read_text())["config"])
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        digests[name] = recipe_digest(manifest["config"])
     assert digests == golden
 
 
@@ -849,6 +866,23 @@ def test_taq_file_that_is_not_utf8_is_a_data_error(tmp_path):
     assert res.returncode == 3
     assert "Traceback" not in res.stderr
     assert f"{src}: not UTF-8 text: byte 0xe9 at offset 74" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("kskip", ["--pair", "AAA,BBB", "--dt-grid", "5,30"]),
+        ("epps", ["--pair", "AAA,BBB", "--kmax", "7"]),
+        ("stats", ["--pair", "AAA,BBB"]),
+    ],
+)
+def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, command, flags):
+    trades = tmp_path / "trades.csv"
+    write_fixture(trades)
+    out_dir = tmp_path / "out"
+    assert cli.main(["taq", command, str(trades), *flags, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[-2]} only applies to taq ")
+    assert not out_dir.exists()
 
 
 def test_taq_pair_flag_required(tmp_path):
