@@ -170,13 +170,14 @@ def _table(value, name: str) -> dict:
     return value
 
 
-def _verdict_args(doc: dict) -> tuple[float, float]:
-    """(tau_abs, z) of the discrimination rule from the config's verdict table."""
-    vdoc = _table(doc.get("verdict", {}), "verdict")
-    return (
-        _number(vdoc.get("tau_abs", 0.05), "verdict.tau_abs"),
-        _number(vdoc.get("z", 1.0), "verdict.z"),
-    )
+def _verdict_table(tau_abs: float = 0.05, z: float = 1.0):
+    """(tau_abs, z) of the discrimination rule, as the config's verdict table sets it."""
+    return tau_abs, z
+
+
+def _taq_table(dt_grid: tuple[float, ...] = FIG_DT_GRID, kmax: int = 50):
+    """(dt_grid, kmax) as the config's taq table sets them."""
+    return dt_grid, kmax
 
 
 def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
@@ -357,7 +358,7 @@ def cmd_epps(args) -> int:
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     figure = args.figure or doc.get("figure")
-    tau_abs, z = _verdict_args(doc)
+    tau_abs, z = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
 
     if figure is not None:
         recipe = figure_recipe(figure, **overrides)
@@ -429,15 +430,18 @@ def cmd_taq(args) -> int:
         if value is not None and args.taq_command not in commands:
             raise ParameterError(f"{flag} only applies to taq {' and '.join(commands)}, "
                                  f"not to taq {args.taq_command}")
+    # the whole config, then the flags that replace its values, before any file is read
     doc = _load_config(args.config)
-    parsed = _parse_taq_files(args.files)
-    taq_doc = _table(doc.get("taq", {}), "taq")
+    dt_grid, k_max = _from_table(_taq_table, doc.get("taq", {}), "taq")
+    check_axis(dt_grid, "taq.dt_grid")
     if args.dt_grid is not None:
         dt_grid = check_axis(_floats_arg(args.dt_grid, "--dt-grid"), "--dt-grid")
-    else:
-        grid_doc = taq_doc.get("dt_grid", list(FIG_DT_GRID))
-        dt_grid = check_axis(_read(tuple[float, ...], grid_doc, "taq.dt_grid"), "taq.dt_grid")
-    tau_abs, z = _verdict_args(doc)
+    for name, value in (("taq.kmax", k_max), ("--kmax", args.kmax)):
+        if value is not None and value < MIN_VERDICT_POINTS:
+            raise ParameterError(f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {value}")
+    k_max = args.kmax if args.kmax is not None else k_max
+    tau_abs, z = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
+    parsed = _parse_taq_files(args.files)
 
     base_config = {
         "taq_command": args.taq_command,
@@ -503,28 +507,18 @@ def cmd_taq(args) -> int:
         print(f"taq epps: {ticker_a}/{ticker_b} over {len(days)} day(s) -> {out}")
         return 0
 
-    if args.taq_command == "kskip":
-        k_max, name = args.kmax, "--kmax"
-        if k_max is None:
-            k_max, name = _number(taq_doc.get("kmax", 50), "taq.kmax", integer=True), "taq.kmax"
-        if k_max < MIN_VERDICT_POINTS:
-            raise ParameterError(
-                f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {k_max}"
-            )
-        base_config.update({"kmax": k_max, "tau_abs": tau_abs, "z": z})
-        run = Run("taq", args.out, base_config, 0)
-        run.notes["skipped_days"] = skipped
-        curve, verdict = empirical_kskip(days, k_max, tau_abs=tau_abs, z=z)
-        _figure_outputs(run, FigureResult("taq kskip", "kskip", {"curve": curve},
-                                          {"verdict": verdict}))
-        out = run.finish()
-        print(
-            f"taq kskip: {ticker_a}/{ticker_b} -> {verdict.classification} "
-            f"(gap {verdict.gap:.4f}, threshold {verdict.threshold:.4f}) -> {out}"
-        )
-        return 0
-
-    raise ParameterError(f"unknown taq command {args.taq_command!r}")
+    base_config.update({"kmax": k_max, "tau_abs": tau_abs, "z": z})
+    run = Run("taq", args.out, base_config, 0)
+    run.notes["skipped_days"] = skipped
+    curve, verdict = empirical_kskip(days, k_max, tau_abs=tau_abs, z=z)
+    _figure_outputs(run, FigureResult("taq kskip", "kskip", {"curve": curve},
+                                      {"verdict": verdict}))
+    out = run.finish()
+    print(
+        f"taq kskip: {ticker_a}/{ticker_b} -> {verdict.classification} "
+        f"(gap {verdict.gap:.4f}, threshold {verdict.threshold:.4f}) -> {out}"
+    )
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -619,11 +619,7 @@ def write_curve_json(curve: EppsCurve, path) -> None:
         fh.write("\n")
 
 
-def verdict_to_dict(v: Verdict) -> dict:
-    return asdict(v)
-
-
 def write_verdict_json(v: Verdict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(verdict_to_dict(v), fh, indent=2, sort_keys=True)
+        json.dump(asdict(v), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -91,14 +91,14 @@ class StabilityReport:
     spectral_radius: float
 
 
-def classify_stability(spec: HawkesSpec, tol: float = STABILITY_TOL) -> StabilityReport:
+def classify_stability(spec: HawkesSpec) -> StabilityReport:
     """Classify the kernel by the spectral radius of its branching matrix."""
     gamma = branching_matrix(spec)
     try:
         radius = float(np.max(np.abs(np.linalg.eigvals(gamma))))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    if abs(radius - 1.0) <= tol:
+    if abs(radius - 1.0) <= STABILITY_TOL:
         kind = "quasi_stationary"
     elif radius < 1.0:
         kind = "stationary"
@@ -318,9 +318,6 @@ class CovarianceCoefficients:
     rate : stationary event rate of each of the four components
     scale : common prefactor of all non-Poisson terms
     w_sum, w_diff : weights of the sum / difference relaxation channels
-    q_own, q_cross : own- and cross-asset weights of the slow channel
-        (q_cross is exposed for completeness; the printed covariance
-        expressions do not consume it)
     decay_sum, decay_diff : relaxation rates of the two channels
     """
 
@@ -328,8 +325,6 @@ class CovarianceCoefficients:
     scale: float
     w_sum: float
     w_diff: float
-    q_own: float
-    q_cross: float
     decay_sum: float
     decay_diff: float
 
@@ -339,8 +334,8 @@ def covariance_coefficients(params: HawkesPriceParams) -> CovarianceCoefficients
     mu, beta = params.mu, params.beta
     den_rate = 1.0 - g_r - g_c
     den_diff = 1.0 + g_r - g_c
-    den_q = ((g_r + 1.0) ** 2 - g_c**2) * den_rate
-    for name, den in (("1-g_r-g_c", den_rate), ("1+g_r-g_c", den_diff), ("q", den_q)):
+    den_prod = ((g_r + 1.0) ** 2 - g_c**2) * den_rate  # = (1+g_r+g_c) den_diff den_rate
+    for name, den in (("1-g_r-g_c", den_rate), ("1+g_r-g_c", den_diff), ("product", den_prod)):
         if abs(den) < 1e-12:
             raise DomainError(f"covariance coefficients degenerate: {name} ~ 0")
     return CovarianceCoefficients(
@@ -348,16 +343,12 @@ def covariance_coefficients(params: HawkesPriceParams) -> CovarianceCoefficients
         scale=beta * mu / (g_r + g_c - 1.0),
         w_sum=(2.0 + g_r + g_c) * (g_r + g_c) / (1.0 + g_r + g_c),
         w_diff=(2.0 + g_r - g_c) * (g_r - g_c) / den_diff,
-        q_own=-mu * (g_r**2 + g_r - g_c**2) / den_q,
-        q_cross=-mu * g_c / den_q,
         decay_sum=beta * (1.0 + g_r + g_c),
         decay_diff=beta * (1.0 + g_r - g_c),
     )
 
 
-def theoretical_hawkes_covariance(
-    params: HawkesPriceParams, dt: float, as_printed: bool = False
-) -> tuple[float, float]:
+def theoretical_hawkes_covariance(params: HawkesPriceParams, dt: float) -> tuple[float, float]:
     """Closed-form (own, cross) covariance of log-price changes over dt.
 
     Returns (C11, C12): the stationary variance of one asset's change over
@@ -373,14 +364,10 @@ def theoretical_hawkes_covariance(
     dt in [1, 1000] s, and it has the right dt -> 0 limit (C11/dt -> rate_a,
     the Poissonian floor; C12/dt -> 0).
 
-    as_printed=True instead evaluates a commonly transcribed variant of the
-    same system whose own-variance bracket mixes in a q_own weight where
-    symmetry requires w_sum, and whose rate constant counts only one tick
-    direction. That variant underestimates C11 inflation at small dt (it
-    even diverges as dt -> 0) and halves both legs at large dt; it is kept
-    for comparison because the correlation ratio C12/C11 it induces agrees
-    with the corrected form for dt >~ 10 s. See the package notes before
-    using it for anything but that comparison.
+    A commonly transcribed variant is not this model's covariance: its
+    own-variance bracket uses a slow-channel weight where symmetry requires
+    w_sum and its rate counts one tick direction only, so its C11 diverges
+    as dt -> 0 and both legs halve at large dt.
 
     All brackets are grouped through expm1 so small-dt evaluation does not
     cancel catastrophically; the groupings are algebraically identical to
@@ -392,19 +379,6 @@ def theoretical_hawkes_covariance(
     g1, g2 = c.decay_sum, c.decay_diff
     em1 = math.expm1(-g1 * dt)
     em2 = math.expm1(-g2 * dt)
-    if as_printed:
-        norm = 2.0 * g1**2 * g2**2 * dt
-        base = c.scale * c.w_sum / (2.0 * g1)
-        anti = c.scale * c.w_diff / (2.0 * g2)
-        bracket11 = (
-            c.w_diff * g1**2 * em2
-            + c.q_own * g2**2 * em1
-            + (c.q_own - c.w_sum) * g2**2
-        )
-        c11 = c.rate + base + anti + c.scale * bracket11 / norm
-        bracket12 = -c.w_sum * g2**2 * em1 + c.w_diff * g1**2 * em2
-        c12 = -base + anti + c.scale * bracket12 / norm
-        return c11 * dt, c12 * dt
     rate_a = 2.0 * c.rate
     scale_a = 2.0 * c.scale
     # u(g) = 1 - (1 - e^{-g dt})/(g dt) = 1 + expm1(-g dt)/(g dt)
@@ -417,11 +391,9 @@ def theoretical_hawkes_covariance(
     return c11 * dt, c12 * dt
 
 
-def theoretical_hawkes_correlation(
-    params: HawkesPriceParams, dt: float, as_printed: bool = False
-) -> float:
+def theoretical_hawkes_correlation(params: HawkesPriceParams, dt: float) -> float:
     """Correlation of the two assets' log-price changes over dt."""
-    c11, c12 = theoretical_hawkes_covariance(params, dt, as_printed=as_printed)
+    c11, c12 = theoretical_hawkes_covariance(params, dt)
     if c11 <= 0:
         raise DomainError(f"own covariance is not positive at dt={dt}")
     return c12 / c11

@@ -134,10 +134,8 @@ def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -
     standard 100; a kskip figure records one replication); unknown names
     raise ParameterError.
     """
-    if name not in _FIGURES:
-        raise ParameterError(
-            f"unknown figure {name!r}; choose one of {', '.join(FIGURE_NAMES)}"
-        )
+    if name not in FIGURE_NAMES:  # compared, not hashed: a config's value may be any JSON type
+        raise ParameterError(f"figure: expected one of {', '.join(FIGURE_NAMES)}, got {name!r}")
     kind, model, sampler, fields = _FIGURES[name]
     base = {"seed": seed}
     if n_replications is not None:

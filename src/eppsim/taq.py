@@ -37,6 +37,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError, ScalingError, SkipDay
 from .experiments import (
+    ESTIMATOR_NAMES,
     CurvePoint,
     EppsCurve,
     aggregate_curve,
@@ -48,6 +49,7 @@ from .series import TickSeries
 
 DAY_WINDOW = 28200.0
 CHUNK_BYTES = 1 << 18  # bytes read per block; bounds the whole parse's transient memory
+CONFIDENCE = 0.95  # of the ribbons of the empirical curves
 
 _HEADER = ("date", "ticker", "timestamp", "price", "volume")
 
@@ -510,22 +512,6 @@ def combine(results) -> ParseResult:
     )
 
 
-def write_trades(path, records) -> None:
-    """Inverse of parse_trades at full float precision (decimal seconds)."""
-    recs = sorted(records, key=lambda r: (r.ticker, r.date, r.timestamp))
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(_HEADER) + "\n")
-        for r in recs:
-            fh.write(f"{r.date},{r.ticker},{r.timestamp!r},{r.price!r},{r.volume!r}\n")
-
-
-def _column(records, field: str) -> np.ndarray:
-    """One column of a TradeDay, or of any sequence of TradeRecords."""
-    if isinstance(records, TradeDay):
-        return getattr(records, field)
-    return np.array([getattr(r, field) for r in records], dtype=float)
-
-
 def _day_leg(ts: np.ndarray, price: np.ndarray, origin: float) -> TickSeries:
     """Shifted log-price ticks of one leg, standing value first."""
     after = ts > origin
@@ -537,20 +523,19 @@ def _day_leg(ts: np.ndarray, price: np.ndarray, origin: float) -> TickSeries:
     )
 
 
-def build_day_pair(records_a, records_b, date: str = "") -> DayPair:
+def build_day_pair(day_a: TradeDay, day_b: TradeDay, date: str = "") -> DayPair:
     """Align one day of two tickers on the pair's common clock.
 
-    records_a and records_b are TradeDays or sequences of TradeRecords
-    in time order. Trades outside the [0, 28200] s day window are dropped
-    first; if that empties either leg the day is skipped (SkipDay). t=0
-    is the later of the two first trades, each leg's last trade at or
-    before it stands as the value at 0, and later times shift by the
-    origin. Prices come out as natural logs (math.log, so bit for bit
-    the same on every CPU).
+    Trades outside the [0, 28200] s day window are dropped first; if
+    that empties either leg the day is skipped (SkipDay). t=0 is the
+    later of the two first trades, each leg's last trade at or before it
+    stands as the value at 0, and later times shift by the origin.
+    Prices come out as natural logs (math.log, so bit for bit the same
+    on every CPU).
     """
     legs = []
-    for records in (records_a, records_b):
-        ts, price = _column(records, "timestamp"), _column(records, "price")
+    for day in (day_a, day_b):
+        ts, price = day.timestamp, day.price
         inside = (ts >= 0.0) & (ts <= DAY_WINDOW)
         legs.append((ts[inside], price[inside]))
     (ts_a, px_a), (ts_b, px_b) = legs
@@ -586,20 +571,18 @@ def pair_days(parsed: ParseResult, ticker_a: str, ticker_b: str):
     return days, skipped
 
 
-def interarrival_stats(day_records) -> tuple[float, float]:
+def interarrival_stats(days) -> tuple[float, float]:
     """Pooled inter-arrival mean and standard deviation in seconds.
 
-    day_records is an iterable of per-day TradeDays (or TradeRecord
-    sequences) for one ticker. Differences are taken within each day only; days with fewer
-    than two trades contribute nothing. The sd uses ddof=1, is 0.0 for a
-    single pooled difference, and both moments are nan when no day has
-    two trades.
+    days is an iterable of one ticker's TradeDays. Differences are taken
+    within each day only; days with fewer than two trades contribute
+    nothing. The sd uses ddof=1, is 0.0 for a single pooled difference,
+    and both moments are nan when no day has two trades.
     """
     diffs: list[np.ndarray] = []
-    for day in day_records:
-        ts = _column(day, "timestamp")
-        if ts.size >= 2:
-            diffs.append(np.diff(ts))
+    for day in days:
+        if len(day) >= 2:
+            diffs.append(np.diff(day.timestamp))
     if not diffs:
         return math.nan, math.nan
     pool = np.concatenate(diffs)
@@ -612,41 +595,31 @@ def ticker_interarrival_stats(parsed: ParseResult, ticker: str) -> tuple[float, 
     return interarrival_stats(days)
 
 
-def empirical_curve(
-    days,
-    dt_grid,
-    estimators=("measured", "flat_trade", "overlap", "hy"),
-    confidence: float = 0.95,
-) -> EppsCurve:
+def empirical_curve(days, dt_grid) -> EppsCurve:
     """Correlation curves over a day ensemble, one replication per day.
 
-    Each DayPair contributes one estimate per (estimator, dt) from its two
-    tick series, whose trade times are also the overlap correction's
-    arrivals. Ribbons are Student t with n_days - 1 degrees of freedom.
+    Each DayPair contributes one estimate per (estimator, dt), for every
+    estimator, from its two tick series, whose trade times are also the
+    overlap correction's arrivals. Ribbons are Student t at CONFIDENCE
+    with n_days - 1 degrees of freedom.
     """
     days = list(days)
     if not days:
         raise DataError("no usable days: cannot build an empirical curve")
     dt_grid = tuple(float(d) for d in dt_grid)
-    stack = np.empty((len(days), len(estimators), len(dt_grid)))
+    stack = np.empty((len(days), len(ESTIMATOR_NAMES), len(dt_grid)))
     for r, day in enumerate(days):
-        stack[r] = estimate_matrix(day.series_a, day.series_b, dt_grid, estimators, day.horizon)
+        stack[r] = estimate_matrix(day.series_a, day.series_b, dt_grid, ESTIMATOR_NAMES, day.horizon)
     meta = {
         "experiment": "empirical",
         "n_days": len(days),
-        "confidence": confidence,
+        "confidence": CONFIDENCE,
         "dates": [d.date for d in days],
     }
-    return aggregate_curve(estimators, confidence, dt_grid, "dt", stack, meta)
+    return aggregate_curve(ESTIMATOR_NAMES, CONFIDENCE, dt_grid, "dt", stack, meta)
 
 
-def empirical_kskip(
-    days,
-    k_max: int,
-    confidence: float = 0.95,
-    tau_abs: float = 0.05,
-    z: float = 1.0,
-):
+def empirical_kskip(days, k_max: int, tau_abs: float = 0.05, z: float = 1.0):
     """Per-day k-skip HY curves pooled into a day ensemble, plus verdict.
 
     Each day contributes one HY estimate per k from its thinned tick sets;
@@ -662,37 +635,27 @@ def empirical_kskip(
         "experiment": "empirical_kskip",
         "n_days": len(days),
         "k_max": int(k_max),
-        "confidence": confidence,
+        "confidence": CONFIDENCE,
         "dates": [d.date for d in days],
     }
-    curve = aggregate_curve(("hy",), confidence, range(1, int(k_max) + 1), "k", stack, meta)
+    curve = aggregate_curve(("hy",), CONFIDENCE, range(1, int(k_max) + 1), "k", stack, meta)
     return curve, discriminate(curve, "hy", tau_abs, z)
 
 
-def saturation_scale(curve: EppsCurve, series: str | None = None) -> EppsCurve:
+def saturation_scale(curve: EppsCurve) -> EppsCurve:
     """Rescale a curve so that its large-dt plateau sits at 1.
 
-    The saturation level is the mean of the reference series' means over
-    the top 10% of the axis range (the "measured" series when present,
-    else the curve's only series). Every series' means and half-widths
-    are divided by it; a level <= 0 raises ScalingError. The convention
-    is recorded in the returned meta.
+    The saturation level is the mean of the "measured" series' means over
+    the top 10% of the axis range; a curve without that series raises
+    ParameterError. Every series' means and half-widths are divided by
+    it; a level <= 0 raises ScalingError. The convention is recorded in
+    the returned meta.
     """
-    if series is None:
-        if "measured" in curve.series:
-            series = "measured"
-        elif len(curve.series) == 1:
-            series = next(iter(curve.series))
-        else:
-            raise ParameterError(
-                "curve has several series and none named 'measured'; "
-                "name the reference series"
-            )
-    if series not in curve.series:
-        raise ParameterError(f"curve has no series {series!r}")
-    ref = [p for p in curve.series[series] if p.n_ok > 0 and math.isfinite(p.mean)]
+    if "measured" not in curve.series:
+        raise ParameterError("curve has no series 'measured' to scale by")
+    ref = [p for p in curve.series["measured"] if p.n_ok > 0 and math.isfinite(p.mean)]
     if not ref:
-        raise ScalingError(f"series {series!r} has no usable points")
+        raise ScalingError("series 'measured' has no usable points")
     axis = np.array([p.axis for p in ref])
     cut = axis.max() - 0.10 * (axis.max() - axis.min())
     top = [p.mean for p in ref if p.axis >= cut]
@@ -710,7 +673,7 @@ def saturation_scale(curve: EppsCurve, series: str | None = None) -> EppsCurve:
     meta.update(
         {
             "saturation_level": level,
-            "saturation_series": series,
+            "saturation_series": "measured",
             "saturation_convention": "mean of the reference series' means over "
             "the top 10% of the axis range",
         }

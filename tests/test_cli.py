@@ -885,6 +885,36 @@ def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, comma
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, config, message, named",
+    [
+        (["epps"], {"figure": ["2a"]}, "error: figure: expected one of 2a, ", "['2a']"),
+        (["epps"], {"figure": {}}, "error: figure: expected one of 2a, ", "{}"),
+        (["epps", "--figure", "10b"], {"verdict": {"tau": 0.5}}, "error: verdict: ", "'tau'"),
+        # the trade file is missing: the config is refused before any file is read
+        (["taq", "kskip", "MISSING", "--pair", "AAA,BBB"], {"verdict": {"tau": 0.5}},
+         "error: verdict: ", "'tau'"),
+        (["taq", "epps", "MISSING", "--pair", "AAA,BBB"], {"taq": {"kmaxx": 7}},
+         "error: taq: ", "'kmaxx'"),
+        (["taq", "kskip", "MISSING", "--pair", "AAA,BBB"], {"taq": {"kmax": 3}},
+         "error: taq.kmax: expected an integer >= 5", "got 3"),
+    ],
+)
+def test_bad_config_values_and_keys_are_refused_before_any_output(
+    tmp_path, argv, config, message, named
+):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    argv = [str(tmp_path / "missing.csv") if a == "MISSING" else a for a in argv]
+    res = run_cli(*argv, "--config", str(cfg), "--out", str(out_dir))
+    assert res.returncode == 2
+    assert res.stderr.startswith(message)
+    assert named in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out_dir.exists()
+
+
 def test_taq_pair_flag_required(tmp_path):
     src = tmp_path / "trades.csv"
     src.write_text(f"{HEADER}\n2023-01-02,AAA,0.0,100,1\n")

@@ -46,7 +46,6 @@ from eppsim.experiments import (
     estimate_matrix,
     k_skip_stack,
     ribbon,
-    verdict_to_dict,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
@@ -754,11 +753,11 @@ def test_curve_to_dict_round_trip_values():
 
 def test_verdict_json_contract(tmp_path):
     v = discriminate(rising_curve())
-    doc = verdict_to_dict(v)
+    out = tmp_path / "verdict.json"
+    write_verdict_json(v, out)
+    doc = json.loads(out.read_text())
     for key in ("classification", "rho_early", "rho_late", "gap", "tau_abs", "z",
                 "pooled_half_width", "threshold", "ci_overlap", "n_points",
                 "axis_label", "estimator"):
         assert key in doc, key
-    out = tmp_path / "verdict.json"
-    write_verdict_json(v, out)
-    assert json.loads(out.read_text())["classification"] == "discrete_events"
+    assert doc["classification"] == "discrete_events"

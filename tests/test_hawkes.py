@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from eppsim import hawkes, seeding
-from eppsim.errors import NumericError, ParameterError, StabilityError
+from eppsim.errors import DomainError, NumericError, ParameterError, StabilityError
 from eppsim.hawkes import (
     HawkesPriceParams,
     HawkesSpec,
@@ -428,28 +428,11 @@ def test_covariance_requires_positive_dt():
         theoretical_hawkes_covariance(PRICE, 0.0)
 
 
-def test_printed_variant_agrees_on_ratio_at_moderate_dt():
-    # the transcribed variant distorts both legs the same way once dt is
-    # large against the relaxation times, so the correlation ratio
-    # survives transcription: ~1% off at 10 s, <2e-3 from 20 s up
-    a10 = theoretical_hawkes_correlation(PRICE, 10.0)
-    b10 = theoretical_hawkes_correlation(PRICE, 10.0, as_printed=True)
-    assert a10 == pytest.approx(b10, abs=1e-2)
-    for dt in (20.0, 50.0, 100.0, 1000.0):
-        a = theoretical_hawkes_correlation(PRICE, dt)
-        b = theoretical_hawkes_correlation(PRICE, dt, as_printed=True)
-        assert a == pytest.approx(b, abs=2e-3), dt
-    # below ~5 s the two parted ways
-    assert abs(
-        theoretical_hawkes_correlation(PRICE, 1.0)
-        - theoretical_hawkes_correlation(PRICE, 1.0, as_printed=True)
-    ) > 0.02
-
-
-def test_printed_variant_diverges_at_small_dt():
-    c11, _ = theoretical_hawkes_covariance(PRICE, 0.01)
-    c11_printed, _ = theoretical_hawkes_covariance(PRICE, 0.01, as_printed=True)
-    assert abs(c11_printed - c11) > 0.5 * abs(c11)
+def test_covariance_refuses_a_kernel_whose_denominator_product_vanishes():
+    # 1-g_r-g_c and 1+g_r-g_c are each 2e-9, above the 1e-12 cut; their product is not
+    near = HawkesPriceParams(mu=0.015, alpha_r=0.0, alpha_c=0.11 * (1 - 2e-9), beta=0.11)
+    with pytest.raises(DomainError, match="product"):
+        theoretical_hawkes_correlation(near, 10.0)
 
 
 def test_uncoupled_assets_have_zero_cross_covariance():

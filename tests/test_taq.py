@@ -32,7 +32,6 @@ from eppsim.taq import (
     parse_trades,
     saturation_scale,
     ticker_interarrival_stats,
-    write_trades,
 )
 
 HEADER = "date,ticker,timestamp,price,volume"
@@ -44,6 +43,12 @@ def parse_text(text: str):
 
 def rec(ts, price, volume=1.0, ticker="AAA", date="2023-01-02"):
     return TradeRecord(ts, price, volume, ticker, date)
+
+
+def trade_day(times, prices, ticker="AAA", date="2023-01-02"):
+    """A TradeDay of unit-volume trades at the given times and prices."""
+    ts = np.array(times, dtype=float)
+    return TradeDay(ticker, date, ts, np.array(prices, dtype=float), np.ones(ts.size))
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +166,9 @@ def test_write_then_parse_round_trip(tmp_path):
         "2023-01-03,AAA,9.5,101.75,1\n"
     )
     out = tmp_path / "trades.csv"
-    all_records = [r for recs in res.records.values() for r in recs]
-    write_trades(out, all_records)
+    rows = [f"{r.date},{r.ticker},{r.timestamp!r},{r.price!r},{r.volume!r}"
+            for day in res.records.values() for r in day]
+    out.write_text("\n".join([HEADER, *rows]) + "\n")
     again = parse_trades(out)
     assert again.records == res.records
 
@@ -560,8 +566,8 @@ def test_parse_trades_matches_row_parser_oracle(files):
 
 
 def test_day_pair_origin_and_standing_value():
-    a = [rec(10.0, 100.0), rec(40.0, 101.0)]
-    b = [rec(30.0, 50.0, ticker="BBB"), rec(50.0, 51.0, ticker="BBB")]
+    a = trade_day([10.0, 40.0], [100.0, 101.0])
+    b = trade_day([30.0, 50.0], [50.0, 51.0], ticker="BBB")
     pair = build_day_pair(a, b, "2023-01-02")
     np.testing.assert_allclose(pair.series_a.times, [0.0, 10.0])
     np.testing.assert_allclose(pair.series_a.values, [math.log(100.0), math.log(101.0)])
@@ -571,15 +577,15 @@ def test_day_pair_origin_and_standing_value():
 
 
 def test_day_pair_skips_when_all_trades_late():
-    a = [rec(28201.0, 100.0), rec(29000.0, 101.0)]
-    b = [rec(30.0, 50.0, ticker="BBB")]
+    a = trade_day([28201.0, 29000.0], [100.0, 101.0])
+    b = trade_day([30.0], [50.0], ticker="BBB")
     with pytest.raises(SkipDay):
         build_day_pair(a, b, "2023-01-02")
 
 
 def test_day_pair_drops_trades_outside_window():
-    a = [rec(10.0, 100.0), rec(28000.0, 101.0), rec(28600.0, 102.0)]
-    b = [rec(20.0, 50.0, ticker="BBB")]
+    a = trade_day([10.0, 28000.0, 28600.0], [100.0, 101.0, 102.0])
+    b = trade_day([20.0], [50.0], ticker="BBB")
     pair = build_day_pair(a, b)
     # the 28600 s trade fell outside the absolute day window
     assert len(pair.series_a) == 2
@@ -609,15 +615,15 @@ def test_pair_days_reports_skips_and_validates_tickers():
 
 
 def test_interarrival_equispaced():
-    day = [rec(float(t), 100.0) for t in range(0, 30, 5)]
+    day = trade_day(range(0, 30, 5), [100.0] * 6)
     mean, sd = interarrival_stats([day])
     assert mean == 5.0
     assert sd == 0.0
 
 
 def test_interarrival_hand_computed_pooled_fixture():
-    day1 = [rec(0.0, 100.0), rec(2.0, 100.5), rec(6.0, 101.0)]
-    day2 = [rec(0.0, 100.0, date="2023-01-03"), rec(3.0, 100.2, date="2023-01-03")]
+    day1 = trade_day([0.0, 2.0, 6.0], [100.0, 100.5, 101.0])
+    day2 = trade_day([0.0, 3.0], [100.0, 100.2], date="2023-01-03")
     mean, sd = interarrival_stats([day1, day2])
     # pooled gaps {2, 4, 3}: never a cross-day 6 -> 0 difference
     assert mean == pytest.approx(3.0, abs=1e-12)
@@ -625,13 +631,13 @@ def test_interarrival_hand_computed_pooled_fixture():
 
 
 def test_interarrival_single_trade_day_contributes_nothing():
-    day1 = [rec(0.0, 100.0), rec(2.0, 100.5), rec(6.0, 101.0)]
-    lonely = [rec(5.0, 100.0, date="2023-01-03")]
+    day1 = trade_day([0.0, 2.0, 6.0], [100.0, 100.5, 101.0])
+    lonely = trade_day([5.0], [100.0], date="2023-01-03")
     assert interarrival_stats([day1, lonely]) == interarrival_stats([day1])
 
 
 def test_interarrival_no_usable_day_is_nan():
-    mean, sd = interarrival_stats([[rec(5.0, 100.0)]])
+    mean, sd = interarrival_stats([trade_day([5.0], [100.0])])
     assert math.isnan(mean) and math.isnan(sd)
 
 
@@ -651,8 +657,8 @@ def test_ticker_interarrival_stats_runs_per_ticker():
 
 
 def test_day_order_does_not_change_pooled_stats():
-    day1 = [rec(0.0, 100.0), rec(2.0, 100.5), rec(6.0, 101.0)]
-    day2 = [rec(0.0, 100.0, date="2023-01-03"), rec(3.0, 100.2, date="2023-01-03")]
+    day1 = trade_day([0.0, 2.0, 6.0], [100.0, 100.5, 101.0])
+    day2 = trade_day([0.0, 3.0], [100.0, 100.2], date="2023-01-03")
     assert interarrival_stats([day1, day2]) == pytest.approx(
         interarrival_stats([day2, day1])
     )
@@ -672,23 +678,20 @@ def synthetic_days(n_days=3, rate=0.2, seed0=100):
                     horizon=horizon)
     for d in range(n_days):
         path = simulate_gbm(gbm, seed0 + d)
-        rows_a, rows_b = [], []
+        legs = []
         date = f"2023-01-{2 + d:02d}"
-        for asset, rows, tick in ((0, rows_a, "AAA"), (1, rows_b, "BBB")):
+        for asset, tick in ((0, "AAA"), (1, "BBB")):
             u = poisson_arrivals(rate, horizon, seed0 + 10 * d + asset)
             s = observe_path(path, u, asset)
-            rows.extend(
-                rec(float(t), float(np.exp(v)) * 100.0, ticker=tick, date=date)
-                for t, v in zip(s.times, s.values)
-            )
-        days.append(build_day_pair(rows_a, rows_b, date))
+            legs.append(trade_day(s.times, np.exp(s.values) * 100.0, ticker=tick, date=date))
+        days.append(build_day_pair(*legs, date))
     return days
 
 
 def test_empirical_curve_matches_in_memory_pipeline():
     days = synthetic_days()
     dt_grid = (10.0, 30.0)
-    curve = empirical_curve(days, dt_grid, estimators=("measured",))
+    curve = empirical_curve(days, dt_grid)
     for j, dt in enumerate(dt_grid):
         per_day = []
         for day in days:
@@ -768,6 +771,7 @@ def test_saturation_reference_series_selection():
     two = EppsCurve(axis_label="dt", series={"overlap": pts, "hy": pts})
     with pytest.raises(ParameterError):
         saturation_scale(two)
-    assert saturation_scale(two, "hy").meta["saturation_series"] == "hy"
-    with pytest.raises(ParameterError):
-        saturation_scale(two, "kernel")
+    with pytest.raises(ParameterError):  # one series, but not the measured one
+        saturation_scale(curve_from_means(np.full(10, 0.5), label="hy"))
+    three = EppsCurve(axis_label="dt", series={**two.series, "measured": pts})
+    assert saturation_scale(three).meta["saturation_series"] == "measured"
