@@ -26,8 +26,6 @@ import time
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, seeding
 from .errors import (
     DataError,
@@ -41,7 +39,8 @@ from .experiments import (
     MIN_VERDICT_POINTS,
     PRICE_PARAMS,
     ExperimentConfig,
-    check_axis,
+    _check_dt_axis,
+    dump_json,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
@@ -60,6 +59,7 @@ from .presets import (
 from .sampling import mutual_excitation_spec
 from .series import write_arrivals_csv
 from .taq import (
+    DAY_WINDOW,
     combine,
     empirical_curve,
     empirical_kskip,
@@ -68,22 +68,6 @@ from .taq import (
     saturation_scale,
     ticker_interarrival_stats,
 )
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
-
-
-def _dump_json(obj, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
 
 
 def _sha256(path: Path) -> dict:
@@ -123,7 +107,7 @@ class Run:
             "notes": self.notes,
             "timings": {"total_s": time.perf_counter() - self._t0},
         }
-        _dump_json(manifest, self.dir / "manifest.json")
+        dump_json(manifest, self.dir / "manifest.json")
         return self.dir
 
 
@@ -263,15 +247,16 @@ def cmd_simulate(args) -> int:
     model = args.model
     sim = _table(doc.get("simulate", {}), "simulate")
     horizon = _number(sim.get("horizon", DAY_SECONDS), "simulate.horizon")
+    name = model.removesuffix("-price")  # the key of the model's parameter tables
     if args.preset == "reference":
-        params = REFERENCE_PARAMS[model.removesuffix("-price")]()
+        params = REFERENCE_PARAMS[name]()
     else:
         pdoc = sim.get("params")
         if pdoc is None:
             raise ParameterError(
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
             )
-        params = _from_table(PRICE_PARAMS[model.replace("-price", "")], pdoc, "simulate.params")
+        params = _from_table(PRICE_PARAMS[name], pdoc, "simulate.params")
     try:
         if model == "hawkes-price":
             _n_steps(horizon, PRICE_GRID_DT)  # the path must span the horizon
@@ -433,9 +418,9 @@ def cmd_taq(args) -> int:
     # the whole config, then the flags that replace its values, before any file is read
     doc = _load_config(args.config)
     dt_grid, k_max = _from_table(_taq_table, doc.get("taq", {}), "taq")
-    check_axis(dt_grid, "taq.dt_grid")
+    dt_grid = _check_dt_axis(dt_grid, DAY_WINDOW, "taq.dt_grid")
     if args.dt_grid is not None:
-        dt_grid = check_axis(_floats_arg(args.dt_grid, "--dt-grid"), "--dt-grid")
+        dt_grid = _check_dt_axis(_floats_arg(args.dt_grid, "--dt-grid"), DAY_WINDOW, "--dt-grid")
     for name, value in (("taq.kmax", k_max), ("--kmax", args.kmax)):
         if value is not None and value < MIN_VERDICT_POINTS:
             raise ParameterError(f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {value}")
@@ -465,7 +450,7 @@ def cmd_taq(args) -> int:
                 "n_days": len(days),
                 "n_trades": n_trades,
             }
-        run.emit("stats.json", lambda p: _dump_json(table, p))
+        run.emit("stats.json", lambda p: dump_json(table, p))
 
         def write_stats_csv(p):
             with open(p, "w", newline="") as fh:

@@ -46,10 +46,6 @@ class EstimationError(EppsimError):
 class DegenerateSeriesError(EstimationError):
     """A series has too few observations or zero realised variance."""
 
-    def __init__(self, message: str, leg: str | None = None):
-        super().__init__(message)
-        self.leg = leg
-
 
 class NoOverlapError(EstimationError):
     """The overlap expectation between the two legs is zero."""

@@ -12,7 +12,7 @@ loop for the simulation experiments.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,11 @@ from .series import ArrivalSet, GridSeries, TickSeries
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
-    """A correlation estimate with its provenance.
-
-    dt is the grid step the estimate was formed at; None for estimators
-    that do not synchronise onto a grid.
-    """
+    """A correlation estimate and the grid step dt it was formed at; None
+    for estimators that do not synchronise onto a grid."""
 
     rho: float
-    method: str
     dt: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -47,13 +42,11 @@ class OverlapStats:
 
     kappa_ii, kappa_jj : mean length of [gamma(t-dt), gamma(t)] per asset
     kappa_ij : mean length of the intersection of the two windows
-    n_windows : number of grid windows averaged over
     """
 
     kappa_ii: float
     kappa_jj: float
     kappa_ij: float
-    n_windows: int
     dt: float
 
 
@@ -86,16 +79,10 @@ def _measured_correlation(gi, gj, ri, rj) -> CorrelationEstimate:
     var_i = float(np.sum(ri * ri))
     var_j = float(np.sum(rj * rj))
     if var_i <= 0:
-        raise DegenerateSeriesError("realised variance of leg i is zero", leg="i")
+        raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
-        raise DegenerateSeriesError("realised variance of leg j is zero", leg="j")
-    rho = cov / math.sqrt(var_i * var_j)
-    return CorrelationEstimate(
-        rho=rho,
-        method="measured",
-        dt=gi.dt,
-        diagnostics={"cov": cov, "var_i": var_i, "var_j": var_j},
-    )
+        raise DegenerateSeriesError("realised variance of leg j is zero")
+    return CorrelationEstimate(cov / math.sqrt(var_i * var_j), gi.dt)
 
 
 def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
@@ -124,28 +111,16 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     var_i = float(np.sum(di * di))
     var_j = float(np.sum(dj * dj))
     if var_i <= 0:
-        raise DegenerateSeriesError("leg i has zero realised variance", leg="i")
+        raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
-        raise DegenerateSeriesError("leg j has zero realised variance", leg="j")
+        raise DegenerateSeriesError("leg j has zero realised variance")
     # j-interval k = (tj[k], tj[k+1]] overlaps i-interval (a, b] iff
     # tj[k+1] > a and tj[k] < b; both bounds are monotone in k
     k_lo = np.maximum(upto[:-1] - 1, 0)
     k_hi = np.minimum(below[1:], dj.size)
     pref = np.concatenate([[0.0], np.cumsum(dj)])
     cov = float(np.sum(di * (pref[k_hi] - pref[k_lo])))
-    rho = cov / math.sqrt(var_i * var_j)
-    return CorrelationEstimate(
-        rho=rho,
-        method="hy",
-        dt=None,
-        diagnostics={
-            "cov": cov,
-            "var_i": var_i,
-            "var_j": var_j,
-            "n_i": len(vi),
-            "n_j": len(vj),
-        },
-    )
+    return CorrelationEstimate(cov / math.sqrt(var_i * var_j))
 
 
 def overlap_expectation(
@@ -230,7 +205,6 @@ def _overlap_stats(ti, tj, counts_i, counts_j, dt: float) -> OverlapStats:
         kappa_ii=float(np.mean(gi_hi - gi_lo)),
         kappa_jj=float(np.mean(gj_hi - gj_lo)),
         kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
-        n_windows=int(ci_lo.size - first),
         dt=dt,
     )
 
@@ -246,18 +220,7 @@ def overlap_correction(rho_measured: float, stats: OverlapStats) -> CorrelationE
     if stats.kappa_ii <= 0 or stats.kappa_jj <= 0:
         raise NoOverlapError("own window expectation is zero")
     factor = math.sqrt(stats.kappa_ii * stats.kappa_jj) / stats.kappa_ij
-    return CorrelationEstimate(
-        rho=rho_measured * factor,
-        method="overlap",
-        dt=stats.dt,
-        diagnostics={
-            "kappa_ii": stats.kappa_ii,
-            "kappa_jj": stats.kappa_jj,
-            "kappa_ij": stats.kappa_ij,
-            "factor": factor,
-            "n_windows": stats.n_windows,
-        },
-    )
+    return CorrelationEstimate(rho_measured * factor, stats.dt)
 
 
 def flat_trade_probability(g: GridSeries) -> float:
@@ -287,12 +250,7 @@ def flat_trade_correction(
     if p_i == 1.0 or p_j == 1.0:
         raise SaturationError("flat-trade probability of 1 cannot be corrected")
     factor = (1.0 - p_i * p_j) / ((1.0 - p_i) * (1.0 - p_j))
-    return CorrelationEstimate(
-        rho=rho_measured * factor,
-        method="flat_trade",
-        dt=dt,
-        diagnostics={"p_i": p_i, "p_j": p_j, "factor": factor},
-    )
+    return CorrelationEstimate(rho_measured * factor, dt)
 
 
 def theoretical_poisson_epps(c: float, rate: float, dt: float) -> float:

@@ -46,7 +46,7 @@ from .hawkes import (
     classify_stability,
     hawkes_price_model,
 )
-from .index import _left_right_counts
+from .index import _left_right_counts, grid_count
 from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
 from .sampling import (
     _grid_series,
@@ -79,6 +79,16 @@ def check_axis(values, name: str) -> tuple:
         raise ParameterError(
             f"{name} must be non-empty, positive, finite and strictly increasing, got {values}"
         )
+    return values
+
+
+def _check_dt_axis(values, horizon: float, name: str) -> tuple:
+    """check_axis of a dt axis, whose finest grid over horizon must fit the grid-size bound."""
+    values = check_axis(values, name)
+    try:
+        grid_count(horizon, values[0])
+    except ParameterError as exc:
+        raise ParameterError(f"{name}: {exc}") from exc
     return values
 
 
@@ -287,7 +297,8 @@ class ExperimentConfig:
                 f"horizon: {self.horizon} exceeds price_params.horizon "
                 f"{self.price_params.horizon}, the span of the latent path"
             )
-        for axis in ("dt_grid", "mean_interarrivals", "overlap_rates"):
+        _check_dt_axis(self.dt_grid, self.horizon, "dt_grid")
+        for axis in ("mean_interarrivals", "overlap_rates"):
             check_axis(getattr(self, axis), axis)
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
@@ -613,13 +624,22 @@ def curve_to_dict(curve: EppsCurve) -> dict:
     }
 
 
-def write_curve_json(curve: EppsCurve, path) -> None:
+def _json_default(obj):
+    if isinstance(obj, np.ndarray):  # a HawkesSpec's, in a manifest's config
+        return obj.tolist()
+    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def dump_json(obj, path) -> None:
+    """The one JSON layout of every output file: indented, keys sorted, final newline."""
     with open(path, "w") as fh:
-        json.dump(curve_to_dict(curve), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
+
+
+def write_curve_json(curve: EppsCurve, path) -> None:
+    dump_json(curve_to_dict(curve), path)
 
 
 def write_verdict_json(v: Verdict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(v), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(asdict(v), path)

@@ -110,6 +110,8 @@ def classify_stability(spec: HawkesSpec) -> StabilityReport:
 def intensity_at(spec: HawkesSpec, history, t: float) -> np.ndarray:
     """Conditional intensities at time t given events strictly before t.
 
+    history holds one array of event times per component.
+
     Uses the per-pair decayed-state recursion over each source component's
     events instead of a full history scan: along events s_1 < ... < s_k the
     accumulator E_j = 1 + E_{j-1} * exp(-beta (s_j - s_{j-1})) carries the
@@ -121,7 +123,7 @@ def intensity_at(spec: HawkesSpec, history, t: float) -> np.ndarray:
         raise ParameterError(f"history must have {m_dim} components")
     lam = spec.lambda0.copy()
     for n in range(m_dim):
-        times = history[n].times if isinstance(history[n], ArrivalSet) else np.asarray(history[n], dtype=float)
+        times = np.asarray(history[n], dtype=float)
         times = times[times < t]
         if times.size == 0:
             continue
@@ -139,12 +141,7 @@ def intensity_at(spec: HawkesSpec, history, t: float) -> np.ndarray:
     return lam
 
 
-def simulate_hawkes(
-    spec: HawkesSpec,
-    horizon: float,
-    seed: int,
-    allow_unstable: bool = False,
-) -> tuple[ArrivalSet, ...]:
+def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[ArrivalSet, ...]:
     """Simulate the process on [0, horizon], started empty at t = 0.
 
     Uses the cluster (branching) representation of Hawkes & Oakes (1974),
@@ -156,18 +153,17 @@ def simulate_hawkes(
     The union of all generations, sorted per component, has the law of the
     process on [0, horizon].
 
-    Non-stationary kernels are refused unless allow_unstable is set. A run
-    that would draw more than MAX_EVENTS events, or whose baseline events
-    alone are expected to, raises NumericError before those draws are made.
+    Non-stationary kernels are refused. A run that would draw more than
+    MAX_EVENTS events, or whose baseline events alone are expected to,
+    raises NumericError before those draws are made.
     """
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be finite and non-negative, got {horizon}")
     report = classify_stability(spec)
-    if report.classification != "stationary" and not allow_unstable:
+    if report.classification != "stationary":
         raise StabilityError(
-            f"kernel is {report.classification} "
-            f"(spectral radius {report.spectral_radius:.6f}); "
-            "pass allow_unstable=True to simulate anyway"
+            f"kernel is {report.classification} (spectral radius "
+            f"{report.spectral_radius:.6f}); the simulation needs a stationary kernel"
         )
     rng = seeding.stream(seed, seeding.HAWKES)
     m_dim = spec.dim

@@ -16,13 +16,29 @@ import numpy as np
 from .errors import ParameterError
 
 
+# the most steps a grid of step dt over a horizon may have: estimate_matrix
+# peaks at 144 bytes per grid point (tracemalloc at 10**6 points), so a grid
+# at the bound needs about 14.4 GB
+MAX_GRID_STEPS = 10**8
+
+
+def _step_ratio(horizon: float, dt: float) -> float:
+    """horizon/dt, refused past MAX_GRID_STEPS before any grid is allocated."""
+    ratio = horizon / dt
+    if not ratio <= MAX_GRID_STEPS:
+        raise ParameterError(
+            f"horizon {horizon} at step {dt} needs more than {MAX_GRID_STEPS} grid steps"
+        )
+    return ratio
+
+
 def grid_count(horizon: float, dt: float) -> int:
     """floor(horizon/dt) with a tolerance absorbing float division error."""
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
-    return int(math.floor(horizon / dt + 1e-9))
+    return int(math.floor(_step_ratio(horizon, dt) + 1e-9))
 
 
 # The index kernels below visit every tick once, bisection visits every

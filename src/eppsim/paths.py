@@ -13,6 +13,7 @@ import numpy as np
 
 from . import seeding
 from .errors import ParameterError
+from .index import _step_ratio
 from .series import PricePath
 
 # one trading day in seconds (20 hours), the unit the daily parameters refer to
@@ -24,7 +25,7 @@ def _n_steps(horizon: float, dt: float) -> int:
         raise ParameterError(f"dt must be positive, got {dt}")
     if not horizon > 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    ratio = horizon / dt
+    ratio = _step_ratio(horizon, dt)
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ParameterError(

@@ -18,6 +18,14 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_times(t: np.ndarray, horizon: float, kind: str) -> None:
+    """Refuse 1-d times that are not strictly increasing inside [0, horizon]."""
+    if np.any(t[1:] <= t[:-1]):
+        raise ParameterError(f"{kind} times must be strictly increasing")
+    if t.size and (t[0] < 0 or t[-1] > horizon):
+        raise ParameterError(f"{kind} times must lie in [0, horizon]")
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -74,11 +82,7 @@ class ArrivalSet:
             raise ParameterError("times must be one-dimensional")
         if not self.horizon >= 0:
             raise ParameterError(f"horizon must be non-negative, got {self.horizon}")
-        if t.size:
-            if np.any(t[1:] <= t[:-1]):
-                raise ParameterError("arrival times must be strictly increasing")
-            if t[0] < 0 or t[-1] > self.horizon:
-                raise ParameterError("arrival times must lie in [0, horizon]")
+        _check_times(t, self.horizon, "arrival")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -107,11 +111,7 @@ class TickSeries:
         v = _as_float_array(self.values, "values")
         if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
             raise ParameterError("times and values must be 1-d and equally long")
-        if t.size:
-            if np.any(t[1:] <= t[:-1]):
-                raise ParameterError("tick times must be strictly increasing")
-            if t[0] < 0 or t[-1] > self.horizon:
-                raise ParameterError("tick times must lie in [0, horizon]")
+        _check_times(t, self.horizon, "tick")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

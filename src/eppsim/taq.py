@@ -68,9 +68,9 @@ class TradeDay:
     """The merged trades of one (ticker, date), as read-only columns.
 
     timestamp, price and volume are float arrays sorted by time, one
-    entry per distinct timestamp. len, indexing and iteration give the
-    trades as TradeRecords; two days are equal when their ticker, date
-    and every column are.
+    entry per distinct timestamp. len and indexing (and so iteration)
+    give the trades as TradeRecords; two days are equal when their
+    ticker, date and every column are.
     """
 
     ticker: str
@@ -87,10 +87,6 @@ class TradeDay:
             float(self.timestamp[i]), float(self.price[i]), float(self.volume[i]),
             self.ticker, self.date,
         )
-
-    def __iter__(self):
-        for t, p, v in zip(self.timestamp.tolist(), self.price.tolist(), self.volume.tolist()):
-            yield TradeRecord(t, p, v, self.ticker, self.date)
 
     def __eq__(self, other):
         if not isinstance(other, TradeDay):

@@ -885,6 +885,9 @@ def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, comma
     assert not out_dir.exists()
 
 
+GRID_BOUND = "needs more than 100000000 grid steps"
+
+
 @pytest.mark.parametrize(
     "argv, config, message, named",
     [
@@ -898,6 +901,18 @@ def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, comma
          "error: taq: ", "'kmaxx'"),
         (["taq", "kskip", "MISSING", "--pair", "AAA,BBB"], {"taq": {"kmax": 3}},
          "error: taq.kmax: expected an integer >= 5", "got 3"),
+        # grids past the size bound, refused before any grid is allocated
+        (["epps", "--figure", "2a", "--replications", "2", "--dt-grid", "1e-300,1"], {},
+         "error: --dt-grid: dt_grid: horizon 72000.0 at step 1e-300 ", GRID_BOUND),
+        (["taq", "epps", "MISSING", "--pair", "AAA,BBB", "--dt-grid", "1e-300,1"], {},
+         "error: --dt-grid: horizon 28200.0 at step 1e-300 ", GRID_BOUND),
+        (["taq", "stats", "MISSING"], {"taq": {"dt_grid": [1e-300, 1.0]}},
+         "error: taq.dt_grid: horizon 28200.0 at step 1e-300 ", GRID_BOUND),
+        (["simulate", "--model", "gbm", "--preset", "reference"], {"simulate": {"horizon": 1e300}},
+         "error: simulate.horizon: horizon 1e+300 at step 1.0 ", GRID_BOUND),
+        (["simulate", "--model", "hawkes-price", "--preset", "reference"],
+         {"simulate": {"horizon": 1e300}}, "error: simulate.horizon: horizon 1e+300 at step 1.0 ",
+         GRID_BOUND),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

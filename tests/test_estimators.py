@@ -197,16 +197,14 @@ def hy_two_bisections(si, sj):
     var_i = float(np.sum(di * di))
     var_j = float(np.sum(dj * dj))
     if var_i <= 0:
-        raise DegenerateSeriesError("leg i has zero realised variance", leg="i")
+        raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
-        raise DegenerateSeriesError("leg j has zero realised variance", leg="j")
+        raise DegenerateSeriesError("leg j has zero realised variance")
     k_lo = np.searchsorted(sj.times[1:], si.times[:-1], side="right")
     k_hi = np.searchsorted(sj.times[:-1], si.times[1:], side="left")
     pref = np.concatenate([[0.0], np.cumsum(dj)])
     cov = float(np.sum(di * (pref[k_hi] - pref[k_lo])))
-    return cov / math.sqrt(var_i * var_j), {
-        "cov": cov, "var_i": var_i, "var_j": var_j, "n_i": len(si), "n_j": len(sj)
-    }
+    return cov / math.sqrt(var_i * var_j)
 
 
 def shared_time_legs(rng, n_i, n_j, n_shared, flat_i=False):
@@ -247,10 +245,9 @@ def test_hy_equals_two_bisection_oracle_bitwise(seed, n_i, n_j, n_shared, flat_i
     except DegenerateSeriesError as exc:
         with pytest.raises(DegenerateSeriesError) as got:
             hayashi_yoshida(si, sj)
-        assert (str(got.value), got.value.leg) == (str(exc), exc.leg)
+        assert str(got.value) == str(exc)
         return
-    got = hayashi_yoshida(si, sj)
-    assert (got.rho, got.diagnostics) == want
+    assert hayashi_yoshida(si, sj).rho == want
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +294,7 @@ def test_overlap_expectation_errors():
 
 
 def test_overlap_correction_identity_factor():
-    stats = OverlapStats(kappa_ii=3.0, kappa_jj=3.0, kappa_ij=3.0, n_windows=10, dt=3.0)
+    stats = OverlapStats(kappa_ii=3.0, kappa_jj=3.0, kappa_ij=3.0, dt=3.0)
     assert overlap_correction(0.4, stats).rho == pytest.approx(0.4, abs=1e-15)
 
 
@@ -305,19 +302,19 @@ def test_overlap_correction_round_trips_poisson_epps():
     rate, dt = 1.0 / 15.0, 15.0
     rho_tilde = theoretical_poisson_epps(0.65, rate, dt)
     factor = 1.0 + math.expm1(-rate * dt) / (rate * dt)
-    stats = OverlapStats(kappa_ii=1.0, kappa_jj=1.0, kappa_ij=factor, n_windows=100, dt=dt)
+    stats = OverlapStats(kappa_ii=1.0, kappa_jj=1.0, kappa_ij=factor, dt=dt)
     assert overlap_correction(rho_tilde, stats).rho == pytest.approx(0.65, abs=1e-12)
     assert rho_tilde == pytest.approx(0.65 * math.exp(-1.0), abs=1e-12)
 
 
 def test_overlap_correction_zero_overlap_rejected():
-    stats = OverlapStats(kappa_ii=1.0, kappa_jj=1.0, kappa_ij=0.0, n_windows=5, dt=1.0)
+    stats = OverlapStats(kappa_ii=1.0, kappa_jj=1.0, kappa_ij=0.0, dt=1.0)
     with pytest.raises(NoOverlapError):
         overlap_correction(0.4, stats)
 
 
 def test_overlap_correction_preserves_sign():
-    stats = OverlapStats(kappa_ii=2.0, kappa_jj=2.0, kappa_ij=1.0, n_windows=5, dt=1.0)
+    stats = OverlapStats(kappa_ii=2.0, kappa_jj=2.0, kappa_ij=1.0, dt=1.0)
     assert overlap_correction(-0.3, stats).rho < 0
     assert overlap_correction(0.3, stats).rho > 0
 
@@ -340,9 +337,8 @@ def test_flat_probability_needs_a_return():
 
 def test_flat_correction_identity_and_factor_three():
     assert flat_trade_correction(0.3, 0.0, 0.0).rho == pytest.approx(0.3, abs=1e-15)
-    got = flat_trade_correction(0.2, 0.5, 0.5)
-    assert got.rho == pytest.approx(0.6, abs=1e-15)
-    assert got.diagnostics["factor"] == pytest.approx(3.0, abs=1e-15)
+    assert flat_trade_correction(0.2, 0.5, 0.5).rho == pytest.approx(0.6, abs=1e-15)
+    assert flat_trade_correction(1.0, 0.5, 0.5).rho == pytest.approx(3.0, abs=1e-15)
 
 
 def test_flat_correction_saturation_and_domain():
@@ -362,7 +358,7 @@ def test_flat_correction_saturation_and_domain():
 @settings(max_examples=200, deadline=None)
 def test_flat_correction_factor_at_least_one_and_sign_preserving(p_i, p_j, rho):
     out = flat_trade_correction(rho, p_i, p_j)
-    factor = out.diagnostics["factor"]
+    factor = flat_trade_correction(1.0, p_i, p_j).rho  # the factor itself
     assert factor >= 1.0 - 1e-12
     if p_i == 0.0 and p_j == 0.0:
         assert factor == 1.0

@@ -122,7 +122,6 @@ def oracle_overlap(u1, u2, dt, horizon, stride=None):
         kappa_ii=float(np.mean(gi_hi - gi_lo)),
         kappa_jj=float(np.mean(gj_hi - gj_lo)),
         kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
-        n_windows=int(t_eval.size),
         dt=dt,
     )
 
@@ -575,7 +574,7 @@ def k_skip_stack_per_k(pairs, k_max):
             if len(a) < 2 or len(b) < 2:
                 continue
             try:
-                stack[r, 0, k - 1] = hy_two_bisections(a, b)[0]
+                stack[r, 0, k - 1] = hy_two_bisections(a, b)
             except EstimationError:
                 pass
     return stack

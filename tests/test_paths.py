@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from eppsim.errors import ParameterError
+from eppsim.index import grid_count
 from eppsim.paths import (
     DAY_SECONDS,
     GbmParams,
     MertonParams,
     _jump_increments,
+    _n_steps,
     simulate_gbm,
     simulate_merton,
 )
@@ -156,3 +158,11 @@ def test_path_csv_export(tmp_path):
     t, p1, p2 = (float(v) for v in lines[3].split(","))
     assert t == 2.0
     assert p1 == path.values[2, 0] and p2 == path.values[2, 1]
+
+
+def test_grids_past_the_size_bound_are_refused():
+    # both far past the bound, so nothing near it is ever allocated
+    for steps in (grid_count, _n_steps):
+        for horizon, dt in ((DAY_SECONDS, 1e-300), (1e300, 1.0)):
+            with pytest.raises(ParameterError, match="needs more than 100000000 grid steps"):
+                steps(horizon, dt)
