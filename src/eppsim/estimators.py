@@ -69,20 +69,20 @@ def realised_covariance(gi: GridSeries, gj: GridSeries) -> float:
 
 def measured_correlation(gi: GridSeries, gj: GridSeries) -> CorrelationEstimate:
     """Realised-covariance correlation on a common grid."""
-    return _measured_correlation(gi, gj, gi.returns(), gj.returns())
-
-
-def _measured_correlation(gi, gj, ri, rj) -> CorrelationEstimate:
-    """measured_correlation of two grids with returns ri and rj."""
     _check_common_grid(gi, gj)
+    return _measured_correlation(gi.returns(), gj.returns(), gi.dt)
+
+
+def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
+    """measured_correlation of two checked grids of step dt with returns ri and rj."""
     cov = float(np.sum(ri * rj))
-    var_i = float(np.sum(ri * ri))
-    var_j = float(np.sum(rj * rj))
+    var_i = float(np.sum(np.square(ri)))
+    var_j = float(np.sum(np.square(rj)))
     if var_i <= 0:
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
         raise DegenerateSeriesError("realised variance of leg j is zero")
-    return CorrelationEstimate(cov / math.sqrt(var_i * var_j), gi.dt)
+    return CorrelationEstimate(cov / math.sqrt(var_i * var_j), dt)
 
 
 def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
@@ -105,22 +105,32 @@ def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
 def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     """hayashi_yoshida from the legs' values (two or more each) and, for each
     leg-i tick, the number of leg-j ticks before it (below) and at or before
-    it (upto)."""
+    it (upto).
+
+    It consumes below and upto: the interval bounds are built inside them,
+    so a caller passes arrays that nothing reads afterwards. The leg-j
+    returns are written into the prefix-sum table and summed there.
+    """
     di = np.diff(vi)
-    dj = np.diff(vj)
-    var_i = float(np.sum(di * di))
-    var_j = float(np.sum(dj * dj))
+    var_i = float(np.sum(np.square(di)))
+    pref = np.empty(vj.size)  # pref[k]: the sum of the first k leg-j returns
+    pref[0] = 0.0
+    dj = np.subtract(vj[1:], vj[:-1], out=pref[1:])
+    var_j = float(np.sum(np.square(dj)))
     if var_i <= 0:
         raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
         raise DegenerateSeriesError("leg j has zero realised variance")
+    np.cumsum(dj, out=dj)
     # j-interval k = (tj[k], tj[k+1]] overlaps i-interval (a, b] iff
     # tj[k+1] > a and tj[k] < b; both bounds are monotone in k
-    k_lo = np.maximum(upto[:-1] - 1, 0)
-    k_hi = np.minimum(below[1:], dj.size)
-    pref = np.concatenate([[0.0], np.cumsum(dj)])
-    cov = float(np.sum(di * (pref[k_hi] - pref[k_lo])))
-    return CorrelationEstimate(cov / math.sqrt(var_i * var_j))
+    upto -= 1
+    k_lo = np.maximum(upto[:-1], 0, out=upto[:-1])
+    k_hi = np.minimum(below[1:], dj.size, out=below[1:])
+    span = pref.take(k_hi)
+    span -= pref.take(k_lo)
+    span *= di
+    return CorrelationEstimate(float(np.sum(span)) / math.sqrt(var_i * var_j))
 
 
 def overlap_expectation(
@@ -148,11 +158,16 @@ def overlap_expectation(
         raise ParameterError(f"stride must lie in (0, horizon], got {stride}")
     ends = dt + stride * np.arange(_n_windows(dt, horizon, stride))
     starts = ends - dt
-    return _overlap_stats(
-        ui.times,
-        uj.times,
-        (_tick_counts(ui.times, ends, stride), _tick_counts(ui.times, starts, stride)),
-        (_tick_counts(uj.times, ends, stride), _tick_counts(uj.times, starts, stride)),
+    # each asset's last arrival at or before each window end and start
+    hi_i, lo_i, hi_j, lo_j = (
+        _tick_counts(t, q, stride) - 1 for t in (ui.times, uj.times) for q in (ends, starts)
+    )
+    first = _first_window(lo_i, lo_j)
+    return _window_overlap(
+        ui.times.take(hi_i[first:]),
+        ui.times.take(lo_i[first:]),
+        uj.times.take(hi_j[first:]),
+        uj.times.take(lo_j[first:]),
         dt,
     )
 
@@ -161,52 +176,55 @@ def _n_windows(dt: float, horizon: float, stride: float) -> int:
     return int(math.floor((horizon - dt) / stride + 1e-9)) + 1
 
 
-def _grid_overlap(ti, tj, ci, cj, dt: float, horizon: float) -> OverlapStats | None:
-    """overlap_expectation at stride dt, read off each asset's arrival counts
-    ci, cj at the grid points h*dt; None when the windows are not certainly
-    the grid cells.
+def _grid_overlap(ti, tj, idx_i, idx_j, dt: float, horizon: float) -> OverlapStats | None:
+    """overlap_expectation at stride dt, read off each asset's previous-tick
+    index idx_i, idx_j (its arrival counts - 1) at the grid points h*dt;
+    None when the windows are not certainly the grid cells.
 
     The m windows are [h*dt, (h+1)*dt] bit for bit when dt = num/2**e with
     num*(m+1) <= 2**53: every multiple k*dt, and every sum or difference
     of two of them, is then exact, so the window ends dt + h*dt and starts
-    (dt + h*dt) - dt are grid points, and their counts are ci[1:m+1] and
-    ci[:m]. At dt = 0.1 float rounding moves some of them off the grid by
-    an ulp.
+    (dt + h*dt) - dt are grid points, and each window's two ends are
+    adjacent entries of one previous-tick time grid per asset. At dt = 0.1
+    float rounding moves some of them off the grid by an ulp.
     """
     if not dt <= horizon:
         return None
     m = _n_windows(dt, horizon, dt)
     num, _ = float(dt).as_integer_ratio()
-    if num * (m + 1) > 2**53 or m >= ci.size:
+    if num * (m + 1) > 2**53 or m >= idx_i.size:
         return None
-    return _overlap_stats(ti, tj, (ci[1 : m + 1], ci[:m]), (cj[1 : m + 1], cj[:m]), dt)
+    first = _first_window(idx_i[:m], idx_j[:m])
+    gi = ti.take(idx_i[first : m + 1])
+    gj = tj.take(idx_j[first : m + 1])
+    return _window_overlap(gi[1:], gi[:-1], gj[1:], gj[:-1], dt)
 
 
-def _overlap_stats(ti, tj, counts_i, counts_j, dt: float) -> OverlapStats:
-    """OverlapStats from each asset's arrival counts at the window (ends, starts).
-
-    A count of k at a time means the last arrival at or before it is
-    times[k - 1]; a window starts after an asset's first arrival exactly
-    when its start count is positive. Counts never fall, so the windows
-    kept form a suffix.
-    """
-    (ci_hi, ci_lo), (cj_hi, cj_lo) = counts_i, counts_j
-    first = max(np.count_nonzero(ci_lo == 0), np.count_nonzero(cj_lo == 0))
-    if first == ci_lo.size:
+def _first_window(lo_i, lo_j) -> int:
+    """The first window that starts after both assets' first arrivals, from
+    each asset's last-arrival index at the window starts (-1 before its
+    first arrival). Indices never fall, so the windows kept form a suffix."""
+    first = max(np.searchsorted(lo_i, 0), np.searchsorted(lo_j, 0))
+    if first == lo_i.size:
         raise InsufficientDataError(
             "no evaluation windows start after both assets' first observations"
         )
-    gi_hi = ti[ci_hi[first:] - 1]
-    gi_lo = ti[ci_lo[first:] - 1]
-    gj_hi = tj[cj_hi[first:] - 1]
-    gj_lo = tj[cj_lo[first:] - 1]
-    cross = np.minimum(gi_hi, gj_hi) - np.maximum(gi_lo, gj_lo)
-    return OverlapStats(
-        kappa_ii=float(np.mean(gi_hi - gi_lo)),
-        kappa_jj=float(np.mean(gj_hi - gj_lo)),
-        kappa_ij=float(np.mean(np.maximum(cross, 0.0))),
-        dt=dt,
-    )
+    return int(first)
+
+
+def _window_overlap(hi_i, lo_i, hi_j, lo_j, dt: float) -> OverlapStats:
+    """OverlapStats of each asset's windows [lo, hi] between previous-tick times.
+
+    The intersection lengths are built inside hi_i, which nothing reads
+    afterwards (lo_i may share its memory: it is read first).
+    """
+    kappa_ii = float(np.mean(hi_i - lo_i))
+    kappa_jj = float(np.mean(hi_j - lo_j))
+    lo = np.maximum(lo_i, lo_j)
+    cross = np.minimum(hi_i, hi_j, out=hi_i)
+    cross -= lo
+    np.maximum(cross, 0.0, out=cross)
+    return OverlapStats(kappa_ii, kappa_jj, float(np.mean(cross)), dt)
 
 
 def overlap_correction(rho_measured: float, stats: OverlapStats) -> CorrelationEstimate:

@@ -30,6 +30,7 @@ from .errors import (
     StabilityError,
 )
 from .estimators import (
+    _check_common_grid,
     _grid_overlap,
     _hy_estimate,
     _measured_correlation,
@@ -46,7 +47,7 @@ from .hawkes import (
     classify_stability,
     hawkes_price_model,
 )
-from .index import _left_right_counts, grid_count
+from .index import _left_right_counts, expected_ticks, grid_count
 from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
 from .sampling import (
     _grid_series,
@@ -82,13 +83,18 @@ def check_axis(values, name: str) -> tuple:
     return values
 
 
+def _named(name: str, check, *args):
+    """check(*args), its ParameterError prefixed with the name of the field checked."""
+    try:
+        return check(*args)
+    except ParameterError as exc:
+        raise ParameterError(f"{name}: {exc}") from exc
+
+
 def _check_dt_axis(values, horizon: float, name: str) -> tuple:
     """check_axis of a dt axis, whose finest grid over horizon must fit the grid-size bound."""
     values = check_axis(values, name)
-    try:
-        grid_count(horizon, values[0])
-    except ParameterError as exc:
-        raise ParameterError(f"{name}: {exc}") from exc
+    _named(name, grid_count, horizon, values[0])
     return values
 
 
@@ -288,18 +294,25 @@ class ExperimentConfig:
         if not self.horizon > 0:
             raise ParameterError(f"horizon must be positive, got {self.horizon}")
         if self.price_model == "hawkes":
-            try:
-                _n_steps(self.horizon, PRICE_GRID_DT)
-            except ParameterError as exc:
-                raise ParameterError(f"horizon: {exc}") from exc
+            _named("horizon", _n_steps, self.horizon, PRICE_GRID_DT)
         elif self.horizon > self.price_params.horizon:
             raise ParameterError(
                 f"horizon: {self.horizon} exceeds price_params.horizon "
                 f"{self.price_params.horizon}, the span of the latent path"
             )
         _check_dt_axis(self.dt_grid, self.horizon, "dt_grid")
+        # every Poisson leg a replication may draw fits the tick-count bound
+        if self.sampler == "poisson":
+            _named("poisson_rate", expected_ticks, self.poisson_rate, self.horizon)
         for axis in ("mean_interarrivals", "overlap_rates"):
-            check_axis(getattr(self, axis), axis)
+            for m in check_axis(getattr(self, axis), axis):
+                _named(f"{axis} entry {m}", expected_ticks, 1.0 / m, self.horizon)
+        if self.kappa_stride is not None:
+            if not 0 < self.kappa_stride <= self.horizon:
+                raise ParameterError(
+                    f"kappa_stride must lie in (0, horizon], got {self.kappa_stride}"
+                )
+            _named("kappa_stride", grid_count, self.horizon, self.kappa_stride)
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
@@ -369,7 +382,8 @@ def estimate_matrix(
     value, so a degenerate grid fails all three together. The overlap
     correction reads its windows off the tick times (in sampled and traded
     data the ticks are the arrivals), at the grid points from the grid's
-    own tick counts, at another stride from overlap_expectation.
+    own previous-tick index, at another stride from overlap_expectation.
+    Each grid-sized array is dropped after its last reader.
     """
     out = np.full((len(estimators), len(dt_grid)), np.nan)
     col = {name: i for i, name in enumerate(estimators)}
@@ -381,33 +395,52 @@ def estimate_matrix(
         if len(col) == 1:
             return out  # no grid estimator: no previous-tick grid to build
     for j, dt in enumerate(dt_grid):
-        try:
-            c1 = _previous_tick_counts(s1, dt, horizon)
-            c2 = _previous_tick_counts(s2, dt, horizon)
-            g1 = _grid_series(s1, dt, c1)
-            g2 = _grid_series(s2, dt, c2)
-            r1, r2 = g1.returns(), g2.returns()  # each grid differenced once
-            measured = _measured_correlation(g1, g2, r1, r2)
-        except EstimationError:
-            continue  # the grid estimators all need the measured value
-        if "measured" in col:
-            out[col["measured"], j] = measured.rho
-        if "flat_trade" in col:
-            try:
-                p1 = _zero_fraction(r1)
-                p2 = _zero_fraction(r2)
-                out[col["flat_trade"], j] = flat_trade_correction(measured.rho, p1, p2, dt).rho
-            except EstimationError:
-                pass
-        if "overlap" in col:
-            try:
-                kap = _grid_overlap(s1.times, s2.times, c1, c2, dt, horizon) if stride is None else None
-                if kap is None:
-                    kap = overlap_expectation(s1, s2, dt, horizon, stride=stride)
-                out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
-            except EstimationError:
-                pass
+        _grid_estimates(out[:, j], col, s1, s2, dt, horizon, stride)
     return out
+
+
+def _grid_estimates(out, col, s1, s2, dt: float, horizon: float, stride) -> None:
+    """estimate_matrix's grid estimators at one dt, written into out by col.
+
+    Each grid-sized array is dropped after its last reader, and all of
+    them when this returns.
+    """
+    try:
+        # each leg's tick counts at the grid points, turned in place into
+        # its previous-tick index (-1 before the first tick)
+        idx1 = _previous_tick_counts(s1, dt, horizon)
+        idx1 -= 1
+        idx2 = _previous_tick_counts(s2, dt, horizon)
+        idx2 -= 1
+        g1, g2 = _grid_series(s1, dt, idx1), _grid_series(s2, dt, idx2)
+        if "overlap" not in col:
+            idx1 = idx2 = None
+        _check_common_grid(g1, g2)
+        r1 = g1.returns()  # each value grid is differenced once, then dropped
+        g1 = None
+        r2 = g2.returns()
+        g2 = None
+        measured = _measured_correlation(r1, r2, dt)
+    except EstimationError:
+        return  # the grid estimators all need the measured value
+    if "measured" in col:
+        out[col["measured"]] = measured.rho
+    if "flat_trade" in col:
+        try:
+            p1 = _zero_fraction(r1)
+            p2 = _zero_fraction(r2)
+            out[col["flat_trade"]] = flat_trade_correction(measured.rho, p1, p2, dt).rho
+        except EstimationError:
+            pass
+    r1 = r2 = None
+    if "overlap" in col:
+        try:
+            kap = _grid_overlap(s1.times, s2.times, idx1, idx2, dt, horizon) if stride is None else None
+            if kap is None:
+                kap = overlap_expectation(s1, s2, dt, horizon, stride=stride)
+            out[col["overlap"]] = overlap_correction(measured.rho, kap).rho
+        except EstimationError:
+            pass
 
 
 def _tick_pairs(cfg: ExperimentConfig, path: PricePath | None, rates, r: int):
@@ -507,13 +540,14 @@ def k_skip_stack(pairs, k_max: int) -> np.ndarray:
     stack = np.full((len(pairs), 1, int(k_max)), np.nan)
     for r, (si, sj) in enumerate(pairs):
         below, upto = _left_right_counts(sj.times, si.times)
-        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
-        for k in range(1, min(int(k_max), len(si) // 2, len(sj) // 2) + 1):
+        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2;
+        # _hy_estimate consumes its counts, so each k gets fresh ones, except
+        # k = 1, run last, which is handed the pair's own
+        for k in range(min(int(k_max), len(si) // 2, len(sj) // 2), 0, -1):
             thinned = slice(k - 1, None, k)
+            counts = (below, upto) if k == 1 else (below[thinned] // k, upto[thinned] // k)
             try:
-                stack[r, 0, k - 1] = _hy_estimate(
-                    si.values[thinned], sj.values[thinned], below[thinned] // k, upto[thinned] // k
-                ).rho
+                stack[r, 0, k - 1] = _hy_estimate(si.values[thinned], sj.values[thinned], *counts).rho
             except EstimationError:
                 pass
     return stack

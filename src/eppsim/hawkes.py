@@ -295,11 +295,13 @@ def hawkes_price_model(
     """
     n = _n_steps(horizon, grid_dt)
     arrivals = simulate_hawkes(price_spec(params), horizon, seed)
-    grid = grid_dt * np.arange(n + 1)
-    counts = [_tick_counts(a.times, grid, grid_dt).astype(np.float64) for a in arrivals]
+    grid = np.arange(n + 1, dtype=np.float64)
+    grid *= grid_dt
     values = np.empty((n + 1, 2))
-    values[:, 0] = params.x0[0] + counts[0] - counts[1]
-    values[:, 1] = params.x0[1] + counts[2] - counts[3]
+    # each column is x0 + up counts - down counts, filled in place
+    for col, x0, (up, down) in zip(values.T, params.x0, (arrivals[:2], arrivals[2:])):
+        np.add(x0, _tick_counts(up.times, grid, grid_dt), out=col)
+        col -= _tick_counts(down.times, grid, grid_dt)
     return PricePath(t0=0.0, dt=grid_dt, values=values), arrivals
 
 

@@ -17,9 +17,15 @@ from .errors import ParameterError
 
 
 # the most steps a grid of step dt over a horizon may have: estimate_matrix
-# peaks at 144 bytes per grid point (tracemalloc at 10**6 points), so a grid
-# at the bound needs about 14.4 GB
+# peaks at 48 bytes per grid point (tracemalloc at 10**6 points, dt = 1, every
+# preset estimator set; tests/footprint.py prints it), so a grid at the bound
+# needs about 4.8 GB
 MAX_GRID_STEPS = 10**8
+
+# the most ticks a leg may expect (rate * horizon): the two legs hold 16 bytes
+# per tick each and hayashi_yoshida peaks at 48 more (same measurement), so a
+# pair of legs at the bound needs about 8 GB
+MAX_TICKS = 10**8
 
 
 def _step_ratio(horizon: float, dt: float) -> float:
@@ -30,6 +36,16 @@ def _step_ratio(horizon: float, dt: float) -> float:
             f"horizon {horizon} at step {dt} needs more than {MAX_GRID_STEPS} grid steps"
         )
     return ratio
+
+
+def expected_ticks(rate: float, horizon: float) -> float:
+    """rate*horizon, refused past MAX_TICKS before any arrival is drawn."""
+    expected = rate * horizon
+    if not expected <= MAX_TICKS:
+        raise ParameterError(
+            f"rate {rate} over horizon {horizon} expects more than {MAX_TICKS} ticks"
+        )
+    return expected
 
 
 def grid_count(horizon: float, dt: float) -> int:
@@ -81,13 +97,23 @@ def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndar
     """np.searchsorted(times, queries, side="right") for ascending queries about step apart.
 
     Each tick is ranked among the queries, and the ticks at or before each
-    query are counted by np.bincount and a cumulative sum.
+    query are counted by np.bincount and a cumulative sum in place. The
+    nodes past either end, -inf and inf, are set in each per-tick read
+    rather than in a padded copy of the queries.
     """
-    if times.size >= MAX_TICKS_PER_POINT * queries.size:
+    n = queries.size
+    if times.size >= MAX_TICKS_PER_POINT * n:
         return np.searchsorted(times, queries, side="right")
-    padded = np.concatenate(([-np.inf], queries, [np.inf]))
-    pos = _rank(times, queries.size, lambda k: padded[k + 1], step, right=False)
-    return np.cumsum(np.bincount(pos, minlength=queries.size + 1)[:-1])
+
+    def node(k):
+        q = queries.take(k, mode="clip")
+        if np.ndim(k):  # the scalar _rank reads is node(0), a query
+            q[k < 0] = -np.inf
+            q[k >= n] = np.inf
+        return q
+
+    counts = np.bincount(_rank(times, n, node, step, right=False), minlength=n + 1)[:-1]
+    return np.cumsum(counts, out=counts)
 
 
 def _strided_counts(times: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
@@ -112,7 +138,8 @@ def _strided_counts(times: np.ndarray, queries: np.ndarray) -> np.ndarray | None
         return None
     if m < queries.size and not queries[m] >= times[-1]:
         return None
-    return np.minimum(s * np.arange(queries.size) + 1, n)
+    counts = np.arange(1, s * (queries.size - 1) + 2, s)  # s*h + 1
+    return np.minimum(counts, n, out=counts)
 
 
 def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,5 +151,5 @@ def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
     below = np.searchsorted(times, x, side="left")
     if times.size == 0:
         return below, below.copy()
-    tie = times[np.minimum(below, times.size - 1)] == x
+    tie = times.take(below, mode="clip") == x
     return below, below + tie

@@ -18,7 +18,7 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _rank, _strided_counts, _tick_counts, grid_count
+from .index import _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -26,7 +26,9 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     """Homogeneous Poisson arrival times on [0, horizon].
 
     Draws exponential gaps in deterministic blocks until the horizon is
-    crossed, so the output depends only on (seed, stream id).
+    crossed, so the output depends only on (seed, stream id); each block is
+    summed in place. A rate expecting more than index.MAX_TICKS arrivals is
+    refused before anything is drawn.
     """
     if rate < 0 or not np.isfinite(rate):
         raise ParameterError(f"rate must be finite and >= 0, got {rate}")
@@ -34,14 +36,16 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     if rate == 0 or horizon == 0:
         return ArrivalSet(times=np.empty(0), horizon=horizon)
+    expected = expected_ticks(rate, horizon)
     rng = seeding.stream(seed, seeding.POISSON)
-    expected = rate * horizon
     block = max(16, int(expected + 5.0 * math.sqrt(expected)))
-    gaps = rng.exponential(1.0 / rate, size=block)
-    total = np.cumsum(gaps)
+    total = rng.exponential(1.0 / rate, size=block)
+    np.cumsum(total, out=total)
     while total[-1] <= horizon:
         gaps = rng.exponential(1.0 / rate, size=block)
-        total = np.append(total, total[-1] + np.cumsum(gaps))
+        np.cumsum(gaps, out=gaps)
+        gaps += total[-1]
+        total = np.append(total, gaps)
     return ArrivalSet(times=total[: np.searchsorted(total, horizon, "right")], horizon=horizon)
 
 
@@ -82,7 +86,8 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
             )
     # the last node of path.times() at or before each t, each node computed
     # as PricePath.times computes it, without building the whole grid
-    idx = _rank(t, path.n_steps + 1, lambda k: path.t0 + path.dt * k, path.dt, right=True) - 1
+    idx = _rank(t, path.n_steps + 1, lambda k: path.t0 + path.dt * k, path.dt, right=True)
+    idx -= 1
     return TickSeries(
         times=t, values=path.values[idx, asset], horizon=arrivals.horizon
     )
@@ -95,21 +100,25 @@ def previous_tick_grid(ticks: TickSeries, dt: float, horizon: float) -> GridSeri
     before the first tick are backfilled with the first tick value (they
     produce leading zero returns, the flat-trading convention).
     """
-    return _grid_series(ticks, dt, _previous_tick_counts(ticks, dt, horizon))
+    idx = _previous_tick_counts(ticks, dt, horizon)
+    idx -= 1
+    return _grid_series(ticks, dt, idx)
 
 
 def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.ndarray:
     """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    queries = dt * np.arange(grid_count(horizon, dt) + 1)
+    queries = np.arange(grid_count(horizon, dt) + 1, dtype=np.float64)
+    queries *= dt
     counts = _strided_counts(ticks.times, queries)
     return _tick_counts(ticks.times, queries, dt) if counts is None else counts
 
 
-def _grid_series(ticks: TickSeries, dt: float, counts: np.ndarray) -> GridSeries:
-    """The previous-tick grid read off its tick counts (backfilled before the first tick)."""
-    return GridSeries(dt=dt, values=ticks.values[np.maximum(counts - 1, 0)])
+def _grid_series(ticks: TickSeries, dt: float, idx: np.ndarray) -> GridSeries:
+    """The previous-tick grid read off its tick index, counts - 1 (-1 before
+    the first tick, which is backfilled)."""
+    return GridSeries(dt=dt, values=ticks.values.take(idx, mode="clip"))
 
 
 def synchronous_ticks(path: PricePath, asset: int) -> TickSeries:

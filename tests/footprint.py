@@ -1,0 +1,85 @@
+"""Peak working memory of the estimators, per grid point and per tick.
+
+traced_peak runs a call under tracemalloc, which counts the bytes the call
+allocates (not its inputs, made before tracing starts) and keeps the peak.
+footprint divides those peaks by the size of the input: estimate_matrix
+at dt = 1 by its grid points, for each estimator set the figure presets
+use and for Poisson legs of mean inter-arrival 15 s (the presets' rate)
+and 1 s (the k-skip tick rate); hayashi_yoshida and k_skip_stack by the
+ticks of one leg, at 1 s. index.MAX_GRID_STEPS and index.MAX_TICKS are
+sized from these numbers. Print them at 10**6 points, with the memory a
+grid and a pair of legs need at those bounds, by
+
+    PYTHONPATH=src python tests/footprint.py [n_points]
+"""
+
+import sys
+import tracemalloc
+
+import numpy as np
+
+from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_stack
+from eppsim.estimators import hayashi_yoshida
+from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
+from eppsim.sampling import poisson_arrivals
+from eppsim.series import TickSeries
+
+# the estimator sets of the figure presets, by their CLI spelling
+ESTIMATOR_SETS = {
+    "measured": ("measured",),
+    "measured,overlap": ("measured", "overlap"),
+    ",".join(ESTIMATOR_NAMES): ESTIMATOR_NAMES,
+    "hy": ("hy",),
+}
+MEAN_INTERARRIVALS = (15.0, 1.0)
+K_MAX = 10  # the k-skip figures' curve length is about this
+
+
+def traced_peak(fn, *args):
+    """fn(*args), and the peak memory that tracemalloc counts while it runs."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def poisson_legs(rate: float, horizon: float, seed: int = 0) -> tuple[TickSeries, TickSeries]:
+    """Two independent Poisson tick series on [0, horizon] with random-walk values."""
+    legs = []
+    for k in (1, 2):
+        t = poisson_arrivals(rate, horizon, seed + k).times
+        v = np.cumsum(np.random.default_rng(seed + k).standard_normal(t.size))
+        legs.append(TickSeries(times=t, values=v, horizon=horizon))
+    return legs[0], legs[1]
+
+
+def footprint(n_points: int) -> dict[str, float]:
+    """Peak bytes per grid point of estimate_matrix at dt = 1 over n_points
+    grid points, keyed "estimate_matrix[<set>] legs <m> s", and per leg tick
+    of hayashi_yoshida and k_skip_stack at n_points ticks per leg."""
+    horizon = float(n_points - 1)
+    out = {}
+    for m in MEAN_INTERARRIVALS:
+        s1, s2 = poisson_legs(1.0 / m, horizon)
+        for name, estimators in ESTIMATOR_SETS.items():
+            _, peak = traced_peak(estimate_matrix, s1, s2, (1.0,), estimators, horizon)
+            out[f"estimate_matrix[{name}] legs {m:g} s"] = peak / n_points
+    s1, s2 = poisson_legs(1.0, float(n_points))
+    n = (len(s1) + len(s2)) / 2
+    out["hayashi_yoshida"] = traced_peak(hayashi_yoshida, s1, s2)[1] / n
+    out[f"k_skip_stack k_max {K_MAX}"] = traced_peak(k_skip_stack, [(s1, s2)], K_MAX)[1] / n
+    return out
+
+
+if __name__ == "__main__":
+    n_points = int(sys.argv[1]) if len(sys.argv) > 1 else 10**6
+    peaks = footprint(n_points)
+    print(f"peak bytes per grid point (estimate_matrix) or per tick, at {n_points} points")
+    for key, value in peaks.items():
+        print(f"{key:58s} {value:6.1f}")
+    grid = max(v for key, v in peaks.items() if key.startswith("estimate_matrix"))
+    # a pair of legs holds times and values, 16 bytes per tick each
+    legs = 2 * 16 + peaks["hayashi_yoshida"]
+    print(f"a grid at index.MAX_GRID_STEPS: {grid * MAX_GRID_STEPS / 1e9:.1f} GB")
+    print(f"a pair of legs at index.MAX_TICKS: {legs * MAX_TICKS / 1e9:.1f} GB")

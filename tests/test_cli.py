@@ -913,6 +913,11 @@ GRID_BOUND = "needs more than 100000000 grid steps"
         (["simulate", "--model", "hawkes-price", "--preset", "reference"],
          {"simulate": {"horizon": 1e300}}, "error: simulate.horizon: horizon 1e+300 at step 1.0 ",
          GRID_BOUND),
+        # Poisson legs past the tick bound and overlap windows past the grid bound
+        (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
+         "error: --rates: mean_interarrivals entry 1e-300: rate ", "expects more than 100000000 ticks"),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
+         "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

@@ -422,6 +422,25 @@ def test_config_validation_errors():
         small_cfg(mean_interarrivals=(2.0, 1.0))
 
 
+def test_config_refuses_legs_and_strides_past_the_size_bounds():
+    # refused when the config is built, before a replication draws a tick
+    # or builds a window; only values far past the bounds are tried
+    ticks = "expects more than 100000000 ticks"
+    with pytest.raises(ParameterError, match=rf"^poisson_rate: rate 1e\+300 over horizon 3000.0 {ticks}"):
+        small_cfg(poisson_rate=1e300)
+    for axis in ("mean_interarrivals", "overlap_rates"):
+        with pytest.raises(ParameterError, match=rf"^{axis} entry 1e-300: rate .* {ticks}"):
+            small_cfg(**{axis: (1e-300, 1.0)})
+    for bad in (0.0, -1.0, math.inf, math.nan, 3000.5):
+        with pytest.raises(ParameterError, match=r"^kappa_stride must lie in \(0, horizon\], got"):
+            small_cfg(kappa_stride=bad)
+    with pytest.raises(
+        ParameterError, match="^kappa_stride: horizon 3000.0 at step 1e-300 needs more than 100000000 grid"
+    ):
+        small_cfg(kappa_stride=1e-300)
+    assert small_cfg(kappa_stride=3000.0).kappa_stride == 3000.0
+
+
 def test_config_refuses_a_horizon_past_the_latent_path():
     # the path of a gbm/merton model spans price_params.horizon, and the
     # observation times must lie on it

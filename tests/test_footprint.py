@@ -1,0 +1,63 @@
+"""The estimators' peak working memory (measured by footprint.py) and the
+hand-over of the count arrays _hy_estimate consumes."""
+
+import numpy as np
+import pytest
+from footprint import K_MAX, footprint, poisson_legs
+
+from eppsim import estimators, experiments
+from eppsim.estimators import hayashi_yoshida
+from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_stack
+from eppsim.sampling import k_skip
+
+
+@pytest.fixture(scope="module")
+def peaks():
+    return footprint(2 * 10**5)
+
+
+def test_estimate_matrix_peaks_at_a_few_grid_sized_arrays(peaks):
+    # 8 bytes per grid point per array: two previous-tick indices, two
+    # returns and one product, or two indices, two time grids and one
+    # window bound; the parent of the in-place rewrite peaked at 96
+    got = {key: v for key, v in peaks.items() if key.startswith("estimate_matrix")}
+    assert len(got) == 8
+    assert max(got.values()) <= 50, got
+
+
+def test_hayashi_yoshida_and_k_skip_peak_per_tick(peaks):
+    # two counts, leg-i returns, the prefix sums and the span with its
+    # lower bound; 72 and 88 before the in-place rewrite
+    assert peaks["hayashi_yoshida"] <= 50, peaks
+    assert peaks[f"k_skip_stack k_max {K_MAX}"] <= 50, peaks
+
+
+def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):
+    # each call is handed count arrays of its own, which are wrecked once it
+    # returns: a caller that read them again would change its results
+    s1, s2 = poisson_legs(1.0, 3000.0, seed=4)
+    dt_grid = (1.0, 5.0, 15.0)
+    want_hy = hayashi_yoshida(s1, s2).rho
+    want_kskip = [hayashi_yoshida(k_skip(s1, k), k_skip(s2, k)).rho for k in range(1, K_MAX + 1)]
+    want_matrix = estimate_matrix(s1, s2, dt_grid, ESTIMATOR_NAMES, 3000.0)
+    consumed = []
+    real = estimators._hy_estimate
+
+    def consume(vi, vj, below, upto):
+        for arr in (below, upto):
+            assert not any(np.shares_memory(arr, other) for other in consumed)
+            consumed.append(arr)
+        try:
+            return real(vi, vj, below, upto)
+        finally:
+            below.fill(-1)
+            upto.fill(-1)
+
+    monkeypatch.setattr(estimators, "_hy_estimate", consume)
+    monkeypatch.setattr(experiments, "_hy_estimate", consume)
+    assert hayashi_yoshida(s1, s2).rho == want_hy
+    np.testing.assert_array_equal(k_skip_stack([(s1, s2)], K_MAX)[0, 0], want_kskip)
+    np.testing.assert_array_equal(
+        estimate_matrix(s1, s2, dt_grid, ESTIMATOR_NAMES, 3000.0), want_matrix
+    )
+    assert len(consumed) == 2 * (1 + K_MAX + 1)

@@ -66,6 +66,15 @@ def test_poisson_invalid_rate():
         poisson_arrivals(-1.0, 10.0, seed=0)
 
 
+def test_poisson_refuses_a_rate_past_the_tick_bound_before_drawing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(sampling.seeding, "stream", no_draw)
+    with pytest.raises(ParameterError, match="^rate 1e\\+300 over horizon 72000.0 expects more than 100000000 ticks"):
+        poisson_arrivals(1e300, 72000.0, seed=0)
+
+
 def test_mutual_excitation_spec_layout():
     spec = mutual_excitation_spec(0.015, 0.023, 0.11)
     np.testing.assert_allclose(spec.lambda0, [0.015, 0.015])

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from footprint import traced_peak
 
 from eppsim import taq
 from eppsim.errors import DataError, ParameterError, ScalingError, SkipDay
@@ -297,15 +298,6 @@ def test_parse_transient_memory_does_not_grow_with_file_size(tmp_path, monkeypat
     assert transient[80_000] < 1.5 * transient[20_000], transient
 
 
-def _traced_peak(fn, *args):
-    """fn(*args), and the peak memory that tracemalloc counts while it runs."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _record_bytes(parsed: ParseResult) -> int:
     return sum(d.timestamp.nbytes + d.price.nbytes + d.volume.nbytes for d in parsed.records.values())
 
@@ -323,10 +315,10 @@ def test_parse_and_combine_peak_is_a_small_multiple_of_the_records(tmp_path, mon
     for k, part in enumerate((rows[:50_000], rows[25_000:])):
         src = tmp_path / f"trades{k}.csv"
         src.write_text(HEADER + "\n" + "".join(part))
-        got, peak = _traced_peak(parse_trades, src)
+        got, peak = traced_peak(parse_trades, src)
         assert peak < 4.0 * _record_bytes(got), peak / _record_bytes(got)
         parsed.append(got)
-    both, peak = _traced_peak(combine, parsed)
+    both, peak = traced_peak(combine, parsed)
     assert len(both.records) == 70 and _record_bytes(both) < sum(map(_record_bytes, parsed))
     assert peak < 4.5 * _record_bytes(both), peak / _record_bytes(both)
 
