@@ -40,12 +40,13 @@ from .experiments import (
     PRICE_PARAMS,
     ExperimentConfig,
     _check_dt_axis,
+    _named,
     dump_json,
     write_curve_csv,
     write_curve_json,
     write_verdict_json,
 )
-from .hawkes import PRICE_GRID_DT, hawkes_price_model
+from .hawkes import PRICE_GRID_DT, expected_events, hawkes_price_model, price_spec
 from .paths import DAY_SECONDS, _n_steps, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
@@ -265,6 +266,8 @@ def cmd_simulate(args) -> int:
             params = dataclasses.replace(params, horizon=horizon)
     except ParameterError as exc:
         raise type(exc)(f"simulate.horizon: {exc}") from exc
+    if model == "hawkes-price":
+        _named("simulate.params", expected_events, price_spec(params), horizon)
 
     run = Run(
         "simulate",

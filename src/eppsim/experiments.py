@@ -45,7 +45,9 @@ from .hawkes import (
     HawkesPriceParams,
     HawkesSpec,
     classify_stability,
+    expected_events,
     hawkes_price_model,
+    price_spec,
 )
 from .index import _left_right_counts, expected_ticks, grid_count
 from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
@@ -301,9 +303,14 @@ class ExperimentConfig:
                 f"{self.price_params.horizon}, the span of the latent path"
             )
         _check_dt_axis(self.dt_grid, self.horizon, "dt_grid")
-        # every Poisson leg a replication may draw fits the tick-count bound
+        # every Poisson leg a replication may draw fits the tick-count bound,
+        # every Hawkes process the event bound
         if self.sampler == "poisson":
             _named("poisson_rate", expected_ticks, self.poisson_rate, self.horizon)
+        elif self.sampler == "hawkes":
+            _named("hawkes_sampler", expected_events, self.hawkes_sampler, self.horizon)
+        if self.price_model == "hawkes":
+            _named("price_params", expected_events, price_spec(self.price_params), self.horizon)
         for axis in ("mean_interarrivals", "overlap_rates"):
             for m in check_axis(getattr(self, axis), axis):
                 _named(f"{axis} entry {m}", expected_ticks, 1.0 / m, self.horizon)
@@ -462,42 +469,40 @@ def _tick_pairs(cfg: ExperimentConfig, path: PricePath | None, rates, r: int):
         yield _poisson_ticks(path, 1.0 / m, cfg.horizon, rep_seed, (j,))
 
 
-def _replicate(
-    cfg: ExperimentConfig, path: PricePath | None, rates, estimators, r: int
-) -> np.ndarray:
-    """Estimates of replication r, shape (n_rates, n_estimators, n_dt); nan = failed.
+def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r: int) -> np.ndarray:
+    """measure of each tick pair of replication r, shape (n_rates, n_series, n_axis).
 
+    measure maps a tick pair (s1, s2) to an (n_series, n_axis) array, nan
+    = failed: estimate_matrix or k_skip_row with its other arguments bound.
     rates None counts as one rate, that of cfg.sampler (see _tick_pairs).
     """
-    return np.stack([
-        estimate_matrix(s1, s2, cfg.dt_grid, estimators, cfg.horizon, cfg.kappa_stride)
-        for s1, s2 in _tick_pairs(cfg, path, rates, r)
-    ])
+    return np.stack([measure(s1, s2) for s1, s2 in _tick_pairs(cfg, path, rates, r)])
 
 
-def _map_replications(cfg: ExperimentConfig, rates, estimators, max_workers: int) -> np.ndarray:
-    """_replicate of every replication, shape (n_rep, n_rates, n_estimators, n_dt).
+def _map_replications(cfg: ExperimentConfig, rates, measure, max_workers: int) -> np.ndarray:
+    """_replicate of every replication, shape (n_rep, n_rates, n_series, n_axis).
 
     The replications share one latent path simulated from the master seed
     (fresh_paths re-simulates it per replication). With max_workers > 1
-    they run in one process pool; the job, a functools.partial over a
-    module-level function, pickles once per chunk of replications.
-    Results stack in replication order whatever the order of completion,
-    so the worker count never changes an output bit.
+    they run in one process pool of at most one worker per replication;
+    the job, a functools.partial over module-level functions, pickles once
+    per chunk of replications. Results stack in replication order whatever
+    the order of completion, so the worker count never changes an output bit.
     """
     if max_workers < 1:
         raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
     path = None if cfg.fresh_paths else _simulate_path(cfg, cfg.seed)
-    fn = partial(_replicate, cfg, path, rates, estimators)
+    fn = partial(_replicate, cfg, path, rates, measure)
     n = cfg.n_replications
-    if max_workers == 1:
+    workers = min(max_workers, n)
+    if workers == 1:
         return np.stack([fn(r) for r in range(n)])
     # the pool module pulls in multiprocessing, socket and subprocess, which
     # a serial run never uses
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        chunksize = max(1, n // (4 * max_workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunksize = max(1, n // (4 * workers))
         return np.stack(list(pool.map(fn, range(n), chunksize=chunksize)))
 
 
@@ -524,33 +529,31 @@ def aggregate_curve(
     return EppsCurve(axis_label=label, series=series, meta=meta)
 
 
-def k_skip_stack(pairs, k_max: int) -> np.ndarray:
-    """HY estimates of tick-series pairs thinned to every k-th tick, k = 1..k_max.
+def k_skip_row(si: TickSeries, sj: TickSeries, k_max: int) -> np.ndarray:
+    """HY estimates of one tick pair thinned to every k-th tick, k = 1..k_max.
 
-    Returns shape (n_pairs, 1, k_max), nan where either thinned leg has
-    fewer than two ticks or the estimate fails. This is the one k-loop of
-    the simulated and the empirical k-skip experiments. Each pair is
-    ranked once: of the c leg-j ticks before (or at) a leg-i tick, leg j
-    thinned to every k-th tick keeps c // k, so each k reads its HY index
-    off strided views of the pair's arrays.
+    Returns shape (1, k_max), nan where either thinned leg has fewer than
+    two ticks or the estimate fails. This is the one k-loop of the
+    simulated and the empirical k-skip experiments. The pair is ranked
+    once: of the c leg-j ticks before (or at) a leg-i tick, leg j thinned
+    to every k-th tick keeps c // k, so each k reads its HY index off
+    strided views of the pair's arrays.
     """
     if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
         raise ParameterError(f"k_max must be a positive integer, got {k_max!r}")
-    pairs = list(pairs)
-    stack = np.full((len(pairs), 1, int(k_max)), np.nan)
-    for r, (si, sj) in enumerate(pairs):
-        below, upto = _left_right_counts(sj.times, si.times)
-        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2;
-        # _hy_estimate consumes its counts, so each k gets fresh ones, except
-        # k = 1, run last, which is handed the pair's own
-        for k in range(min(int(k_max), len(si) // 2, len(sj) // 2), 0, -1):
-            thinned = slice(k - 1, None, k)
-            counts = (below, upto) if k == 1 else (below[thinned] // k, upto[thinned] // k)
-            try:
-                stack[r, 0, k - 1] = _hy_estimate(si.values[thinned], sj.values[thinned], *counts).rho
-            except EstimationError:
-                pass
-    return stack
+    row = np.full((1, int(k_max)), np.nan)
+    below, upto = _left_right_counts(sj.times, si.times)
+    # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2;
+    # _hy_estimate consumes its counts, so each k gets fresh ones, except
+    # k = 1, run last, which is handed the pair's own
+    for k in range(min(int(k_max), len(si) // 2, len(sj) // 2), 0, -1):
+        thinned = slice(k - 1, None, k)
+        counts = (below, upto) if k == 1 else (below[thinned] // k, upto[thinned] // k)
+        try:
+            row[0, k - 1] = _hy_estimate(si.values[thinned], sj.values[thinned], *counts).rho
+        except EstimationError:
+            pass
+    return row
 
 
 def discriminate(

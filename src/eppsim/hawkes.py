@@ -107,6 +107,20 @@ def classify_stability(spec: HawkesSpec) -> StabilityReport:
     return StabilityReport(classification=kind, spectral_radius=radius)
 
 
+def expected_events(spec: HawkesSpec, horizon: float) -> float:
+    """horizon * sum((I - Gamma)^-1 lambda0), the stationary expected event
+    count over horizon (a process started empty expects fewer), for a
+    stationary spec; refused past MAX_EVENTS before any event is drawn."""
+    rates = np.linalg.solve(np.eye(spec.dim) - branching_matrix(spec), spec.lambda0)
+    expected = horizon * float(rates.sum())
+    if not expected <= MAX_EVENTS:
+        raise ParameterError(
+            f"Hawkes process over horizon {horizon} expects {expected:.6g} events, "
+            f"more than {MAX_EVENTS}"
+        )
+    return expected
+
+
 def intensity_at(spec: HawkesSpec, history, t: float) -> np.ndarray:
     """Conditional intensities at time t given events strictly before t.
 

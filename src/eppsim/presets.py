@@ -8,6 +8,7 @@ fixed.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from numbers import Integral
 
 from .errors import DomainError, ParameterError
@@ -18,11 +19,10 @@ from .experiments import (
     ExperimentConfig,
     Verdict,
     _map_replications,
-    _simulate_path,
-    _tick_pairs,
     aggregate_curve,
     discriminate,
-    k_skip_stack,
+    estimate_matrix,
+    k_skip_row,
 )
 from .hawkes import (
     HawkesPriceParams,
@@ -191,14 +191,26 @@ def run_figure(
 ) -> FigureResult:
     """Execute a recipe and return its curves, verdicts, and overlays.
 
-    Every kind but kskip maps its replications over one _map_replications
-    call, with max_workers processes: epps at the sampler's own rate, hy
-    by HY alone at each of cfg.mean_interarrivals, multirate at each of
-    cfg.overlap_rates. kskip thins the one tick pair of replication 0.
-    The hy and kskip curves are classified by discriminate with the rule
-    (tau_abs, z).
+    Every kind maps one measure of a tick pair over its replications in
+    one _map_replications call, with max_workers processes: epps the
+    estimators at the sampler's own rate, hy HY alone at each of
+    cfg.mean_interarrivals, multirate the grid estimators at each of
+    cfg.overlap_rates, kskip HY thinned by k = 1..k_max at the sampler's
+    own rate. The hy and kskip curves are classified by discriminate with
+    the rule (tau_abs, z).
     """
     cfg = recipe.config
+    rates = {"hy": cfg.mean_interarrivals, "multirate": cfg.overlap_rates}.get(recipe.kind)
+    if recipe.kind == "multirate":
+        estimators = tuple(e for e in cfg.estimators if e != "hy") or ("measured", "overlap")
+    else:
+        estimators = cfg.estimators if recipe.kind == "epps" else ("hy",)
+    if recipe.kind == "kskip":
+        measure = partial(k_skip_row, k_max=recipe.k_max)
+    else:
+        measure = partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=estimators,
+                          horizon=cfg.horizon, stride=cfg.kappa_stride)
+    stack = _map_replications(cfg, rates, measure, max_workers)
     common = {
         "price_model": cfg.price_model,
         "n_replications": cfg.n_replications,
@@ -207,40 +219,30 @@ def run_figure(
     }
     curves: dict[str, EppsCurve] = {}
     if recipe.kind == "epps":
-        stack = _map_replications(cfg, None, cfg.estimators, max_workers)
         meta = {"experiment": "epps_curve", "sampler": cfg.sampler,
                 "fresh_paths": cfg.fresh_paths, **common}
         curves["curve"] = aggregate_curve(
-            cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, 0], meta
+            estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, 0], meta
         )
     elif recipe.kind == "hy":
-        stack = _map_replications(cfg, cfg.mean_interarrivals, ("hy",), max_workers)
         # HY takes no dt: each rate's estimate fills its dt axis, so one
         # column is the curve over the mean inter-arrivals
         meta = {"experiment": "hy_vs_interarrival", **common}
         curves["curve"] = aggregate_curve(
-            ("hy",), cfg.confidence, cfg.mean_interarrivals, "mean_interarrival",
+            estimators, cfg.confidence, rates, "mean_interarrival",
             stack[..., 0].swapaxes(1, 2), meta,
         )
     elif recipe.kind == "multirate":
-        estimators = tuple(e for e in cfg.estimators if e != "hy") or ("measured", "overlap")
-        stack = _map_replications(cfg, cfg.overlap_rates, estimators, max_workers)
-        for j, m in enumerate(cfg.overlap_rates):
+        for j, m in enumerate(rates):
             meta = {"experiment": "overlap_multi_rate", "mean_interarrival": m, **common}
             curves[f"rate_{m:g}"] = aggregate_curve(
                 estimators, cfg.confidence, cfg.dt_grid, "dt", stack[:, j], meta
             )
     else:  # kskip
-        si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, 0))
-        stack = k_skip_stack([(si, sj)], recipe.k_max)
         k_max = int(recipe.k_max)
         meta = {"experiment": "k_skip", "k_max": k_max, "confidence": cfg.confidence}
-        # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2
-        first_infeasible = min(len(si), len(sj)) // 2 + 1
-        if first_infeasible <= k_max:
-            meta["first_infeasible_k"] = first_infeasible
         curves["curve"] = aggregate_curve(
-            ("hy",), cfg.confidence, range(1, k_max + 1), "k", stack, meta
+            estimators, cfg.confidence, range(1, k_max + 1), "k", stack[:, 0], meta
         )
     verdicts: dict[str, Verdict] = {}
     if recipe.kind in ("hy", "kskip"):

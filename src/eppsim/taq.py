@@ -43,7 +43,7 @@ from .experiments import (
     aggregate_curve,
     discriminate,
     estimate_matrix,
-    k_skip_stack,
+    k_skip_row,
 )
 from .series import TickSeries
 
@@ -603,9 +603,9 @@ def empirical_curve(days, dt_grid) -> EppsCurve:
     if not days:
         raise DataError("no usable days: cannot build an empirical curve")
     dt_grid = tuple(float(d) for d in dt_grid)
-    stack = np.empty((len(days), len(ESTIMATOR_NAMES), len(dt_grid)))
-    for r, day in enumerate(days):
-        stack[r] = estimate_matrix(day.series_a, day.series_b, dt_grid, ESTIMATOR_NAMES, day.horizon)
+    stack = np.stack([
+        estimate_matrix(d.series_a, d.series_b, dt_grid, ESTIMATOR_NAMES, d.horizon) for d in days
+    ])
     meta = {
         "experiment": "empirical",
         "n_days": len(days),
@@ -626,7 +626,7 @@ def empirical_kskip(days, k_max: int, tau_abs: float = 0.05, z: float = 1.0):
     days = list(days)
     if not days:
         raise DataError("no usable days: cannot run the k-skip experiment")
-    stack = k_skip_stack(((d.series_a, d.series_b) for d in days), k_max)
+    stack = np.stack([k_skip_row(d.series_a, d.series_b, k_max) for d in days])
     meta = {
         "experiment": "empirical_kskip",
         "n_days": len(days),

@@ -5,7 +5,7 @@ allocates (not its inputs, made before tracing starts) and keeps the peak.
 footprint divides those peaks by the size of the input: estimate_matrix
 at dt = 1 by its grid points, for each estimator set the figure presets
 use and for Poisson legs of mean inter-arrival 15 s (the presets' rate)
-and 1 s (the k-skip tick rate); hayashi_yoshida and k_skip_stack by the
+and 1 s (the k-skip tick rate); hayashi_yoshida and k_skip_row by the
 ticks of one leg, at 1 s. index.MAX_GRID_STEPS and index.MAX_TICKS are
 sized from these numbers. Print them at 10**6 points, with the memory a
 grid and a pair of legs need at those bounds, by
@@ -18,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 
-from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_stack
+from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_row
 from eppsim.estimators import hayashi_yoshida
 from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
 from eppsim.sampling import poisson_arrivals
@@ -57,7 +57,7 @@ def poisson_legs(rate: float, horizon: float, seed: int = 0) -> tuple[TickSeries
 def footprint(n_points: int) -> dict[str, float]:
     """Peak bytes per grid point of estimate_matrix at dt = 1 over n_points
     grid points, keyed "estimate_matrix[<set>] legs <m> s", and per leg tick
-    of hayashi_yoshida and k_skip_stack at n_points ticks per leg."""
+    of hayashi_yoshida and k_skip_row at n_points ticks per leg."""
     horizon = float(n_points - 1)
     out = {}
     for m in MEAN_INTERARRIVALS:
@@ -68,7 +68,7 @@ def footprint(n_points: int) -> dict[str, float]:
     s1, s2 = poisson_legs(1.0, float(n_points))
     n = (len(s1) + len(s2)) / 2
     out["hayashi_yoshida"] = traced_peak(hayashi_yoshida, s1, s2)[1] / n
-    out[f"k_skip_stack k_max {K_MAX}"] = traced_peak(k_skip_stack, [(s1, s2)], K_MAX)[1] / n
+    out[f"k_skip_row k_max {K_MAX}"] = traced_peak(k_skip_row, s1, s2, K_MAX)[1] / n
     return out
 
 

@@ -403,6 +403,20 @@ def test_cli_start_up_does_not_import_scipy():
     assert res.stdout.strip() == "False False"
 
 
+def test_a_one_replication_run_starts_no_pool(tmp_path):
+    # a preset k-skip figure thins one day: --threads 2 runs it serially
+    code = "\n".join([
+        "import sys",
+        "from eppsim import cli",
+        f"assert cli.main(['epps', '--figure', '10b', '--threads', '2', "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0",
+        "print('concurrent.futures.process' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
+
+
 def test_runs_that_use_the_ribbon_do_not_import_scipy(tmp_path):
     files = [str(p) for p in write_trade_files(tmp_path)]
     code = "\n".join([
@@ -711,6 +725,17 @@ def test_epps_adhoc_modes_on_two_workers_match_golden_digests_through_one_pool_e
     assert pools == [2] * len(ADHOC_MODES)
 
 
+def test_figure_presets_on_two_workers_match_golden_digests(tmp_path):
+    """Every preset's locked run with --threads 2 writes the bytes of the serial run."""
+    golden = json.loads(GOLDEN_PATH.read_text())["epps"]
+    digests = {}
+    for name in presets.FIGURE_NAMES:
+        out_dir = tmp_path / name
+        assert cli.main([*figure_argv(name), "--threads", "2", "--out", str(out_dir)]) == 0
+        digests[name] = json.loads((out_dir / "manifest.json").read_text())["outputs"]
+    assert digests == golden
+
+
 @pytest.mark.parametrize("mode", ["hy_vs_interarrival", "figure"])
 def test_epps_verdict_table_classifies_once(tmp_path, monkeypatch, mode):
     calls = []
@@ -886,6 +911,8 @@ def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, comma
 
 
 GRID_BOUND = "needs more than 100000000 grid steps"
+EVENT_BOUND = "events, more than 5000000"
+HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
 
 
 @pytest.mark.parametrize(
@@ -918,6 +945,17 @@ GRID_BOUND = "needs more than 100000000 grid steps"
          "error: --rates: mean_interarrivals entry 1e-300: rate ", "expects more than 100000000 ticks"),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
          "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
+        # Hawkes processes expected to draw more events than simulate_hawkes may
+        (["epps"], {"experiment": {
+            **ADHOC_CONFIG["experiment"], "sampler": "hawkes",
+            "hawkes_sampler": {"baseline": 1e300, "amplitude": 0.023, "decay": 0.11}}},
+         "error: experiment: hawkes_sampler: Hawkes process over horizon 2000.0 ", EVENT_BOUND),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "price_model": "hawkes",
+                                   "price_params": {**HAWKES_PRICE, "mu": 1e6}}},
+         "error: experiment: price_params: Hawkes process over horizon 2000.0 ", EVENT_BOUND),
+        (["simulate", "--model", "hawkes-price"],
+         {"simulate": {"params": {**HAWKES_PRICE, "mu": 1e6}}},
+         "error: simulate.params: Hawkes process over horizon 72000.0 ", EVENT_BOUND),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from eppsim.experiments import (
     aggregate_curve,
     discriminate,
     estimate_matrix,
-    k_skip_stack,
+    k_skip_row,
     ribbon,
     write_curve_csv,
     write_curve_json,
@@ -478,7 +479,8 @@ def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind,
 
 def test_hy_vs_interarrival_single_rate_single_replication():
     cfg = small_cfg(n_replications=1, mean_interarrivals=(5.0,))
-    row = _replicate(cfg, _simulate_path(cfg, cfg.seed), cfg.mean_interarrivals, ("hy",), 0)
+    hy = partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=("hy",), horizon=cfg.horizon)
+    row = _replicate(cfg, _simulate_path(cfg, cfg.seed), cfg.mean_interarrivals, hy, 0)
     assert row.shape == (1, 1, len(cfg.dt_grid))
     assert np.isfinite(row).all()
     # one point is too few to classify, so the recipe runs five rates
@@ -496,13 +498,14 @@ def test_hy_replicate_draws_the_poisson_sampler_streams():
     # each rate's legs are those a Poisson-sampled replication draws at stream ids (j,)
     cfg = small_cfg(n_replications=2, mean_interarrivals=(2.0, 5.0, 10.0))
     path = _simulate_path(cfg, cfg.seed)
+    hy = partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=("hy",), horizon=cfg.horizon)
     for r in range(cfg.n_replications):
         want = []
         for j, m in enumerate(cfg.mean_interarrivals):
             rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
             s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
             want.append(hayashi_yoshida(s1, s2).rho)
-        got = _replicate(cfg, path, cfg.mean_interarrivals, ("hy",), r)
+        got = _replicate(cfg, path, cfg.mean_interarrivals, hy, r)
         # one HY estimate per rate, repeated along the dt axis
         assert got.shape == (3, 1, len(cfg.dt_grid))
         assert np.array_equal(got, np.broadcast_to(np.array(want)[:, None, None], got.shape))
@@ -576,15 +579,35 @@ def test_k_skip_truncates_when_ticks_run_out():
     curve, verdict = result.curves["curve"], result.verdicts["verdict"]
     pts = curve.series["hy"]
     assert len(pts) == 40
-    assert curve.meta["first_infeasible_k"] == last + 1
     assert all(p.n_ok == 0 and math.isnan(p.mean) for p in pts if p.axis > last)
     assert all(p.n_ok == 1 and p.half_width == 0.0 for p in pts if p.axis <= last)
     assert verdict.n_points == last
 
 
+@pytest.mark.parametrize("fresh_paths", [False, True])
+def test_a_kskip_recipe_honours_its_config(fresh_paths):
+    # each replication's tick pair thinned by k_skip_row, pooled as every kind pools
+    cfg = small_cfg(n_replications=4, horizon=3600.0, price_params=replace(GBM, horizon=3600.0),
+                    estimators=("hy",), fresh_paths=fresh_paths)
+    path = None if fresh_paths else _simulate_path(cfg, cfg.seed)
+    stack = np.stack([
+        np.stack([k_skip_row(s1, s2, 10) for s1, s2 in _tick_pairs(cfg, path, None, r)])
+        for r in range(cfg.n_replications)
+    ])
+    want = aggregate_curve(("hy",), cfg.confidence, range(1, 11), "k", stack[:, 0], {})
+    serial = run_kind("kskip", cfg, k_max=10)
+    assert serial.curves["curve"].series == want.series
+    assert all(p.n_ok == 4 and p.half_width > 0 for p in want.series["hy"])
+    pooled = run_kind("kskip", cfg, max_workers=2, k_max=10)
+    assert pooled.curves == serial.curves and pooled.verdicts == serial.verdicts
+    # the other path mode differs: the flag is not ignored
+    other = run_kind("kskip", replace(cfg, fresh_paths=not fresh_paths), k_max=10)
+    assert other.curves["curve"].series != serial.curves["curve"].series
+
+
 def k_skip_stack_per_k(pairs, k_max):
-    """k_skip_stack as it was written: thinned tick series for every k, and
-    hayashi_yoshida with two bisections on each."""
+    """k_skip_row of each pair as it was written: thinned tick series for
+    every k, and hayashi_yoshida with two bisections on each."""
     pairs = list(pairs)
     stack = np.full((len(pairs), 1, k_max), np.nan)
     for r, (si, sj) in enumerate(pairs):
@@ -614,7 +637,7 @@ def k_skip_stack_per_k(pairs, k_max):
     k_max=st.integers(min_value=1, max_value=40),
 )
 @settings(max_examples=200, deadline=None)
-def test_k_skip_stack_equals_per_k_oracle_bitwise(seed, sizes, period, k_max):
+def test_k_skip_row_equals_per_k_oracle_bitwise(seed, sizes, period, k_max):
     # legs of 0-3 ticks with k far past n/2, shared timestamps, and with a
     # period, leg j values that repeat every period ticks, so that leg j
     # thinned to every k-th tick has zero variance whenever period divides k
@@ -625,12 +648,12 @@ def test_k_skip_stack_equals_per_k_oracle_bitwise(seed, sizes, period, k_max):
         if period:
             sj = replace(sj, values=(np.arange(len(sj)) % period).astype(float))
         pairs.append((si, sj))
-    got = k_skip_stack(pairs, k_max)
+    got = np.stack([k_skip_row(si, sj, k_max) for si, sj in pairs])
     want = k_skip_stack_per_k(pairs, k_max)
     assert np.array_equal(got, want, equal_nan=True)
 
 
-def test_k_skip_stack_equals_per_k_oracle_on_long_legs():
+def test_k_skip_row_equals_per_k_oracle_on_long_legs():
     si = random_walk_ticks(3000, seed=5)
     rng = np.random.default_rng(6)
     # half of leg j's ticks are leg i's
@@ -639,7 +662,7 @@ def test_k_skip_stack_equals_per_k_oracle_on_long_legs():
     pairs = [(si, sj), (sj, si)]
     want = k_skip_stack_per_k(pairs, 50)
     assert np.isfinite(want).all()
-    assert np.array_equal(k_skip_stack(pairs, 50), want)
+    assert np.array_equal(np.stack([k_skip_row(si, sj, 50) for si, sj in pairs]), want)
 
 
 def test_k_skip_rejects_bad_kmax():

@@ -7,7 +7,7 @@ from footprint import K_MAX, footprint, poisson_legs
 
 from eppsim import estimators, experiments
 from eppsim.estimators import hayashi_yoshida
-from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_stack
+from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_row
 from eppsim.sampling import k_skip
 
 
@@ -29,7 +29,7 @@ def test_hayashi_yoshida_and_k_skip_peak_per_tick(peaks):
     # two counts, leg-i returns, the prefix sums and the span with its
     # lower bound; 72 and 88 before the in-place rewrite
     assert peaks["hayashi_yoshida"] <= 50, peaks
-    assert peaks[f"k_skip_stack k_max {K_MAX}"] <= 50, peaks
+    assert peaks[f"k_skip_row k_max {K_MAX}"] <= 50, peaks
 
 
 def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):
@@ -56,7 +56,7 @@ def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):
     monkeypatch.setattr(estimators, "_hy_estimate", consume)
     monkeypatch.setattr(experiments, "_hy_estimate", consume)
     assert hayashi_yoshida(s1, s2).rho == want_hy
-    np.testing.assert_array_equal(k_skip_stack([(s1, s2)], K_MAX)[0, 0], want_kskip)
+    np.testing.assert_array_equal(k_skip_row(s1, s2, K_MAX)[0], want_kskip)
     np.testing.assert_array_equal(
         estimate_matrix(s1, s2, dt_grid, ESTIMATOR_NAMES, 3000.0), want_matrix
     )

@@ -16,6 +16,7 @@ from eppsim.hawkes import (
     branching_matrix,
     classify_stability,
     covariance_coefficients,
+    expected_events,
     hawkes_price_model,
     intensity_at,
     limiting_correlation,
@@ -193,6 +194,16 @@ def test_simulate_run_stops_at_event_cap(monkeypatch):
     monkeypatch.setattr(hawkes, "MAX_EVENTS", 1000)
     with pytest.raises(NumericError, match="1000 events"):
         simulate_hawkes(warm, 1000.0, seed=0)
+
+
+def test_expected_events_is_the_stationary_count_and_bounded(monkeypatch):
+    # each price component runs at mu / (1 - gamma_r - gamma_c)
+    rate = PRICE.mu / (1.0 - PRICE.gamma_r - PRICE.gamma_c)
+    assert expected_events(price_spec(PRICE), 1000.0) == pytest.approx(4 * rate * 1000.0, rel=1e-12)
+    assert expected_events(SAMPLING, 0.0) == 0.0
+    monkeypatch.setattr(hawkes, "MAX_EVENTS", 100)
+    with pytest.raises(ParameterError, match="expects 178.* events, more than 100"):
+        expected_events(price_spec(PRICE), 1000.0)
 
 
 def test_simulate_refuses_unusable_horizons():
