@@ -385,12 +385,14 @@ def estimate_matrix(
     Returns shape (n_estimators, n_dt) with nan marking an estimator that
     failed at that scale. The HY estimate uses the raw ticks and is
     repeated across the dt axis; the grid estimators share one previous
-    tick interpolation per dt, and the two corrections reuse the measured
-    value, so a degenerate grid fails all three together. The overlap
-    correction reads its windows off the tick times (in sampled and traded
-    data the ticks are the arrivals), at the grid points from the grid's
-    own previous-tick index, at another stride from overlap_expectation.
-    Each grid-sized array is dropped after its last reader.
+    tick index per leg, and the two corrections reuse the measured value,
+    so a degenerate grid fails all three together. Each leg is indexed on
+    the grid of a base step; a later dt that is exactly k times that step
+    (as rationals, see _stride) reads every k-th entry, any other dt
+    becomes the base. The overlap correction reads its windows off the
+    tick times (in sampled and traded data the ticks are the arrivals),
+    at the grid points from the grid's own previous-tick index, at
+    another stride from overlap_expectation.
     """
     out = np.full((len(estimators), len(dt_grid)), np.nan)
     col = {name: i for i, name in enumerate(estimators)}
@@ -401,27 +403,50 @@ def estimate_matrix(
             pass
         if len(col) == 1:
             return out  # no grid estimator: no previous-tick grid to build
+    step = None  # the latest base step, on whose grid idx1 and idx2 index the legs
     for j, dt in enumerate(dt_grid):
-        _grid_estimates(out[:, j], col, s1, s2, dt, horizon, stride)
+        coarse = None if step is None else _stride(step, idx1.size - 1, dt, horizon)
+        if coarse is None:
+            step = idx1 = idx2 = None  # the old base goes before the new is built
+            try:
+                # each leg's tick counts at the grid points, turned in place
+                # into its previous-tick index (-1 before the first tick)
+                idx1 = _previous_tick_counts(s1, dt, horizon)
+                idx1 -= 1
+                idx2 = _previous_tick_counts(s2, dt, horizon)
+                idx2 -= 1
+            except EstimationError:
+                continue  # the grid estimators all need both indices
+            step, coarse = dt, slice(None)
+        _grid_estimates(out[:, j], col, s1, s2, idx1[coarse], idx2[coarse], dt, horizon, stride)
     return out
 
 
-def _grid_estimates(out, col, s1, s2, dt: float, horizon: float, stride) -> None:
-    """estimate_matrix's grid estimators at one dt, written into out by col.
+def _stride(step: float, n_step: int, dt: float, horizon: float) -> slice | None:
+    """The every-k-th slice of step's n_step + 1 grid points that is dt's
+    grid over horizon, when dt is exactly k times step; else None.
 
-    Each grid-sized array is dropped after its last reader, and all of
-    them when this returns.
+    Exactly means as the rationals the two floats are: then h*dt and
+    (h*k)*step are the same real number and round to the same double. A
+    float test k*step == dt is not enough: 9 * 0.1 rounds to 0.9, yet
+    h * 0.9 and (9*h) * 0.1 do not always round alike.
+    """
+    a, b = float(step).as_integer_ratio()
+    c, d = float(dt).as_integer_ratio()
+    k, rest = divmod(c * b, d * a)
+    n = grid_count(horizon, dt)
+    return slice(None, k * n + 1, k) if rest == 0 and k * n <= n_step else None
+
+
+def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, stride) -> None:
+    """estimate_matrix's grid estimators at one dt, written into out by col,
+    from each leg's previous-tick index idx1, idx2 at the grid points h*dt.
+
+    Each grid-sized array built here is dropped after its last reader,
+    and all of them when this returns; the indices stay the caller's.
     """
     try:
-        # each leg's tick counts at the grid points, turned in place into
-        # its previous-tick index (-1 before the first tick)
-        idx1 = _previous_tick_counts(s1, dt, horizon)
-        idx1 -= 1
-        idx2 = _previous_tick_counts(s2, dt, horizon)
-        idx2 -= 1
         g1, g2 = _grid_series(s1, dt, idx1), _grid_series(s2, dt, idx2)
-        if "overlap" not in col:
-            idx1 = idx2 = None
         _check_common_grid(g1, g2)
         r1 = g1.returns()  # each value grid is differenced once, then dropped
         g1 = None

@@ -17,9 +17,9 @@ from .errors import ParameterError
 
 
 # the most steps a grid of step dt over a horizon may have: estimate_matrix
-# peaks at 48 bytes per grid point (tracemalloc at 10**6 points, dt = 1, every
-# preset estimator set; tests/footprint.py prints it), so a grid at the bound
-# needs about 4.8 GB
+# peaks at 48 bytes per grid point (tracemalloc at 10**6 points, every preset
+# estimator set, at dt = 1 and per point of the finest step over FIG_DT_GRID;
+# tests/footprint.py prints it), so a grid at the bound needs about 4.8 GB
 MAX_GRID_STEPS = 10**8
 
 # the most ticks a leg may expect (rate * horizon): the two legs hold 16 bytes

@@ -8,6 +8,8 @@ series to every k-th observation. Both searches are against a uniform
 grid, so they place ticks with the linear-time kernels of the index
 module rather than by bisection; a synchronous leg's grid is a strided
 read of its ticks, and the overlap correction reads the same tick counts.
+experiments.estimate_matrix counts each leg once per base step and reads
+a step that is an exact multiple of it as a strided view of those counts.
 """
 
 import math

@@ -3,9 +3,10 @@
 traced_peak runs a call under tracemalloc, which counts the bytes the call
 allocates (not its inputs, made before tracing starts) and keeps the peak.
 footprint divides those peaks by the size of the input: estimate_matrix
-at dt = 1 by its grid points, for each estimator set the figure presets
-use and for Poisson legs of mean inter-arrival 15 s (the presets' rate)
-and 1 s (the k-skip tick rate); hayashi_yoshida and k_skip_row by the
+at dt = 1, and over FIG_DT_GRID (whose finest step is 1), by the points of
+the dt = 1 grid, for each estimator set the figure presets use and for
+Poisson legs of mean inter-arrival 15 s (the presets' rate) and 1 s (the
+k-skip tick rate); hayashi_yoshida and k_skip_row by the
 ticks of one leg, at 1 s. index.MAX_GRID_STEPS and index.MAX_TICKS are
 sized from these numbers. Print them at 10**6 points, with the memory a
 grid and a pair of legs need at those bounds, by
@@ -18,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 
-from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_row
+from eppsim.experiments import ESTIMATOR_NAMES, FIG_DT_GRID, estimate_matrix, k_skip_row
 from eppsim.estimators import hayashi_yoshida
 from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
 from eppsim.sampling import poisson_arrivals
@@ -56,15 +57,18 @@ def poisson_legs(rate: float, horizon: float, seed: int = 0) -> tuple[TickSeries
 
 def footprint(n_points: int) -> dict[str, float]:
     """Peak bytes per grid point of estimate_matrix at dt = 1 over n_points
-    grid points, keyed "estimate_matrix[<set>] legs <m> s", and per leg tick
-    of hayashi_yoshida and k_skip_row at n_points ticks per leg."""
+    grid points, keyed "estimate_matrix[<set>] legs <m> s", and over
+    FIG_DT_GRID per point of its dt = 1 grid, keyed "estimate_matrix[<set>]
+    FIG_DT_GRID legs <m> s"; and per leg tick of hayashi_yoshida and
+    k_skip_row at n_points ticks per leg."""
     horizon = float(n_points - 1)
     out = {}
     for m in MEAN_INTERARRIVALS:
         s1, s2 = poisson_legs(1.0 / m, horizon)
         for name, estimators in ESTIMATOR_SETS.items():
-            _, peak = traced_peak(estimate_matrix, s1, s2, (1.0,), estimators, horizon)
-            out[f"estimate_matrix[{name}] legs {m:g} s"] = peak / n_points
+            for grid, dt_grid in (("", (1.0,)), (" FIG_DT_GRID", FIG_DT_GRID)):
+                _, peak = traced_peak(estimate_matrix, s1, s2, dt_grid, estimators, horizon)
+                out[f"estimate_matrix[{name}]{grid} legs {m:g} s"] = peak / n_points
     s1, s2 = poisson_legs(1.0, float(n_points))
     n = (len(s1) + len(s2)) / 2
     out["hayashi_yoshida"] = traced_peak(hayashi_yoshida, s1, s2)[1] / n
@@ -77,7 +81,7 @@ if __name__ == "__main__":
     peaks = footprint(n_points)
     print(f"peak bytes per grid point (estimate_matrix) or per tick, at {n_points} points")
     for key, value in peaks.items():
-        print(f"{key:58s} {value:6.1f}")
+        print(f"{key:70s} {value:6.1f}")
     grid = max(v for key, v in peaks.items() if key.startswith("estimate_matrix"))
     # a pair of legs holds times and values, 16 bytes per tick each
     legs = 2 * 16 + peaks["hayashi_yoshida"]

@@ -31,6 +31,7 @@ from eppsim.estimators import (
 )
 from eppsim import experiments
 from eppsim.experiments import (
+    ESTIMATOR_NAMES,
     FIG_DT_GRID,
     _replicate,
     _replication_seed,
@@ -53,7 +54,7 @@ from eppsim.experiments import (
 )
 from eppsim.hawkes import HawkesPriceParams
 from eppsim.paths import GbmParams, MertonParams, simulate_gbm
-from eppsim.presets import FigureRecipe, run_figure
+from eppsim.presets import WIDE_DT_GRID, FigureRecipe, run_figure
 from eppsim.index import grid_count
 from eppsim.sampling import (
     hawkes_arrivals,
@@ -171,6 +172,13 @@ def searchsorted_oracle(s1, s2, dt_grid, estimators, horizon, stride=None):
 ORACLE_GRIDS = {
     "figures": (72000.0, FIG_DT_GRID),
     "fractional": (3000.0, (0.1, 0.7, 3.0, 7.3, 2999.9999999999995, 3000.0, 4000.0)),
+    # steps that are exact multiples of an earlier step, and some that are not
+    "multiples": (3000.0, (0.1, 0.2, 0.3, 0.6, 0.9, 7.3, 14.6)),
+    "dyadic": (3000.0, (0.25, 0.5, 1.5, 2.0, 2.75)),
+    "short_horizon": (2999.7, (0.3, 0.9, 2.7, 8.1, 2999.7, 3000.0)),
+    # grid_count's tolerance gives 0.5 and 1.0 a last point that 0.25's grid
+    # lacks, so 0.5 starts a new base, which 1.0 strides
+    "tolerance": (2999.9999999996, (0.25, 0.5, 1.0)),
 }
 
 
@@ -188,7 +196,7 @@ def oracle_clock(clock, horizon, seed):
 @pytest.mark.parametrize("clock", ["poisson", "hawkes"])
 def test_estimate_matrix_matches_searchsorted_oracle(grid, clock):
     horizon, dt_grid = ORACLE_GRIDS[grid]
-    path = simulate_gbm(replace(GBM, horizon=horizon), seed=11)
+    path = simulate_gbm(replace(GBM, horizon=float(math.ceil(horizon))), seed=11)
     estimators = ("measured", "flat_trade", "overlap", "hy")
     for seed in range(4):
         u1, u2 = oracle_clock(clock, horizon, seed)
@@ -241,6 +249,60 @@ def test_estimate_matrix_hy_alone_builds_no_grid(monkeypatch):
     alone = estimate_matrix(s1, s2, dt_grid, ("hy",), 600.0)
     assert np.array_equal(alone, full[1:])
     assert np.isfinite(alone).all()
+
+
+@pytest.mark.parametrize(
+    "dt_grid, bases",
+    [
+        (FIG_DT_GRID, (1.0,)),
+        (WIDE_DT_GRID, (1.0,)),
+        ((0.1, 0.2, 0.3, 0.6, 0.9, 7.3, 14.6), (0.1, 0.3, 0.9, 7.3)),
+    ],
+    ids=["figures", "wide", "multiples"],
+)
+def test_estimate_matrix_indexes_each_leg_once_per_base_step(monkeypatch, dt_grid, bases):
+    # a step that is exactly k times the base step reads every k-th entry of
+    # the base's index; 0.3 is not 3 * 0.1, nor 0.9 3 * 0.3, as doubles
+    horizon = 3000.0
+    path = simulate_gbm(replace(GBM, horizon=horizon), seed=7)
+    u1, u2 = oracle_clock("poisson", horizon, 1)
+    s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
+    built = []
+    real = experiments._previous_tick_counts
+
+    def counted(ticks, dt, horizon):
+        built.append((ticks is s1, dt))
+        return real(ticks, dt, horizon)
+
+    monkeypatch.setattr(experiments, "_previous_tick_counts", counted)
+    args = (s1, s2, dt_grid, ESTIMATOR_NAMES, horizon)
+    got = estimate_matrix(*args)
+    assert built == [(leg, dt) for dt in bases for leg in (True, False)]
+    assert np.array_equal(got, searchsorted_oracle(*args), equal_nan=True)
+
+
+def test_estimate_matrix_strides_only_by_exact_multiples():
+    # 9 * 0.1 rounds to 0.9, but the grid point h*0.9 and the point (9*h)*0.1
+    # of the finer grid are not always the same double (for 10 * 0.1 and 1.0
+    # they are: each rounds to h); ticks of their own values on both, where
+    # they differ, are taken by one grid and not the other, so dt = 0.9 must
+    # not be read off the index of dt = 0.1
+    horizon, dt_grid = 3000.0, (0.1, 0.9)
+    assert 9 * dt_grid[0] == dt_grid[1]
+    h = np.arange(grid_count(horizon, 0.9) + 1, dtype=float)
+    coarse, fine = h * 0.9, (9 * h) * 0.1
+    off = coarse != fine
+    assert off.sum() > 50
+    snapped = np.concatenate([coarse[off], fine[off]])
+    legs = []
+    for seed, extra in ((1, snapped), (2, ())):
+        t = np.unique(np.concatenate([poisson_arrivals(0.5, horizon, seed).times, extra]))
+        v = np.random.default_rng(seed).standard_normal(t.size).cumsum()
+        legs.append(TickSeries(times=t, values=v, horizon=horizon))
+    args = (*legs, dt_grid, ("measured", "flat_trade", "overlap"), horizon)
+    want = searchsorted_oracle(*args)
+    assert np.isfinite(want).all()
+    assert np.array_equal(estimate_matrix(*args), want)
 
 
 def test_estimate_matrix_overlap_windows_off_the_grid():
