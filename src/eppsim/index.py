@@ -2,9 +2,11 @@
 
 Every place that asks how many ticks lie before or at a time asks it here.
 Against a uniform grid the answer comes by arithmetic in linear time
-(_rank, _tick_counts), and for a leg whose ticks are the grid's own points
-by a strided read (_strided_counts); against another tick series it comes
-from one bisection and a tie test (_left_right_counts). Each kernel equals
+(_rank, _tick_counts); against a grid from 0 whose step is a power of two
+it is floor(x/step) + 1, exact with no correction (_lattice_ranks); for a
+leg whose ticks are the grid's own points it is a strided read
+(_strided_counts); against another tick series it comes from one
+bisection and a tie test (_left_right_counts). Each kernel equals
 np.searchsorted bit for bit. The module imports only numpy and errors, so
 hawkes, sampling and estimators can all use it.
 """
@@ -91,6 +93,18 @@ def _rank(x: np.ndarray, n: int, node, step: float, right: bool) -> np.ndarray:
         at = moved if at is None else at[moved]
         r[at] += up[moved].astype(np.intp) - down[moved]
         ranks, values = r[at], x[at]
+
+
+def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray | None:
+    """np.searchsorted(step * np.arange(n), x, side="right") for x >= 0 if step
+    is a power of two, else None: each node k*step (k < 2**53) is then a double,
+    and x/step is exact or subnormal (below 1, so it floors to 0 either way)."""
+    if math.frexp(step)[0] != 0.5:
+        return None
+    r = np.divide(x, step)
+    np.floor(r, out=r)
+    r += 1.0
+    return np.minimum(r, n, out=r).astype(np.intp)
 
 
 def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:

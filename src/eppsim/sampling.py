@@ -6,8 +6,10 @@ those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
 grid, so they place ticks with the linear-time kernels of the index
-module rather than by bisection; a synchronous leg's grid is a strided
-read of its ticks, and the overlap correction reads the same tick counts.
+module rather than by bisection (observe_path by exact arithmetic on a
+power-of-two path grid from 0, by the correction loop of _rank on any
+other); a synchronous leg's grid is a strided read of its ticks, and the
+overlap correction reads the same tick counts.
 experiments.estimate_matrix counts each leg once per base step and reads
 a step that is an exact multiple of it as a strided view of those counts.
 """
@@ -20,7 +22,7 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -75,7 +77,10 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
     """Read one asset of the latent path at the arrival times.
 
     The value at arrival t is the path value at the greatest grid point <= t.
-    Arrivals outside [t0, horizon] of the path are refused.
+    Arrivals outside [t0, horizon] of the path are refused. On a path from
+    t0 = 0 whose step is a power of two (every preset path: 1 s) that
+    point is read off floor(t/dt) exactly; any other path is ranked by
+    index._rank's guess-and-correct loop.
     """
     if asset not in (0, 1):
         raise ParameterError(f"asset must be 0 or 1, got {asset}")
@@ -88,7 +93,10 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
             )
     # the last node of path.times() at or before each t, each node computed
     # as PricePath.times computes it, without building the whole grid
-    idx = _rank(t, path.n_steps + 1, lambda k: path.t0 + path.dt * k, path.dt, right=True)
+    n = path.n_steps + 1
+    idx = _lattice_ranks(t, n, path.dt) if path.t0 == 0.0 else None
+    if idx is None:
+        idx = _rank(t, n, lambda k: path.t0 + path.dt * k, path.dt, right=True)
     idx -= 1
     return TickSeries(
         times=t, values=path.values[idx, asset], horizon=arrivals.horizon

@@ -47,8 +47,10 @@ class PricePath:
             raise ParameterError(f"values must have shape (n+1, 2), got {vals.shape}")
         if vals.shape[0] < 1:
             raise ParameterError("path must contain at least one grid point")
-        if not self.dt > 0:
-            raise ParameterError(f"dt must be positive, got {self.dt}")
+        if not np.isfinite(self.t0):
+            raise ParameterError(f"t0 must be finite, got {self.t0}")
+        if not 0 < self.dt < np.inf:
+            raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "values", vals)
 
     @property

@@ -1,4 +1,4 @@
-"""Peak working memory of the estimators, per grid point and per tick.
+"""Peak working memory of the estimators and of observe_path, per grid point and per tick.
 
 traced_peak runs a call under tracemalloc, which counts the bytes the call
 allocates (not its inputs, made before tracing starts) and keeps the peak.
@@ -7,7 +7,9 @@ at dt = 1, and over FIG_DT_GRID (whose finest step is 1), by the points of
 the dt = 1 grid, for each estimator set the figure presets use and for
 Poisson legs of mean inter-arrival 15 s (the presets' rate) and 1 s (the
 k-skip tick rate); hayashi_yoshida and k_skip_row by the
-ticks of one leg, at 1 s. index.MAX_GRID_STEPS and index.MAX_TICKS are
+ticks of one leg, at 1 s; observe_path by its arrivals, one per path step
+on average, on a path of step 1 (ranked by exact arithmetic) and of step
+0.1 (ranked by index._rank). index.MAX_GRID_STEPS and index.MAX_TICKS are
 sized from these numbers. Print them at 10**6 points, with the memory a
 grid and a pair of legs need at those bounds, by
 
@@ -22,8 +24,8 @@ import numpy as np
 from eppsim.experiments import ESTIMATOR_NAMES, FIG_DT_GRID, estimate_matrix, k_skip_row
 from eppsim.estimators import hayashi_yoshida
 from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
-from eppsim.sampling import poisson_arrivals
-from eppsim.series import TickSeries
+from eppsim.sampling import observe_path, poisson_arrivals
+from eppsim.series import PricePath, TickSeries
 
 # the estimator sets of the figure presets, by their CLI spelling
 ESTIMATOR_SETS = {
@@ -33,6 +35,7 @@ ESTIMATOR_SETS = {
     "hy": ("hy",),
 }
 MEAN_INTERARRIVALS = (15.0, 1.0)
+PATH_STEPS = (1.0, 0.1)  # a preset path's step, and one that is not a power of two
 K_MAX = 10  # the k-skip figures' curve length is about this
 
 
@@ -60,7 +63,9 @@ def footprint(n_points: int) -> dict[str, float]:
     grid points, keyed "estimate_matrix[<set>] legs <m> s", and over
     FIG_DT_GRID per point of its dt = 1 grid, keyed "estimate_matrix[<set>]
     FIG_DT_GRID legs <m> s"; and per leg tick of hayashi_yoshida and
-    k_skip_row at n_points ticks per leg."""
+    k_skip_row at n_points ticks per leg, and of observe_path, keyed
+    "observe_path path step <step>", at about n_points arrivals on a path
+    of n_points steps."""
     horizon = float(n_points - 1)
     out = {}
     for m in MEAN_INTERARRIVALS:
@@ -73,6 +78,12 @@ def footprint(n_points: int) -> dict[str, float]:
     n = (len(s1) + len(s2)) / 2
     out["hayashi_yoshida"] = traced_peak(hayashi_yoshida, s1, s2)[1] / n
     out[f"k_skip_row k_max {K_MAX}"] = traced_peak(k_skip_row, s1, s2, K_MAX)[1] / n
+    for step in PATH_STEPS:
+        path = PricePath(t0=0.0, dt=step, values=np.zeros((n_points + 1, 2)))
+        arrivals = poisson_arrivals(1.0 / step, path.horizon, seed=3)
+        out[f"observe_path path step {step:g}"] = (
+            traced_peak(observe_path, path, arrivals, 0)[1] / len(arrivals)
+        )
     return out
 
 

@@ -1,5 +1,5 @@
-"""The estimators' peak working memory (measured by footprint.py) and the
-hand-over of the count arrays _hy_estimate consumes."""
+"""The peak working memory of the estimators and of observe_path (measured
+by footprint.py) and the hand-over of the count arrays _hy_estimate consumes."""
 
 import numpy as np
 import pytest
@@ -31,6 +31,14 @@ def test_hayashi_yoshida_and_k_skip_peak_per_tick(peaks):
     # lower bound; 72 and 88 before the in-place rewrite
     assert peaks["hayashi_yoshida"] <= 50, peaks
     assert peaks[f"k_skip_row k_max {K_MAX}"] <= 50, peaks
+
+
+def test_observe_path_peak_per_tick(peaks):
+    # the ranks and the values read: 17 bytes per tick when the ranks are
+    # exact arithmetic (a power-of-two step), 25 through index._rank
+    got = {key: v for key, v in peaks.items() if key.startswith("observe_path")}
+    assert len(got) == 2
+    assert max(got.values()) <= 26, got
 
 
 def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):

@@ -363,7 +363,7 @@ def test_strided_counts_check_every_tick_they_read(at, nudge):
 
 
 @given(
-    dt=st.sampled_from([0.1, 0.7, 3.0, 1.0]),
+    dt=st.sampled_from([0.1, 0.7, 3.0, 1.0, 2.0, 0.5, 2**-10]),
     t0=st.sampled_from([0.0, 0.3, 1000.0]),
     n_steps=st.integers(min_value=0, max_value=300),
     n_arrivals=st.integers(min_value=0, max_value=400),
@@ -381,6 +381,68 @@ def test_observe_path_equals_bisection(dt, t0, n_steps, n_arrivals, seed):
     want = np.searchsorted(nodes, times, side="right") - 1
     np.testing.assert_array_equal(observe_path(path, arrivals, 0).values, want.astype(float))
     np.testing.assert_array_equal(observe_path(path, arrivals, 1).values, -want.astype(float))
+
+
+@pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2**-1074, 2.0**60])
+def test_lattice_ranks_equal_bisection(step):
+    # zeros of either sign, the least subnormal, a node and its one-ulp
+    # neighbours, the last node and past it; at 2**60 the subnormal's
+    # quotient underflows to 0, which is still its rank
+    n = 7
+    nodes = step * np.arange(n)
+    x = np.array([0.0, -0.0, 5e-324, np.nextafter(nodes[3], -np.inf), nodes[3],
+                  np.nextafter(nodes[3], np.inf), nodes[-1], np.nextafter(nodes[-1], np.inf),
+                  nodes[-1] + 5 * step])
+    got = index._lattice_ranks(x, n, step)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side="right"))
+
+
+@pytest.mark.parametrize("step", [0.1, 1.5, 3.0, 0.0, -2.0, math.inf, math.nan])
+def test_lattice_ranks_refuse_a_step_that_is_not_a_power_of_two(step):
+    assert index._lattice_ranks(np.array([0.5, 1.0]), 3, step) is None
+
+
+def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch):
+    # every preset path starts at 0 with a 1 s step, so no preset replication
+    # reaches _rank; a path off the origin or at a step of 0.1 still does
+    from eppsim.presets import figure_recipe, run_figure
+
+    rank_calls, lattice_hits = [], []
+    rank, lattice_ranks = sampling._rank, sampling._lattice_ranks
+
+    def counted_rank(*args, **kwargs):
+        rank_calls.append(args[1])
+        return rank(*args, **kwargs)
+
+    def counted_lattice_ranks(*args):
+        got = lattice_ranks(*args)
+        lattice_hits.append(got is not None)
+        return got
+
+    monkeypatch.setattr(sampling, "_rank", counted_rank)
+    monkeypatch.setattr(sampling, "_lattice_ranks", counted_lattice_ranks)
+    for name, n in (("8b", 2), ("10a", None)):
+        lattice_hits.clear()
+        run_figure(figure_recipe(name, seed=0, n_replications=n))
+        assert rank_calls == [] and lattice_hits and all(lattice_hits), name
+    arrivals = ArrivalSet(times=np.array([0.35, 1.0, 1.95]), horizon=2.0)
+    for t0, dt, rows in ((0.3, 1.0, 3), (0.0, 0.1, 31)):
+        path = PricePath(t0=t0, dt=dt, values=np.zeros((rows, 2)))
+        rank_calls.clear()
+        observe_path(path, arrivals, 0)
+        assert rank_calls == [rows], (t0, dt)
+
+
+@pytest.mark.parametrize("field", ["t0", "dt"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_price_path_refuses_a_non_finite_t0_or_dt(field, bad):
+    # observe_path's rank-correction loop never ended on t0 = nan or
+    # dt = inf, and t0 = inf was refused only once a path was sampled
+    fields = dict(t0=0.0, dt=1.0, values=np.zeros((3, 2)))
+    fields[field] = bad
+    with pytest.raises(ParameterError, match=rf"^{field} must be"):
+        PricePath(**fields)
 
 
 # ---------------------------------------------------------------------------
