@@ -41,6 +41,8 @@ from .experiments import (
     ExperimentConfig,
     _check_dt_axis,
     _named,
+    _rule_bound,
+    _worker_count,
     dump_json,
     write_curve_csv,
     write_curve_json,
@@ -158,6 +160,12 @@ def _table(value, name: str) -> dict:
 def _verdict_table(tau_abs: float = 0.05, z: float = 1.0):
     """(tau_abs, z) of the discrimination rule, as the config's verdict table sets it."""
     return tau_abs, z
+
+
+def _verdict_rule(doc: dict) -> tuple[float, float]:
+    """The config's (tau_abs, z), each refused as discriminate refuses it."""
+    rule = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
+    return tuple(_named(f"verdict.{n}", _rule_bound, v) for n, v in zip(("tau_abs", "z"), rule))
 
 
 def _taq_table(dt_grid: tuple[float, ...] = FIG_DT_GRID, kmax: int = 50):
@@ -346,7 +354,7 @@ def cmd_epps(args) -> int:
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     figure = args.figure or doc.get("figure")
-    tau_abs, z = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
+    tau_abs, z = _verdict_rule(doc)
 
     if figure is not None:
         recipe = figure_recipe(figure, **overrides)
@@ -384,6 +392,7 @@ def cmd_epps(args) -> int:
         },
         cfg.seed,
     )
+    run.notes["workers"] = _worker_count(threads, cfg.n_replications)
     result = run_figure(recipe, max_workers=threads, tau_abs=tau_abs, z=z)
     _figure_outputs(run, result)
     out = run.finish()
@@ -428,7 +437,7 @@ def cmd_taq(args) -> int:
         if value is not None and value < MIN_VERDICT_POINTS:
             raise ParameterError(f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {value}")
     k_max = args.kmax if args.kmax is not None else k_max
-    tau_abs, z = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
+    tau_abs, z = _verdict_rule(doc)
     parsed = _parse_taq_files(args.files)
 
     base_config = {

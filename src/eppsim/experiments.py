@@ -16,6 +16,7 @@ discrete_events; a flat one is diffusion_like.
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache, partial
 from numbers import Integral
@@ -30,7 +31,6 @@ from .errors import (
     StabilityError,
 )
 from .estimators import (
-    _check_common_grid,
     _grid_overlap,
     _hy_estimate,
     _measured_correlation,
@@ -52,7 +52,6 @@ from .hawkes import (
 from .index import _left_right_counts, expected_ticks, grid_count
 from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
 from .sampling import (
-    _grid_series,
     _previous_tick_counts,
     hawkes_arrivals,
     observe_path,
@@ -282,6 +281,8 @@ class ExperimentConfig:
         if self.sampler == "hawkes" and self.hawkes_sampler is None:
             raise ParameterError("hawkes sampler needs a hawkes_sampler spec")
         if self.sampler == "hawkes":
+            if (dim := self.hawkes_sampler.dim) != 2:
+                raise ParameterError(f"hawkes_sampler must be 2-dimensional, got {dim}")
             report = classify_stability(self.hawkes_sampler)
             if report.classification != "stationary":
                 raise StabilityError(
@@ -355,23 +356,6 @@ def _replication_seed(cfg: ExperimentConfig, r: int) -> int:
     return seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
 
 
-def _poisson_ticks(path: PricePath, rate: float, horizon: float, rep_seed: int, ns: tuple):
-    """The two tick series of Poisson sampling at rate, from streams (*ns, 1) and (*ns, 2)."""
-    u1 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, *ns, 1))
-    u2 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, *ns, 2))
-    return observe_path(path, u1, 0), observe_path(path, u2, 1)
-
-
-def _sample_ticks(cfg: ExperimentConfig, path: PricePath, rep_seed: int, ns: tuple[int, ...]):
-    """The two tick series of one replication."""
-    if cfg.sampler == "synchronous":
-        return synchronous_ticks(path, 0), synchronous_ticks(path, 1)
-    if cfg.sampler == "poisson":
-        return _poisson_ticks(path, cfg.poisson_rate, cfg.horizon, rep_seed, ns)
-    u1, u2 = hawkes_arrivals(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, *ns, 1))
-    return observe_path(path, u1, 0), observe_path(path, u2, 1)
-
-
 def estimate_matrix(
     s1: TickSeries,
     s2: TickSeries,
@@ -440,18 +424,15 @@ def _stride(step: float, n_step: int, dt: float, horizon: float) -> slice | None
 
 def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, stride) -> None:
     """estimate_matrix's grid estimators at one dt, written into out by col,
-    from each leg's previous-tick index idx1, idx2 at the grid points h*dt.
+    from each leg's previous-tick index idx1, idx2 at the grid points h*dt
+    (-1 before the first tick, whose value a clipped take backfills there).
 
     Each grid-sized array built here is dropped after its last reader,
     and all of them when this returns; the indices stay the caller's.
     """
+    r1 = np.diff(s1.values.take(idx1, mode="clip"))
+    r2 = np.diff(s2.values.take(idx2, mode="clip"))
     try:
-        g1, g2 = _grid_series(s1, dt, idx1), _grid_series(s2, dt, idx2)
-        _check_common_grid(g1, g2)
-        r1 = g1.returns()  # each value grid is differenced once, then dropped
-        g1 = None
-        r2 = g2.returns()
-        g2 = None
         measured = _measured_correlation(r1, r2, dt)
     except EstimationError:
         return  # the grid estimators all need the measured value
@@ -478,20 +459,30 @@ def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, str
 def _tick_pairs(cfg: ExperimentConfig, path: PricePath | None, rates, r: int):
     """The tick-series pairs of replication r, drawn one at a time.
 
-    With rates None this is the one pair of cfg.sampler; otherwise pair j
-    samples the path by Poisson legs at rate 1 / rates[j] from streams
-    (j, 1) and (j, 2), so each rate samples independently from the same
-    replication seed. path None simulates a fresh latent path from
-    stream 0 of the replication seed.
+    With rates None this is the one pair of cfg.sampler: the path's own
+    grid, a Hawkes pair from stream 1 or Poisson legs from streams 1 and 2.
+    Otherwise pair j samples by Poisson legs at rate 1 / rates[j] from
+    streams (j, 1) and (j, 2), so each rate samples independently. All
+    streams are of the replication seed; path None simulates a fresh
+    latent path from its stream 0.
     """
     rep_seed = _replication_seed(cfg, r)
     if path is None:
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
-    if rates is None:
-        yield _sample_ticks(cfg, path, rep_seed, ())
-        return
-    for j, m in enumerate(rates):
-        yield _poisson_ticks(path, 1.0 / m, cfg.horizon, rep_seed, (j,))
+    if rates is None and cfg.sampler == "synchronous":
+        yield synchronous_ticks(path, 0), synchronous_ticks(path, 1)
+    elif rates is None and cfg.sampler == "hawkes":
+        u1, u2 = hawkes_arrivals(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, 1))
+        yield observe_path(path, u1, 0), observe_path(path, u2, 1)
+    else:
+        if rates is None:
+            legs = [((), cfg.poisson_rate)]
+        else:
+            legs = [((j,), 1.0 / m) for j, m in enumerate(rates)]
+        for ns, rate in legs:  # ns: the stream ids ahead of each leg's 1 or 2
+            u1 = poisson_arrivals(rate, cfg.horizon, seeding.child_seed(rep_seed, *ns, 1))
+            u2 = poisson_arrivals(rate, cfg.horizon, seeding.child_seed(rep_seed, *ns, 2))
+            yield observe_path(path, u1, 0), observe_path(path, u2, 1)
 
 
 def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r: int) -> np.ndarray:
@@ -504,22 +495,28 @@ def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r:
     return np.stack([measure(s1, s2) for s1, s2 in _tick_pairs(cfg, path, rates, r)])
 
 
+def _worker_count(max_workers: int, n_replications: int) -> int:
+    """The processes _map_replications runs: max_workers, at most one per
+    replication and one per CPU this process may use."""
+    if max_workers < 1:
+        raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    return min(max_workers, n_replications, len(os.sched_getaffinity(0)))
+
+
 def _map_replications(cfg: ExperimentConfig, rates, measure, max_workers: int) -> np.ndarray:
     """_replicate of every replication, shape (n_rep, n_rates, n_series, n_axis).
 
     The replications share one latent path simulated from the master seed
-    (fresh_paths re-simulates it per replication). With max_workers > 1
-    they run in one process pool of at most one worker per replication;
-    the job, a functools.partial over module-level functions, pickles once
-    per chunk of replications. Results stack in replication order whatever
-    the order of completion, so the worker count never changes an output bit.
+    (fresh_paths re-simulates it per replication). With more than one
+    _worker_count they run in one process pool of that many workers; the
+    job, a functools.partial over module-level functions, pickles once per
+    chunk of replications. Results stack in replication order whatever the
+    order of completion, so the worker count never changes an output bit.
     """
-    if max_workers < 1:
-        raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
+    workers = _worker_count(max_workers, cfg.n_replications)
     path = None if cfg.fresh_paths else _simulate_path(cfg, cfg.seed)
     fn = partial(_replicate, cfg, path, rates, measure)
     n = cfg.n_replications
-    workers = min(max_workers, n)
     if workers == 1:
         return np.stack([fn(r) for r in range(n)])
     # the pool module pulls in multiprocessing, socket and subprocess, which
@@ -581,11 +578,15 @@ def k_skip_row(si: TickSeries, sj: TickSeries, k_max: int) -> np.ndarray:
     return row
 
 
+def _rule_bound(value: float) -> float:
+    """value if it can bound the discrimination rule: finite and >= 0."""
+    if not 0 <= value < math.inf:
+        raise ParameterError(f"must be finite and >= 0, got {value!r}")
+    return value
+
+
 def discriminate(
-    curve: EppsCurve,
-    estimator: str | None = None,
-    tau_abs: float = 0.05,
-    z: float = 1.0,
+    curve: EppsCurve, estimator: str, tau_abs: float = 0.05, z: float = 1.0
 ) -> Verdict:
     """Classify a correlation curve as event-driven or diffusion-like.
 
@@ -596,12 +597,11 @@ def discriminate(
     rises by more than the threshold is discrete_events, one whose |gap|
     stays within it is diffusion_like, and a fall beyond it (neither
     pattern) is inconclusive. The absolute floor tau_abs keeps single
-    estimate curves with zero-width ribbons classifiable.
+    estimate curves with zero-width ribbons classifiable; a negative or
+    non-finite tau_abs or z raises ParameterError naming it.
     """
-    if estimator is None:
-        if len(curve.series) != 1:
-            raise ParameterError("curve has several series; name the estimator")
-        estimator = next(iter(curve.series))
+    _named("tau_abs", _rule_bound, tau_abs)
+    _named("z", _rule_bound, z)
     if estimator not in curve.series:
         raise ParameterError(f"curve has no series {estimator!r}")
     pts = [p for p in curve.series[estimator] if p.n_ok > 0 and math.isfinite(p.mean)]

@@ -295,28 +295,25 @@ def price_spec(params: HawkesPriceParams) -> HawkesSpec:
 
 
 def hawkes_price_model(
-    params: HawkesPriceParams,
-    horizon: float,
-    seed: int,
-    grid_dt: float = PRICE_GRID_DT,
+    params: HawkesPriceParams, horizon: float, seed: int
 ) -> tuple[PricePath, tuple[ArrivalSet, ...]]:
     """Simulate the price model and extract the log-price pair on a grid.
 
-    The grid value at k*grid_dt counts events up to and including k*grid_dt
+    The grid value at k*PRICE_GRID_DT counts events up to and including it
     (the counting processes are right-continuous and an event landing
     exactly on a grid point belongs to that grid point). The horizon must
-    be a positive integer multiple of grid_dt, so that the path spans it.
+    be a positive integer multiple of PRICE_GRID_DT, so the path spans it.
     """
-    n = _n_steps(horizon, grid_dt)
+    n = _n_steps(horizon, PRICE_GRID_DT)
     arrivals = simulate_hawkes(price_spec(params), horizon, seed)
     grid = np.arange(n + 1, dtype=np.float64)
-    grid *= grid_dt
+    grid *= PRICE_GRID_DT
     values = np.empty((n + 1, 2))
     # each column is x0 + up counts - down counts, filled in place
     for col, x0, (up, down) in zip(values.T, params.x0, (arrivals[:2], arrivals[2:])):
-        np.add(x0, _tick_counts(up.times, grid, grid_dt), out=col)
-        col -= _tick_counts(down.times, grid, grid_dt)
-    return PricePath(t0=0.0, dt=grid_dt, values=values), arrivals
+        np.add(x0, _tick_counts(up.times, grid, PRICE_GRID_DT), out=col)
+        col -= _tick_counts(down.times, grid, PRICE_GRID_DT)
+    return PricePath(dt=PRICE_GRID_DT, values=values), arrivals
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
     n = _n_steps(params.horizon, params.dt)
     inc = _diffusion_increments(params, n, seed)
     values = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
-    return PricePath(t0=0.0, dt=params.dt, values=values)
+    return PricePath(dt=params.dt, values=values)
 
 
 def simulate_merton(params: MertonParams, seed: int) -> PricePath:
@@ -156,4 +156,4 @@ def simulate_merton(params: MertonParams, seed: int) -> PricePath:
         jumps, _ = _jump_increments(params, n, seed)
         inc = inc + jumps
     values = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
-    return PricePath(t0=0.0, dt=params.dt, values=values)
+    return PricePath(dt=params.dt, values=values)

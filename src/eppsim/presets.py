@@ -69,7 +69,8 @@ def hawkes_sampling_reference() -> HawkesSpec:
 @dataclass(frozen=True)
 class FigureRecipe:
     """An experiment and the kind of curve run_figure makes of it; the hy
-    and kskip curves are classified, so they need MIN_VERDICT_POINTS points."""
+    and kskip curves are classified, so they need MIN_VERDICT_POINTS points,
+    and hy and multirate sample each rate by Poisson legs, whatever the sampler."""
 
     name: str
     kind: str  # "epps" | "hy" | "multirate" | "kskip"
@@ -79,6 +80,9 @@ class FigureRecipe:
     def __post_init__(self):
         if self.kind not in ("epps", "hy", "multirate", "kskip"):
             raise ParameterError(f"unknown recipe kind {self.kind!r}")
+        if self.kind in ("hy", "multirate") and self.config.sampler != "poisson":
+            raise ParameterError(f"sampler must be 'poisson' for a {self.kind} recipe, "
+                                 f"got {self.config.sampler!r}")
         if self.kind == "kskip" and not (
             isinstance(self.k_max, Integral) and self.k_max >= MIN_VERDICT_POINTS
         ):

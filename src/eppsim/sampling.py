@@ -7,11 +7,11 @@ regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
 grid, so they place ticks with the linear-time kernels of the index
 module rather than by bisection (observe_path by exact arithmetic on a
-power-of-two path grid from 0, by the correction loop of _rank on any
-other); a synchronous leg's grid is a strided read of its ticks, and the
-overlap correction reads the same tick counts.
-experiments.estimate_matrix counts each leg once per base step and reads
-a step that is an exact multiple of it as a strided view of those counts.
+power-of-two path grid, by the correction loop of _rank on any other); a
+synchronous leg's grid is a strided read of its ticks, and the overlap
+correction reads the same tick counts. experiments.estimate_matrix counts
+each leg once per base step and reads a step that is an exact multiple
+of it as a strided view of those counts.
 """
 
 import math
@@ -77,26 +77,24 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
     """Read one asset of the latent path at the arrival times.
 
     The value at arrival t is the path value at the greatest grid point <= t.
-    Arrivals outside [t0, horizon] of the path are refused. On a path from
-    t0 = 0 whose step is a power of two (every preset path: 1 s) that
-    point is read off floor(t/dt) exactly; any other path is ranked by
-    index._rank's guess-and-correct loop.
+    Arrivals past the path's horizon are refused (an ArrivalSet starts at
+    0, as every path does). On a path whose step is a power of two (every
+    preset path: 1 s) that point is read off floor(t/dt) exactly; any
+    other path is ranked by index._rank's guess-and-correct loop.
     """
     if asset not in (0, 1):
         raise ParameterError(f"asset must be 0 or 1, got {asset}")
     t = arrivals.times
-    if t.size:
-        if t[0] < path.t0 or t[-1] > path.horizon:
-            raise OutOfRangeError(
-                f"arrivals span [{t[0]}, {t[-1]}] outside the path domain "
-                f"[{path.t0}, {path.horizon}]"
-            )
+    if t.size and t[-1] > path.horizon:
+        raise OutOfRangeError(
+            f"arrivals end at {t[-1]}, past the path horizon {path.horizon}"
+        )
     # the last node of path.times() at or before each t, each node computed
     # as PricePath.times computes it, without building the whole grid
     n = path.n_steps + 1
-    idx = _lattice_ranks(t, n, path.dt) if path.t0 == 0.0 else None
+    idx = _lattice_ranks(t, n, path.dt)
     if idx is None:
-        idx = _rank(t, n, lambda k: path.t0 + path.dt * k, path.dt, right=True)
+        idx = _rank(t, n, lambda k: path.dt * k, path.dt, right=True)
     idx -= 1
     return TickSeries(
         times=t, values=path.values[idx, asset], horizon=arrivals.horizon
@@ -111,8 +109,8 @@ def previous_tick_grid(ticks: TickSeries, dt: float, horizon: float) -> GridSeri
     produce leading zero returns, the flat-trading convention).
     """
     idx = _previous_tick_counts(ticks, dt, horizon)
-    idx -= 1
-    return _grid_series(ticks, dt, idx)
+    idx -= 1  # the tick index, -1 before the first tick
+    return GridSeries(dt=dt, values=ticks.values.take(idx, mode="clip"))
 
 
 def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.ndarray:
@@ -123,12 +121,6 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     queries *= dt
     counts = _strided_counts(ticks.times, queries)
     return _tick_counts(ticks.times, queries, dt) if counts is None else counts
-
-
-def _grid_series(ticks: TickSeries, dt: float, idx: np.ndarray) -> GridSeries:
-    """The previous-tick grid read off its tick index, counts - 1 (-1 before
-    the first tick, which is backfilled)."""
-    return GridSeries(dt=dt, values=ticks.values.take(idx, mode="clip"))
 
 
 def synchronous_ticks(path: PricePath, asset: int) -> TickSeries:

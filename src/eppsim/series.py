@@ -34,10 +34,9 @@ def _fmt(x: float) -> str:
 class PricePath:
     """Synchronous bivariate log-price path on a regular grid.
 
-    values[k] holds the two log-prices at time t0 + k*dt.
+    values[k] holds the two log-prices at time k*dt.
     """
 
-    t0: float
     dt: float
     values: np.ndarray = field(repr=False)
 
@@ -47,8 +46,6 @@ class PricePath:
             raise ParameterError(f"values must have shape (n+1, 2), got {vals.shape}")
         if vals.shape[0] < 1:
             raise ParameterError("path must contain at least one grid point")
-        if not np.isfinite(self.t0):
-            raise ParameterError(f"t0 must be finite, got {self.t0}")
         if not 0 < self.dt < np.inf:
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
         object.__setattr__(self, "values", vals)
@@ -59,10 +56,10 @@ class PricePath:
 
     @property
     def horizon(self) -> float:
-        return self.t0 + self.n_steps * self.dt
+        return self.n_steps * self.dt
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.values.shape[0])
+        return self.dt * np.arange(self.values.shape[0])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -79,7 +79,7 @@ def footprint(n_points: int) -> dict[str, float]:
     out["hayashi_yoshida"] = traced_peak(hayashi_yoshida, s1, s2)[1] / n
     out[f"k_skip_row k_max {K_MAX}"] = traced_peak(k_skip_row, s1, s2, K_MAX)[1] / n
     for step in PATH_STEPS:
-        path = PricePath(t0=0.0, dt=step, values=np.zeros((n_points + 1, 2)))
+        path = PricePath(dt=step, values=np.zeros((n_points + 1, 2)))
         arrivals = poisson_arrivals(1.0 / step, path.horizon, seed=3)
         out[f"observe_path path step {step:g}"] = (
             traced_peak(observe_path, path, arrivals, 0)[1] / len(arrivals)

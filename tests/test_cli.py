@@ -5,6 +5,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,11 @@ def test_epps_without_figure_or_config_is_usage_error(tmp_path):
         ("epps", {}, ["--figure", "2a", "--replications", "0"], "n_replications"),
         ("epps", {}, ["--figure", "10a", "--replications", "0"], "n_replications"),
         ("epps", {}, ["--replications", "0"], "n_replications"),
+        # a negative rule once classified the Brownian figure 10b as discrete events
+        ("epps", {"verdict": {"tau_abs": -1, "z": -1}}, [], "verdict.tau_abs"),
+        ("epps", {"verdict": {"z": -1}}, [], "verdict.z"),
+        ("taq", {"verdict": {"tau_abs": -0.5}}, [], "verdict.tau_abs"),
+        ("taq", {"verdict": {"z": -1e-300}}, [], "verdict.z"),
     ],
 )
 def test_bad_numeric_values_are_usage_errors(tmp_path, capsys, command, config, flags, field):
@@ -734,6 +740,48 @@ def test_figure_presets_on_two_workers_match_golden_digests(tmp_path):
         assert cli.main([*figure_argv(name), "--threads", "2", "--out", str(out_dir)]) == 0
         digests[name] = json.loads((out_dir / "manifest.json").read_text())["outputs"]
     assert digests == golden
+
+
+@pytest.mark.parametrize("mode", ["hy_vs_interarrival", "overlap_multi_rate"])
+def test_rate_modes_refuse_a_sampler_they_do_not_draw_from(tmp_path, capsys, mode):
+    # both modes sample each rate by Poisson legs, so a hawkes sampler would be
+    # recorded in the manifest of a run that never drew from it
+    experiment = {**ADHOC_CONFIG["experiment"], "sampler": "hawkes",
+                  "hawkes_sampler": {"baseline": 0.015, "amplitude": 0.023, "decay": 0.11}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": mode, "experiment": experiment}))
+    out_dir = tmp_path / "out"
+    assert cli.main(["epps", "--config", str(config), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err.startswith("error: experiment: sampler must be 'poisson'")
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_threads_past_the_cpus_start_one_worker_per_cpu(tmp_path, monkeypatch, cpus):
+    # the fake pool records its size and runs the jobs in this process, so
+    # --threads 3000 starts no process whatever it asks for
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    out_dir = tmp_path / "out"
+    argv = ["epps", "--figure", "2a", "--replications", "4", "--threads", "3000"]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["notes"]["workers"] == cpus
+    assert pools == ([] if cpus == 1 else [cpus])
 
 
 @pytest.mark.parametrize("mode", ["hy_vs_interarrival", "figure"])

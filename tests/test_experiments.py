@@ -35,7 +35,6 @@ from eppsim.experiments import (
     FIG_DT_GRID,
     _replicate,
     _replication_seed,
-    _sample_ticks,
     _simulate_path,
     _t_quantile,
     _tick_pairs,
@@ -52,7 +51,7 @@ from eppsim.experiments import (
     write_curve_json,
     write_verdict_json,
 )
-from eppsim.hawkes import HawkesPriceParams
+from eppsim.hawkes import HawkesPriceParams, HawkesSpec
 from eppsim.paths import GbmParams, MertonParams, simulate_gbm
 from eppsim.presets import WIDE_DT_GRID, FigureRecipe, run_figure
 from eppsim.index import grid_count
@@ -96,6 +95,13 @@ def epps_curve(cfg, max_workers=1):
 
 def hy_curve(cfg, max_workers=1):
     return run_kind("hy", cfg, max_workers).curves["curve"]
+
+
+def poisson_legs(path, rate, horizon, rep_seed, j):
+    """The tick pair of rate j: Poisson legs from streams (j, 1) and (j, 2) of rep_seed."""
+    u1 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, j, 1))
+    u2 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, j, 2))
+    return observe_path(path, u1, 0), observe_path(path, u2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +541,26 @@ def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind,
     small_cfg(hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
 
 
+def test_config_refuses_a_hawkes_sampler_that_is_not_2_dimensional():
+    # a stationary 3-component kernel once passed, to be refused inside
+    # replication 0 after the latent path was simulated
+    spec = HawkesSpec(lambda0=np.full(3, 0.1), alpha=np.zeros((3, 3)), beta=np.ones((3, 3)))
+    with pytest.raises(ParameterError, match="^hawkes_sampler must be 2-dimensional, got 3"):
+        small_cfg(sampler="hawkes", hawkes_sampler=spec)
+
+
+@pytest.mark.parametrize("kind", ["hy", "multirate"])
+@pytest.mark.parametrize("sampler", ["hawkes", "synchronous"])
+def test_rate_recipes_refuse_a_sampler_other_than_poisson(kind, sampler):
+    # each rate is sampled by Poisson legs, whatever the config's sampler says
+    cfg = small_cfg(sampler=sampler, estimators=("measured",),
+                    hawkes_sampler=mutual_excitation_spec(0.015, 0.023, 0.11),
+                    mean_interarrivals=(2.0, 4.0, 6.0, 8.0, 10.0))
+    with pytest.raises(ParameterError, match=rf"^sampler must be 'poisson' for a {kind} recipe"):
+        FigureRecipe("test", kind, cfg)
+    assert FigureRecipe("test", "epps", cfg).config.sampler == sampler
+
+
 # ---------------------------------------------------------------------------
 # experiment drivers
 
@@ -557,15 +583,14 @@ def test_hy_vs_interarrival_single_rate_single_replication():
 
 
 def test_hy_replicate_draws_the_poisson_sampler_streams():
-    # each rate's legs are those a Poisson-sampled replication draws at stream ids (j,)
+    # each rate's legs are Poisson arrivals from streams (j, 1) and (j, 2)
     cfg = small_cfg(n_replications=2, mean_interarrivals=(2.0, 5.0, 10.0))
     path = _simulate_path(cfg, cfg.seed)
     hy = partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=("hy",), horizon=cfg.horizon)
     for r in range(cfg.n_replications):
         want = []
         for j, m in enumerate(cfg.mean_interarrivals):
-            rate_cfg = replace(cfg, estimators=("hy",), sampler="poisson", poisson_rate=1.0 / m)
-            s1, s2 = _sample_ticks(rate_cfg, path, _replication_seed(cfg, r), (j,))
+            s1, s2 = poisson_legs(path, 1.0 / m, cfg.horizon, _replication_seed(cfg, r), j)
             want.append(hayashi_yoshida(s1, s2).rho)
         got = _replicate(cfg, path, cfg.mean_interarrivals, hy, r)
         # one HY estimate per rate, repeated along the dt axis
@@ -593,7 +618,7 @@ def test_rate_kinds_honour_fresh_paths(kind):
         rep_seed = _replication_seed(cfg, r)
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
         for j, m in enumerate(rates):
-            s1, s2 = _sample_ticks(replace(cfg, poisson_rate=1.0 / m), path, rep_seed, (j,))
+            s1, s2 = poisson_legs(path, 1.0 / m, cfg.horizon, rep_seed, j)
             if kind == "hy":
                 stack[r, j] = hayashi_yoshida(s1, s2).rho
             else:
@@ -751,14 +776,14 @@ def rising_curve(lo=0.2, hi=0.6, hw=0.01, n=50):
 
 
 def test_discriminate_flat_curve_is_diffusion_like():
-    v = discriminate(flat_curve())
+    v = discriminate(flat_curve(), "hy")
     assert v.classification == "diffusion_like"
     assert v.gap == pytest.approx(0.0, abs=1e-12)
     assert v.threshold == 0.05
 
 
 def test_discriminate_monotone_rise_is_discrete_events():
-    v = discriminate(rising_curve())
+    v = discriminate(rising_curve(), "hy")
     assert v.classification == "discrete_events"
     assert v.gap > 0.3
     assert v.rho_early < v.rho_late
@@ -766,17 +791,17 @@ def test_discriminate_monotone_rise_is_discrete_events():
 
 def test_discriminate_fall_is_inconclusive():
     falling = rising_curve(lo=0.6, hi=0.2)
-    v = discriminate(falling)
+    v = discriminate(falling, "hy")
     assert v.classification == "inconclusive"
     assert v.gap < -0.05
 
 
 def test_discriminate_threshold_uses_pooled_ribbon():
     # a 0.08 rise is above tau_abs but inside wide ribbons
-    v = discriminate(rising_curve(lo=0.50, hi=0.58, hw=0.2))
+    v = discriminate(rising_curve(lo=0.50, hi=0.58, hw=0.2), "hy")
     assert v.classification == "diffusion_like"
     assert v.threshold == pytest.approx(0.2, abs=1e-12)
-    narrow = discriminate(rising_curve(lo=0.50, hi=0.58, hw=0.001))
+    narrow = discriminate(rising_curve(lo=0.50, hi=0.58, hw=0.001), "hy")
     assert narrow.classification == "discrete_events"
 
 
@@ -787,7 +812,7 @@ def test_discriminate_shift_invariant():
         for p in base.series["hy"]
     )
     shifted = EppsCurve(axis_label="k", series={"hy": shifted_pts})
-    a, b = discriminate(base), discriminate(shifted)
+    a, b = discriminate(base, "hy"), discriminate(shifted, "hy")
     assert a.classification == b.classification
     assert a.gap == pytest.approx(b.gap, abs=1e-9)
 
@@ -796,29 +821,38 @@ def test_discriminate_ignores_failed_points():
     pts = list(flat_curve(n=10).series["hy"])
     pts[3] = CurvePoint(4.0, math.nan, math.nan, 0, 1)
     curve = EppsCurve(axis_label="k", series={"hy": tuple(pts)})
-    v = discriminate(curve)
+    v = discriminate(curve, "hy")
     assert v.n_points == 9
     assert v.classification == "diffusion_like"
 
 
 def test_discriminate_needs_five_points():
     with pytest.raises(InsufficientDataError):
-        discriminate(flat_curve(n=4))
+        discriminate(flat_curve(n=4), "hy")
 
 
 def test_discriminate_needs_series_name_when_ambiguous():
     pts = flat_curve().series["hy"]
     curve = EppsCurve(axis_label="k", series={"hy": pts, "measured": pts})
-    with pytest.raises(ParameterError):
-        discriminate(curve)
+    with pytest.raises(ParameterError, match="no series 'overlap'"):
+        discriminate(curve, "overlap")
     assert discriminate(curve, "measured").estimator == "measured"
 
 
 def test_discriminate_echoes_rule_inputs():
-    v = discriminate(flat_curve(), tau_abs=0.1, z=2.0)
+    v = discriminate(flat_curve(), "hy", tau_abs=0.1, z=2.0)
     assert v.tau_abs == 0.1
     assert v.z == 2.0
     assert v.threshold == max(0.1, 2.0 * v.pooled_half_width)
+
+
+@pytest.mark.parametrize("field", ["tau_abs", "z"])
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_discriminate_refuses_a_negative_or_non_finite_rule(field, bad):
+    # a negative threshold once classified a flat Brownian k-skip curve as discrete events
+    with pytest.raises(ParameterError, match=rf"^{field}: must be finite and >= 0"):
+        discriminate(flat_curve(), "hy", **{field: bad})
+    assert discriminate(flat_curve(), "hy", **{field: 0.0}).classification == "diffusion_like"
 
 
 # ---------------------------------------------------------------------------
@@ -855,7 +889,7 @@ def test_curve_to_dict_round_trip_values():
 
 
 def test_verdict_json_contract(tmp_path):
-    v = discriminate(rising_curve())
+    v = discriminate(rising_curve(), "hy")
     out = tmp_path / "verdict.json"
     write_verdict_json(v, out)
     doc = json.loads(out.read_text())

@@ -11,6 +11,7 @@ from scipy import stats
 from eppsim import hawkes, seeding
 from eppsim.errors import DomainError, NumericError, ParameterError, StabilityError
 from eppsim.hawkes import (
+    PRICE_GRID_DT,
     HawkesPriceParams,
     HawkesSpec,
     branching_matrix,
@@ -310,9 +311,9 @@ def test_price_model_counts_match_arrival_sets():
     np.testing.assert_array_equal(path.values[:, 1], up2 - dn2)
 
 
-def price_values_by_bisection(params, arrivals, grid_dt, n_steps):
+def price_values_by_bisection(params, arrivals, n_steps):
     """The price model's grid values as they were counted, with np.searchsorted."""
-    grid = grid_dt * np.arange(n_steps + 1)
+    grid = PRICE_GRID_DT * np.arange(n_steps + 1)
     counts = [np.searchsorted(a.times, grid, side="right").astype(np.float64) for a in arrivals]
     return np.column_stack(
         [params.x0[0] + counts[0] - counts[1], params.x0[1] + counts[2] - counts[3]]
@@ -321,27 +322,25 @@ def price_values_by_bisection(params, arrivals, grid_dt, n_steps):
 
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    grid_dt=st.sampled_from([1.0, 0.5, 0.1, 2.5, 7.0]),
     n_steps=st.integers(min_value=1, max_value=400),
     mu=st.sampled_from([0.015, 0.3, 2.0]),
 )
 @settings(max_examples=60, deadline=None)
-def test_price_model_counts_equal_bisection(seed, grid_dt, n_steps, mu):
+def test_price_model_counts_equal_bisection(seed, n_steps, mu):
     # sparse and dense events per grid step, so both the linear kernel and
     # its bisection fallback count
     params = HawkesPriceParams(mu=mu, alpha_r=0.023, alpha_c=0.05, beta=0.11, x0=(0.5, -3.0))
-    path, arrivals = hawkes_price_model(params, grid_dt * n_steps, seed, grid_dt=grid_dt)
-    want = price_values_by_bisection(params, arrivals, grid_dt, n_steps)
+    path, arrivals = hawkes_price_model(params, PRICE_GRID_DT * n_steps, seed)
+    want = price_values_by_bisection(params, arrivals, n_steps)
     assert np.array_equal(path.values, want)
 
 
-@pytest.mark.parametrize("grid_dt", [1.0, 0.1, 0.7])
-def test_price_model_counts_events_on_and_next_to_grid_points(monkeypatch, grid_dt):
+def test_price_model_counts_events_on_and_next_to_grid_points(monkeypatch):
     # events exactly on grid points and one ulp either side of them, which a
     # continuous-time simulation almost never draws
     n_steps = 300
-    grid = grid_dt * np.arange(n_steps + 1)
-    rng = np.random.default_rng(int(grid_dt * 10))
+    grid = PRICE_GRID_DT * np.arange(n_steps + 1)
+    rng = np.random.default_rng(10)
 
     def on_the_grid(spec, horizon, seed):
         out = []
@@ -353,9 +352,9 @@ def test_price_model_counts_events_on_and_next_to_grid_points(monkeypatch, grid_
         return tuple(out)
 
     monkeypatch.setattr(hawkes, "simulate_hawkes", on_the_grid)
-    path, arrivals = hawkes_price_model(PRICE, grid_dt * n_steps, 0, grid_dt=grid_dt)
+    path, arrivals = hawkes_price_model(PRICE, PRICE_GRID_DT * n_steps, 0)
     assert np.isin(arrivals[0].times, grid).sum() > 50
-    assert np.array_equal(path.values, price_values_by_bisection(PRICE, arrivals, grid_dt, n_steps))
+    assert np.array_equal(path.values, price_values_by_bisection(PRICE, arrivals, n_steps))
 
 
 @pytest.mark.parametrize("horizon, message", [
@@ -369,8 +368,8 @@ def test_price_model_refuses_a_horizon_off_its_grid(horizon, message):
 
 
 def test_price_model_grid_spans_the_horizon():
-    path, _ = hawkes_price_model(PRICE, 3600.5, seed=1, grid_dt=0.5)
-    assert path.horizon == 3600.5
+    path, _ = hawkes_price_model(PRICE, 3601.0, seed=1)
+    assert path.horizon == 3601.0
 
 
 def test_price_model_initial_levels():

@@ -29,7 +29,7 @@ def make_path(values_by_asset, dt=1.0):
     from eppsim.series import PricePath
 
     vals = np.column_stack([np.asarray(values_by_asset, float)] * 2)
-    return PricePath(t0=0.0, dt=dt, values=vals)
+    return PricePath(dt=dt, values=vals)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_observe_path_selects_asset():
     from eppsim.series import PricePath
 
     vals = np.column_stack([[0.0, 1.0, 2.0], [5.0, 6.0, 7.0]])
-    path = PricePath(t0=0.0, dt=1.0, values=vals)
+    path = PricePath(dt=1.0, values=vals)
     arr = ArrivalSet(times=np.array([2.0]), horizon=2.0)
     assert observe_path(path, arr, 0).values[0] == 2.0
     assert observe_path(path, arr, 1).values[0] == 7.0
@@ -298,16 +298,15 @@ def test_tick_counts_edge_sizes(n_ticks, n_grid):
 
 @given(
     step=st.sampled_from([1.0, 0.5, 0.1]),
-    t0=st.sampled_from([0.0, 0.0, 0.3, 1000.0]),
     n_steps=st.integers(min_value=0, max_value=400),
     multiple=st.sampled_from([1, 2, 5, 15, 1.5, 0.5]),
     span=st.sampled_from([1.0, 0.3, 0.77, 1.3]),
 )
 @settings(max_examples=300, deadline=None)
-def test_synchronous_grid_counts_equal_bisection(step, t0, n_steps, multiple, span):
+def test_synchronous_grid_counts_equal_bisection(step, n_steps, multiple, span):
     # a synchronous leg's previous-tick counts at dt = multiple * step over
     # horizons that are not multiples of dt, short of the path's and past it
-    path = PricePath(t0=t0, dt=step, values=np.zeros((n_steps + 1, 2)))
+    path = PricePath(dt=step, values=np.zeros((n_steps + 1, 2)))
     ticks = synchronous_ticks(path, 0)
     dt = multiple * step
     horizon = span * (path.horizon + step)
@@ -318,13 +317,13 @@ def test_synchronous_grid_counts_equal_bisection(step, t0, n_steps, multiple, sp
     strided = index._strided_counts(ticks.times, queries)
     if strided is not None:
         np.testing.assert_array_equal(strided, want)
-    lattice = t0 == 0.0 and step != 0.1 and n_steps >= 1
+    lattice = step != 0.1 and n_steps >= 1
     if lattice and isinstance(multiple, int) and queries.size >= 2:
         assert strided is not None
     # at dt = 1.5 * step the second grid point falls between two ticks
     # unless the leg ends before it
     between = multiple == 1.5 and n_steps >= 2 and queries.size >= 2
-    if t0 != 0.0 or multiple == 0.5 or between:
+    if multiple == 0.5 or between:
         assert strided is None
 
 
@@ -334,7 +333,7 @@ def test_synchronous_grid_at_a_step_of_a_tenth(dt, strided):
     # 0.1 * 3 is 0.30000000000000004, so the grid h * 0.3 misses ticks by an
     # ulp and takes the general path; 0.1 * (10 * h) rounds to h exactly, so
     # the one-second grid is every tenth tick
-    path = PricePath(t0=0.0, dt=0.1, values=np.zeros((3001, 2)))
+    path = PricePath(dt=0.1, values=np.zeros((3001, 2)))
     ticks = synchronous_ticks(path, 0)
     queries = dt * np.arange(grid_count(300.0, dt) + 1)
     want = np.searchsorted(ticks.times, queries, side="right")
@@ -364,19 +363,18 @@ def test_strided_counts_check_every_tick_they_read(at, nudge):
 
 @given(
     dt=st.sampled_from([0.1, 0.7, 3.0, 1.0, 2.0, 0.5, 2**-10]),
-    t0=st.sampled_from([0.0, 0.3, 1000.0]),
     n_steps=st.integers(min_value=0, max_value=300),
     n_arrivals=st.integers(min_value=0, max_value=400),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
-def test_observe_path_equals_bisection(dt, t0, n_steps, n_arrivals, seed):
+def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed):
     rng = np.random.default_rng(seed)
     values = np.column_stack([np.arange(n_steps + 1.0), -np.arange(n_steps + 1.0)])
-    path = PricePath(t0=t0, dt=dt, values=values)
+    path = PricePath(dt=dt, values=values)
     nodes = path.times()
     times = near_nodes(nodes, rng.integers(0, 2**31, n_arrivals), rng)
-    times = np.unique(np.clip(times, path.t0, path.horizon))
+    times = np.unique(np.clip(times, 0.0, path.horizon))
     arrivals = ArrivalSet(times=times, horizon=path.horizon)
     want = np.searchsorted(nodes, times, side="right") - 1
     np.testing.assert_array_equal(observe_path(path, arrivals, 0).values, want.astype(float))
@@ -404,8 +402,8 @@ def test_lattice_ranks_refuse_a_step_that_is_not_a_power_of_two(step):
 
 
 def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch):
-    # every preset path starts at 0 with a 1 s step, so no preset replication
-    # reaches _rank; a path off the origin or at a step of 0.1 still does
+    # every preset path has a 1 s step, so no preset replication reaches
+    # _rank; a path at a step of 0.1 or 3 still does
     from eppsim.presets import figure_recipe, run_figure
 
     rank_calls, lattice_hits = [], []
@@ -427,22 +425,18 @@ def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch
         run_figure(figure_recipe(name, seed=0, n_replications=n))
         assert rank_calls == [] and lattice_hits and all(lattice_hits), name
     arrivals = ArrivalSet(times=np.array([0.35, 1.0, 1.95]), horizon=2.0)
-    for t0, dt, rows in ((0.3, 1.0, 3), (0.0, 0.1, 31)):
-        path = PricePath(t0=t0, dt=dt, values=np.zeros((rows, 2)))
+    for dt, rows in ((0.1, 31), (3.0, 2)):
+        path = PricePath(dt=dt, values=np.zeros((rows, 2)))
         rank_calls.clear()
         observe_path(path, arrivals, 0)
-        assert rank_calls == [rows], (t0, dt)
+        assert rank_calls == [rows], dt
 
 
-@pytest.mark.parametrize("field", ["t0", "dt"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_price_path_refuses_a_non_finite_t0_or_dt(field, bad):
-    # observe_path's rank-correction loop never ended on t0 = nan or
-    # dt = inf, and t0 = inf was refused only once a path was sampled
-    fields = dict(t0=0.0, dt=1.0, values=np.zeros((3, 2)))
-    fields[field] = bad
-    with pytest.raises(ParameterError, match=rf"^{field} must be"):
-        PricePath(**fields)
+def test_price_path_refuses_a_non_finite_dt(bad):
+    # observe_path's rank-correction loop never ended on dt = inf
+    with pytest.raises(ParameterError, match=r"^dt must be"):
+        PricePath(dt=bad, values=np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------------------
