@@ -165,7 +165,7 @@ def _verdict_table(tau_abs: float = 0.05, z: float = 1.0):
 def _verdict_rule(doc: dict) -> tuple[float, float]:
     """The config's (tau_abs, z), each refused as discriminate refuses it."""
     rule = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
-    return tuple(_named(f"verdict.{n}", _rule_bound, v) for n, v in zip(("tau_abs", "z"), rule))
+    return _rule_bound(*rule, table="verdict.")
 
 
 def _taq_table(dt_grid: tuple[float, ...] = FIG_DT_GRID, kmax: int = 50):

@@ -578,11 +578,12 @@ def k_skip_row(si: TickSeries, sj: TickSeries, k_max: int) -> np.ndarray:
     return row
 
 
-def _rule_bound(value: float) -> float:
-    """value if it can bound the discrimination rule: finite and >= 0."""
-    if not 0 <= value < math.inf:
-        raise ParameterError(f"must be finite and >= 0, got {value!r}")
-    return value
+def _rule_bound(tau_abs: float, z: float, table: str = "") -> tuple[float, float]:
+    """(tau_abs, z) if both can bound the discrimination rule (finite, >= 0), else ParameterError."""
+    for name, value in (("tau_abs", tau_abs), ("z", z)):
+        if not 0 <= value < math.inf:
+            raise ParameterError(f"{table}{name}: must be finite and >= 0, got {value!r}")
+    return tau_abs, z
 
 
 def discriminate(
@@ -600,8 +601,7 @@ def discriminate(
     estimate curves with zero-width ribbons classifiable; a negative or
     non-finite tau_abs or z raises ParameterError naming it.
     """
-    _named("tau_abs", _rule_bound, tau_abs)
-    _named("z", _rule_bound, z)
+    _rule_bound(tau_abs, z)
     if estimator not in curve.series:
         raise ParameterError(f"curve has no series {estimator!r}")
     pts = [p for p in curve.series[estimator] if p.n_ok > 0 and math.isfinite(p.mean)]

@@ -2,13 +2,13 @@
 
 Every place that asks how many ticks lie before or at a time asks it here.
 Against a uniform grid the answer comes by arithmetic in linear time
-(_rank, _tick_counts); against a grid from 0 whose step is a power of two
-it is floor(x/step) + 1, exact with no correction (_lattice_ranks); for a
-leg whose ticks are the grid's own points it is a strided read
-(_strided_counts); against another tick series it comes from one
-bisection and a tie test (_left_right_counts). Each kernel equals
-np.searchsorted bit for bit. The module imports only numpy and errors, so
-hawkes, sampling and estimators can all use it.
+(_rank, _tick_counts); against a caller's grid (n, step) from 0 with a
+power-of-two step it is exact: floor(x/step) + 1 nodes lie at or before x
+(_lattice_ranks), ceil(t/step) before tick t (_lattice_counts); for a leg
+on the grid's own points it is a strided read (_strided_counts); against
+ticks, one bisection and a tie test (_left_right_counts). Each kernel
+equals np.searchsorted bit for bit. The module imports only numpy and
+errors, so hawkes, sampling and estimators can all use it.
 """
 
 import math
@@ -105,6 +105,20 @@ def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray | None:
     np.floor(r, out=r)
     r += 1.0
     return np.minimum(r, n, out=r).astype(np.intp)
+
+
+def _lattice_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None:
+    """np.searchsorted(times, step * np.arange(n), side="right") for ascending times >= 0
+    if step is a power of two, else None: ceil(t/step) nodes lie before tick t (the
+    left-side twin of _lattice_ranks), and the ranks are counted as _tick_counts counts."""
+    if math.frexp(step)[0] != 0.5:
+        return None
+    if times.size >= MAX_TICKS_PER_POINT * n:
+        return np.searchsorted(times, step * np.arange(n), side="right")
+    r = np.ceil(np.divide(times, step))
+    np.maximum(r, times > 0, out=r)  # a positive tick whose quotient underflows to 0
+    counts = np.bincount(np.minimum(r, n, out=r).astype(np.intp), minlength=n + 1)[:-1]
+    return np.cumsum(counts, out=counts)
 
 
 def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:

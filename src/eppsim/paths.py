@@ -99,23 +99,24 @@ class MertonParams:
         _n_steps(self.horizon, self.dt)
 
 
-def _diffusion_increments(params, n: int, seed: int) -> np.ndarray:
-    """Euler-Maruyama log-price increments for the correlated diffusion part."""
+def _diffusion_path(params, n: int, seed: int) -> np.ndarray:
+    """Column-major (n + 1, 2): 0, then the Euler-Maruyama log-price increments
+    of the correlated diffusion part (the caller sums them in place)."""
     rng = seeding.stream(seed, seeding.DIFFUSION)
     z = rng.standard_normal((n, 2))
-    # lower-triangular square root of [[1, rho], [rho, 1]]
-    rho = params.rho
-    z2 = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
-    z1 = z[:, 0]
     mu_s = np.array([params.mu1, params.mu2]) / DAY_SECONDS
     var_s = np.array([params.sigma_sq1, params.sigma_sq2]) / DAY_SECONDS
-    sig_s = np.sqrt(var_s)
     drift = (mu_s - 0.5 * var_s) * params.dt
-    vol = sig_s * np.sqrt(params.dt)
-    out = np.empty((n, 2))
-    out[:, 0] = drift[0] + vol[0] * z1
-    out[:, 1] = drift[1] + vol[1] * z2
-    return out
+    vol = np.sqrt(var_s) * np.sqrt(params.dt)
+    values = np.zeros((n + 1, 2), order="F")
+    x1, x2 = values[1:, 0], values[1:, 1]
+    np.add(drift[0], np.multiply(vol[0], z[:, 0], out=x1), out=x1)
+    # lower-triangular square root of [[1, rho], [rho, 1]]
+    np.multiply(params.rho, z[:, 0], out=x2)
+    z[:, 1] *= np.sqrt(1.0 - params.rho * params.rho)
+    x2 += z[:, 1]
+    np.add(drift[1], np.multiply(vol[1], x2, out=x2), out=x2)
+    return values
 
 
 def _jump_increments(params: MertonParams, n: int, seed: int):
@@ -127,8 +128,9 @@ def _jump_increments(params: MertonParams, n: int, seed: int):
     rng = seeding.stream(seed, seeding.JUMPS)
     counts = rng.poisson(params.jump_rate * params.dt, size=(n, 2))
     z = rng.standard_normal((n, 2))
-    sums = params.jump_mean * counts + params.jump_std * np.sqrt(counts) * z
-    return sums, counts.sum(axis=0)
+    z *= params.jump_std * np.sqrt(counts)  # the jump sums, in place
+    z += params.jump_mean * counts
+    return z, counts.sum(axis=0)
 
 
 def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
@@ -137,9 +139,8 @@ def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
     Log-prices start at zero; increments follow the Euler-Maruyama scheme
     (mu - sigma^2/2) dt + sigma dW with daily parameters rescaled to seconds.
     """
-    n = _n_steps(params.horizon, params.dt)
-    inc = _diffusion_increments(params, n, seed)
-    values = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
+    values = _diffusion_path(params, _n_steps(params.horizon, params.dt), seed)
+    np.cumsum(values[1:], axis=0, out=values[1:])
     return PricePath(dt=params.dt, values=values)
 
 
@@ -151,9 +152,8 @@ def simulate_merton(params: MertonParams, seed: int) -> PricePath:
     jump draws come from separate streams of the same seed.
     """
     n = _n_steps(params.horizon, params.dt)
-    inc = _diffusion_increments(params, n, seed)
+    values = _diffusion_path(params, n, seed)
     if params.jump_rate > 0:
-        jumps, _ = _jump_increments(params, n, seed)
-        inc = inc + jumps
-    values = np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
+        values[1:] += _jump_increments(params, n, seed)[0]
+    np.cumsum(values[1:], axis=0, out=values[1:])
     return PricePath(dt=params.dt, values=values)

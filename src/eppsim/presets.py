@@ -19,6 +19,7 @@ from .experiments import (
     ExperimentConfig,
     Verdict,
     _map_replications,
+    _rule_bound,
     aggregate_curve,
     discriminate,
     estimate_matrix,
@@ -203,6 +204,7 @@ def run_figure(
     own rate. The hy and kskip curves are classified by discriminate with
     the rule (tau_abs, z).
     """
+    _rule_bound(tau_abs, z)  # before the first replication
     cfg = recipe.config
     rates = {"hy": cfg.mean_interarrivals, "multirate": cfg.overlap_rates}.get(recipe.kind)
     if recipe.kind == "multirate":

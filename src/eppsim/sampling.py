@@ -6,12 +6,12 @@ those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
 grid, so they place ticks with the linear-time kernels of the index
-module rather than by bisection (observe_path by exact arithmetic on a
-power-of-two path grid, by the correction loop of _rank on any other); a
-synchronous leg's grid is a strided read of its ticks, and the overlap
-correction reads the same tick counts. experiments.estimate_matrix counts
-each leg once per base step and reads a step that is an exact multiple
-of it as a strided view of those counts.
+module rather than by bisection: by exact arithmetic on a power-of-two
+step (observe_path by _lattice_ranks, previous_tick_grid by
+_lattice_counts), by _rank's correction loop on any other. A synchronous
+leg's grid is a strided read of its ticks, tried first; estimate_matrix
+counts each leg once per base step and reads a step that is an exact
+multiple of it as a strided view of those counts.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _lattice_counts, _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -97,7 +97,7 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
         idx = _rank(t, n, lambda k: path.dt * k, path.dt, right=True)
     idx -= 1
     return TickSeries(
-        times=t, values=path.values[idx, asset], horizon=arrivals.horizon
+        times=t, values=path.values[:, asset].take(idx), horizon=arrivals.horizon
     )
 
 
@@ -117,9 +117,11 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    queries = np.arange(grid_count(horizon, dt) + 1, dtype=np.float64)
+    n = grid_count(horizon, dt) + 1
+    queries = np.arange(n, dtype=np.float64)
     queries *= dt
     counts = _strided_counts(ticks.times, queries)
+    counts = _lattice_counts(ticks.times, n, dt) if counts is None else counts
     return _tick_counts(ticks.times, queries, dt) if counts is None else counts
 
 

@@ -18,6 +18,13 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
+def _in_order(t: np.ndarray, horizon: float) -> bool:
+    """Whether t is 1-d, finite, strictly increasing and inside [0, horizon], by one
+    comparison pass: t[1:] > t[:-1] fails on any nan, and finite ends bound the rest."""
+    return t.ndim == 1 and (t.size == 0 or bool(
+        0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and np.all(t[1:] > t[:-1])))
+
+
 def _check_times(t: np.ndarray, horizon: float, kind: str) -> None:
     """Refuse 1-d times that are not strictly increasing inside [0, horizon]."""
     if np.any(t[1:] <= t[:-1]):
@@ -34,7 +41,7 @@ def _fmt(x: float) -> str:
 class PricePath:
     """Synchronous bivariate log-price path on a regular grid.
 
-    values[k] holds the two log-prices at time k*dt.
+    values[k] holds the two log-prices at time k*dt, stored column-major.
     """
 
     dt: float
@@ -48,7 +55,7 @@ class PricePath:
             raise ParameterError("path must contain at least one grid point")
         if not 0 < self.dt < np.inf:
             raise ParameterError(f"dt must be positive and finite, got {self.dt}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", np.asfortranarray(vals))
 
     @property
     def n_steps(self) -> int:
@@ -76,12 +83,14 @@ class ArrivalSet:
     horizon: float = 0.0
 
     def __post_init__(self):
-        t = _as_float_array(self.times, "times")
-        if t.ndim != 1:
-            raise ParameterError("times must be one-dimensional")
-        if not self.horizon >= 0:
-            raise ParameterError(f"horizon must be non-negative, got {self.horizon}")
-        _check_times(t, self.horizon, "arrival")
+        t = np.asarray(self.times, dtype=np.float64)
+        if not (self.horizon >= 0 and _in_order(t, self.horizon)):
+            _as_float_array(t, "times")
+            if t.ndim != 1:
+                raise ParameterError("times must be one-dimensional")
+            if not self.horizon >= 0:
+                raise ParameterError(f"horizon must be non-negative, got {self.horizon}")
+            _check_times(t, self.horizon, "arrival")
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -106,11 +115,14 @@ class TickSeries:
     horizon: float = 0.0
 
     def __post_init__(self):
-        t = _as_float_array(self.times, "times")
-        v = _as_float_array(self.values, "values")
-        if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-            raise ParameterError("times and values must be 1-d and equally long")
-        _check_times(t, self.horizon, "tick")
+        t = np.asarray(self.times, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64)
+        if not (_in_order(t, self.horizon) and v.shape == t.shape and np.isfinite(v).all()):
+            _as_float_array(t, "times")
+            _as_float_array(v, "values")
+            if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
+                raise ParameterError("times and values must be 1-d and equally long")
+            _check_times(t, self.horizon, "tick")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

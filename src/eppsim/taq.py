@@ -40,6 +40,7 @@ from .experiments import (
     ESTIMATOR_NAMES,
     CurvePoint,
     EppsCurve,
+    _rule_bound,
     aggregate_curve,
     discriminate,
     estimate_matrix,
@@ -623,6 +624,7 @@ def empirical_kskip(days, k_max: int, tau_abs: float = 0.05, z: float = 1.0):
     only. Returns the aggregated curve and the discrimination verdict on
     it.
     """
+    _rule_bound(tau_abs, z)  # before the first day is thinned
     days = list(days)
     if not days:
         raise DataError("no usable days: cannot run the k-skip experiment")

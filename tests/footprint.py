@@ -1,4 +1,5 @@
-"""Peak working memory of the estimators and of observe_path, per grid point and per tick.
+"""Peak working memory of the estimators, of observe_path and of the simulators,
+per grid point, per tick and per path step.
 
 traced_peak runs a call under tracemalloc, which counts the bytes the call
 allocates (not its inputs, made before tracing starts) and keeps the peak.
@@ -9,8 +10,9 @@ Poisson legs of mean inter-arrival 15 s (the presets' rate) and 1 s (the
 k-skip tick rate); hayashi_yoshida and k_skip_row by the
 ticks of one leg, at 1 s; observe_path by its arrivals, one per path step
 on average, on a path of step 1 (ranked by exact arithmetic) and of step
-0.1 (ranked by index._rank). index.MAX_GRID_STEPS and index.MAX_TICKS are
-sized from these numbers. Print them at 10**6 points, with the memory a
+0.1 (ranked by index._rank); each simulator (simulate_gbm, simulate_merton,
+hawkes_price_model at the reference parameters) by the steps of its path.
+index.MAX_GRID_STEPS and index.MAX_TICKS are sized from these numbers. Print them at 10**6 points, with the memory a
 grid and a pair of legs need at those bounds, by
 
     PYTHONPATH=src python tests/footprint.py [n_points]
@@ -18,11 +20,15 @@ grid and a pair of legs need at those bounds, by
 
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
 from eppsim.experiments import ESTIMATOR_NAMES, FIG_DT_GRID, estimate_matrix, k_skip_row
 from eppsim.estimators import hayashi_yoshida
+from eppsim.hawkes import hawkes_price_model
+from eppsim.paths import simulate_gbm, simulate_merton
+from eppsim.presets import gbm_reference, hawkes_price_reference, merton_reference
 from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
 from eppsim.sampling import observe_path, poisson_arrivals
 from eppsim.series import PricePath, TickSeries
@@ -65,7 +71,8 @@ def footprint(n_points: int) -> dict[str, float]:
     FIG_DT_GRID legs <m> s"; and per leg tick of hayashi_yoshida and
     k_skip_row at n_points ticks per leg, and of observe_path, keyed
     "observe_path path step <step>", at about n_points arrivals on a path
-    of n_points steps."""
+    of n_points steps; and per path step of each simulator over n_points
+    steps of 1 s, keyed "<simulator> per step"."""
     horizon = float(n_points - 1)
     out = {}
     for m in MEAN_INTERARRIVALS:
@@ -84,6 +91,13 @@ def footprint(n_points: int) -> dict[str, float]:
         out[f"observe_path path step {step:g}"] = (
             traced_peak(observe_path, path, arrivals, 0)[1] / len(arrivals)
         )
+    horizon = float(n_points)
+    for name, fn, *args in (
+        ("simulate_gbm", simulate_gbm, replace(gbm_reference(), horizon=horizon)),
+        ("simulate_merton", simulate_merton, replace(merton_reference(), horizon=horizon)),
+        ("hawkes_price_model", hawkes_price_model, hawkes_price_reference(), horizon),
+    ):
+        out[f"{name} per step"] = traced_peak(fn, *args, 5)[1] / n_points
     return out
 
 

@@ -855,6 +855,28 @@ def test_discriminate_refuses_a_negative_or_non_finite_rule(field, bad):
     assert discriminate(flat_curve(), "hy", **{field: 0.0}).classification == "diffusion_like"
 
 
+@pytest.mark.parametrize("field", ["tau_abs", "z"])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_the_rule_is_refused_before_any_replication_or_day(monkeypatch, field, bad):
+    # run_figure once simulated every replication, and empirical_kskip
+    # thinned every day, before discriminate refused the rule
+    from types import SimpleNamespace
+
+    from eppsim import presets, taq
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the rule was checked")
+
+    monkeypatch.setattr(presets, "_map_replications", never)
+    monkeypatch.setattr(taq, "k_skip_row", never)
+    message = rf"^{field}: must be finite and >= 0"
+    with pytest.raises(ParameterError, match=message):
+        presets.run_figure(presets.figure_recipe("8b", n_replications=4), **{field: bad})
+    day = SimpleNamespace(series_a=None, series_b=None, date="2024-01-02")
+    with pytest.raises(ParameterError, match=message):
+        taq.empirical_kskip([day], 5, **{field: bad})
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -1,5 +1,6 @@
-"""The peak working memory of the estimators and of observe_path (measured
-by footprint.py) and the hand-over of the count arrays _hy_estimate consumes."""
+"""The peak working memory of the estimators, of observe_path and of the
+simulators (measured by footprint.py) and the hand-over of the count arrays
+_hy_estimate consumes."""
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def test_observe_path_peak_per_tick(peaks):
     got = {key: v for key, v in peaks.items() if key.startswith("observe_path")}
     assert len(got) == 2
     assert max(got.values()) <= 26, got
+
+
+def test_simulators_hold_no_second_copy_of_the_path(peaks):
+    # a path is 16 bytes per step, built column-major in place beside the
+    # simulator's own draws: GBM's normals (16); Merton's normals, jump
+    # counts and jump normals (48, with a 16-byte temporary for the jump
+    # sums); Hawkes's one count column (8) and its events (about 2). A
+    # second path-sized array while the draws live adds 16 (the row-major
+    # build by np.vstack of a cumulative sum peaked at 56, 80 and 34)
+    assert peaks["simulate_gbm per step"] <= 34, peaks
+    assert peaks["simulate_merton per step"] <= 66, peaks
+    assert peaks["hawkes_price_model per step"] <= 28, peaks
 
 
 def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):

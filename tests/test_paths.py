@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from eppsim import seeding
 from eppsim.errors import ParameterError
+from eppsim.hawkes import hawkes_price_model
 from eppsim.index import grid_count
 from eppsim.paths import (
     DAY_SECONDS,
@@ -14,6 +16,9 @@ from eppsim.paths import (
     simulate_gbm,
     simulate_merton,
 )
+from eppsim.presets import hawkes_price_reference
+from eppsim.sampling import synchronous_ticks
+from eppsim.series import PricePath
 
 PAPER_GBM = dict(mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65)
 
@@ -166,3 +171,69 @@ def test_grids_past_the_size_bound_are_refused():
         for horizon, dt in ((DAY_SECONDS, 1e-300), (1e300, 1.0)):
             with pytest.raises(ParameterError, match="needs more than 100000000 grid steps"):
                 steps(horizon, dt)
+
+
+# ---------------------------------------------------------------------------
+# column-major paths
+
+
+def row_major_reference(params, seed):
+    """The path as np.vstack of a cumulative sum of row-major increments,
+    each written as one expression of the draws."""
+    n = _n_steps(params.horizon, params.dt)
+    z = seeding.stream(seed, seeding.DIFFUSION).standard_normal((n, 2))
+    rho = params.rho
+    z2 = rho * z[:, 0] + np.sqrt(1.0 - rho * rho) * z[:, 1]
+    mu_s = np.array([params.mu1, params.mu2]) / DAY_SECONDS
+    var_s = np.array([params.sigma_sq1, params.sigma_sq2]) / DAY_SECONDS
+    drift = (mu_s - 0.5 * var_s) * params.dt
+    vol = np.sqrt(var_s) * np.sqrt(params.dt)
+    inc = np.column_stack([drift[0] + vol[0] * z[:, 0], drift[1] + vol[1] * z2])
+    if getattr(params, "jump_rate", 0) > 0:
+        rng = seeding.stream(seed, seeding.JUMPS)
+        counts = rng.poisson(params.jump_rate * params.dt, size=(n, 2))
+        zj = rng.standard_normal((n, 2))
+        inc = inc + (params.jump_mean * counts + params.jump_std * np.sqrt(counts) * zj)
+    return np.vstack([np.zeros((1, 2)), np.cumsum(inc, axis=0)])
+
+
+@pytest.mark.parametrize("rho", [0.65, 0.0, 1.0, -1.0])
+def test_simulated_paths_equal_the_row_major_reference_bit_for_bit(rho):
+    gbm = GbmParams(**dict(PAPER_GBM, rho=rho), horizon=5000.0)
+    merton = MertonParams(**dict(PAPER_GBM, rho=rho), jump_rate=0.2, jump_mean=0.001,
+                          horizon=5000.0)
+    for simulate, params in ((simulate_gbm, gbm), (simulate_merton, merton)):
+        values = simulate(params, seed=11).values
+        assert values.flags.f_contiguous
+        np.testing.assert_array_equal(values, row_major_reference(params, 11))
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "list", "strided", "one row"])
+def test_price_path_values_are_column_major_whatever_the_input(layout):
+    rows = np.arange(12.0).reshape(6, 2)
+    given = {
+        "C": rows, "F": np.asfortranarray(rows), "list": rows.tolist(),
+        "strided": np.arange(24.0).reshape(6, 4)[:, ::2], "one row": rows[:1],
+    }[layout]
+    path = PricePath(dt=1.0, values=given)
+    assert path.values.flags.f_contiguous
+    np.testing.assert_array_equal(path.values, np.asarray(given))
+    for asset in (0, 1):
+        assert path.values[:, asset].flags.c_contiguous
+
+
+def test_a_column_major_path_is_kept_without_a_copy():
+    values = np.asfortranarray(np.arange(12.0).reshape(6, 2))
+    assert PricePath(dt=1.0, values=values).values is values
+
+
+def test_simulators_build_column_major_paths():
+    gbm = GbmParams(**PAPER_GBM, horizon=2000.0)
+    merton = MertonParams(**PAPER_GBM, jump_rate=0.2, horizon=2000.0)
+    paths = [simulate_gbm(gbm, 3), simulate_merton(merton, 3),
+             hawkes_price_model(hawkes_price_reference(), 2000.0, 3)[0]]
+    for path in paths:
+        assert path.values.flags.f_contiguous
+        for asset in (0, 1):
+            leg = synchronous_ticks(path, asset)
+            assert leg.values.flags.c_contiguous and np.shares_memory(leg.values, path.values)

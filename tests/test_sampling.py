@@ -366,12 +366,15 @@ def test_strided_counts_check_every_tick_they_read(at, nudge):
     n_steps=st.integers(min_value=0, max_value=300),
     n_arrivals=st.integers(min_value=0, max_value=400),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    order=st.sampled_from("CF"),
 )
 @settings(max_examples=300, deadline=None)
-def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed):
+def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed, order):
+    # paths built from row-major and from column-major arrays alike
     rng = np.random.default_rng(seed)
     values = np.column_stack([np.arange(n_steps + 1.0), -np.arange(n_steps + 1.0)])
-    path = PricePath(dt=dt, values=values)
+    path = PricePath(dt=dt, values=np.asarray(values, order=order))
+    assert path.values.flags.f_contiguous
     nodes = path.times()
     times = near_nodes(nodes, rng.integers(0, 2**31, n_arrivals), rng)
     times = np.unique(np.clip(times, 0.0, path.horizon))
@@ -399,6 +402,58 @@ def test_lattice_ranks_equal_bisection(step):
 @pytest.mark.parametrize("step", [0.1, 1.5, 3.0, 0.0, -2.0, math.inf, math.nan])
 def test_lattice_ranks_refuse_a_step_that_is_not_a_power_of_two(step):
     assert index._lattice_ranks(np.array([0.5, 1.0]), 3, step) is None
+    assert index._lattice_counts(np.array([0.5, 1.0]), 3, step) is None
+
+
+@pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20])
+def test_lattice_counts_equal_bisection(step):
+    # ticks on grid points, one ulp either side of them, between them and
+    # past the last; a first tick of 5e-324, whose quotient rounds to 0 at
+    # steps 2 and 2**20 yet which lies past node 0. Sparse legs are ranked,
+    # a leg with at least MAX_TICKS_PER_POINT ticks per node is bisected
+    n = 9
+    nodes = step * np.arange(n)
+    pool = np.concatenate([np.nextafter(nodes, -np.inf), nodes, np.nextafter(nodes, np.inf),
+                           nodes + 0.5 * step, [5e-324, nodes[-1] + 3 * step]])
+    pool = np.unique(pool[pool >= 0])
+    rng = np.random.default_rng(7)
+    legs = [pool[:0], pool[:1], pool[:3], np.array([5e-324, step]), pool]
+    legs += [np.unique(rng.choice(pool, size)) for size in (4, 9, 15)]
+    assert pool.size >= index.MAX_TICKS_PER_POINT * n
+    for times in legs:
+        got = index._lattice_counts(times, n, step)
+        np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+
+
+@given(
+    step=st.sampled_from([2**-10, 1.0, 2.0, 2.0**20]),
+    n=st.integers(min_value=0, max_value=300),
+    n_ticks=st.integers(min_value=0, max_value=700),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_lattice_counts_equal_bisection_on_random_legs(step, n, n_ticks, seed):
+    rng = np.random.default_rng(seed)
+    nodes = step * np.arange(n)
+    times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng) if n else np.empty(0)
+    times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * step * n, 3)])))
+    got = index._lattice_counts(times, n, step)
+    np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+
+
+def test_preset_grids_are_counted_without_the_correction_loop(monkeypatch):
+    # every preset's base step is 1 s, so no preset previous-tick grid
+    # reaches _tick_counts: Poisson legs (2a) and Hawkes-clocked legs of a
+    # Hawkes path (6b) are counted by _lattice_counts, synchronous legs (5)
+    # read by _strided_counts
+    from eppsim.presets import figure_recipe, run_figure
+
+    def never(*args):
+        raise AssertionError("a preset grid reached _tick_counts")
+
+    monkeypatch.setattr(sampling, "_tick_counts", never)
+    for name in ("2a", "5", "6b"):
+        run_figure(figure_recipe(name, seed=0, n_replications=2))
 
 
 def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch):
