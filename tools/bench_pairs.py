@@ -2,7 +2,7 @@
 
 Run from the root of a checkout whose HEAD is the change:
 
-    python3 tools/bench_pairs.py --out BENCH_21.json [--base HEAD~1] [--pairs 10]
+    python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD~1] [--pairs 10]
         [--aa-pairs 5] [--seconds 20] [--seed 2101]
 
 The base commit is checked out with `git worktree add` in a temporary
