@@ -23,14 +23,14 @@ import numpy as np
 
 from . import seeding
 from .errors import DomainError, NumericError, ParameterError, StabilityError
-from .index import _lattice_counts
+from .index import _tick_counts
 from .paths import _n_steps
 from .series import ArrivalSet, PricePath
 
 STABILITY_TOL = 1e-9
 # most events simulate_hawkes draws in one run before it raises NumericError
 MAX_EVENTS = 5_000_000
-# the step in seconds of hawkes_price_model's grid, a power of two (index._lattice_counts)
+# the step in seconds of hawkes_price_model's grid, a power of two (index._tick_counts)
 PRICE_GRID_DT = 1.0
 
 
@@ -309,8 +309,8 @@ def hawkes_price_model(
     values = np.empty((n, 2), order="F")
     # each column is x0 + up counts - down counts, filled in place
     for col, x0, (up, down) in zip(values.T, params.x0, (arrivals[:2], arrivals[2:])):
-        np.add(x0, _lattice_counts(up.times, n, PRICE_GRID_DT), out=col)
-        col -= _lattice_counts(down.times, n, PRICE_GRID_DT)
+        np.add(x0, _tick_counts(up.times, n, PRICE_GRID_DT), out=col)
+        col -= _tick_counts(down.times, n, PRICE_GRID_DT)
     return PricePath(dt=PRICE_GRID_DT, values=values), arrivals
 
 

@@ -4,10 +4,10 @@ Every place that asks how many ticks lie before or at a time asks it here.
 Against a uniform grid the answer comes by arithmetic in linear time
 (_rank, _tick_counts); against a caller's grid (n, step) from 0 with a
 power-of-two step it is exact: floor(x/step) + 1 nodes lie at or before x
-(_lattice_ranks), ceil(t/step) before tick t (_lattice_counts); for a leg
-on the grid's own points it is a strided read (_strided_counts); against
-ticks, one bisection and a tie test (_left_right_counts). Each kernel
-equals np.searchsorted bit for bit. The module imports only numpy and
+(_lattice_ranks), ceil(t/step) before tick t (_tick_counts given n); for a
+leg on the grid's own points it is a strided read (_strided_counts);
+against ticks, one bisection and a tie test (_left_right_counts). Each
+kernel equals np.searchsorted bit for bit. The module imports only numpy and
 errors, so hawkes, sampling and estimators can all use it.
 """
 
@@ -107,40 +107,42 @@ def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray | None:
     return np.minimum(r, n, out=r).astype(np.intp)
 
 
-def _lattice_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None:
-    """np.searchsorted(times, step * np.arange(n), side="right") for ascending times >= 0
-    if step is a power of two, else None: ceil(t/step) nodes lie before tick t (the
-    left-side twin of _lattice_ranks), and the ranks are counted as _tick_counts counts."""
-    if math.frexp(step)[0] != 0.5:
-        return None
-    if times.size >= MAX_TICKS_PER_POINT * n:
-        return np.searchsorted(times, step * np.arange(n), side="right")
-    r = np.ceil(np.divide(times, step))
-    np.maximum(r, times > 0, out=r)  # a positive tick whose quotient underflows to 0
-    counts = np.bincount(np.minimum(r, n, out=r).astype(np.intp), minlength=n + 1)[:-1]
-    return np.cumsum(counts, out=counts)
+def _lattice(n: int, step: float) -> np.ndarray:
+    """The grid step * np.arange(n), scaled in place."""
+    nodes = np.arange(n, dtype=np.float64)
+    nodes *= step
+    return nodes
 
 
-def _tick_counts(times: np.ndarray, queries: np.ndarray, step: float) -> np.ndarray:
-    """np.searchsorted(times, queries, side="right") for ascending queries about step apart.
+def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
+    """np.searchsorted(times, queries, side="right") for ascending queries about
+    step apart, or for queries an int n, against the grid _lattice(n, step).
 
-    Each tick is ranked among the queries, and the ticks at or before each
-    query are counted by np.bincount and a cumulative sum in place. The
-    nodes past either end, -inf and inf, are set in each per-tick read
-    rather than in a padded copy of the queries.
+    Each tick is ranked among the queries: exactly on that grid if step is a
+    power of two, as ceil(t/step) nodes lie before a tick t >= 0 (the left-side
+    twin of _lattice_ranks; a positive tick whose quotient underflows to 0 lies
+    past node 0); else by _rank's correction loop, reading -inf and inf for the
+    nodes past either end. np.bincount and a cumulative sum in place count them.
     """
-    n = queries.size
+    if isinstance(queries, int):  # None: exact arithmetic needs no query array
+        n, queries = queries, None if math.frexp(step)[0] == 0.5 else _lattice(queries, step)
+    else:
+        n = queries.size
     if times.size >= MAX_TICKS_PER_POINT * n:
-        return np.searchsorted(times, queries, side="right")
-
-    def node(k):
-        q = queries.take(k, mode="clip")
-        if np.ndim(k):  # the scalar _rank reads is node(0), a query
-            q[k < 0] = -np.inf
-            q[k >= n] = np.inf
-        return q
-
-    counts = np.bincount(_rank(times, n, node, step, right=False), minlength=n + 1)[:-1]
+        return np.searchsorted(times, _lattice(n, step) if queries is None else queries, side="right")
+    if queries is None:
+        r = np.ceil(np.divide(times, step))
+        np.maximum(r, times > 0, out=r)
+        ranks = np.minimum(r, n, out=r).astype(np.intp)
+    else:
+        def node(k):
+            q = queries.take(k, mode="clip")
+            if np.ndim(k):  # the scalar _rank reads is node(0), a query
+                q[k < 0] = -np.inf
+                q[k >= n] = np.inf
+            return q
+        ranks = _rank(times, n, node, step, right=False)
+    counts = np.bincount(ranks, minlength=n + 1)[:-1]
     return np.cumsum(counts, out=counts)
 
 

@@ -7,11 +7,12 @@ regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
 grid, so they place ticks with the linear-time kernels of the index
 module rather than by bisection: by exact arithmetic on a power-of-two
-step (observe_path by _lattice_ranks, previous_tick_grid by
-_lattice_counts), by _rank's correction loop on any other. A synchronous
-leg's grid is a strided read of its ticks, tried first; estimate_matrix
-counts each leg once per base step and reads a step that is an exact
-multiple of it as a strided view of those counts.
+step (observe_path by _lattice_ranks, previous_tick_grid by _tick_counts
+on its stated grid), by _rank's correction loop on any other. A leg from
+time 0, such as a synchronous one, is first tried as a strided read of its
+ticks; only that try and a step that is not a power of two build the
+grid's times. estimate_matrix counts each leg once per base step and reads
+a step that is an exact multiple of it as a strided view of those counts.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _lattice_counts, _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _lattice, _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -117,12 +118,9 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    n = grid_count(horizon, dt) + 1
-    queries = np.arange(n, dtype=np.float64)
-    queries *= dt
-    counts = _strided_counts(ticks.times, queries)
-    counts = _lattice_counts(ticks.times, n, dt) if counts is None else counts
-    return _tick_counts(ticks.times, queries, dt) if counts is None else counts
+    n, t = grid_count(horizon, dt) + 1, ticks.times
+    counts = _strided_counts(t, _lattice(n, dt)) if t[0] == 0 else None  # a leg from node 0
+    return _tick_counts(t, n, dt) if counts is None else counts
 
 
 def synchronous_ticks(path: PricePath, asset: int) -> TickSeries:

@@ -18,15 +18,19 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def _in_order(t: np.ndarray, horizon: float) -> bool:
-    """Whether t is 1-d, finite, strictly increasing and inside [0, horizon], by one
-    comparison pass: t[1:] > t[:-1] fails on any nan, and finite ends bound the rest."""
-    return t.ndim == 1 and (t.size == 0 or bool(
-        0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and np.all(t[1:] > t[:-1])))
-
-
-def _check_times(t: np.ndarray, horizon: float, kind: str) -> None:
-    """Refuse 1-d times that are not strictly increasing inside [0, horizon]."""
+def _check_times(t: np.ndarray, horizon: float, kind: str, faults) -> None:
+    """Refuse times that are not finite, 1-d, strictly increasing and inside
+    [0, horizon], or that a caller's (failed, message) fault refuses. One
+    comparison pass accepts them (t[1:] > t[:-1] fails on any nan, finite ends
+    bound the rest); only if it or a fault fails do the checks run in order,
+    naming the first fault: non-finite times, the faults, order, range."""
+    if t.ndim == 1 and not any(failed for failed, _ in faults) and (t.size == 0 or bool(
+            0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and np.all(t[1:] > t[:-1]))):
+        return
+    _as_float_array(t, "times")
+    for failed, message in faults:
+        if failed:
+            raise ParameterError(message)
     if np.any(t[1:] <= t[:-1]):
         raise ParameterError(f"{kind} times must be strictly increasing")
     if t.size and (t[0] < 0 or t[-1] > horizon):
@@ -84,13 +88,10 @@ class ArrivalSet:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
-        if not (self.horizon >= 0 and _in_order(t, self.horizon)):
-            _as_float_array(t, "times")
-            if t.ndim != 1:
-                raise ParameterError("times must be one-dimensional")
-            if not self.horizon >= 0:
-                raise ParameterError(f"horizon must be non-negative, got {self.horizon}")
-            _check_times(t, self.horizon, "arrival")
+        _check_times(t, self.horizon, "arrival", (
+            (t.ndim != 1, "times must be one-dimensional"),
+            (not self.horizon >= 0, f"horizon must be non-negative, got {self.horizon}"),
+        ))
         object.__setattr__(self, "times", t)
 
     def __len__(self) -> int:
@@ -117,12 +118,10 @@ class TickSeries:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
-        if not (_in_order(t, self.horizon) and v.shape == t.shape and np.isfinite(v).all()):
-            _as_float_array(t, "times")
-            _as_float_array(v, "values")
-            if t.ndim != 1 or v.ndim != 1 or t.size != v.size:
-                raise ParameterError("times and values must be 1-d and equally long")
-            _check_times(t, self.horizon, "tick")
+        _check_times(t, self.horizon, "tick", (
+            (not np.isfinite(v).all(), "values contains non-finite values"),
+            (t.ndim != 1 or v.ndim != 1 or t.size != v.size, "times and values must be 1-d and equally long"),
+        ))
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
 

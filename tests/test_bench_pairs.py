@@ -96,3 +96,29 @@ def test_quartiles_follow_perfbench():
     assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     got = bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0])
     assert got == {"median": 2.5, "q1": 1.25, "q3": 3.75}
+
+
+def test_fewer_than_ten_pairs_is_never_a_gain():
+    # every pair won by far, but the rule needs at least PAIRS pairs
+    for n in (1, 9):
+        runs = aa_block() + paired(BASE[:n], [w - 0.5 for w in BASE[:n]], throughput=20.0)
+        got = bench_pairs.summarize(runs, END_TO_END)["w"]["metrics"]
+        assert got["wall_s"]["pairs"] == got["wall_s"]["pairs_won"] == n
+        assert got["wall_s"]["verdict"] == got["throughput"]["verdict"] == "no change"
+    assert bench_pairs.PAIRS == 10
+
+
+def test_run_pairs_alternates_the_first_side_and_labels_each_run():
+    calls = []
+
+    def measure(root, seed):
+        calls.append((root, seed))
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": 1.0}, "digests": "d"}
+
+    trees = {"base": "B", "change": "C"}
+    runs = bench_pairs.run_pairs(trees, measure, "w", [7, 8, 9], "pairs", ("base", "change"))
+    assert calls == [("B", 7), ("C", 7), ("C", 8), ("B", 8), ("B", 9), ("C", 9)]
+    assert [(r["pair"], r["side"], r["first"]) for r in runs] == [
+        (0, "base", "base"), (0, "change", "base"), (1, "change", "change"),
+        (1, "base", "change"), (2, "base", "base"), (2, "change", "base")]
+    assert {r["workload"] for r in runs} == {"w"} and {r["block"] for r in runs} == {"pairs"}

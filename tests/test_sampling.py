@@ -402,17 +402,18 @@ def test_lattice_ranks_equal_bisection(step):
 @pytest.mark.parametrize("step", [0.1, 1.5, 3.0, 0.0, -2.0, math.inf, math.nan])
 def test_lattice_ranks_refuse_a_step_that_is_not_a_power_of_two(step):
     assert index._lattice_ranks(np.array([0.5, 1.0]), 3, step) is None
-    assert index._lattice_counts(np.array([0.5, 1.0]), 3, step) is None
 
 
-@pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20])
+@pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20, 0.1, 1.5, 3.0])
 def test_lattice_counts_equal_bisection(step):
     # ticks on grid points, one ulp either side of them, between them and
     # past the last; a first tick of 5e-324, whose quotient rounds to 0 at
-    # steps 2 and 2**20 yet which lies past node 0. Sparse legs are ranked,
+    # steps 2 and 2**20 yet which lies past node 0. Sparse legs are ranked
+    # (exactly on a power-of-two step, by the correction loop on any other),
     # a leg with at least MAX_TICKS_PER_POINT ticks per node is bisected
     n = 9
-    nodes = step * np.arange(n)
+    nodes = index._lattice(n, step)
+    np.testing.assert_array_equal(nodes, step * np.arange(n))
     pool = np.concatenate([np.nextafter(nodes, -np.inf), nodes, np.nextafter(nodes, np.inf),
                            nodes + 0.5 * step, [5e-324, nodes[-1] + 3 * step]])
     pool = np.unique(pool[pool >= 0])
@@ -421,7 +422,7 @@ def test_lattice_counts_equal_bisection(step):
     legs += [np.unique(rng.choice(pool, size)) for size in (4, 9, 15)]
     assert pool.size >= index.MAX_TICKS_PER_POINT * n
     for times in legs:
-        got = index._lattice_counts(times, n, step)
+        got = index._tick_counts(times, n, step)
         np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
 
 
@@ -437,23 +438,34 @@ def test_lattice_counts_equal_bisection_on_random_legs(step, n, n_ticks, seed):
     nodes = step * np.arange(n)
     times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng) if n else np.empty(0)
     times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * step * n, 3)])))
-    got = index._lattice_counts(times, n, step)
+    got = index._tick_counts(times, n, step)
     np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
 
 
 def test_preset_grids_are_counted_without_the_correction_loop(monkeypatch):
-    # every preset's base step is 1 s, so no preset previous-tick grid
-    # reaches _tick_counts: Poisson legs (2a) and Hawkes-clocked legs of a
-    # Hawkes path (6b) are counted by _lattice_counts, synchronous legs (5)
-    # read by _strided_counts
+    # every preset's base step is 1 s, so no preset previous-tick grid and
+    # no Hawkes price path reaches _rank: Poisson legs (2a) and
+    # Hawkes-clocked legs of a Hawkes path (6b) are counted by exact
+    # arithmetic on their stated grid, synchronous legs (5) read by
+    # _strided_counts; only those legs, which start at time 0, build a grid
     from eppsim.presets import figure_recipe, run_figure
 
     def never(*args):
-        raise AssertionError("a preset grid reached _tick_counts")
+        raise AssertionError("a preset grid reached the correction loop")
 
-    monkeypatch.setattr(sampling, "_tick_counts", never)
-    for name in ("2a", "5", "6b"):
+    lattice, built = index._lattice, []
+
+    def counted_lattice(n, step):
+        built.append(n)
+        return lattice(n, step)
+
+    monkeypatch.setattr(index, "_rank", never)
+    monkeypatch.setattr(sampling, "_lattice", counted_lattice)
+    for name in ("2a", "6b"):
         run_figure(figure_recipe(name, seed=0, n_replications=2))
+    assert built == []
+    run_figure(figure_recipe("5", seed=0, n_replications=2))
+    assert built
 
 
 def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch):

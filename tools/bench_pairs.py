@@ -2,33 +2,35 @@
 
 Run from the root of a checkout whose HEAD is the change:
 
-    python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD~1] [--pairs 10]
-        [--aa-pairs 5] [--seconds 20] [--seed 2101]
+    python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD~1] [--seed 2101]
 
-The base commit is checked out with `git worktree add` in a temporary
-directory, which is removed when the script ends. Then, one process at a
-time:
+--base names the commit the change is measured against when the change
+spans several commits. The base commit is checked out with `git worktree
+add` in a temporary directory, which is removed when the script ends.
+Then, one process at a time:
 
-1. an A/A block: --aa-pairs pairs per workload of the base against
-   itself, which measure each metric's spread when nothing changed;
-2. --pairs pairs per workload of base and change, each pair on its own
+1. an A/A block: AA_PAIRS pairs per workload of the base against itself,
+   which measure each metric's spread when nothing changed;
+2. PAIRS pairs per workload of base and change, each pair on its own
    seed for both sides, the side that runs first alternating from pair
    to pair;
-3. the tier-1 suite once on each tree, and the CLI cold start
-   (`eppsim --version` in a fresh interpreter, median of COLD_STARTS) on
-   each, alternating.
+3. the tier-1 suite once on each tree;
+4. the CLI cold start (`eppsim --version` in a fresh interpreter) in the
+   same A/A and paired blocks, summarised as a workload is.
 
-Every run is `perfbench/run.py --trace 0` of BENCHMARK.json's command;
-its workloads, metrics and bounds come from BENCHMARK.json. The file
-holds per workload and metric: each side's median and q1-q3, the pairs
-won, the bound and whether the change's median stays inside it, the A/A
-spread and the verdict of RULE; and every run's correct/failed, whether
-every output digest equals the base's on the same seed, both SHAs, the
-seeds and the machine. summarize() does the arithmetic alone, so it can
-be checked on fixed reports.
+Every workload run is `perfbench/run.py --trace 0` of BENCHMARK.json's
+command for its run_seconds; its workloads, metrics and bounds come from
+BENCHMARK.json. The file holds per workload and metric: each side's
+median and q1-q3, the pairs won, the bound and whether the change's
+median stays inside it, the A/A spread and the verdict of RULE; and
+every run's correct/failed, whether every output digest equals the
+base's on the same seed, both SHAs, the seeds and the machine.
+summarize() does the arithmetic alone, so it can be checked on fixed
+reports.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -41,16 +43,19 @@ import time
 from pathlib import Path
 
 RULE = (
-    "a gain needs the change to win >= 9/10 of the pairs (ties count for neither) "
-    "and its median to beat the base's by more than the A/A q1-q3 spread and the "
-    "base's own q1-q3 spread; anything less is no change"
+    "a gain needs at least 10 pairs, the change winning >= 9/10 of them (ties count "
+    "for neither), and its median to beat the base's by more than the A/A q1-q3 "
+    "spread and the base's own q1-q3 spread; anything less is no change"
 )
+PAIRS = 10
+AA_PAIRS = 5
 WIN_SHARE = 0.9
 RUN_TIMEOUT_S = 600
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 TIER1_TIMEOUT_S = 1800
-COLD_STARTS = 7
 COLD_START = "from eppsim.cli import main; main(['--version'])"
+# the cold start is a start-up cost, so it is held to setup_s's bound
+COLD_START_METRIC = {"name": "wall_s", "unit": "s", "better": "lower", "bound_of": "setup_s"}
 
 
 def quartiles(values) -> dict:
@@ -104,7 +109,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             aa_q = quartiles(null) if null else None
             spread = max(base["q3"] - base["q1"], aa_q["q3"] - aa_q["q1"] if aa_q else 0.0)
             shift = change["median"] - base["median"]
-            gain = (won >= WIN_SHARE * len(both) and abs(shift) > spread
+            gain = (len(both) >= PAIRS and won >= WIN_SHARE * len(both) and abs(shift) > spread
                     and _better(change["median"], base["median"], lower))
             worse = shift if lower else -shift
             metrics[name] = {
@@ -141,15 +146,14 @@ def _env(root: Path) -> dict:
     return env
 
 
-def bench_run(root: Path, command: list, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(root: Path, seed: int, command: list, workload: str, seconds: float) -> dict:
     """One perfbench run in root: its result line, and its report's output digests."""
     done = subprocess.run(
         [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
          "--trace", "0"],
         cwd=root, env=_env(root), capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
-    run = {"workload": workload, "seed": seed, "correct": False, "failed": None,
-           "metrics": {}, "digests": None, "environment": None}
+    run = {"correct": False, "failed": None, "metrics": {}, "digests": None, "environment": None}
     if done.returncode != 0:
         run["error"] = done.stderr.strip().splitlines()[-1:] or [f"exit {done.returncode}"]
         return run
@@ -174,31 +178,28 @@ def tier1(root: Path) -> dict:
             "summary": lines[-1] if lines else ""}
 
 
-def cold_starts(trees: dict) -> dict:
-    """Median wall time of a fresh `eppsim --version` per tree, alternating."""
-    samples = {side: [] for side in trees}
-    for i in range(COLD_STARTS + 1):
-        for side, root in (trees.items() if i % 2 else reversed(trees.items())):
-            start = time.perf_counter()
-            subprocess.run([sys.executable, "-c", COLD_START], cwd=root, env=_env(root),
-                           check=True, capture_output=True, timeout=RUN_TIMEOUT_S)
-            if i:  # the first start writes the bytecode caches
-                samples[side].append(time.perf_counter() - start)
-    return {side: {"median_s": statistics.median(s), "samples_s": s} for side, s in samples.items()}
+def cold_start(root: Path, seed: int) -> dict:
+    """One fresh `eppsim --version` in root, as a run with the metric wall_s."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", COLD_START], cwd=root, env=_env(root),
+                          capture_output=True, timeout=RUN_TIMEOUT_S)
+    wall = time.perf_counter() - start
+    ok = done.returncode == 0
+    return {"correct": ok, "failed": 0 if ok else 1, "metrics": {"wall_s": wall} if ok else {},
+            "digests": hashlib.sha256(done.stdout).hexdigest() if ok else None, "environment": None}
 
 
-def run_pairs(trees: dict, command, workloads, seeds, seconds, block, sides) -> list[dict]:
+def run_pairs(trees: dict, measure, workload: str, seeds, block: str, sides) -> list[dict]:
+    """measure(root, seed) on both sides of each seed's pair, the first side alternating."""
     runs = []
-    for workload in workloads:
-        for pair, seed in enumerate(seeds):
-            order = sides if pair % 2 == 0 else sides[::-1]
-            for side in order:
-                run = bench_run(trees[side], command, workload, seed, seconds)
-                run.update(block=block, pair=pair, side=side, first=order[0])
-                runs.append(run)
-                wall = run["metrics"].get("wall_s")
-                print(f"{block} {workload} seed {seed} {side}: correct={run['correct']} "
-                      f"wall_s={wall}", flush=True)
+    for pair, seed in enumerate(seeds):
+        order = sides if pair % 2 == 0 else sides[::-1]
+        for side in order:
+            run = measure(trees[side], seed)
+            run.update(workload=workload, seed=seed, block=block, pair=pair, side=side, first=order[0])
+            runs.append(run)
+            print(f"{block} {workload} seed {seed} {side}: correct={run['correct']} "
+                  f"wall_s={run['metrics'].get('wall_s')}", flush=True)
     return runs
 
 
@@ -206,33 +207,37 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<name>.json to write")
     ap.add_argument("--base", default="HEAD~1", help="the commit the change is measured against")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--aa-pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length of each run; BENCHMARK.json's run_seconds by default")
     ap.add_argument("--seed", type=int, default=2101, help="the first seed; each pair takes the next")
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.aa_pairs < 1:
-        ap.error("--pairs and --aa-pairs must be positive")
 
     root = Path(_git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    cold_metric = dict(COLD_START_METRIC, bound=bounds[COLD_START_METRIC["bound_of"]])
     sha = {"base": _git("rev-parse", args.base, cwd=root), "change": _git("rev-parse", "HEAD", cwd=root)}
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no", cwd=root))
-    aa_seeds = list(range(args.seed, args.seed + args.aa_pairs))
-    seeds = list(range(aa_seeds[-1] + 1, aa_seeds[-1] + 1 + args.pairs))
+    aa_seeds = list(range(args.seed, args.seed + AA_PAIRS))
+    seeds = list(range(aa_seeds[-1] + 1, aa_seeds[-1] + 1 + PAIRS))
+    blocks = (("aa", aa_seeds, ("base", "base2")), ("pairs", seeds, ("base", "change")))
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     base = tmp / "base"
     _git("worktree", "add", "--detach", str(base), sha["base"], cwd=root)
     try:
         trees = {"base": base, "base2": base, "change": root}
-        runs = run_pairs(trees, bench["command"], workloads, aa_seeds, seconds, "aa", ("base", "base2"))
-        runs += run_pairs(trees, bench["command"], workloads, seeds, seconds, "pairs", ("base", "change"))
+        runs = []
+        for block, block_seeds, sides in blocks:
+            for workload in workloads:
+                measure = functools.partial(bench_run, command=bench["command"], workload=workload,
+                                            seconds=seconds)
+                runs += run_pairs(trees, measure, workload, block_seeds, block, sides)
         tier1_s = {"base": tier1(base), "change": tier1(root)}
-        cold = cold_starts({"base": base, "change": root})
+        for tree in (base, root):  # the first start writes the bytecode caches
+            cold_start(tree, 0)
+        cold_runs = [run for block, block_seeds, sides in blocks
+                     for run in run_pairs(trees, cold_start, "cli_cold_start", block_seeds, block, sides)]
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=root,
                        capture_output=True)
@@ -240,6 +245,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     summary = summarize(runs, bench["end_to_end"])
+    cold = summarize(cold_runs, [cold_metric])["cli_cold_start"]
     environment = next((r["environment"] for r in runs if r["environment"]), None)
     doc = {
         "rule": RULE,
@@ -254,12 +260,12 @@ def main(argv=None) -> int:
         "workloads": summary,
         "tier1": tier1_s,
         "cold_start": cold,
-        "runs": [{k: v for k, v in r.items() if k != "environment"} for r in runs],
+        "runs": [{k: v for k, v in r.items() if k != "environment"} for r in runs + cold_runs],
     }
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
     print(f"\nrule: {RULE}")
-    for workload, w in summary.items():
+    for workload, w in {**summary, "cli_cold_start": cold}.items():
         print(f"{workload}: correct={w['runs_correct']} digests_equal={w['digests_equal']}")
         for name, m in w["metrics"].items():
             if m["pairs"]:
@@ -267,8 +273,7 @@ def main(argv=None) -> int:
                       f"won {m['pairs_won']}/{m['pairs']} within_bound={m['within_bound']} "
                       f"{m['verdict']}")
     for side in ("base", "change"):
-        print(f"{side}: tier-1 {tier1_s[side]['wall_s']:.1f} s ({tier1_s[side]['summary']}), "
-              f"cold start {cold[side]['median_s']:.3f} s")
+        print(f"{side}: tier-1 {tier1_s[side]['wall_s']:.1f} s ({tier1_s[side]['summary']})")
     print(f"wrote {args.out}")
     return 0
 
