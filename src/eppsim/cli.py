@@ -2,15 +2,16 @@
 
 Three subcommands: `simulate` writes raw model output (price path CSV,
 and arrival CSVs where the model has them), `epps` runs a replicated
-correlation experiment (a named figure recipe or an ad-hoc config), and
-`taq` runs the empirical pipeline on trade CSV files.
+correlation experiment (a run document of presets.read_run: a figure
+preset or an ad-hoc config), and `taq` runs the trade-file pipeline.
 
-Every run is driven by an optional JSON config document plus flags, with
-flags taking precedence, and emits a manifest.json carrying the fully
-resolved configuration, the package version, a sha256 digest of every
-output file, and wall-clock timings. Given identical inputs and seed,
-output files are byte-identical across runs (the manifest's timing block
-is the only varying part).
+Every run reads an optional JSON config, each table by _from_table so
+that an unknown key is refused, plus flags, which take precedence; it
+emits a manifest.json with the resolved configuration (for `epps` the
+resolved run document, which replays the run), the package version, a
+sha256 digest of every output file, and wall-clock timings. Given
+identical inputs and seed, output files are byte-identical across runs
+(the manifest's timing block is the only varying part).
 
 Exit codes: 0 success, 2 usage or configuration, 3 data or estimation,
 4 numeric.
@@ -20,10 +21,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 import time
-import typing
 from pathlib import Path
 
 from . import __version__, seeding
@@ -38,10 +37,8 @@ from .errors import (
 from .experiments import (
     MIN_VERDICT_POINTS,
     PRICE_PARAMS,
-    ExperimentConfig,
     _check_dt_axis,
     _named,
-    _rule_bound,
     _worker_count,
     dump_json,
     write_curve_csv,
@@ -53,13 +50,16 @@ from .paths import DAY_SECONDS, _n_steps, simulate_gbm, simulate_merton
 from .presets import (
     FIG_DT_GRID,
     FIGURE_NAMES,
-    REFERENCE_PARAMS,
-    FigureRecipe,
+    K_MAX,
     FigureResult,
-    figure_recipe,
+    _from_table,
+    _read,
+    _table,
+    read_run,
+    reference_params,
     run_figure,
+    verdict_rule,
 )
-from .sampling import mutual_excitation_spec
 from .series import write_arrivals_csv
 from .taq import (
     DAY_WINDOW,
@@ -119,123 +119,32 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            doc = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config {path!r}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"config {path!r}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParameterError(f"config {path!r}: top level must be an object")
-    return doc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ParameterError(f"config {path!r}: not a UTF-8 JSON document ({exc})") from exc
+    return _table(doc, f"config {path!r}")
 
 
-def _number(value, name: str, integer: bool = False):
-    """A finite numeric config or flag value (an int for an integer field).
-
-    Numbers and numeric strings are accepted; a boolean, a non-finite
-    value or, for an integer field, a fractional one raises ParameterError
-    naming the field.
-    """
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if not math.isfinite(x) or (integer and not x.is_integer()):
-        kind = "an integer" if integer else "a finite number"
-        raise ParameterError(f"{name}: expected {kind}, got {value!r}")
-    if integer:
-        return value if isinstance(value, int) else int(x)
-    return x
+def _simulate_document(seed: int = 0, simulate: dict | None = None):
+    """(seed, simulate table) as the top level of a simulate config sets them."""
+    return seed, simulate or {}
 
 
-def _table(value, name: str) -> dict:
-    """A config table, which must be a JSON object; ParameterError names it."""
-    if not isinstance(value, dict):
-        raise ParameterError(f"{name}: expected an object, got {value!r}")
-    return value
+def _simulate_table(horizon: float | None = None, params: dict | None = None):
+    """(horizon, params table) as the config's simulate table sets them."""
+    return horizon, params
 
 
-def _verdict_table(tau_abs: float = 0.05, z: float = 1.0):
-    """(tau_abs, z) of the discrimination rule, as the config's verdict table sets it."""
-    return tau_abs, z
+def _taq_document(taq: dict | None = None, verdict: dict | None = None):
+    """(taq table, verdict table) as the top level of a taq config sets them."""
+    return taq or {}, verdict or {}
 
 
-def _verdict_rule(doc: dict) -> tuple[float, float]:
-    """The config's (tau_abs, z), each refused as discriminate refuses it."""
-    rule = _from_table(_verdict_table, doc.get("verdict", {}), "verdict")
-    return _rule_bound(*rule, table="verdict.")
-
-
-def _taq_table(dt_grid: tuple[float, ...] = FIG_DT_GRID, kmax: int = 50):
+def _taq_table(dt_grid: tuple[float, ...] = FIG_DT_GRID, kmax: int = K_MAX):
     """(dt_grid, kmax) as the config's taq table sets them."""
     return dt_grid, kmax
-
-
-def _floats_arg(text: str, flag: str) -> tuple[float, ...]:
-    """The finite numbers of a comma-separated flag value."""
-    return tuple(_number(part, flag) for part in text.split(","))
-
-
-def _read(hint, value, name: str):
-    """A config value read as its field's type hint says.
-
-    float and int go through _number, bool and str are type-checked,
-    tuple[T, ...] and tuple[T, T] must be lists of T, and X | None also
-    takes null; any other type is passed on for its class to check.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:  # X | None
-        return None if value is None else _read(args[0], value, name)
-    if hint in (float, int):
-        return _number(value, name, integer=hint is int)
-    if hint in (bool, str):
-        if not isinstance(value, hint):
-            kind = "true or false" if hint is bool else "a string"
-            raise ParameterError(f"{name}: expected {kind}, got {value!r}")
-        return value
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise ParameterError(f"{name}: expected a list, got {value!r}")
-        return tuple(_read(args[0], x, name) for x in value)
-    return value
-
-
-def _from_table(cls, table, name: str, **given):
-    """cls (a dataclass or an annotated function) called with the config
-    table called name, each field read by _read; given holds the fields
-    built from sub-tables. Errors name the field, or the table for a value
-    cls itself refuses (StabilityError kept as such)."""
-    hints = typing.get_type_hints(cls)
-    kwargs = {
-        key: _read(hints[key], value, f"{name}.{key}") if key in hints else value
-        for key, value in _table(table, name).items()
-        if key not in given
-    }
-    try:
-        return cls(**kwargs, **given)
-    except TypeError as exc:
-        raise ParameterError(f"{name}: {exc}") from exc
-    except ParameterError as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
-
-
-def _experiment_from(doc) -> ExperimentConfig:
-    """Build an ExperimentConfig from the config file's experiment table."""
-    d = _table(doc, "experiment")
-    model = d.get("price_model")
-    # compared, not hashed: the value may be any JSON type
-    params_cls = next((cls for m, cls in PRICE_PARAMS.items() if m == model), None)
-    if params_cls is None:
-        raise ParameterError(f"experiment.price_model: unknown model {model!r}")
-    params = _from_table(params_cls, d.get("price_params"), "experiment.price_params")
-    sampler = d.get("hawkes_sampler")
-    if sampler is not None:
-        sampler = _from_table(mutual_excitation_spec, sampler, "experiment.hawkes_sampler")
-    return _from_table(
-        ExperimentConfig, d, "experiment", price_params=params, hawkes_sampler=sampler
-    )
 
 
 def _write_theory_csv(theory: dict, path: Path) -> None:
@@ -252,15 +161,14 @@ def _write_theory_csv(theory: dict, path: Path) -> None:
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    seed = args.seed if args.seed is not None else _number(doc.get("seed", 0), "seed", integer=True)
+    seed, sim = _from_table(_simulate_document, doc, "",
+                            **({} if args.seed is None else {"seed": args.seed}))
+    horizon, pdoc = _from_table(_simulate_table, sim, "simulate")
     model = args.model
-    sim = _table(doc.get("simulate", {}), "simulate")
-    horizon = _number(sim.get("horizon", DAY_SECONDS), "simulate.horizon")
     name = model.removesuffix("-price")  # the key of the model's parameter tables
     if args.preset == "reference":
-        params = REFERENCE_PARAMS[name]()
+        params = reference_params(name)
     else:
-        pdoc = sim.get("params")
         if pdoc is None:
             raise ParameterError(
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
@@ -268,8 +176,9 @@ def cmd_simulate(args) -> int:
         params = _from_table(PRICE_PARAMS[name], pdoc, "simulate.params")
     try:
         if model == "hawkes-price":
+            horizon = DAY_SECONDS if horizon is None else horizon
             _n_steps(horizon, PRICE_GRID_DT)  # the path must span the horizon
-        elif "horizon" in sim:
+        elif horizon is not None:
             # the diffusion models carry their horizon in their parameters
             params = dataclasses.replace(params, horizon=horizon)
     except ParameterError as exc:
@@ -316,50 +225,13 @@ def _figure_outputs(run: Run, result) -> None:
         run.emit("theory.csv", lambda p: _write_theory_csv(result.theory, p))
 
 
-# the recipe kind that runs each mode of an ad-hoc config
-_MODE_KINDS = {"epps": "epps", "hy_vs_interarrival": "hy", "overlap_multi_rate": "multirate"}
-
-
-def _adhoc_recipe(doc: dict, overrides: dict) -> FigureRecipe:
-    """The recipe of a config's mode and experiment table, overrides applied."""
-    if "experiment" not in doc:
-        raise ParameterError(
-            "epps: nothing to run; pass --figure NAME or a config with an "
-            "experiment table"
-        )
-    mode = doc.get("mode", "epps")
-    if not isinstance(mode, str) or mode not in _MODE_KINDS:
-        raise ParameterError(f"mode: expected one of {', '.join(_MODE_KINDS)}, got {mode!r}")
-    cfg = dataclasses.replace(_experiment_from(doc["experiment"]), **overrides)
-    try:
-        return FigureRecipe(mode, _MODE_KINDS[mode], cfg)
-    except ParameterError as exc:
-        raise ParameterError(f"experiment: {exc}") from exc
-
-
 def cmd_epps(args) -> int:
     doc = _load_config(args.config)
-    # seed and replications: the flag, else the top-level key; unset (or null)
-    # keeps the recipe's own, a preset's default or the experiment table's
-    overrides = {}
-    for name, flag, key in (
-        ("seed", args.seed, "seed"), ("n_replications", args.replications, "replications")
-    ):
-        value = flag if flag is not None else doc.get(key)
-        if value is not None:
-            overrides[name] = _number(value, key, integer=True)
-    threads = _number(
-        args.threads if args.threads is not None else doc.get("threads", 1), "threads", integer=True
+    # a flag replaces the document's key of its name
+    recipe, threads, (tau_abs, z) = read_run(
+        doc, figure=args.figure, seed=args.seed, replications=args.replications,
+        threads=args.threads,
     )
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
-    figure = args.figure or doc.get("figure")
-    tau_abs, z = _verdict_rule(doc)
-
-    if figure is not None:
-        recipe = figure_recipe(figure, **overrides)
-    else:
-        recipe = _adhoc_recipe(doc, overrides)
     # each flag sets the field of the recipe kinds that read it
     for flag, value, fields in (
         ("--dt-grid", args.dt_grid, {"epps": "dt_grid", "multirate": "dt_grid"}),
@@ -371,7 +243,9 @@ def cmd_epps(args) -> int:
         if recipe.kind not in fields:
             raise ParameterError(f"{flag} only applies to {' and '.join(fields)} recipes, "
                                  f"not to {recipe.name} ({recipe.kind})")
-        change = {fields[recipe.kind]: value if flag == "--kmax" else _floats_arg(value, flag)}
+        if flag != "--kmax":
+            value = _read(tuple[float, ...], value.split(","), flag)
+        change = {fields[recipe.kind]: value}
         try:
             if flag != "--kmax":
                 change = {"config": dataclasses.replace(recipe.config, **change)}
@@ -379,19 +253,12 @@ def cmd_epps(args) -> int:
         except ParameterError as exc:
             raise ParameterError(f"{flag}: {exc}") from exc
     cfg = recipe.config
-    run = Run(
-        "epps",
-        args.out,
-        {
-            "figure" if figure is not None else "mode": recipe.name,
-            "kind": recipe.kind,
-            "seed": cfg.seed,
-            "threads": threads,
-            "k_max": recipe.k_max,
-            "experiment": dataclasses.asdict(cfg),
-        },
-        cfg.seed,
-    )
+    # the document as resolved: fed back as --config, it replays this run
+    resolved = {"kind": recipe.kind, "k_max": recipe.k_max, "threads": threads,
+                "verdict": {"tau_abs": tau_abs, "z": z}, "experiment": dataclasses.asdict(cfg)}
+    run = Run("epps", args.out, resolved, cfg.seed)
+    if args.figure or doc.get("figure"):
+        run.notes["figure"] = recipe.name
     run.notes["workers"] = _worker_count(threads, cfg.n_replications)
     result = run_figure(recipe, max_workers=threads, tau_abs=tau_abs, z=z)
     _figure_outputs(run, result)
@@ -428,16 +295,17 @@ def cmd_taq(args) -> int:
             raise ParameterError(f"{flag} only applies to taq {' and '.join(commands)}, "
                                  f"not to taq {args.taq_command}")
     # the whole config, then the flags that replace its values, before any file is read
-    doc = _load_config(args.config)
-    dt_grid, k_max = _from_table(_taq_table, doc.get("taq", {}), "taq")
+    taq_doc, verdict = _from_table(_taq_document, _load_config(args.config), "")
+    dt_grid, k_max = _from_table(_taq_table, taq_doc, "taq")
     dt_grid = _check_dt_axis(dt_grid, DAY_WINDOW, "taq.dt_grid")
     if args.dt_grid is not None:
-        dt_grid = _check_dt_axis(_floats_arg(args.dt_grid, "--dt-grid"), DAY_WINDOW, "--dt-grid")
+        dt_grid = _read(tuple[float, ...], args.dt_grid.split(","), "--dt-grid")
+        dt_grid = _check_dt_axis(dt_grid, DAY_WINDOW, "--dt-grid")
     for name, value in (("taq.kmax", k_max), ("--kmax", args.kmax)):
         if value is not None and value < MIN_VERDICT_POINTS:
             raise ParameterError(f"{name}: expected an integer >= {MIN_VERDICT_POINTS}, got {value}")
     k_max = args.kmax if args.kmax is not None else k_max
-    tau_abs, z = _verdict_rule(doc)
+    tau_abs, z = verdict_rule(verdict)
     parsed = _parse_taq_files(args.files)
 
     base_config = {

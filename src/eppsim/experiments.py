@@ -84,10 +84,10 @@ def check_axis(values, name: str) -> tuple:
     return values
 
 
-def _named(name: str, check, *args):
-    """check(*args), its ParameterError prefixed with the name of the field checked."""
+def _named(name: str, check, *args, **kwargs):
+    """check(*args, **kwargs), its ParameterError prefixed with the name of the field checked."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ParameterError as exc:
         raise ParameterError(f"{name}: {exc}") from exc
 

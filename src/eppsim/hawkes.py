@@ -18,6 +18,7 @@ generation rather than interpreted work per event.
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -32,6 +33,18 @@ STABILITY_TOL = 1e-9
 MAX_EVENTS = 5_000_000
 # the step in seconds of hawkes_price_model's grid, a power of two (index._tick_counts)
 PRICE_GRID_DT = 1.0
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array if every entry is a number (not a boolean)
+    and no row is ragged, else ParameterError naming the field."""
+    try:
+        cells = np.asarray(value, dtype=object)
+        if all(isinstance(x, Real) and not isinstance(x, bool) for x in cells.flat):
+            return cells.astype(np.float64)
+    except ValueError:  # a shape numpy cannot hold even as objects
+        pass
+    raise ParameterError(f"{name} must hold numbers in rows of equal length, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +62,9 @@ class HawkesSpec:
     beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        lam0 = np.atleast_1d(np.asarray(self.lambda0, dtype=np.float64))
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        beta = np.asarray(self.beta, dtype=np.float64)
+        lam0 = np.atleast_1d(_real_array(self.lambda0, "lambda0"))
+        alpha = _real_array(self.alpha, "alpha")
+        beta = _real_array(self.beta, "beta")
         m = lam0.size
         if lam0.ndim != 1:
             raise ParameterError("lambda0 must be one-dimensional")

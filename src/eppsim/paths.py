@@ -119,8 +119,8 @@ def _diffusion_path(params, n: int, seed: int) -> np.ndarray:
     return values
 
 
-def _jump_increments(params: MertonParams, n: int, seed: int):
-    """Per-step log-price jump sums and total jump counts per asset.
+def _jump_increments(params: MertonParams, n: int, seed: int) -> np.ndarray:
+    """Per-step log-price jump sums of each asset, shape (n, 2).
 
     A step with c jumps contributes N(c*jump_mean, c*jump_std^2), the exact
     law of the sum of c independent log jump sizes.
@@ -130,7 +130,7 @@ def _jump_increments(params: MertonParams, n: int, seed: int):
     z = rng.standard_normal((n, 2))
     z *= params.jump_std * np.sqrt(counts)  # the jump sums, in place
     z += params.jump_mean * counts
-    return z, counts.sum(axis=0)
+    return z
 
 
 def simulate_gbm(params: GbmParams, seed: int) -> PricePath:
@@ -154,6 +154,6 @@ def simulate_merton(params: MertonParams, seed: int) -> PricePath:
     n = _n_steps(params.horizon, params.dt)
     values = _diffusion_path(params, n, seed)
     if params.jump_rate > 0:
-        values[1:] += _jump_increments(params, n, seed)[0]
+        values[1:] += _jump_increments(params, n, seed)
     np.cumsum(values[1:], axis=0, out=values[1:])
     return PricePath(dt=params.dt, values=values)

@@ -1,13 +1,16 @@
-"""Canned figure recipes: every parameter of each experiment pinned in one place.
+"""Run documents, the one description of an `epps` run, and the figure presets.
 
-Each recipe names a figure panel and binds the full simulation and
-estimation setup for it, so command line runs and acceptance checks share
-a single parameter source instead of re-encoding values. Recipes carry a
-seed and replication count that callers may override; everything else is
-fixed.
+A run document holds `kind`, `experiment` (an ExperimentConfig table),
+`k_max`, `seed`, `replications`, `threads` and `verdict`, or a preset's
+name as `figure` plus those run keys. read_run reads each table by the
+type hints of the object it builds, so an unknown key or a bad value is
+refused naming it. Every preset is such a document, and `eppsim epps`
+records the resolved document, which replays the run, in its manifest.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 from functools import partial
 from numbers import Integral
 
@@ -15,56 +18,47 @@ from .errors import DomainError, ParameterError
 from .experiments import (
     FIG_DT_GRID,
     MIN_VERDICT_POINTS,
+    PRICE_PARAMS,
     EppsCurve,
     ExperimentConfig,
     Verdict,
     _map_replications,
+    _named,
     _rule_bound,
     aggregate_curve,
     discriminate,
     estimate_matrix,
     k_skip_row,
 )
-from .hawkes import (
-    HawkesPriceParams,
-    HawkesSpec,
-    limiting_correlation,
-    theoretical_hawkes_correlation,
-)
-from .paths import DAY_SECONDS, GbmParams, MertonParams
-from .sampling import mutual_excitation_spec
+from .hawkes import limiting_correlation, theoretical_hawkes_correlation
+from .paths import DAY_SECONDS
 from .estimators import theoretical_poisson_epps
 
 POISSON_MEAN_INTERARRIVAL = 15.0
 KSKIP_TICK_RATE = 1.0  # per second; one dense tick set thinned by k
+K_MAX = 50  # the k_max of a kskip document that sets none
 
 WIDE_DT_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
+RECIPE_KINDS = ("epps", "hy", "multirate", "kskip")
+
+# the reference parameters of each price model, as config tables: Brownian
+# log prices with daily-scaled coefficients, the same plus compound-Poisson
+# jumps on each asset, and the Hawkes price model
+_BROWNIAN = {"mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2, "rho": 0.65,
+             "dt": 1.0, "horizon": DAY_SECONDS}
+REFERENCE_TABLES = {
+    "gbm": _BROWNIAN,
+    "merton": {**_BROWNIAN, "jump_rate": 0.2, "jump_mean": 0.0, "jump_std": 0.001},
+    "hawkes": {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11},
+}
 
 
-def gbm_reference() -> GbmParams:
-    """Correlated Brownian log prices, daily-scaled coefficients."""
-    return GbmParams(
-        mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65,
-        dt=1.0, horizon=DAY_SECONDS,
-    )
+def reference_params(model: str):
+    """The reference parameter object of a price model."""
+    return PRICE_PARAMS[model](**REFERENCE_TABLES[model])
 
 
-def merton_reference() -> MertonParams:
-    """The Brownian setup plus compound-Poisson jumps on each asset."""
-    return MertonParams(
-        mu1=0.01, mu2=0.01, sigma_sq1=0.1, sigma_sq2=0.2, rho=0.65,
-        dt=1.0, horizon=DAY_SECONDS,
-        jump_rate=0.2, jump_mean=0.0, jump_std=0.001,
-    )
-
-
-def hawkes_price_reference() -> HawkesPriceParams:
-    return HawkesPriceParams(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.11)
-
-
-def hawkes_sampling_reference() -> HawkesSpec:
-    """Mutually exciting 2-dim arrival process used as the event clock."""
-    return mutual_excitation_spec(0.015, 0.023, 0.11)
+hawkes_price_reference = partial(reference_params, "hawkes")
 
 
 @dataclass(frozen=True)
@@ -74,12 +68,12 @@ class FigureRecipe:
     and hy and multirate sample each rate by Poisson legs, whatever the sampler."""
 
     name: str
-    kind: str  # "epps" | "hy" | "multirate" | "kskip"
+    kind: str  # one of RECIPE_KINDS
     config: ExperimentConfig
     k_max: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("epps", "hy", "multirate", "kskip"):
+        if self.kind not in RECIPE_KINDS:
             raise ParameterError(f"unknown recipe kind {self.kind!r}")
         if self.kind in ("hy", "multirate") and self.config.sampler != "poisson":
             raise ParameterError(f"sampler must be 'poisson' for a {self.kind} recipe, "
@@ -106,53 +100,171 @@ class FigureResult:
     theory: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
 
 
-# the reference parameters of each price model
-REFERENCE_PARAMS = {
-    "gbm": gbm_reference, "merton": merton_reference, "hawkes": hawkes_price_reference,
-}
+# the experiment tables the presets share: each price model at its reference
+# parameters; the Poisson clock at a 15 s mean inter-arrival; the reference
+# Hawkes clock, two components each exciting only the other
+_GBM, _MERTON, _HAWKES = ({"price_model": model, "price_params": table}
+                          for model, table in REFERENCE_TABLES.items())
+_POISSON = {"sampler": "poisson", "poisson_rate": 1.0 / POISSON_MEAN_INTERARRIVAL}
+_HAWKES_CLOCK = {"sampler": "hawkes", "hawkes_sampler": {"lambda0": [0.015, 0.015],
+                 "alpha": [[0.0, 0.023], [0.023, 0.0]], "beta": [[0.11, 0.11], [0.11, 0.11]]}}
+_KSKIP = {**_POISSON, "poisson_rate": KSKIP_TICK_RATE, "estimators": ["hy"]}
+_WIDE = {"dt_grid": list(WIDE_DT_GRID)}
 
-# name -> (kind, price model, sampler, config fields other than the
-# defaults of ExperimentConfig and of the sampler)
+# name -> the run document of the figure
 _FIGURES = {
-    "2a": ("epps", "gbm", "poisson", {}),
-    "2b": ("epps", "gbm", "hawkes", {}),
-    "3a": ("epps", "merton", "poisson", {}),
-    "3b": ("epps", "merton", "hawkes", {}),
-    "5": ("epps", "hawkes", "synchronous",
-          {"estimators": ("measured",), "dt_grid": WIDE_DT_GRID, "fresh_paths": True}),
-    "6a": ("epps", "hawkes", "poisson", {}),
-    "6b": ("epps", "hawkes", "hawkes", {}),
-    "8a": ("hy", "hawkes", "poisson", {"estimators": ("hy",)}),
-    "8b": ("hy", "gbm", "poisson", {"estimators": ("hy",)}),
-    "9": ("multirate", "hawkes", "poisson",
-          {"estimators": ("measured", "overlap"), "dt_grid": WIDE_DT_GRID}),
-    "10a": ("kskip", "hawkes", "poisson", {"estimators": ("hy",), "poisson_rate": KSKIP_TICK_RATE}),
-    "10b": ("kskip", "gbm", "poisson", {"estimators": ("hy",), "poisson_rate": KSKIP_TICK_RATE}),
+    "2a": {"kind": "epps", "experiment": {**_GBM, **_POISSON}},
+    "2b": {"kind": "epps", "experiment": {**_GBM, **_HAWKES_CLOCK}},
+    "3a": {"kind": "epps", "experiment": {**_MERTON, **_POISSON}},
+    "3b": {"kind": "epps", "experiment": {**_MERTON, **_HAWKES_CLOCK}},
+    "5": {"kind": "epps", "experiment": {**_HAWKES, **_WIDE, "sampler": "synchronous",
+                                         "estimators": ["measured"], "fresh_paths": True}},
+    "6a": {"kind": "epps", "experiment": {**_HAWKES, **_POISSON}},
+    "6b": {"kind": "epps", "experiment": {**_HAWKES, **_HAWKES_CLOCK}},
+    "8a": {"kind": "hy", "experiment": {**_HAWKES, **_POISSON, "estimators": ["hy"]}},
+    "8b": {"kind": "hy", "experiment": {**_GBM, **_POISSON, "estimators": ["hy"]}},
+    "9": {"kind": "multirate", "experiment": {**_HAWKES, **_POISSON, **_WIDE,
+                                              "estimators": ["measured", "overlap"]}},
+    "10a": {"kind": "kskip", "k_max": K_MAX, "experiment": {**_HAWKES, **_KSKIP}},
+    "10b": {"kind": "kskip", "k_max": K_MAX, "experiment": {**_GBM, **_KSKIP}},
 }
 FIGURE_NAMES = tuple(_FIGURES)
 
 
-def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -> FigureRecipe:
-    """Build the full recipe for one figure panel.
+# ---------------------------------------------------------------------------
+# the reader
 
-    seed and n_replications may be overridden (the defaults are 0 and the
-    standard 100; a kskip figure records one replication); unknown names
-    raise ParameterError.
-    """
-    if name not in FIGURE_NAMES:  # compared, not hashed: a config's value may be any JSON type
-        raise ParameterError(f"figure: expected one of {', '.join(FIGURE_NAMES)}, got {name!r}")
-    kind, model, sampler, fields = _FIGURES[name]
-    base = {"seed": seed}
-    if n_replications is not None:
-        base["n_replications"] = n_replications
-    if sampler == "poisson":
-        base["poisson_rate"] = 1.0 / POISSON_MEAN_INTERARRIVAL
-    elif sampler == "hawkes":
-        base["hawkes_sampler"] = hawkes_sampling_reference()
-    cfg = ExperimentConfig(model, REFERENCE_PARAMS[model](), sampler, **{**base, **fields})
-    if kind == "kskip":  # the override is checked above, but k-skip thins one tick pair
-        return FigureRecipe(name, kind, replace(cfg, n_replications=1), k_max=50)
-    return FigureRecipe(name, kind, cfg)
+
+def _number(value, name: str, integer: bool = False):
+    """A finite number or numeric string as a float (an int for an integer
+    field); anything else, a boolean included, is a ParameterError naming it."""
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "an integer" if integer else "a finite number"
+        raise ParameterError(f"{name}: expected {kind}, got {value!r}")
+    if integer:
+        return value if isinstance(value, int) else int(x)
+    return x
+
+
+def _table(value, name: str) -> dict:
+    """A config table, which must be a JSON object; ParameterError names it."""
+    if not isinstance(value, dict):
+        raise ParameterError(f"{name}: expected an object, got {value!r}")
+    return value
+
+
+def _read(hint, value, name: str):
+    """A config value read as its field's type hint says: float and int by
+    _number, bool and str type-checked, a Literal one of its values, dict an
+    object, a dataclass from its table, tuple[T, ...] a list of T, X | None
+    also null; any other type is passed on for its class to check."""
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, name)
+    if hint in (float, int):
+        return _number(value, name, integer=hint is int)
+    if hint in (bool, str):
+        if not isinstance(value, hint):
+            kind = "true or false" if hint is bool else "a string"
+            raise ParameterError(f"{name}: expected {kind}, got {value!r}")
+        return value
+    if typing.get_origin(hint) is typing.Literal:
+        if value not in args:  # compared, not hashed: the value may be any JSON type
+            raise ParameterError(f"{name}: expected one of {', '.join(args)}, got {value!r}")
+        return value
+    if hint is dict:
+        return _table(value, name)
+    if is_dataclass(hint):
+        return _from_table(hint, value, name)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ParameterError(f"{name}: expected a list, got {value!r}")
+        return tuple(_read(args[0], x, name) for x in value)
+    return value
+
+
+def _from_table(cls, table, name: str, **given):
+    """cls (a dataclass or an annotated function) called with the config
+    table called name ("" for a document's top level), each field read by
+    _read but those given, which are set elsewhere. An unknown key, a bad
+    field or a value cls refuses is a ParameterError naming it."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in _table(table, name).items():
+        if key not in hints:
+            raise ParameterError(f"{name or 'config'}: unknown key {key!r}")
+        if key not in given:
+            kwargs[key] = _read(hints[key], value, f"{name}.{key}" if name else key)
+    try:
+        return cls(**kwargs, **given)
+    except TypeError as exc:
+        raise ParameterError(f"{name}: {exc}") from exc
+    except ParameterError as exc:
+        raise type(exc)(f"{name}: {exc}" if name else str(exc)) from exc
+
+
+def _verdict_table(tau_abs: float = 0.05, z: float = 1.0):
+    """(tau_abs, z) of the discrimination rule, as the config's verdict table sets it."""
+    return tau_abs, z
+
+
+def verdict_rule(table: dict) -> tuple[float, float]:
+    """The verdict table's (tau_abs, z), each refused as discriminate refuses it."""
+    return _rule_bound(*_from_table(_verdict_table, table, "verdict"), table="verdict.")
+
+
+def _run(kind: typing.Literal[RECIPE_KINDS] = "epps", experiment: dict | None = None,
+         k_max: int | None = None, seed: int | None = None, replications: int | None = None,
+         threads: int = 1, verdict: dict | None = None, figure: str | None = None):
+    """(recipe, threads, (tau_abs, z)) of the keys of a run document. seed
+    and replications replace the experiment's own; a kskip run thins one
+    tick pair, so it runs one replication whatever it asks."""
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    rule = verdict_rule(verdict or {})
+    if experiment is None:
+        raise ParameterError(
+            "epps: nothing to run; pass --figure NAME or a config with an experiment table"
+        )
+    model = _read(typing.Literal[tuple(PRICE_PARAMS)], experiment.get("price_model"),
+                  "experiment.price_model")
+    params = _from_table(PRICE_PARAMS[model], experiment.get("price_params"),
+                         "experiment.price_params")
+    cfg = _from_table(ExperimentConfig, experiment, "experiment", price_params=params)
+    overrides = {"seed": seed, "n_replications": replications}
+    cfg = replace(cfg, **{key: value for key, value in overrides.items() if value is not None})
+    if kind == "kskip":
+        cfg = replace(cfg, n_replications=1)
+    recipe = _named("experiment", FigureRecipe, figure or kind, kind, cfg,
+                    K_MAX if kind == "kskip" else None)
+    if k_max is not None and kind != "kskip":
+        raise ParameterError(f"k_max only applies to kskip documents, not to kind {kind!r}")
+    return recipe if k_max is None else _named("k_max", replace, recipe, k_max=k_max), threads, rule
+
+
+def read_run(doc: dict, **given) -> tuple[FigureRecipe, int, tuple[float, float]]:
+    """(recipe, threads, (tau_abs, z)) of a run document whose keys given
+    (the flags) replace, unless None. A document with a figure is that
+    preset's document with the run keys it sets, and no other."""
+    doc = {**doc, **{key: value for key, value in given.items() if value is not None}}
+    if doc.get("figure") is not None:
+        figure = _read(typing.Literal[FIGURE_NAMES], doc["figure"], "figure")
+        for key in ("kind", "k_max", "experiment"):
+            if doc.get(key) is not None:
+                raise ParameterError(f"{key}: not with figure {figure}, which sets its own")
+        doc = {**_FIGURES[figure], **doc}
+    return _from_table(_run, doc, "")
+
+
+def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -> FigureRecipe:
+    """The recipe of a figure preset at seed, and at n_replications if given
+    (the preset's own is 100; a kskip figure runs one); an unknown name is
+    a ParameterError."""
+    return read_run({"figure": name, "seed": seed, "replications": n_replications})[0]
 
 
 def _induced_rho(cfg: ExperimentConfig) -> float:

@@ -28,7 +28,7 @@ from eppsim.experiments import ESTIMATOR_NAMES, FIG_DT_GRID, estimate_matrix, k_
 from eppsim.estimators import hayashi_yoshida
 from eppsim.hawkes import hawkes_price_model
 from eppsim.paths import simulate_gbm, simulate_merton
-from eppsim.presets import gbm_reference, hawkes_price_reference, merton_reference
+from eppsim.presets import hawkes_price_reference, reference_params
 from eppsim.index import MAX_GRID_STEPS, MAX_TICKS
 from eppsim.sampling import observe_path, poisson_arrivals
 from eppsim.series import PricePath, TickSeries
@@ -93,8 +93,8 @@ def footprint(n_points: int) -> dict[str, float]:
         )
     horizon = float(n_points)
     for name, fn, *args in (
-        ("simulate_gbm", simulate_gbm, replace(gbm_reference(), horizon=horizon)),
-        ("simulate_merton", simulate_merton, replace(merton_reference(), horizon=horizon)),
+        ("simulate_gbm", simulate_gbm, replace(reference_params("gbm"), horizon=horizon)),
+        ("simulate_merton", simulate_merton, replace(reference_params("merton"), horizon=horizon)),
         ("hawkes_price_model", hawkes_price_model, hawkes_price_reference(), horizon),
     ):
         out[f"{name} per step"] = traced_peak(fn, *args, 5)[1] / n_points

@@ -4,15 +4,15 @@ The file holds the manifest `outputs` block (sha256 and size of every file
 a run writes) of
 
     eppsim epps --figure NAME --seed 3 --replications 3      (every preset)
-    eppsim epps --config adhoc.json                           (every ad-hoc mode)
+    eppsim epps --config adhoc.json                           (every recipe kind)
     eppsim simulate --model MODEL --preset reference --seed 3 (every model)
     eppsim taq COMMAND a.csv b.csv ...                        (stats, epps, kskip)
 
-where adhoc.json is ADHOC_CONFIG with its mode set, and a.csv and b.csv
+where adhoc.json is ADHOC_CONFIG with its kind set, and a.csv and b.csv
 are the seeded trade files of `write_trade_files`. Its `recipes` section
 holds, for each preset run, the sha256 of the manifest `config` block (the
-resolved experiment, kind and k_max), so a recipe field that no output
-reads is locked as well. `test_11`, `test_figure_recipes_match_golden_digests`,
+run document as resolved: kind, k_max, threads, verdict rule and
+experiment), so a recipe field that no output reads is locked as well. `test_11`, `test_figure_recipes_match_golden_digests`,
 `test_epps_adhoc_matches_golden_digests`,
 `test_simulate_reference_matches_golden_digests` and
 `test_taq_matches_golden_digests` compare fresh runs against it.
@@ -44,8 +44,8 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 SEED = "3"
 REPLICATIONS = "3"
 SIMULATE_MODELS = ("gbm", "merton", "hawkes-price")
-# a small gbm/Poisson experiment with a verdict table, run in every mode
-ADHOC_MODES = ("epps", "hy_vs_interarrival", "overlap_multi_rate")
+# a small gbm/Poisson experiment with a verdict table, run as every kind
+ADHOC_KINDS = ("epps", "hy", "multirate", "kskip")
 ADHOC_CONFIG = {
     "experiment": {
         "price_model": "gbm",
@@ -169,13 +169,13 @@ def taq_outputs(cli, tmp: Path) -> dict:
 
 
 def adhoc_outputs(cli, tmp: Path, **top_level) -> dict:
-    """Manifest outputs of `epps --config` in every ad-hoc mode of ADHOC_CONFIG,
+    """Manifest outputs of `epps --config` of ADHOC_CONFIG as every kind,
     with the top-level config keys top_level added (such as threads)."""
     out = {}
-    for mode in ADHOC_MODES:
-        config = tmp / f"adhoc_{mode}.json"
-        config.write_text(json.dumps({**ADHOC_CONFIG, **top_level, "mode": mode}))
-        out[mode] = _outputs(cli, ["epps", "--config", str(config)], tmp / f"adhoc_{mode}")
+    for kind in ADHOC_KINDS:
+        config = tmp / f"adhoc_{kind}.json"
+        config.write_text(json.dumps({**ADHOC_CONFIG, **top_level, "kind": kind}))
+        out[kind] = _outputs(cli, ["epps", "--config", str(config)], tmp / f"adhoc_{kind}")
     return out
 
 

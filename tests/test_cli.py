@@ -18,7 +18,7 @@ from eppsim.experiments import discriminate
 import golden
 from golden import (
     ADHOC_CONFIG,
-    ADHOC_MODES,
+    ADHOC_KINDS,
     GOLDEN_PATH,
     SIMULATE_MODELS,
     adhoc_outputs,
@@ -30,6 +30,9 @@ from golden import (
 )
 
 HEADER = "date,ticker,timestamp,price,volume"
+# the reference Hawkes clock as a config table: HawkesSpec's own fields
+HAWKES_CLOCK = {"lambda0": [0.015, 0.015], "alpha": [[0.0, 0.023], [0.023, 0.0]],
+                "beta": [[0.11, 0.11], [0.11, 0.11]]}
 
 
 def run_cli(*args, cwd=None):
@@ -78,10 +81,10 @@ def small_gbm_config(tmp_path, **experiment):
     return cfg
 
 
-def adhoc_config(tmp_path, mode, **experiment):
-    """small_gbm_config run in the ad-hoc mode called mode."""
+def adhoc_config(tmp_path, kind, **experiment):
+    """small_gbm_config run as a recipe of kind."""
     cfg = small_gbm_config(tmp_path, **experiment)
-    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "mode": mode}))
+    cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "kind": kind}))
     return cfg
 
 
@@ -109,6 +112,18 @@ def test_epps_without_figure_or_config_is_usage_error(tmp_path):
     out = run_cli("epps", "--out", str(tmp_path / "x"))
     assert out.returncode == 2
     assert "nothing to run" in out.stderr
+
+
+@pytest.mark.parametrize("text", [b'{"seed": "\xe9"}', b"[1, 2]", b"{seed"],
+                         ids=["not_utf8", "not_an_object", "not_json"])
+def test_a_config_that_is_no_json_object_is_a_usage_error(tmp_path, capsys, text):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(text)
+    out_dir = tmp_path / "out"
+    for argv in (["epps"], ["simulate", "--model", "gbm", "--preset", "reference"]):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {str(cfg)!r}: ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -206,11 +221,8 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
         ({"estimators": 3}, "experiment.estimators"),
         ({"replication_seeds": [1, 2, 3.5]}, "experiment.replication_seeds"),
         (
-            {
-                "sampler": "hawkes",
-                "hawkes_sampler": {"baseline": 0.1, "amplitude": "x", "decay": 1},
-            },
-            "experiment.hawkes_sampler.amplitude",
+            {"sampler": "hawkes", "hawkes_sampler": {**HAWKES_CLOCK, "alpha": [[0, "x"], ["x", 0]]}},
+            "experiment.hawkes_sampler",
         ),
         ({"sampler": "hawkes", "hawkes_sampler": [0.1]}, "experiment.hawkes_sampler"),
         ({"dt_grid": None}, "experiment.dt_grid"),
@@ -224,10 +236,8 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
                                                     "beta": 1.0, "x0": [0.0, "up"]}},
          "experiment.price_params.x0"),
         (
-            {
-                "sampler": "hawkes",
-                "hawkes_sampler": {"baseline": 0.1, "amplitude": 2, "decay": 1},
-            },
+            {"sampler": "hawkes", "hawkes_sampler": {**HAWKES_CLOCK, "alpha": [[0, 2], [2, 0]],
+                                                     "beta": [[1, 1], [1, 1]]}},
             "experiment: hawkes_sampler",
         ),
         ({"horizon": 72000.0}, "experiment: horizon"),
@@ -548,7 +558,7 @@ def test_epps_adhoc_modes_emit_verdicts(tmp_path):
         mean_interarrivals=[2.0, 4.0, 6.0, 8.0, 10.0],
     )
     doc = json.loads(cfg.read_text())
-    doc["mode"] = "hy_vs_interarrival"
+    doc["kind"] = "hy"
     cfg.write_text(json.dumps(doc))
     out_dir = tmp_path / "run"
     res = run_cli("epps", "--config", str(cfg), "--out", str(out_dir))
@@ -560,6 +570,7 @@ def test_epps_adhoc_modes_emit_verdicts(tmp_path):
 
 @pytest.mark.parametrize("mode", ["nope", [1], {"a": 1}, None])
 def test_epps_unknown_mode_is_a_usage_error_before_any_output(tmp_path, capsys, mode):
+    # `kind` replaced `mode`, which is now an unknown key whatever its value
     cfg = small_gbm_config(tmp_path)
     doc = json.loads(cfg.read_text())
     doc["mode"] = mode
@@ -567,8 +578,17 @@ def test_epps_unknown_mode_is_a_usage_error_before_any_output(tmp_path, capsys, 
     out_dir = tmp_path / "run"
     code = cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)])
     assert code == 2
-    modes = "epps, hy_vs_interarrival, overlap_multi_rate"
-    assert f"error: mode: expected one of {modes}, got {mode!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: config: unknown key 'mode'\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("kind", ["nope", [1], {"a": 1}, "hy_vs_interarrival"])
+def test_epps_unknown_kind_is_a_usage_error_before_any_output(tmp_path, capsys, kind):
+    cfg = adhoc_config(tmp_path, kind)
+    out_dir = tmp_path / "run"
+    assert cli.main(["epps", "--config", str(cfg), "--out", str(out_dir)]) == 2
+    kinds = "epps, hy, multirate, kskip"
+    assert capsys.readouterr().err == f"error: kind: expected one of {kinds}, got {kind!r}\n"
     assert not out_dir.exists()
 
 
@@ -593,7 +613,7 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
                   "--out", str(tmp_path / "x"))
     assert out.returncode == 2
     assert "kmax" in out.stderr
-    # an ad-hoc config runs as a recipe of its mode, none of which is k-skip
+    # an ad-hoc config of kind epps is no k-skip recipe
     cfg = small_gbm_config(tmp_path)
     for flags, flag in (
         (["--kmax", "7"], "--kmax"),
@@ -610,7 +630,7 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (["hy_vs_interarrival"], "experiment: mean_interarrivals"),
+        (["hy"], "experiment: mean_interarrivals"),
         (["--figure", "10a", "--kmax", "3"], "--kmax: k_max"),
         (["--figure", "10a", "--kmax", "0"], "--kmax: k_max"),
         (["--figure", "8b", "--rates", "1,2,3"], "--rates: mean_interarrivals"),
@@ -621,7 +641,7 @@ def test_epps_kmax_flag_only_for_kskip_figures(tmp_path):
 def test_unclassifiable_curves_are_refused_before_any_output(tmp_path, capsys, argv, field):
     # a classified curve needs MIN_VERDICT_POINTS points: refused before --out exists
     out_dir = tmp_path / "out"
-    if argv[0] == "hy_vs_interarrival":
+    if argv[0] == "hy":
         cfg = adhoc_config(tmp_path, argv[0], mean_interarrivals=[2.0, 4.0, 6.0])
         argv = ["epps", "--config", str(cfg)]
     elif argv[0] == "taq":
@@ -670,7 +690,7 @@ def test_rates_set_the_mean_interarrivals_of_a_hy_figure(tmp_path):
 
 
 def test_rates_and_dt_grid_set_the_axes_of_a_multirate_run(tmp_path):
-    cfg = adhoc_config(tmp_path, "overlap_multi_rate", estimators=["measured", "overlap"])
+    cfg = adhoc_config(tmp_path, "multirate", estimators=["measured", "overlap"])
     out_dir = tmp_path / "out"
     argv = ["epps", "--config", str(cfg), "--rates", "2,5", "--dt-grid", "10,20,30"]
     assert cli.main([*argv, "--out", str(out_dir)]) == 0
@@ -709,7 +729,7 @@ def test_figure_recipes_match_golden_digests(tmp_path, monkeypatch):
 
 
 def test_epps_adhoc_matches_golden_digests(tmp_path):
-    """epps --config in every ad-hoc mode, with a verdict table, as tests/golden.py runs it."""
+    """epps --config as every kind, with a verdict table, as tests/golden.py runs it."""
     golden = json.loads(GOLDEN_PATH.read_text())["adhoc"]
     assert adhoc_outputs(cli, tmp_path) == golden
 
@@ -727,8 +747,9 @@ def test_epps_adhoc_modes_on_two_workers_match_golden_digests_through_one_pool_e
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     golden = json.loads(GOLDEN_PATH.read_text())["adhoc"]
     assert adhoc_outputs(cli, tmp_path, threads=2) == golden
-    # overlap_multi_rate maps its (rate, replication) jobs over one pool too
-    assert pools == [2] * len(ADHOC_MODES)
+    # multirate maps its (rate, replication) jobs over one pool too; kskip
+    # runs one replication, so it starts no pool
+    assert pools == [2] * (len(ADHOC_KINDS) - 1)
 
 
 def test_figure_presets_on_two_workers_match_golden_digests(tmp_path):
@@ -742,14 +763,39 @@ def test_figure_presets_on_two_workers_match_golden_digests(tmp_path):
     assert digests == golden
 
 
-@pytest.mark.parametrize("mode", ["hy_vs_interarrival", "overlap_multi_rate"])
-def test_rate_modes_refuse_a_sampler_they_do_not_draw_from(tmp_path, capsys, mode):
-    # both modes sample each rate by Poisson legs, so a hawkes sampler would be
+@pytest.mark.parametrize(
+    "run", [*presets.FIGURE_NAMES, *(f"adhoc_{kind}" for kind in ADHOC_KINDS)]
+)
+def test_every_manifest_replays_to_the_same_outputs(tmp_path, run):
+    """A manifest's config block, fed back with no flag, writes the same bytes."""
+    if run in presets.FIGURE_NAMES:
+        argv = ["--figure", run, "--replications", "2"]
+    else:
+        kind = run.removeprefix("adhoc_")
+        doc = {"kind": kind, "experiment": ADHOC_CONFIG["experiment"], "replications": 2}
+        if kind == "hy":  # a rule other than the default, recorded in verdict.json
+            doc["verdict"] = {"tau_abs": 0.02, "z": 2.0}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = ["--config", str(config)]
+    assert cli.main(["epps", *argv, "--seed", "4", "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(manifest["config"]))
+    assert cli.main(["epps", "--config", str(replay), "--out", str(tmp_path / "replay")]) == 0
+    again = json.loads((tmp_path / "replay" / "manifest.json").read_text())
+    assert again["outputs"] == manifest["outputs"]
+    assert again["config"] == manifest["config"]
+
+
+@pytest.mark.parametrize("kind", ["hy", "multirate"])
+def test_rate_modes_refuse_a_sampler_they_do_not_draw_from(tmp_path, capsys, kind):
+    # both kinds sample each rate by Poisson legs, so a hawkes sampler would be
     # recorded in the manifest of a run that never drew from it
     experiment = {**ADHOC_CONFIG["experiment"], "sampler": "hawkes",
-                  "hawkes_sampler": {"baseline": 0.015, "amplitude": 0.023, "decay": 0.11}}
+                  "hawkes_sampler": HAWKES_CLOCK}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"mode": mode, "experiment": experiment}))
+    config.write_text(json.dumps({"kind": kind, "experiment": experiment}))
     out_dir = tmp_path / "out"
     assert cli.main(["epps", "--config", str(config), "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err.startswith("error: experiment: sampler must be 'poisson'")
@@ -784,7 +830,7 @@ def test_threads_past_the_cpus_start_one_worker_per_cpu(tmp_path, monkeypatch, c
     assert pools == ([] if cpus == 1 else [cpus])
 
 
-@pytest.mark.parametrize("mode", ["hy_vs_interarrival", "figure"])
+@pytest.mark.parametrize("mode", ["hy", "figure"])
 def test_epps_verdict_table_classifies_once(tmp_path, monkeypatch, mode):
     calls = []
 
@@ -799,7 +845,7 @@ def test_epps_verdict_table_classifies_once(tmp_path, monkeypatch, mode):
     if mode == "figure":
         doc = {"figure": "10b", "verdict": {"tau_abs": 0.03, "z": 2.0}}
     else:
-        doc = {**ADHOC_CONFIG, "mode": mode}
+        doc = {**ADHOC_CONFIG, "kind": mode}
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["epps", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
@@ -996,7 +1042,7 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         # Hawkes processes expected to draw more events than simulate_hawkes may
         (["epps"], {"experiment": {
             **ADHOC_CONFIG["experiment"], "sampler": "hawkes",
-            "hawkes_sampler": {"baseline": 1e300, "amplitude": 0.023, "decay": 0.11}}},
+            "hawkes_sampler": {**HAWKES_CLOCK, "lambda0": [1e300, 1e300]}}},
          "error: experiment: hawkes_sampler: Hawkes process over horizon 2000.0 ", EVENT_BOUND),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "price_model": "hawkes",
                                    "price_params": {**HAWKES_PRICE, "mu": 1e6}}},
@@ -1004,6 +1050,26 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         (["simulate", "--model", "hawkes-price"],
          {"simulate": {"params": {**HAWKES_PRICE, "mu": 1e6}}},
          "error: simulate.params: Hawkes process over horizon 72000.0 ", EVENT_BOUND),
+        # every top-level key and table of every command is read by its fields
+        (["simulate", "--model", "gbm", "--preset", "reference"],
+         {"seeed": 9, "simulte": {"horizon": 10}}, "error: config: unknown key ", "'seeed'"),
+        (["simulate", "--model", "gbm", "--preset", "reference"], {"simulate": {"horizn": 10}},
+         "error: simulate: unknown key ", "'horizn'"),
+        (["taq", "stats", "MISSING"], {"tqa": {"kmax": 7}}, "error: config: unknown key ", "'tqa'"),
+        (["epps"], {"mdoe": "hy_vs_interarrival", "verdcit": {"z": -1}},
+         "error: config: unknown key ", "'mdoe'"),
+        # a figure sets its own kind, k_max and experiment
+        (["epps"], {"figure": "2a", "experiment": {**ADHOC_CONFIG["experiment"], "dt_grid": [1, 2]}},
+         "error: experiment: not with figure 2a", "sets its own"),
+        (["epps", "--figure", "8b"], {"kind": "multirate"}, "error: kind: not with figure 8b", "sets its own"),
+        (["epps", "--figure", "10a"], {"k_max": 10}, "error: k_max: not with figure 10a", "sets its own"),
+        (["epps"], {"experiment": ADHOC_CONFIG["experiment"], "k_max": 10},
+         "error: k_max only applies to kskip documents", "'epps'"),
+        (["epps"], {"kind": "kskip", "experiment": ADHOC_CONFIG["experiment"], "k_max": 3},
+         "error: k_max: k_max must be an integer >= 5", "got 3"),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "sampler": "hawkes",
+                                   "hawkes_sampler": {**HAWKES_CLOCK, "lambda0": [True, True]}}},
+         "error: experiment.hawkes_sampler: lambda0 must hold numbers", "[True, True]"),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

@@ -63,6 +63,24 @@ def test_branching_matrix_price_spec():
     assert gamma[0, 0] == 0.0 and gamma[0, 3] == 0.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lambda0", ["x", 1]),  # non-numeric
+        ("alpha", [[0.0, "0.1"], [0.1, 0.0]]),  # a numeric string is no number either
+        ("lambda0", [True, True]),  # boolean, once read as 1.0
+        ("beta", [[1.0, 1.0], [True, 1.0]]),
+        ("alpha", [[0.0, 0.1], [0.1]]),  # ragged
+        ("beta", [[1.0, 1.0], [1.0, [1.0]]]),
+    ],
+)
+def test_spec_refuses_entries_that_are_not_numbers(field, value):
+    fields = {"lambda0": [0.1, 0.1], "alpha": [[0.0, 0.1], [0.1, 0.0]],
+              "beta": [[1.0, 1.0], [1.0, 1.0]], field: value}
+    with pytest.raises(ParameterError, match=f"^{field} must hold numbers in rows of equal length"):
+        HawkesSpec(**fields)
+
+
 def test_stability_zero_matrix():
     spec = HawkesSpec(lambda0=np.array([0.1, 0.1]), alpha=np.zeros((2, 2)), beta=np.ones((2, 2)))
     rep = classify_stability(spec)

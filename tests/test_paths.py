@@ -1,5 +1,7 @@
 """Latent path simulators: degeneracies, moment checks, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,11 +78,15 @@ def test_merton_degenerate_jump_size_equals_no_jump_path():
 
 
 def test_merton_jump_count_within_3_sigma():
-    # lambda*T = 0.2 * 72000 = 14400, sd = 120
-    params = MertonParams(**PAPER_GBM, jump_rate=0.2)
+    # a step holds at least one jump with p = 1 - exp(-0.2), so of 72 000
+    # steps about 13 052 do, sd = sqrt(72000 p (1 - p)) ~ 103; a step with
+    # jumps has a non-zero jump sum (its normal draw is never exactly 0)
+    params = MertonParams(**PAPER_GBM, jump_rate=0.2, jump_std=0.001)
+    p = 1.0 - math.exp(-0.2)
+    mean, sd = 72000 * p, math.sqrt(72000 * p * (1.0 - p))
     for seed in range(5):
-        _, counts = _jump_increments(params, 72000, seed)
-        assert np.all(np.abs(counts - 14400.0) < 3 * 120.0), (seed, counts)
+        steps = np.count_nonzero(_jump_increments(params, 72000, seed), axis=0)
+        assert np.all(np.abs(steps - mean) < 3 * sd), (seed, steps)
 
 
 def test_variance_scales_linearly_in_step_size():
