@@ -398,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eppsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+    def common(p, seeded=True):  # a trade file is read, not drawn: taq takes no seed
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default="eppsim_out", help="output directory")
         p.add_argument("--config", default=None, help="JSON config file")
 
@@ -424,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_epps.set_defaults(fn=cmd_epps)
 
     p_taq = sub.add_parser("taq", help="empirical trade-file pipeline")
-    common(p_taq)
+    common(p_taq, seeded=False)
     p_taq.add_argument("taq_command", choices=("stats", "epps", "kskip"))
     p_taq.add_argument("files", nargs="+", help="trade CSV file(s)")
     p_taq.add_argument("--pair", default=None, help="TICKER_A,TICKER_B")

@@ -1,11 +1,12 @@
 """Searches against sorted arrays: grid counts, tick ranks and tick counts.
 
 Every place that asks how many ticks lie before or at a time asks it here.
-Against a uniform grid the answer comes by arithmetic in linear time
-(_rank, _tick_counts); against a caller's grid (n, step) from 0 with a
-power-of-two step it is exact: floor(x/step) + 1 nodes lie at or before x
-(_lattice_ranks), ceil(t/step) before tick t (_tick_counts given n); for a
-leg on the grid's own points it is a strided read (_strided_counts);
+Against a grid (n, step) from 0 there are two ways, both exact: on a
+power-of-two step arithmetic, floor(x/step) + 1 nodes at or before x
+(_lattice_ranks) and ceil(t/step) before tick t (_tick_counts given n); on
+any other step bisection against the grid. A leg on the grid's own points
+is a strided read (_strided_counts). Against other ascending queries each
+tick is ranked among them by bisection and the ranks counted (_tick_counts);
 against ticks, one bisection and a tie test (_left_right_counts). Each
 kernel equals np.searchsorted bit for bit. The module imports only numpy and
 errors, so hawkes, sampling and estimators can all use it.
@@ -59,52 +60,10 @@ def grid_count(horizon: float, dt: float) -> int:
     return int(math.floor(_step_ratio(horizon, dt) + 1e-9))
 
 
-# The index kernels below visit every tick once, bisection visits every
-# grid point once at log(ticks) cost; past this many ticks per grid point
-# bisection is the cheaper (a dense leg on a coarse grid, for example).
+# The kernels below rank every tick among the grid points or queries;
+# bisecting each query among the ticks instead costs log(ticks) per query,
+# the cheaper past this many ticks per query (a dense leg on a coarse grid).
 MAX_TICKS_PER_POINT = 2
-
-
-def _rank(x: np.ndarray, n: int, node, step: float, right: bool) -> np.ndarray:
-    """np.searchsorted(node(np.arange(n)), x, side="right" if right else "left").
-
-    node(k) is ascending, close to node(0) + step*k, and defined for k = -1
-    (before every x) and k = n (after every x). Each rank is guessed from
-    that arithmetic, then corrected against node itself until no rank
-    moves, so ties and one-ulp neighbours land where bisection puts them.
-    Linear in the size of x.
-    """
-    r = np.subtract(x, node(0))
-    r /= step
-    if right:
-        np.floor(r, out=r)
-        r += 1.0
-    else:
-        np.ceil(r, out=r)
-    r = np.clip(r, 0, n, out=r).astype(np.intp)
-    before = np.less_equal if right else np.less
-    at, ranks, values = None, r, x
-    while True:
-        up = before(node(ranks), values)
-        down = ~before(node(ranks - 1), values)
-        moved = np.flatnonzero(up | down)
-        if moved.size == 0:
-            return r
-        at = moved if at is None else at[moved]
-        r[at] += up[moved].astype(np.intp) - down[moved]
-        ranks, values = r[at], x[at]
-
-
-def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray | None:
-    """np.searchsorted(step * np.arange(n), x, side="right") for x >= 0 if step
-    is a power of two, else None: each node k*step (k < 2**53) is then a double,
-    and x/step is exact or subnormal (below 1, so it floors to 0 either way)."""
-    if math.frexp(step)[0] != 0.5:
-        return None
-    r = np.divide(x, step)
-    np.floor(r, out=r)
-    r += 1.0
-    return np.minimum(r, n, out=r).astype(np.intp)
 
 
 def _lattice(n: int, step: float) -> np.ndarray:
@@ -114,15 +73,28 @@ def _lattice(n: int, step: float) -> np.ndarray:
     return nodes
 
 
-def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
-    """np.searchsorted(times, queries, side="right") for ascending queries about
-    step apart, or for queries an int n, against the grid _lattice(n, step).
+def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray:
+    """np.searchsorted(_lattice(n, step), x, side="right") for x >= 0: on a
+    power-of-two step floor(x/step) + 1, as each node k*step (k < 2**53) is a
+    double and x/step is exact or subnormal (below 1, so it floors to 0 either
+    way); on any other step by bisection against the grid."""
+    if math.frexp(step)[0] != 0.5:
+        return np.searchsorted(_lattice(n, step), x, side="right")
+    r = np.divide(x, step)
+    np.floor(r, out=r)
+    r += 1.0
+    return np.minimum(r, n, out=r).astype(np.intp)
 
-    Each tick is ranked among the queries: exactly on that grid if step is a
-    power of two, as ceil(t/step) nodes lie before a tick t >= 0 (the left-side
-    twin of _lattice_ranks; a positive tick whose quotient underflows to 0 lies
-    past node 0); else by _rank's correction loop, reading -inf and inf for the
-    nodes past either end. np.bincount and a cumulative sum in place count them.
+
+def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
+    """np.searchsorted(times, queries, side="right") for ascending queries, or
+    for queries an int n, against the grid _lattice(n, step).
+
+    A tick lies at or before every query from the first one not below it, so
+    each tick is ranked among the queries: on that grid with a power-of-two
+    step as ceil(t/step) (the left-side twin of _lattice_ranks; a positive
+    tick whose quotient underflows to 0 lies past node 0), else by bisection.
+    np.bincount and a cumulative sum in place count the ranks.
     """
     if isinstance(queries, int):  # None: exact arithmetic needs no query array
         n, queries = queries, None if math.frexp(step)[0] == 0.5 else _lattice(queries, step)
@@ -135,41 +107,34 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
         np.maximum(r, times > 0, out=r)
         ranks = np.minimum(r, n, out=r).astype(np.intp)
     else:
-        def node(k):
-            q = queries.take(k, mode="clip")
-            if np.ndim(k):  # the scalar _rank reads is node(0), a query
-                q[k < 0] = -np.inf
-                q[k >= n] = np.inf
-            return q
-        ranks = _rank(times, n, node, step, right=False)
+        ranks = np.searchsorted(queries, times, side="left")
     counts = np.bincount(ranks, minlength=n + 1)[:-1]
     return np.cumsum(counts, out=counts)
 
 
-def _strided_counts(times: np.ndarray, queries: np.ndarray) -> np.ndarray | None:
-    """np.searchsorted(times, queries, side="right") when every query is a tick.
+def _strided_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None:
+    """_tick_counts(times, n, step) when every grid point is a tick.
 
-    For strictly increasing times and ascending queries that start at
-    times[0] and are s ticks apart (a synchronous leg on a grid whose step
-    is s path steps), query h is tick s*h, so s*h + 1 ticks lie at or
-    before it, and every tick at or before a query past the last one. That
-    is checked bit for bit against the queries, never assumed; None when
-    it does not hold.
+    For strictly increasing times from 0 and a grid whose points are s ticks
+    apart (a synchronous leg on a grid of s path steps), grid point h is
+    tick s*h, so s*h + 1 ticks lie at or before it, and every tick at or
+    before a point past the last one. That is checked bit for bit against
+    the grid points it reads, never assumed; None when it does not hold.
+    Only those points of the grid are built.
     """
-    n = times.size
-    if n < 2 or queries.size < 2 or times[0] != queries[0]:
+    size = times.size
+    if size < 2 or n < 2 or times[0] != 0:
         return None
-    t0, t1, q1 = float(times[0]), float(times[1]), float(queries[1])
-    s = round(min((q1 - t0) / (t1 - t0), n))  # Python floats: inf, not a warning
+    s = round(min(float(step) / float(times[1]), size))  # Python floats: inf, not a warning
     if s < 1:
         return None
-    m = min((n - 1) // s + 1, queries.size)  # the queries that can be ticks
-    if not np.array_equal(times[: s * (m - 1) + 1 : s], queries[:m]):
+    m = min((size - 1) // s + 1, n)  # the grid points that can be ticks
+    if not np.array_equal(times[: s * (m - 1) + 1 : s], _lattice(m, step)):
         return None
-    if m < queries.size and not queries[m] >= times[-1]:
+    if m < n and not m * step >= times[-1]:
         return None
-    counts = np.arange(1, s * (queries.size - 1) + 2, s)  # s*h + 1
-    return np.minimum(counts, n, out=counts)
+    counts = np.arange(1, s * (n - 1) + 2, s)  # s*h + 1
+    return np.minimum(counts, size, out=counts)
 
 
 def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

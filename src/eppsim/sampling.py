@@ -5,14 +5,13 @@ the observation times of each asset; observe_path reads the latent path at
 those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
 series to every k-th observation. Both searches are against a uniform
-grid, so they place ticks with the linear-time kernels of the index
-module rather than by bisection: by exact arithmetic on a power-of-two
-step (observe_path by _lattice_ranks, previous_tick_grid by _tick_counts
-on its stated grid), by _rank's correction loop on any other. A leg from
-time 0, such as a synchronous one, is first tried as a strided read of its
-ticks; only that try and a step that is not a power of two build the
-grid's times. estimate_matrix counts each leg once per base step and reads
-a step that is an exact multiple of it as a strided view of those counts.
+grid (n, step) and use the index module's kernels: exact arithmetic on a
+power-of-two step, bisection against the grid on any other (observe_path
+by _lattice_ranks, previous_tick_grid by _tick_counts). A leg from time
+0, such as a synchronous one, is first tried as a strided read of its
+ticks (_strided_counts). estimate_matrix counts each leg once per base
+step and reads a step that is an exact multiple of it as a strided view
+of those counts.
 """
 
 import math
@@ -23,7 +22,7 @@ import numpy as np
 from . import seeding
 from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _lattice, _lattice_ranks, _rank, _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _lattice_ranks, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -81,7 +80,7 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
     Arrivals past the path's horizon are refused (an ArrivalSet starts at
     0, as every path does). On a path whose step is a power of two (every
     preset path: 1 s) that point is read off floor(t/dt) exactly; any
-    other path is ranked by index._rank's guess-and-correct loop.
+    other path's grid is built and bisected.
     """
     if asset not in (0, 1):
         raise ParameterError(f"asset must be 0 or 1, got {asset}")
@@ -90,12 +89,8 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
         raise OutOfRangeError(
             f"arrivals end at {t[-1]}, past the path horizon {path.horizon}"
         )
-    # the last node of path.times() at or before each t, each node computed
-    # as PricePath.times computes it, without building the whole grid
-    n = path.n_steps + 1
-    idx = _lattice_ranks(t, n, path.dt)
-    if idx is None:
-        idx = _rank(t, n, lambda k: path.dt * k, path.dt, right=True)
+    # the last node of path.times() at or before each t
+    idx = _lattice_ranks(t, path.n_steps + 1, path.dt)
     idx -= 1
     return TickSeries(
         times=t, values=path.values[:, asset].take(idx), horizon=arrivals.horizon
@@ -119,7 +114,7 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
     n, t = grid_count(horizon, dt) + 1, ticks.times
-    counts = _strided_counts(t, _lattice(n, dt)) if t[0] == 0 else None  # a leg from node 0
+    counts = _strided_counts(t, n, dt)
     return _tick_counts(t, n, dt) if counts is None else counts
 
 

@@ -280,10 +280,10 @@ class _TradeTable:
                 np.minimum.at(origin, d, t)
             for d, t in zip(dates, ts):
                 t -= origin[d]
-        ticker_names, ticker_rank = _sorted_codes(self.tickers)
-        date_names, date_rank = _sorted_codes(self.dates)
+        ticker_names, ticker_code = _sorted_codes(self.tickers)
+        date_names, date_code = _sorted_codes(self.dates)
         n_dates = max(len(date_names), 1)
-        group = [ticker_rank[t] * n_dates + date_rank[d] for t, d in zip(tickers, dates)]
+        group = [ticker_code[t] * n_dates + date_code[d] for t, d in zip(tickers, dates)]
         tickers.clear()
         dates.clear()
         records = {}

@@ -10,7 +10,7 @@ Poisson legs of mean inter-arrival 15 s (the presets' rate) and 1 s (the
 k-skip tick rate); hayashi_yoshida and k_skip_row by the
 ticks of one leg, at 1 s; observe_path by its arrivals, one per path step
 on average, on a path of step 1 (ranked by exact arithmetic) and of step
-0.1 (ranked by index._rank); each simulator (simulate_gbm, simulate_merton,
+0.1 (ranked by bisection against the path's grid); each simulator (simulate_gbm, simulate_merton,
 hawkes_price_model at the reference parameters) by the steps of its path.
 index.MAX_GRID_STEPS and index.MAX_TICKS are sized from these numbers. Print them at 10**6 points, with the memory a
 grid and a pair of legs need at those bounds, by

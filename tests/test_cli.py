@@ -1004,6 +1004,19 @@ def test_taq_flags_the_command_does_not_read_are_refused(tmp_path, capsys, comma
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "epps", "kskip"])
+def test_taq_refuses_a_seed(tmp_path, capsys, command):
+    # a trade file is read, not drawn, so no seed reaches a taq run: the flag
+    # is refused before the (missing) trade file is read or --out is made
+    out_dir = tmp_path / "out"
+    argv = ["taq", command, "MISSING", "--pair", "AAA,BBB", "--seed", "5", "--out", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 GRID_BOUND = "needs more than 100000000 grid steps"
 EVENT_BOUND = "events, more than 5000000"
 HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}

@@ -264,8 +264,8 @@ kernel_cases = dict(
 @settings(max_examples=300, deadline=None)
 def test_tick_counts_equal_bisection(dt, n_grid, n_ticks, seed, always_linear):
     # grids both denser and sparser than the ticks, ticks on grid points, at
-    # one ulp of them and past the last one; always_linear keeps sparse grids
-    # off the bisection fallback so that the kernel itself is checked there
+    # one ulp of them and past the last one; always_linear ranks dense legs
+    # among the queries too, so that path is checked there as well
     rng = np.random.default_rng(seed)
     horizon = dt * n_grid
     nodes = dt * np.arange(n_grid + 1)
@@ -314,7 +314,7 @@ def test_synchronous_grid_counts_equal_bisection(step, n_steps, multiple, span):
     want = np.searchsorted(ticks.times, queries, side="right")
     np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, dt, horizon), want)
     np.testing.assert_array_equal(index._tick_counts(ticks.times, queries, dt), want)
-    strided = index._strided_counts(ticks.times, queries)
+    strided = index._strided_counts(ticks.times, queries.size, dt)
     if strided is not None:
         np.testing.assert_array_equal(strided, want)
     lattice = step != 0.1 and n_steps >= 1
@@ -337,7 +337,7 @@ def test_synchronous_grid_at_a_step_of_a_tenth(dt, strided):
     ticks = synchronous_ticks(path, 0)
     queries = dt * np.arange(grid_count(300.0, dt) + 1)
     want = np.searchsorted(ticks.times, queries, side="right")
-    got = index._strided_counts(ticks.times, queries)
+    got = index._strided_counts(ticks.times, queries.size, dt)
     assert (got is not None) == strided
     if strided:
         np.testing.assert_array_equal(got, want)
@@ -353,7 +353,7 @@ def test_strided_counts_check_every_tick_they_read(at, nudge):
     times[at] = np.nextafter(times[at], nudge)
     queries = 2.0 * np.arange(grid_count(103.0, 2.0) + 1)
     want = np.searchsorted(times, queries, side="right")
-    got = index._strided_counts(times, queries)
+    got = index._strided_counts(times, queries.size, 2.0)
     assert (got is None) == (at % 2 == 0)
     if got is not None:
         np.testing.assert_array_equal(got, want)
@@ -384,11 +384,12 @@ def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed, order):
     np.testing.assert_array_equal(observe_path(path, arrivals, 1).values, -want.astype(float))
 
 
-@pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2**-1074, 2.0**60])
+@pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2**-1074, 2.0**60, 0.1, 1.5, 3.0])
 def test_lattice_ranks_equal_bisection(step):
     # zeros of either sign, the least subnormal, a node and its one-ulp
     # neighbours, the last node and past it; at 2**60 the subnormal's
-    # quotient underflows to 0, which is still its rank
+    # quotient underflows to 0, which is still its rank. A step that is not
+    # a power of two is bisected against the grid
     n = 7
     nodes = step * np.arange(n)
     x = np.array([0.0, -0.0, 5e-324, np.nextafter(nodes[3], -np.inf), nodes[3],
@@ -399,17 +400,12 @@ def test_lattice_ranks_equal_bisection(step):
     np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side="right"))
 
 
-@pytest.mark.parametrize("step", [0.1, 1.5, 3.0, 0.0, -2.0, math.inf, math.nan])
-def test_lattice_ranks_refuse_a_step_that_is_not_a_power_of_two(step):
-    assert index._lattice_ranks(np.array([0.5, 1.0]), 3, step) is None
-
-
 @pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20, 0.1, 1.5, 3.0])
 def test_lattice_counts_equal_bisection(step):
     # ticks on grid points, one ulp either side of them, between them and
     # past the last; a first tick of 5e-324, whose quotient rounds to 0 at
     # steps 2 and 2**20 yet which lies past node 0. Sparse legs are ranked
-    # (exactly on a power-of-two step, by the correction loop on any other),
+    # (exactly on a power-of-two step, by bisection on any other),
     # a leg with at least MAX_TICKS_PER_POINT ticks per node is bisected
     n = 9
     nodes = index._lattice(n, step)
@@ -442,66 +438,61 @@ def test_lattice_counts_equal_bisection_on_random_legs(step, n, n_ticks, seed):
     np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
 
 
-def test_preset_grids_are_counted_without_the_correction_loop(monkeypatch):
-    # every preset's base step is 1 s, so no preset previous-tick grid and
-    # no Hawkes price path reaches _rank: Poisson legs (2a) and
-    # Hawkes-clocked legs of a Hawkes path (6b) are counted by exact
-    # arithmetic on their stated grid, synchronous legs (5) read by
-    # _strided_counts; only those legs, which start at time 0, build a grid
-    from eppsim.presets import figure_recipe, run_figure
-
-    def never(*args):
-        raise AssertionError("a preset grid reached the correction loop")
-
-    lattice, built = index._lattice, []
+@pytest.fixture
+def lattice_builds(monkeypatch):
+    """(n, built by _strided_counts) for every grid index._lattice builds."""
+    lattice, strided, built, inside = index._lattice, sampling._strided_counts, [], []
 
     def counted_lattice(n, step):
-        built.append(n)
+        built.append((n, bool(inside)))
         return lattice(n, step)
 
-    monkeypatch.setattr(index, "_rank", never)
-    monkeypatch.setattr(sampling, "_lattice", counted_lattice)
-    for name in ("2a", "6b"):
-        run_figure(figure_recipe(name, seed=0, n_replications=2))
-    assert built == []
-    run_figure(figure_recipe("5", seed=0, n_replications=2))
-    assert built
+    def counted_strided(*args):
+        inside.append(True)
+        try:
+            return strided(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(index, "_lattice", counted_lattice)
+    monkeypatch.setattr(sampling, "_strided_counts", counted_strided)
+    return built
 
 
-def test_observe_path_ranks_preset_paths_without_the_correction_loop(monkeypatch):
-    # every preset path has a 1 s step, so no preset replication reaches
-    # _rank; a path at a step of 0.1 or 3 still does
+def test_preset_grids_are_counted_without_the_correction_loop(lattice_builds):
+    # every preset's base step is 1 s, a power of two, so no preset grid is
+    # built to be searched: Poisson legs (2a) and Hawkes-clocked legs of a
+    # Hawkes path (6b) are counted by exact arithmetic on their stated grid,
+    # synchronous legs (5) read by _strided_counts, which builds only the
+    # grid points it compares
     from eppsim.presets import figure_recipe, run_figure
 
-    rank_calls, lattice_hits = [], []
-    rank, lattice_ranks = sampling._rank, sampling._lattice_ranks
+    for name in ("2a", "6b"):
+        run_figure(figure_recipe(name, seed=0, n_replications=2))
+        assert lattice_builds == [], name
+    run_figure(figure_recipe("5", seed=0, n_replications=2))
+    assert lattice_builds and all(strided for _, strided in lattice_builds)
 
-    def counted_rank(*args, **kwargs):
-        rank_calls.append(args[1])
-        return rank(*args, **kwargs)
 
-    def counted_lattice_ranks(*args):
-        got = lattice_ranks(*args)
-        lattice_hits.append(got is not None)
-        return got
+def test_observe_path_ranks_preset_paths_without_the_correction_loop(lattice_builds):
+    # every preset path has a 1 s step, so no preset replication builds a
+    # grid to rank its arrivals; a path at a step of 0.1 or 3 builds its own
+    from eppsim.presets import figure_recipe, run_figure
 
-    monkeypatch.setattr(sampling, "_rank", counted_rank)
-    monkeypatch.setattr(sampling, "_lattice_ranks", counted_lattice_ranks)
     for name, n in (("8b", 2), ("10a", None)):
-        lattice_hits.clear()
         run_figure(figure_recipe(name, seed=0, n_replications=n))
-        assert rank_calls == [] and lattice_hits and all(lattice_hits), name
+        assert lattice_builds == [], name
     arrivals = ArrivalSet(times=np.array([0.35, 1.0, 1.95]), horizon=2.0)
-    for dt, rows in ((0.1, 31), (3.0, 2)):
-        path = PricePath(dt=dt, values=np.zeros((rows, 2)))
-        rank_calls.clear()
-        observe_path(path, arrivals, 0)
-        assert rank_calls == [rows], dt
+    for dt, rows in ((0.1, 31), (3.0, 2), (0.5, 5)):
+        lattice_builds.clear()
+        observe_path(PricePath(dt=dt, values=np.zeros((rows, 2))), arrivals, 0)
+        assert lattice_builds == ([] if dt == 0.5 else [(rows, False)]), dt
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_price_path_refuses_a_non_finite_dt(bad):
-    # observe_path's rank-correction loop never ended on dt = inf
+    # node 0 of a grid at dt = inf is 0 * inf = nan, so no search against
+    # it means anything
     with pytest.raises(ParameterError, match=r"^dt must be"):
         PricePath(dt=bad, values=np.zeros((3, 2)))
 
