@@ -174,17 +174,13 @@ def cmd_simulate(args) -> int:
                 "simulate: no parameters; pass --preset reference or a config with simulate.params"
             )
         params = _from_table(PRICE_PARAMS[name], pdoc, "simulate.params")
-    try:
-        if model == "hawkes-price":
-            horizon = DAY_SECONDS if horizon is None else horizon
-            _n_steps(horizon, PRICE_GRID_DT)  # the path must span the horizon
-        elif horizon is not None:
-            # the diffusion models carry their horizon in their parameters
-            params = dataclasses.replace(params, horizon=horizon)
-    except ParameterError as exc:
-        raise type(exc)(f"simulate.horizon: {exc}") from exc
     if model == "hawkes-price":
+        horizon = DAY_SECONDS if horizon is None else horizon
+        _named("simulate.horizon", _n_steps, horizon, PRICE_GRID_DT)  # the path spans it
         _named("simulate.params", expected_events, price_spec(params), horizon)
+    elif horizon is not None:
+        # the diffusion models carry their horizon in their parameters
+        params = _named("simulate.horizon", dataclasses.replace, params, horizon=horizon)
 
     run = Run(
         "simulate",

@@ -24,12 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from . import seeding
-from .errors import (
-    EstimationError,
-    InsufficientDataError,
-    ParameterError,
-    StabilityError,
-)
+from .errors import EstimationError, InsufficientDataError, ParameterError
 from .estimators import (
     _grid_overlap,
     _hy_estimate,
@@ -44,7 +39,7 @@ from .hawkes import (
     PRICE_GRID_DT,
     HawkesPriceParams,
     HawkesSpec,
-    classify_stability,
+    _require_stationary,
     expected_events,
     hawkes_price_model,
     price_spec,
@@ -85,11 +80,11 @@ def check_axis(values, name: str) -> tuple:
 
 
 def _named(name: str, check, *args, **kwargs):
-    """check(*args, **kwargs), its ParameterError prefixed with the name of the field checked."""
+    """check(*args, **kwargs), its ParameterError, of its own class, prefixed with the field."""
     try:
         return check(*args, **kwargs)
     except ParameterError as exc:
-        raise ParameterError(f"{name}: {exc}") from exc
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def _check_dt_axis(values, horizon: float, name: str) -> tuple:
@@ -283,12 +278,7 @@ class ExperimentConfig:
         if self.sampler == "hawkes":
             if (dim := self.hawkes_sampler.dim) != 2:
                 raise ParameterError(f"hawkes_sampler must be 2-dimensional, got {dim}")
-            report = classify_stability(self.hawkes_sampler)
-            if report.classification != "stationary":
-                raise StabilityError(
-                    f"hawkes_sampler: kernel is {report.classification} (spectral radius "
-                    f"{report.spectral_radius:.6f}); the sampler needs a stationary kernel"
-                )
+            _named("hawkes_sampler", _require_stationary, self.hawkes_sampler, "the sampler")
         if self.sampler == "synchronous" and set(self.estimators) != {"measured"}:
             raise ParameterError(
                 "synchronous sampling produces no arrival sets; only the "

@@ -31,7 +31,7 @@ from .series import ArrivalSet, PricePath
 STABILITY_TOL = 1e-9
 # most events simulate_hawkes draws in one run before it raises NumericError
 MAX_EVENTS = 5_000_000
-# the step in seconds of hawkes_price_model's grid, a power of two (index._tick_counts)
+# the step in seconds of hawkes_price_model's grid, a power of two (index._lattice_ranks)
 PRICE_GRID_DT = 1.0
 
 
@@ -120,6 +120,17 @@ def classify_stability(spec: HawkesSpec) -> StabilityReport:
     return StabilityReport(classification=kind, spectral_radius=radius)
 
 
+def _require_stationary(spec: HawkesSpec, needs: str) -> StabilityReport:
+    """classify_stability(spec), or StabilityError saying what needs it stationary."""
+    report = classify_stability(spec)
+    if report.classification != "stationary":
+        raise StabilityError(
+            f"kernel is {report.classification} (spectral radius "
+            f"{report.spectral_radius:.6f}); {needs} needs a stationary kernel"
+        )
+    return report
+
+
 def expected_events(spec: HawkesSpec, horizon: float) -> float:
     """horizon * sum((I - Gamma)^-1 lambda0), the stationary expected event
     count over horizon (a process started empty expects fewer), for a
@@ -186,12 +197,7 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
     """
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be finite and non-negative, got {horizon}")
-    report = classify_stability(spec)
-    if report.classification != "stationary":
-        raise StabilityError(
-            f"kernel is {report.classification} (spectral radius "
-            f"{report.spectral_radius:.6f}); the simulation needs a stationary kernel"
-        )
+    report = _require_stationary(spec, "the simulation")
     rng = seeding.stream(seed, seeding.HAWKES)
     m_dim = spec.dim
     # offspring means, transposed: gamma_t[n, m] children in m per event of n
@@ -270,12 +276,7 @@ class HawkesPriceParams:
             raise ParameterError(f"beta must be positive, got {self.beta}")
         if len(self.x0) != 2 or not np.all(np.isfinite(self.x0)):
             raise ParameterError(f"x0 must be two finite log-prices, got {self.x0}")
-        report = classify_stability(price_spec(self))
-        if report.classification != "stationary":
-            raise StabilityError(
-                f"kernel is {report.classification} (spectral radius "
-                f"{report.spectral_radius:.6f}); the price model needs a stationary kernel"
-            )
+        _require_stationary(price_spec(self), "the price model")
 
     @property
     def gamma_r(self) -> float:
@@ -331,43 +332,6 @@ def hawkes_price_model(
 # analytic second-order structure of the price model
 
 
-@dataclass(frozen=True)
-class CovarianceCoefficients:
-    """Auxiliary constants of the closed-form covariance of the price model.
-
-    rate : stationary event rate of each of the four components
-    scale : common prefactor of all non-Poisson terms
-    w_sum, w_diff : weights of the sum / difference relaxation channels
-    decay_sum, decay_diff : relaxation rates of the two channels
-    """
-
-    rate: float
-    scale: float
-    w_sum: float
-    w_diff: float
-    decay_sum: float
-    decay_diff: float
-
-
-def covariance_coefficients(params: HawkesPriceParams) -> CovarianceCoefficients:
-    g_r, g_c = params.gamma_r, params.gamma_c
-    mu, beta = params.mu, params.beta
-    den_rate = 1.0 - g_r - g_c
-    den_diff = 1.0 + g_r - g_c
-    den_prod = ((g_r + 1.0) ** 2 - g_c**2) * den_rate  # = (1+g_r+g_c) den_diff den_rate
-    for name, den in (("1-g_r-g_c", den_rate), ("1+g_r-g_c", den_diff), ("product", den_prod)):
-        if abs(den) < 1e-12:
-            raise DomainError(f"covariance coefficients degenerate: {name} ~ 0")
-    return CovarianceCoefficients(
-        rate=mu / den_rate,
-        scale=beta * mu / (g_r + g_c - 1.0),
-        w_sum=(2.0 + g_r + g_c) * (g_r + g_c) / (1.0 + g_r + g_c),
-        w_diff=(2.0 + g_r - g_c) * (g_r - g_c) / den_diff,
-        decay_sum=beta * (1.0 + g_r + g_c),
-        decay_diff=beta * (1.0 + g_r - g_c),
-    )
-
-
 def theoretical_hawkes_covariance(params: HawkesPriceParams, dt: float) -> tuple[float, float]:
     """Closed-form (own, cross) covariance of log-price changes over dt.
 
@@ -395,17 +359,25 @@ def theoretical_hawkes_covariance(params: HawkesPriceParams, dt: float) -> tuple
     """
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
-    c = covariance_coefficients(params)
-    g1, g2 = c.decay_sum, c.decay_diff
+    g_r, g_c = params.gamma_r, params.gamma_c
+    mu, beta = params.mu, params.beta
+    den_rate = 1.0 - g_r - g_c
+    den_diff = 1.0 + g_r - g_c
+    den_prod = ((g_r + 1.0) ** 2 - g_c**2) * den_rate  # = (1+g_r+g_c) den_diff den_rate
+    for name, den in (("1-g_r-g_c", den_rate), ("1+g_r-g_c", den_diff), ("product", den_prod)):
+        if abs(den) < 1e-12:
+            raise DomainError(f"covariance coefficients degenerate: {name} ~ 0")
+    # the relaxation rates of the sum and difference channels
+    g1, g2 = beta * (1.0 + g_r + g_c), beta * (1.0 + g_r - g_c)
     em1 = math.expm1(-g1 * dt)
     em2 = math.expm1(-g2 * dt)
-    rate_a = 2.0 * c.rate
-    scale_a = 2.0 * c.scale
+    rate_a = 2.0 * (mu / den_rate)  # twice the stationary rate of each component
+    scale_a = 2.0 * (beta * mu / (g_r + g_c - 1.0))
     # u(g) = 1 - (1 - e^{-g dt})/(g dt) = 1 + expm1(-g dt)/(g dt)
     u1 = 1.0 + em1 / (g1 * dt)
     u2 = 1.0 + em2 / (g2 * dt)
-    w1 = scale_a * c.w_sum / (2.0 * g1)
-    w2 = scale_a * c.w_diff / (2.0 * g2)
+    w1 = scale_a * ((2.0 + g_r + g_c) * (g_r + g_c) / (1.0 + g_r + g_c)) / (2.0 * g1)
+    w2 = scale_a * ((2.0 + g_r - g_c) * (g_r - g_c) / den_diff) / (2.0 * g2)
     c11 = rate_a + u1 * w1 + u2 * w2
     c12 = -u1 * w1 + u2 * w2
     return c11 * dt, c12 * dt

@@ -1,15 +1,15 @@
 """Searches against sorted arrays: grid counts, tick ranks and tick counts.
 
 Every place that asks how many ticks lie before or at a time asks it here.
-Against a grid (n, step) from 0 there are two ways, both exact: on a
-power-of-two step arithmetic, floor(x/step) + 1 nodes at or before x
-(_lattice_ranks) and ceil(t/step) before tick t (_tick_counts given n); on
-any other step bisection against the grid. A leg on the grid's own points
-is a strided read (_strided_counts). Against other ascending queries each
-tick is ranked among them by bisection and the ranks counted (_tick_counts);
-against ticks, one bisection and a tie test (_left_right_counts). Each
-kernel equals np.searchsorted bit for bit. The module imports only numpy and
-errors, so hawkes, sampling and estimators can all use it.
+_lattice_ranks ranks values against a grid (n, step) from 0 on either side,
+exactly: on a power-of-two step by arithmetic (floor(x/step) + 1 nodes at or
+before x, ceil(x/step) before it), on any other step by bisection against
+the grid. _tick_counts counts ticks from their left ranks among the grid
+points, or among other ascending queries by bisection. A leg on the grid's
+own points is a strided read (_strided_counts). Against ticks, one bisection
+and a tie test (_left_right_counts). Each kernel equals np.searchsorted bit
+for bit. The module imports only numpy and errors, so hawkes, sampling and
+estimators can all use it.
 """
 
 import math
@@ -73,16 +73,21 @@ def _lattice(n: int, step: float) -> np.ndarray:
     return nodes
 
 
-def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray:
-    """np.searchsorted(_lattice(n, step), x, side="right") for x >= 0: on a
-    power-of-two step floor(x/step) + 1, as each node k*step (k < 2**53) is a
-    double and x/step is exact or subnormal (below 1, so it floors to 0 either
-    way); on any other step by bisection against the grid."""
+def _lattice_ranks(x: np.ndarray, n: int, step: float, side: str = "right") -> np.ndarray:
+    """np.searchsorted(_lattice(n, step), x, side) for x >= 0. On a power-of-two
+    step each node k*step (k < 2**53) is a double and x/step is exact or
+    subnormal (below 1), so the rank is floor(x/step) + 1 on the right and
+    ceil(x/step) on the left, where a positive x whose quotient underflows to
+    0 still lies past node 0; on any other step bisection against the grid."""
     if math.frexp(step)[0] != 0.5:
-        return np.searchsorted(_lattice(n, step), x, side="right")
+        return np.searchsorted(_lattice(n, step), x, side=side)
     r = np.divide(x, step)
-    np.floor(r, out=r)
-    r += 1.0
+    if side == "right":
+        np.floor(r, out=r)
+        r += 1.0
+    else:
+        np.ceil(r, out=r)
+        np.maximum(r, x > 0, out=r)
     return np.minimum(r, n, out=r).astype(np.intp)
 
 
@@ -91,21 +96,16 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
     for queries an int n, against the grid _lattice(n, step).
 
     A tick lies at or before every query from the first one not below it, so
-    each tick is ranked among the queries: on that grid with a power-of-two
-    step as ceil(t/step) (the left-side twin of _lattice_ranks; a positive
-    tick whose quotient underflows to 0 lies past node 0), else by bisection.
-    np.bincount and a cumulative sum in place count the ranks.
+    each tick is ranked among the queries, side "left": against the grid by
+    _lattice_ranks, else by bisection. np.bincount and a cumulative sum in
+    place count the ranks.
     """
-    if isinstance(queries, int):  # None: exact arithmetic needs no query array
-        n, queries = queries, None if math.frexp(step)[0] == 0.5 else _lattice(queries, step)
-    else:
-        n = queries.size
+    grid = isinstance(queries, int)
+    n = queries if grid else queries.size
     if times.size >= MAX_TICKS_PER_POINT * n:
-        return np.searchsorted(times, _lattice(n, step) if queries is None else queries, side="right")
-    if queries is None:
-        r = np.ceil(np.divide(times, step))
-        np.maximum(r, times > 0, out=r)
-        ranks = np.minimum(r, n, out=r).astype(np.intp)
+        return np.searchsorted(times, _lattice(n, step) if grid else queries, side="right")
+    if grid:
+        ranks = _lattice_ranks(times, n, step, side="left")
     else:
         ranks = np.searchsorted(queries, times, side="left")
     counts = np.bincount(ranks, minlength=n + 1)[:-1]

@@ -4,14 +4,14 @@ Arrival processes (homogeneous Poisson or mutually exciting Hawkes) pick
 the observation times of each asset; observe_path reads the latent path at
 those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
-series to every k-th observation. Both searches are against a uniform
-grid (n, step) and use the index module's kernels: exact arithmetic on a
-power-of-two step, bisection against the grid on any other (observe_path
-by _lattice_ranks, previous_tick_grid by _tick_counts). A leg from time
-0, such as a synchronous one, is first tried as a strided read of its
-ticks (_strided_counts). estimate_matrix counts each leg once per base
-step and reads a step that is an exact multiple of it as a strided view
-of those counts.
+series to every k-th observation. Both searches rank against a uniform
+grid (n, step) by index._lattice_ranks, exact arithmetic on a power-of-two
+step and bisection against the grid on any other: observe_path on the
+right side, previous_tick_grid on the left through _tick_counts. A leg
+from time 0, such as a synchronous one, is first tried as a strided read
+of its ticks (_strided_counts). estimate_matrix counts each leg once per
+base step and reads a step that is an exact multiple of it as a strided
+view of those counts.
 """
 
 import math

@@ -345,7 +345,8 @@ def test_unstable_price_kernel_is_a_usage_error(tmp_path, capsys, command):
     code = cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"error: {table}: kernel is non_stationary (spectral radius 1.100000)" in err
+    assert err == (f"error: {table}: kernel is non_stationary (spectral radius 1.100000); "
+                   "the price model needs a stationary kernel\n")
     assert "allow_unstable" not in err
 
 

@@ -16,7 +16,6 @@ from eppsim.hawkes import (
     HawkesSpec,
     branching_matrix,
     classify_stability,
-    covariance_coefficients,
     expected_events,
     hawkes_price_model,
     intensity_at,
@@ -203,7 +202,9 @@ def test_simulate_zero_horizon_empty():
 
 def test_simulate_rejects_unstable_without_override():
     hot = two_dim_spec(0.2, 0.11)
-    with pytest.raises(StabilityError):
+    message = (r"^kernel is non_stationary \(spectral radius 1\.818182\); "
+               r"the simulation needs a stationary kernel$")
+    with pytest.raises(StabilityError, match=message):
         simulate_hawkes(hot, 100.0, seed=0)
 
 
@@ -443,9 +444,9 @@ def test_correlation_monotone_and_bounded_by_limit():
 def test_covariance_small_dt_poisson_floor():
     # per unit time the own variance tends to the total event rate of the
     # asset (up plus down ticks) and the cross covariance to zero
-    coeffs = covariance_coefficients(PRICE)
+    rate = PRICE.mu / (1.0 - PRICE.gamma_r - PRICE.gamma_c)  # of each component
     c11, c12 = theoretical_hawkes_covariance(PRICE, 1e-8)
-    assert c11 / 1e-8 == pytest.approx(2.0 * coeffs.rate, rel=1e-6)
+    assert c11 / 1e-8 == pytest.approx(2.0 * rate, rel=1e-6)
     assert abs(c12 / 1e-8) < 1e-6
 
 
@@ -493,7 +494,8 @@ def test_spec_validation_errors():
     [(0.5, 0.6, "non_stationary", "1.100000"), (0.4, 0.6, "quasi_stationary", "1.000000")],
 )
 def test_price_params_refuse_a_kernel_that_is_not_stationary(alpha_r, alpha_c, kind, radius):
-    message = rf"^kernel is {kind} \(spectral radius {radius}\)"
+    message = (rf"^kernel is {kind} \(spectral radius {radius}\); "
+               r"the price model needs a stationary kernel$")
     with pytest.raises(StabilityError, match=message):
         HawkesPriceParams(mu=0.01, alpha_r=alpha_r, alpha_c=alpha_c, beta=1.0)
 

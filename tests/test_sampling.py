@@ -387,17 +387,21 @@ def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed, order):
 @pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2**-1074, 2.0**60, 0.1, 1.5, 3.0])
 def test_lattice_ranks_equal_bisection(step):
     # zeros of either sign, the least subnormal, a node and its one-ulp
-    # neighbours, the last node and past it; at 2**60 the subnormal's
-    # quotient underflows to 0, which is still its rank. A step that is not
-    # a power of two is bisected against the grid
+    # neighbours, the last node and past it, on both sides; at 2**60 the
+    # subnormal's quotient underflows to 0, its rank on the right, yet it
+    # lies past node 0 on the left. A step that is not a power of two is
+    # bisected against the grid
     n = 7
     nodes = step * np.arange(n)
     x = np.array([0.0, -0.0, 5e-324, np.nextafter(nodes[3], -np.inf), nodes[3],
                   np.nextafter(nodes[3], np.inf), nodes[-1], np.nextafter(nodes[-1], np.inf),
                   nodes[-1] + 5 * step])
-    got = index._lattice_ranks(x, n, step)
-    assert got.dtype == np.intp
-    np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side="right"))
+    for side in ("right", "left"):
+        got = index._lattice_ranks(x, n, step, side=side)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side=side))
+    np.testing.assert_array_equal(index._lattice_ranks(x, n, step),
+                                  index._lattice_ranks(x, n, step, side="right"))
 
 
 @pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20, 0.1, 1.5, 3.0])
