@@ -242,12 +242,9 @@ def cmd_epps(args) -> int:
         if flag != "--kmax":
             value = _read(tuple[float, ...], value.split(","), flag)
         change = {fields[recipe.kind]: value}
-        try:
-            if flag != "--kmax":
-                change = {"config": dataclasses.replace(recipe.config, **change)}
-            recipe = dataclasses.replace(recipe, **change)
-        except ParameterError as exc:
-            raise ParameterError(f"{flag}: {exc}") from exc
+        if flag != "--kmax":
+            change = {"config": _named(flag, dataclasses.replace, recipe.config, **change)}
+        recipe = _named(flag, dataclasses.replace, recipe, **change)
     cfg = recipe.config
     # the document as resolved: fed back as --config, it replays this run
     resolved = {"kind": recipe.kind, "k_max": recipe.k_max, "threads": threads,

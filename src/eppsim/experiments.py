@@ -324,11 +324,8 @@ class ExperimentConfig:
         if self.replication_seeds is not None:
             if len(self.replication_seeds) != self.n_replications:
                 raise ParameterError("replication_seeds must have one seed per replication")
-            try:
-                for seed in self.replication_seeds:
-                    seeding.check_seed(seed)
-            except ParameterError as exc:
-                raise ParameterError(f"replication_seeds: {exc}") from exc
+            for seed in self.replication_seeds:
+                _named("replication_seeds", seeding.check_seed, seed)
 
 
 def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:

@@ -268,10 +268,16 @@ def figure_recipe(name: str, seed: int = 0, n_replications: int | None = None) -
 
 
 def _induced_rho(cfg: ExperimentConfig) -> float:
+    """The correlation of the path's returns: Merton's (1976) compound-Poisson
+    jumps, independent across assets, add jump_rate * E[J^2] to each variance."""
+    p = cfg.price_params
     if cfg.price_model == "hawkes":
-        p = cfg.price_params
         return limiting_correlation(p.gamma_r, p.gamma_c)
-    return cfg.price_params.rho
+    jumps = p.jump_rate * (p.jump_std**2 + p.jump_mean**2) if cfg.price_model == "merton" else 0.0
+    if jumps == 0:
+        return p.rho
+    v1, v2 = p.sigma_sq1 / DAY_SECONDS, p.sigma_sq2 / DAY_SECONDS  # per second
+    return p.rho * math.sqrt(v1 / (v1 + jumps) * v2 / (v2 + jumps))
 
 
 def _theory(recipe: FigureRecipe) -> dict[str, tuple[tuple[float, float], ...]]:
@@ -295,9 +301,9 @@ def _theory(recipe: FigureRecipe) -> dict[str, tuple[tuple[float, float], ...]]:
             )
         except DomainError:
             pass
-    if recipe.kind == "epps" and cfg.sampler == "poisson" and cfg.price_model == "gbm":
+    if recipe.kind == "epps" and cfg.sampler == "poisson" and cfg.price_model != "hawkes":
         out["poisson_epps"] = tuple(
-            (dt, theoretical_poisson_epps(cfg.price_params.rho, cfg.poisson_rate, dt))
+            (dt, theoretical_poisson_epps(rho_inf, cfg.poisson_rate, dt))
             for dt in cfg.dt_grid
         )
     return out

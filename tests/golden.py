@@ -227,7 +227,8 @@ def main(argv=None) -> int:
 
 
 def changed_entries(old: dict, new: dict) -> list[str]:
-    """'changed: SECTION NAME' (or added/removed) for every differing entry."""
+    """'changed: SECTION NAME FILE...' (or added/removed) for every differing
+    entry; a changed entry of output files names those that differ in it."""
     lines = []
     for section in sorted(old.keys() | new.keys()):
         before, after = old.get(section, {}), new.get(section, {})
@@ -237,7 +238,10 @@ def changed_entries(old: dict, new: dict) -> list[str]:
             elif name not in after:
                 lines.append(f"removed: {section} {name}")
             elif before[name] != after[name]:
-                lines.append(f"changed: {section} {name}")
+                b, a, files = before[name], after[name], []
+                if isinstance(b, dict) and isinstance(a, dict):  # output file -> digest
+                    files = sorted(f for f in b.keys() | a.keys() if b.get(f) != a.get(f))
+                lines.append(" ".join([f"changed: {section} {name}", *files]))
     return lines or ["no entry changed"]
 
 

@@ -1112,8 +1112,10 @@ def test_taq_pair_flag_required(tmp_path):
 def test_golden_tool_lists_changed_entries():
     old = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 1}, "9": {}}, "simulate": {"gbm": {}}}
     new = {"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 2}, "6a": {}}, "simulate": {"gbm": {}}}
-    assert changed_entries(old, new) == ["changed: epps 5", "added: epps 6a", "removed: epps 9"]
+    assert changed_entries(old, new) == ["changed: epps 5 a.csv", "added: epps 6a", "removed: epps 9"]
     assert changed_entries(new, new) == ["no entry changed"]
+    # an entry that is one digest, not a table of output files, names no file
+    assert changed_entries({"recipes": {"5": "x"}}, {"recipes": {"5": "y"}}) == ["changed: recipes 5"]
 
 
 def test_golden_check_lists_changed_entries_and_rewrites_nothing(tmp_path, monkeypatch, capsys):
@@ -1127,7 +1129,7 @@ def test_golden_check_lists_changed_entries_and_rewrites_nothing(tmp_path, monke
     stale = '{"epps": {"2a": {"a.csv": 1}, "5": {"a.csv": 1}}}'
     path.write_text(stale)
     assert golden.main(["--check"]) == 1
-    assert capsys.readouterr().out == "changed: epps 5\nadded: simulate gbm\n"
+    assert capsys.readouterr().out == "changed: epps 5 a.csv\nadded: simulate gbm\n"
     assert path.read_text() == stale
     assert golden.main([]) == 0
     assert json.loads(path.read_text()) == fresh

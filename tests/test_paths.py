@@ -18,7 +18,8 @@ from eppsim.paths import (
     simulate_gbm,
     simulate_merton,
 )
-from eppsim.presets import hawkes_price_reference
+from eppsim.experiments import ExperimentConfig
+from eppsim.presets import _induced_rho, hawkes_price_reference
 from eppsim.sampling import synchronous_ticks
 from eppsim.series import PricePath
 
@@ -111,6 +112,32 @@ def test_merton_jumps_inflate_increment_variance():
     var_gbm = np.var(np.diff(gbm_path.values, axis=0), axis=0)
     var_mert = np.var(np.diff(mert_path.values, axis=0), axis=0)
     assert np.all(var_mert > var_gbm)
+
+
+@pytest.mark.parametrize("jumps", [dict(jump_mean=0.0, jump_std=0.001),
+                                   dict(jump_mean=0.001, jump_std=0.0005)])
+def test_merton_induced_rho_is_the_realised_return_correlation(jumps):
+    # three 10-day paths: the 1 s return correlation sits within about six
+    # standard errors of the formula, and far from the diffusion's rho
+    params = MertonParams(**PAPER_GBM, jump_rate=0.2, **jumps, horizon=10 * DAY_SECONDS)
+    cfg = ExperimentConfig(price_model="merton", price_params=params, sampler="synchronous",
+                           estimators=("measured",))
+    want = _induced_rho(cfg)
+    got = np.mean([np.corrcoef(np.diff(simulate_merton(params, seed).values, axis=0).T)[0, 1]
+                   for seed in range(3)])
+    assert got == pytest.approx(want, abs=0.003)
+    assert PAPER_GBM["rho"] - want > 0.05
+
+
+def test_induced_rho_without_jumps_is_rho_itself():
+    rho = 0.6543210987654321
+    for model, params in (("gbm", GbmParams(**dict(PAPER_GBM, rho=rho))),
+                          ("merton", MertonParams(**dict(PAPER_GBM, rho=rho), jump_rate=0.0)),
+                          ("merton", MertonParams(**dict(PAPER_GBM, rho=rho), jump_rate=0.2,
+                                                  jump_std=0.0))):
+        cfg = ExperimentConfig(price_model=model, price_params=params, sampler="synchronous",
+                               estimators=("measured",))
+        assert _induced_rho(cfg) == rho
 
 
 @pytest.mark.parametrize(
