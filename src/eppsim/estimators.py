@@ -94,8 +94,9 @@ def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
     plain sums of squared returns because a series' own intervals are
     disjoint. The double sum is evaluated by a two-cursor sweep: for each
     interval of leg i, the range of overlapping leg-j intervals is read off
-    the counts of leg-j ticks before and at or before each leg-i tick, and
-    their return sum off a prefix-sum table.
+    the counts of leg-j ticks before and at or before each leg-i tick, which
+    one merge of the two legs gives (index._left_right_counts), and their
+    return sum off a prefix-sum table.
     """
     if len(si) < 2 or len(sj) < 2:
         raise DegenerateSeriesError("each leg needs at least two observations")

@@ -544,7 +544,8 @@ def k_skip_row(si: TickSeries, sj: TickSeries, k_max: int) -> np.ndarray:
     Returns shape (1, k_max), nan where either thinned leg has fewer than
     two ticks or the estimate fails. This is the one k-loop of the
     simulated and the empirical k-skip experiments. The pair is ranked
-    once: of the c leg-j ticks before (or at) a leg-i tick, leg j thinned
+    once, by one merge of its two legs (index._left_right_counts): of the
+    c leg-j ticks before (or at) a leg-i tick, leg j thinned
     to every k-th tick keeps c // k, so each k reads its HY index off
     strided views of the pair's arrays.
     """

@@ -6,10 +6,11 @@ exactly: on a power-of-two step by arithmetic (floor(x/step) + 1 nodes at or
 before x, ceil(x/step) before it), on any other step by bisection against
 the grid. _tick_counts counts ticks from their left ranks among the grid
 points, or among other ascending queries by bisection. A leg on the grid's
-own points is a strided read (_strided_counts). Against ticks, one bisection
-and a tie test (_left_right_counts). Each kernel equals np.searchsorted bit
-for bit. The module imports only numpy and errors, so hawkes, sampling and
-estimators can all use it.
+own points is a strided read (_strided_counts). Ticks against ticks, the
+HY rank of a pair, are one merge of the two sorted legs and a tie test
+(_left_right_counts). Each kernel equals np.searchsorted bit for bit. The
+module imports only numpy and errors, so hawkes, sampling and estimators
+can all use it.
 """
 
 import math
@@ -41,12 +42,28 @@ def _step_ratio(horizon: float, dt: float) -> float:
     return ratio
 
 
+# the most pairs of equal times a Poisson leg may expect: a gap rounds away
+# when it is below half an ulp of the time it is added to, which each of the
+# rate * horizon gaps is with chance at most rate * ulp(horizon) / 2. As
+# ulp(horizon) / horizon lies in (2**-53, 2**-52], this caps a leg at about
+# 10**7 ticks at any horizon, below MAX_TICKS
+MAX_EXPECTED_COLLISIONS = 0.01
+
+
 def expected_ticks(rate: float, horizon: float) -> float:
-    """rate*horizon, refused past MAX_TICKS before any arrival is drawn."""
+    """rate*horizon, refused past MAX_TICKS, or where the float64 arrival
+    times expect MAX_EXPECTED_COLLISIONS or more pairs of equal times, before
+    any arrival is drawn."""
     expected = rate * horizon
     if not expected <= MAX_TICKS:
         raise ParameterError(
             f"rate {rate} over horizon {horizon} expects more than {MAX_TICKS} ticks"
+        )
+    collisions = expected * rate * math.ulp(horizon) / 2
+    if not collisions < MAX_EXPECTED_COLLISIONS:
+        raise ParameterError(
+            f"rate {rate} over horizon {horizon} expects {collisions:.2g} pairs of equal "
+            f"float64 arrival times, at most {MAX_EXPECTED_COLLISIONS} are allowed"
         )
     return expected
 
@@ -138,12 +155,31 @@ def _strided_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None
 
 
 def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.searchsorted(times, x, side) for side "left" and "right", times strictly increasing.
+    """np.searchsorted(times, x, side) for side "left" and "right", times
+    strictly increasing and x ascending, both >= 0.
 
-    One bisection gives the ticks before each x; at most one tick can
-    equal x, so a tie test against the next tick gives those at or before.
+    One merge ranks every x among the ticks. The two legs are written into
+    one buffer, x first, as the bit patterns of their values, shifted left
+    one bit with the low bit set on the ticks: the shift drops the sign bit,
+    so a -0.0 (which TickSeries accepts) keys as +0.0 and the keys sort as
+    the values do, and a tick sorts after an x of equal value. A stable sort
+    of those two ascending runs is one merge pass; the ticks before each x
+    are its position in the merged order less its own index. At most one
+    tick can equal x, so a tie test against the next tick gives those at or
+    before.
     """
-    below = np.searchsorted(times, x, side="left")
+    n = x.size
+    keys = np.empty(n + times.size, dtype=np.uint64)
+    values = keys.view(np.float64)
+    values[:n] = x
+    values[n:] = times
+    keys <<= 1
+    keys[n:] |= 1
+    keys.sort(kind="stable")
+    keys &= 1
+    below = np.flatnonzero(keys == 0)
+    del keys, values
+    below -= np.arange(n)
     if times.size == 0:
         return below, below.copy()
     tie = times.take(below, mode="clip") == x

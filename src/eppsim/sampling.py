@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import seeding
-from .errors import DegenerateSeriesError, OutOfRangeError, ParameterError
+from .errors import DegenerateSeriesError, NumericError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
 from .index import _lattice_ranks, _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
@@ -29,10 +29,12 @@ from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     """Homogeneous Poisson arrival times on [0, horizon].
 
-    Draws exponential gaps in deterministic blocks until the horizon is
-    crossed, so the output depends only on (seed, stream id); each block is
-    summed in place. A rate expecting more than index.MAX_TICKS arrivals is
-    refused before anything is drawn.
+    Draws standard exponential gaps in deterministic blocks until the
+    horizon is crossed, so the output depends only on (seed, stream id);
+    each block is scaled by 1/rate and summed in place. A rate expecting
+    more than index.MAX_TICKS arrivals, or likely to draw two equal float64
+    times, is refused before anything is drawn; two equal times drawn all
+    the same raise NumericError.
     """
     if rate < 0 or not np.isfinite(rate):
         raise ParameterError(f"rate must be finite and >= 0, got {rate}")
@@ -43,14 +45,23 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     expected = expected_ticks(rate, horizon)
     rng = seeding.stream(seed, seeding.POISSON)
     block = max(16, int(expected + 5.0 * math.sqrt(expected)))
-    total = rng.exponential(1.0 / rate, size=block)
+    scale = 1.0 / rate
+    total = rng.standard_exponential(size=block)
+    total *= scale
     np.cumsum(total, out=total)
     while total[-1] <= horizon:
-        gaps = rng.exponential(1.0 / rate, size=block)
+        gaps = rng.standard_exponential(size=block)
+        gaps *= scale
         np.cumsum(gaps, out=gaps)
         gaps += total[-1]
         total = np.append(total, gaps)
-    return ArrivalSet(times=total[: np.searchsorted(total, horizon, "right")], horizon=horizon)
+    times = total[: np.searchsorted(total, horizon, "right")]
+    try:
+        return ArrivalSet(times=times, horizon=horizon)
+    except ParameterError as exc:
+        raise NumericError(
+            f"rate {rate} over horizon {horizon} drew two equal float64 arrival times"
+        ) from exc
 
 
 def mutual_excitation_spec(baseline: float, amplitude: float, decay: float) -> HawkesSpec:

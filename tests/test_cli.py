@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eppsim import cli, experiments, presets
+from eppsim import cli, experiments, presets, seeding
 from eppsim.experiments import discriminate
 import golden
 from golden import (
@@ -1051,6 +1051,13 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         # Poisson legs past the tick bound and overlap windows past the grid bound
         (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
          "error: --rates: mean_interarrivals entry 1e-300: rate ", "expects more than 100000000 ticks"),
+        # Poisson legs likely to draw two equal float64 times
+        (["epps", "--figure", "8b", "--replications", "2", "--rates", "0.001,1,2,3,4"], {},
+         "error: --rates: mean_interarrivals entry 0.001: rate 1000.0 over horizon 72000.0 ",
+         "expects 0.52 pairs of equal float64 arrival times, at most 0.01 are allowed"),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "poisson_rate": 1e4}},
+         "error: experiment: poisson_rate: rate 10000.0 over horizon 2000.0 ",
+         "expects 0.023 pairs of equal float64 arrival times"),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
          "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
         # Hawkes processes expected to draw more events than simulate_hawkes may
@@ -1099,6 +1106,36 @@ def test_bad_config_values_and_keys_are_refused_before_any_output(
     assert named in res.stderr
     assert "Traceback" not in res.stderr
     assert not out_dir.exists()
+
+
+def test_poisson_times_that_collide_all_the_same_exit_4_naming_the_leg(
+    tmp_path, capsys, monkeypatch
+):
+    # a rate the config accepts still draws two equal float64 times with a
+    # small chance; a zero gap stands in for one that rounds away
+    real = seeding.stream
+
+    class ZeroGap:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_exponential(self, size):
+            gaps = self.rng.standard_exponential(size=size)
+            gaps[5] = 0.0
+            return gaps
+
+    def stream(seed, *ids):
+        rng = real(seed, *ids)
+        return ZeroGap(rng) if ids == (seeding.POISSON,) else rng
+
+    monkeypatch.setattr(seeding, "stream", stream)
+    out_dir = tmp_path / "out"
+    argv = ["epps", "--figure", "8b", "--replications", "1", "--rates", "15,30,45,60,75"]
+    assert cli.main([*argv, "--out", str(out_dir)]) == 4
+    assert capsys.readouterr().err == (
+        "error: rate 0.06666666666666667 over horizon 72000.0 "
+        "drew two equal float64 arrival times\n"
+    )
 
 
 def test_taq_pair_flag_required(tmp_path):

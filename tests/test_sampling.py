@@ -75,6 +75,25 @@ def test_poisson_refuses_a_rate_past_the_tick_bound_before_drawing(monkeypatch):
         poisson_arrivals(1e300, 72000.0, seed=0)
 
 
+def test_poisson_refuses_a_rate_likely_to_draw_equal_times_before_drawing(monkeypatch):
+    # rate**2 * horizon * ulp(horizon) / 2 pairs of equal float64 times are
+    # expected: 0.52 at 1000/s over 72 000 s is refused, 5e-7 at the presets'
+    # fastest 1/s and just under index.MAX_EXPECTED_COLLISIONS are not
+    def no_draw(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(sampling.seeding, "stream", no_draw)
+    with pytest.raises(ParameterError, match=(
+            "^rate 1000.0 over horizon 72000.0 expects 0.52 pairs of equal float64 "
+            "arrival times, at most 0.01 are allowed$")):
+        poisson_arrivals(1000.0, 72000.0, seed=0)
+    assert index.expected_ticks(1.0, 72000.0) == 72000.0
+    edge = math.sqrt(2 * index.MAX_EXPECTED_COLLISIONS / (72000.0 * math.ulp(72000.0)))
+    index.expected_ticks(0.999 * edge, 72000.0)
+    with pytest.raises(ParameterError, match="pairs of equal float64 arrival times"):
+        index.expected_ticks(1.001 * edge, 72000.0)
+
+
 def test_mutual_excitation_spec_layout():
     spec = mutual_excitation_spec(0.015, 0.023, 0.11)
     np.testing.assert_allclose(spec.lambda0, [0.015, 0.015])
@@ -438,6 +457,43 @@ def test_lattice_counts_equal_bisection_on_random_legs(step, n, n_ticks, seed):
     times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * step * n, 3)])))
     got = index._tick_counts(times, n, step)
     np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+
+
+# zero, subnormals, the smallest normal, ulp neighbours and values far apart
+RANK_SPECIALS = np.array([0.0, 5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 1e-300,
+                          0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 2.0**53, 1e300])
+
+
+@given(
+    sizes=st.sampled_from([(0, 0), (0, 4), (4, 0), (1, 1), (1, 2), (2, 1), (1, 300),
+                           (300, 1), (3, 900), (900, 3), (200, 200)]),
+    negative_zero=st.tuples(st.booleans(), st.booleans()),
+    shared=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_left_right_counts_equal_bisection(sizes, negative_zero, shared, seed):
+    # the HY rank of x (ascending, repeats allowed) among strictly
+    # increasing ticks, both >= 0, on both sides: ties shared between the
+    # legs, a -0.0 first in either leg, subnormals, empty and one-tick legs
+    # and legs of very unequal size
+    n_x, n_times = sizes
+    rng = np.random.default_rng(seed)
+    pool = np.unique(np.concatenate([
+        RANK_SPECIALS, rng.uniform(0.0, 4.0, 900), rng.uniform(0.0, 1e-308, 100)]))
+    times = np.sort(rng.choice(pool, n_times, replace=False))
+    n_tied = min(rng.binomial(n_x, shared), n_times)
+    x = np.sort(np.concatenate([rng.choice(times, n_tied), rng.choice(pool, n_x - n_tied)]))
+    if negative_zero[0] and times.size:
+        times = np.concatenate([[-0.0], times[times > 0][: n_times - 1]])
+    if negative_zero[1] and x.size:
+        x[0] = -0.0  # a +0.0 after it is kept
+    given_times, given_x = times.copy(), x.copy()
+    below, upto = index._left_right_counts(times, x)
+    assert below.dtype == upto.dtype == np.intp
+    np.testing.assert_array_equal(below, np.searchsorted(times, x, side="left"))
+    np.testing.assert_array_equal(upto, np.searchsorted(times, x, side="right"))
+    assert np.array_equal(times, given_times) and np.array_equal(x, given_x)
 
 
 @pytest.fixture
