@@ -1051,13 +1051,6 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         # Poisson legs past the tick bound and overlap windows past the grid bound
         (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
          "error: --rates: mean_interarrivals entry 1e-300: rate ", "expects more than 100000000 ticks"),
-        # Poisson legs likely to draw two equal float64 times
-        (["epps", "--figure", "8b", "--replications", "2", "--rates", "0.001,1,2,3,4"], {},
-         "error: --rates: mean_interarrivals entry 0.001: rate 1000.0 over horizon 72000.0 ",
-         "expects 0.52 pairs of equal float64 arrival times, at most 0.01 are allowed"),
-        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "poisson_rate": 1e4}},
-         "error: experiment: poisson_rate: rate 10000.0 over horizon 2000.0 ",
-         "expects 0.023 pairs of equal float64 arrival times"),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
          "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
         # Hawkes processes expected to draw more events than simulate_hawkes may
@@ -1091,6 +1084,13 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "sampler": "hawkes",
                                    "hawkes_sampler": {**HAWKES_CLOCK, "lambda0": [True, True]}}},
          "error: experiment.hawkes_sampler: lambda0 must hold numbers", "[True, True]"),
+        # Poisson legs likely to draw two equal float64 times
+        (["epps", "--figure", "8b", "--replications", "2", "--rates", "0.001,1,2,3,4"], {},
+         "error: --rates: mean_interarrivals entry 0.001: rate 1000.0 over horizon 72000.0 ",
+         "expects 0.52 pairs of equal float64 arrival times, at most 0.01 are allowed"),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "poisson_rate": 1e4}},
+         "error: experiment: poisson_rate: rate 10000.0 over horizon 2000.0 ",
+         "expects 0.023 pairs of equal float64 arrival times"),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(
