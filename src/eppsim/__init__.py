@@ -69,7 +69,6 @@ from .paths import (
 from .sampling import (
     hawkes_arrivals,
     k_skip,
-    mutual_excitation_spec,
     observe_path,
     poisson_arrivals,
     previous_tick_grid,

@@ -193,7 +193,9 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
 
     Non-stationary kernels are refused. A run that would draw more than
     MAX_EVENTS events, or whose baseline events alone are expected to,
-    raises NumericError before those draws are made.
+    raises NumericError before those draws are made; so does a component
+    whose drawn times hold two equal float64 values (a fast decay adds
+    delays below an ulp of the parent's time).
     """
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be finite and non-negative, got {horizon}")
@@ -235,10 +237,17 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
         all_times.append(times)
     comps = np.concatenate(all_comps)
     times = np.concatenate(all_times)
-    return tuple(
-        ArrivalSet(times=np.sort(times[comps == m]), horizon=horizon)
-        for m in range(m_dim)
-    )
+    arrivals = []
+    for m in range(m_dim):
+        try:
+            arrivals.append(ArrivalSet(times=np.sort(times[comps == m]), horizon=horizon))
+        except ParameterError as exc:
+            raise NumericError(
+                f"Hawkes simulation drew two equal float64 event times in component {m} "
+                f"(spectral radius {report.spectral_radius:.6f}, fastest decay "
+                f"{spec.beta.max():g}, horizon {horizon})"
+            ) from exc
+    return tuple(arrivals)
 
 
 # ---------------------------------------------------------------------------

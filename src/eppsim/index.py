@@ -5,12 +5,14 @@ _lattice_ranks ranks values against a grid (n, step) from 0 on either side,
 exactly: on a power-of-two step by arithmetic (floor(x/step) + 1 nodes at or
 before x, ceil(x/step) before it), on any other step by bisection against
 the grid. _tick_counts counts ticks from their left ranks among the grid
-points, or among other ascending queries by bisection. A leg on the grid's
-own points is a strided read (_strided_counts). Ticks against ticks, the
-HY rank of a pair, are one merge of the two sorted legs and a tie test
-(_left_right_counts). Each kernel equals np.searchsorted bit for bit. The
-module imports only numpy and errors, so hawkes, sampling and estimators
-can all use it.
+points, or among other ascending queries by bisection, on sparse and dense
+legs alike. A leg on the grid's own points is a strided read
+(_strided_counts). Ticks against ticks, the HY rank of a pair, are one
+merge of the two sorted legs and a tie test (_left_right_counts). Each
+kernel equals np.searchsorted bit for bit. The size bounds live here too:
+a grid's steps (_step_ratio) and a Poisson leg's expected pairs of equal
+times (expected_ticks), the one bound on its ticks. The module imports
+only numpy and errors, so hawkes, sampling and estimators can all use it.
 """
 
 import math
@@ -25,11 +27,6 @@ from .errors import ParameterError
 # estimator set, at dt = 1 and per point of the finest step over FIG_DT_GRID;
 # tests/footprint.py prints it), so a grid at the bound needs about 4.8 GB
 MAX_GRID_STEPS = 10**8
-
-# the most ticks a leg may expect (rate * horizon): the two legs hold 16 bytes
-# per tick each and hayashi_yoshida peaks at 48 more (same measurement), so a
-# pair of legs at the bound needs about 8 GB
-MAX_TICKS = 10**8
 
 
 def _step_ratio(horizon: float, dt: float) -> float:
@@ -46,19 +43,17 @@ def _step_ratio(horizon: float, dt: float) -> float:
 # when it is below half an ulp of the time it is added to, which each of the
 # rate * horizon gaps is with chance at most rate * ulp(horizon) / 2. As
 # ulp(horizon) / horizon lies in (2**-53, 2**-52], this caps a leg at about
-# 10**7 ticks at any horizon, below MAX_TICKS
+# 1.3 * 10**7 ticks at any horizon, the one bound on a leg's size: the two
+# legs hold 16 bytes per tick each and hayashi_yoshida peaks at 48 more (same
+# measurement), so a pair of legs at the cap needs about 1.1 GB
 MAX_EXPECTED_COLLISIONS = 0.01
 
 
 def expected_ticks(rate: float, horizon: float) -> float:
-    """rate*horizon, refused past MAX_TICKS, or where the float64 arrival
-    times expect MAX_EXPECTED_COLLISIONS or more pairs of equal times, before
-    any arrival is drawn."""
+    """rate*horizon, refused where the float64 arrival times expect
+    MAX_EXPECTED_COLLISIONS or more pairs of equal times, before any arrival
+    is drawn."""
     expected = rate * horizon
-    if not expected <= MAX_TICKS:
-        raise ParameterError(
-            f"rate {rate} over horizon {horizon} expects more than {MAX_TICKS} ticks"
-        )
     collisions = expected * rate * math.ulp(horizon) / 2
     if not collisions < MAX_EXPECTED_COLLISIONS:
         raise ParameterError(
@@ -75,12 +70,6 @@ def grid_count(horizon: float, dt: float) -> int:
     if not horizon >= 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
     return int(math.floor(_step_ratio(horizon, dt) + 1e-9))
-
-
-# The kernels below rank every tick among the grid points or queries;
-# bisecting each query among the ticks instead costs log(ticks) per query,
-# the cheaper past this many ticks per query (a dense leg on a coarse grid).
-MAX_TICKS_PER_POINT = 2
 
 
 def _lattice(n: int, step: float) -> np.ndarray:
@@ -117,13 +106,11 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
     _lattice_ranks, else by bisection. np.bincount and a cumulative sum in
     place count the ranks.
     """
-    grid = isinstance(queries, int)
-    n = queries if grid else queries.size
-    if times.size >= MAX_TICKS_PER_POINT * n:
-        return np.searchsorted(times, _lattice(n, step) if grid else queries, side="right")
-    if grid:
+    if isinstance(queries, int):
+        n = queries
         ranks = _lattice_ranks(times, n, step, side="left")
     else:
+        n = queries.size
         ranks = np.searchsorted(queries, times, side="left")
     counts = np.bincount(ranks, minlength=n + 1)[:-1]
     return np.cumsum(counts, out=counts)

@@ -31,10 +31,10 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
 
     Draws standard exponential gaps in deterministic blocks until the
     horizon is crossed, so the output depends only on (seed, stream id);
-    each block is scaled by 1/rate and summed in place. A rate expecting
-    more than index.MAX_TICKS arrivals, or likely to draw two equal float64
-    times, is refused before anything is drawn; two equal times drawn all
-    the same raise NumericError.
+    each block is scaled by 1/rate and summed in place. A rate likely to
+    draw two equal float64 times is refused before anything is drawn
+    (index.expected_ticks, which also caps a leg at about 1.3 * 10**7 ticks);
+    two equal times drawn all the same raise NumericError.
     """
     if rate < 0 or not np.isfinite(rate):
         raise ParameterError(f"rate must be finite and >= 0, got {rate}")
@@ -62,16 +62,6 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
         raise NumericError(
             f"rate {rate} over horizon {horizon} drew two equal float64 arrival times"
         ) from exc
-
-
-def mutual_excitation_spec(baseline: float, amplitude: float, decay: float) -> HawkesSpec:
-    """Two-component Hawkes kernel with zero diagonal: each component's
-    events excite only the other component."""
-    return HawkesSpec(
-        lambda0=np.array([baseline, baseline]),
-        alpha=np.array([[0.0, amplitude], [amplitude, 0.0]]),
-        beta=np.full((2, 2), decay),
-    )
 
 
 def hawkes_arrivals(

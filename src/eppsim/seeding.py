@@ -28,7 +28,7 @@ def check_seed(seed: int) -> int:
     return int(seed)
 
 
-def stream(seed: int, *ids: int) -> np.random.Generator:
+def stream(seed: int, *ids: int) -> "np.random.Generator":
     """Generator for the stream identified by (seed, *ids)."""
     seq = np.random.SeedSequence(entropy=check_seed(seed), spawn_key=tuple(ids))
     return np.random.Generator(np.random.PCG64(seq))

@@ -14,12 +14,14 @@ on average, on a path of step 1 (ranked by exact arithmetic) and of step
 hawkes_price_model at the reference parameters) by the steps of its path.
 tracemalloc does not see numpy's stable-sort buffer, so merge_peak adds the
 rank's merge buffer by hand to every peak that includes it.
-index.MAX_GRID_STEPS and index.MAX_TICKS are sized from these numbers. Print them at 10**6 points, with the memory a
-grid and a pair of legs need at those bounds, by
+index.MAX_GRID_STEPS is sized from these numbers. Print them at 10**6 points, with the memory a
+grid needs at that bound and a pair of legs at the most ticks index.MAX_EXPECTED_COLLISIONS
+lets a leg expect, by
 
     PYTHONPATH=src python tests/footprint.py [n_points]
 """
 
+import math
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -31,7 +33,7 @@ from eppsim.estimators import hayashi_yoshida
 from eppsim.hawkes import hawkes_price_model
 from eppsim.paths import simulate_gbm, simulate_merton
 from eppsim.presets import hawkes_price_reference, reference_params
-from eppsim.index import MAX_GRID_STEPS, MAX_TICKS, _left_right_counts
+from eppsim.index import MAX_EXPECTED_COLLISIONS, MAX_GRID_STEPS, _left_right_counts
 from eppsim.sampling import observe_path, poisson_arrivals
 from eppsim.series import PricePath, TickSeries
 
@@ -129,4 +131,8 @@ if __name__ == "__main__":
     # a pair of legs holds times and values, 16 bytes per tick each
     legs = 2 * 16 + peaks["hayashi_yoshida"]
     print(f"a grid at index.MAX_GRID_STEPS: {grid * MAX_GRID_STEPS / 1e9:.1f} GB")
-    print(f"a pair of legs at index.MAX_TICKS: {legs * MAX_TICKS / 1e9:.1f} GB")
+    # rate * horizon ticks expect N**2 * ulp(horizon) / (2 * horizon) pairs
+    # of equal times, and ulp(horizon) / horizon > 2**-53 at any horizon
+    cap = math.sqrt(2 * MAX_EXPECTED_COLLISIONS * 2.0**53)
+    print(f"a pair of legs at the {cap:.3g} ticks the collision bound allows: "
+          f"{legs * cap / 1e9:.1f} GB")

@@ -410,14 +410,16 @@ def test_simulate_horizon_off_the_grid_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_start_up_does_not_import_scipy():
-    # nor the process pool's module, which only --threads > 1 needs
+    # nor the process pool's module, which only --threads > 1 needs, nor
+    # numpy.random, which only a simulation needs
     code = (
         "import sys, eppsim.cli; eppsim.cli.build_parser(); "
-        "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules)"
+        "print('scipy' in sys.modules, 'concurrent.futures.process' in sys.modules, "
+        "'numpy.random' in sys.modules)"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False False"
+    assert res.stdout.strip() == "False False False"
 
 
 def test_a_one_replication_run_starts_no_pool(tmp_path):
@@ -1050,7 +1052,7 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
          GRID_BOUND),
         # Poisson legs past the tick bound and overlap windows past the grid bound
         (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
-         "error: --rates: mean_interarrivals entry 1e-300: rate ", "expects more than 100000000 ticks"),
+         "error: --rates: mean_interarrivals entry 1e-300: rate ", "pairs of equal float64 arrival times"),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
          "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
         # Hawkes processes expected to draw more events than simulate_hawkes may
@@ -1136,6 +1138,32 @@ def test_poisson_times_that_collide_all_the_same_exit_4_naming_the_leg(
         "error: rate 0.06666666666666667 over horizon 72000.0 "
         "drew two equal float64 arrival times\n"
     )
+
+
+FAST_DECAY = 1e13  # delays far below an ulp of the times they are added to
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["epps"], {"kind": "epps", "experiment": {
+        **ADHOC_CONFIG["experiment"], "price_params": {
+            **ADHOC_CONFIG["experiment"]["price_params"], "horizon": 3600.0},
+        "horizon": 3600.0, "n_replications": 1, "sampler": "hawkes", "hawkes_sampler": {
+            "lambda0": [0.5, 0.5], "alpha": [[0.0, 0.9 * FAST_DECAY], [0.9 * FAST_DECAY, 0.0]],
+            "beta": [[FAST_DECAY] * 2] * 2}}}),
+    (["simulate", "--model", "hawkes-price"], {"simulate": {"horizon": 3600.0, "params": {
+        "mu": 0.5, "alpha_r": 0.023 / 0.11 * FAST_DECAY, "alpha_c": 0.05 / 0.11 * FAST_DECAY,
+        "beta": FAST_DECAY}}}),
+], ids=["hawkes_sampler", "hawkes_price"])
+def test_hawkes_times_that_collide_exit_4_naming_the_kernel(tmp_path, capsys, argv, config):
+    # a stationary kernel with a fast decay draws children at delays that
+    # round away, so two event times of a component are equal
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: Hawkes simulation drew two equal float64 event times in component ")
+    assert err.endswith("fastest decay 1e+13, horizon 3600.0)\n")
+    assert "spectral radius 0." in err and "Traceback" not in err
 
 
 def test_taq_pair_flag_required(tmp_path):

@@ -58,7 +58,6 @@ from eppsim.index import grid_count
 from eppsim.sampling import (
     hawkes_arrivals,
     k_skip,
-    mutual_excitation_spec,
     observe_path,
     poisson_arrivals,
 )
@@ -191,7 +190,8 @@ ORACLE_GRIDS = {
 def oracle_clock(clock, horizon, seed):
     """The two arrival sets of oracle case seed on a Poisson or Hawkes clock."""
     if clock == "hawkes":
-        spec = mutual_excitation_spec(0.015 * (1 + seed), 0.023, 0.11)
+        spec = HawkesSpec(lambda0=[0.015 * (1 + seed)] * 2, alpha=[[0.0, 0.023], [0.023, 0.0]],
+                          beta=[[0.11, 0.11], [0.11, 0.11]])
         return hawkes_arrivals(spec, horizon, seed)
     rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
     u1 = poisson_arrivals(rates, horizon, 2 * seed)
@@ -494,7 +494,7 @@ def test_config_validation_errors():
 def test_config_refuses_legs_and_strides_past_the_size_bounds():
     # refused when the config is built, before a replication draws a tick
     # or builds a window; only values far past the bounds are tried
-    ticks = "expects more than 100000000 ticks"
+    ticks = r"expects \S+ pairs of equal float64 arrival times"
     with pytest.raises(ParameterError, match=rf"^poisson_rate: rate 1e\+300 over horizon 3000.0 {ticks}"):
         small_cfg(poisson_rate=1e300)
     for axis in ("mean_interarrivals", "overlap_rates"):
@@ -536,10 +536,12 @@ def test_config_refuses_a_hawkes_price_horizon_off_its_grid():
 def test_config_refuses_a_hawkes_sampler_that_is_not_stationary(amplitude, kind, radius):
     message = (rf"^hawkes_sampler: kernel is {kind} \(spectral radius {radius}\); "
                r"the sampler needs a stationary kernel$")
+    spec = HawkesSpec(lambda0=[0.1, 0.1], alpha=[[0.0, amplitude], [amplitude, 0.0]],
+                      beta=np.ones((2, 2)))
     with pytest.raises(StabilityError, match=message):
-        small_cfg(sampler="hawkes", hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
+        small_cfg(sampler="hawkes", hawkes_sampler=spec)
     # the same kernel is not checked when no replication would sample it
-    small_cfg(hawkes_sampler=mutual_excitation_spec(0.1, amplitude, 1.0))
+    small_cfg(hawkes_sampler=spec)
 
 
 def test_config_refuses_a_hawkes_sampler_that_is_not_2_dimensional():
@@ -555,7 +557,9 @@ def test_config_refuses_a_hawkes_sampler_that_is_not_2_dimensional():
 def test_rate_recipes_refuse_a_sampler_other_than_poisson(kind, sampler):
     # each rate is sampled by Poisson legs, whatever the config's sampler says
     cfg = small_cfg(sampler=sampler, estimators=("measured",),
-                    hawkes_sampler=mutual_excitation_spec(0.015, 0.023, 0.11),
+                    hawkes_sampler=HawkesSpec(
+                        lambda0=[0.015, 0.015], alpha=[[0.0, 0.023], [0.023, 0.0]],
+                        beta=[[0.11, 0.11], [0.11, 0.11]]),
                     mean_interarrivals=(2.0, 4.0, 6.0, 8.0, 10.0))
     with pytest.raises(ParameterError, match=rf"^sampler must be 'poisson' for a {kind} recipe"):
         FigureRecipe("test", kind, cfg)

@@ -25,11 +25,11 @@ from eppsim.hawkes import (
     theoretical_hawkes_correlation,
     theoretical_hawkes_covariance,
 )
-from eppsim.sampling import mutual_excitation_spec
 from eppsim.series import ArrivalSet
 
 PRICE = HawkesPriceParams(mu=0.015, alpha_r=0.023, alpha_c=0.05, beta=0.11)
-SAMPLING = mutual_excitation_spec(0.015, 0.023, 0.11)
+SAMPLING = HawkesSpec(lambda0=[0.015, 0.015], alpha=[[0.0, 0.023], [0.023, 0.0]],
+                      beta=[[0.11, 0.11], [0.11, 0.11]])
 
 
 def two_dim_spec(a: float, b: float) -> HawkesSpec:

@@ -1,7 +1,6 @@
 """Arrival generation, previous-tick synchronization, k-skip thinning."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,12 +15,12 @@ from eppsim.index import grid_count
 from eppsim.sampling import (
     hawkes_arrivals,
     k_skip,
-    mutual_excitation_spec,
     observe_path,
     poisson_arrivals,
     previous_tick_grid,
     synchronous_ticks,
 )
+from eppsim.hawkes import HawkesSpec
 from eppsim.series import ArrivalSet, PricePath, TickSeries
 
 
@@ -71,7 +70,8 @@ def test_poisson_refuses_a_rate_past_the_tick_bound_before_drawing(monkeypatch):
         raise AssertionError("a random stream was opened")
 
     monkeypatch.setattr(sampling.seeding, "stream", no_draw)
-    with pytest.raises(ParameterError, match="^rate 1e\\+300 over horizon 72000.0 expects more than 100000000 ticks"):
+    with pytest.raises(ParameterError, match=(
+            "^rate 1e\\+300 over horizon 72000.0 expects \\S+ pairs of equal float64 arrival times")):
         poisson_arrivals(1e300, 72000.0, seed=0)
 
 
@@ -94,17 +94,10 @@ def test_poisson_refuses_a_rate_likely_to_draw_equal_times_before_drawing(monkey
         index.expected_ticks(1.001 * edge, 72000.0)
 
 
-def test_mutual_excitation_spec_layout():
-    spec = mutual_excitation_spec(0.015, 0.023, 0.11)
-    np.testing.assert_allclose(spec.lambda0, [0.015, 0.015])
-    assert spec.alpha[0, 0] == 0.0 and spec.alpha[1, 1] == 0.0
-    assert spec.alpha[0, 1] == 0.023 and spec.alpha[1, 0] == 0.023
-    np.testing.assert_allclose(spec.beta, 0.11)
-
-
 def test_hawkes_arrivals_mean_interarrival_near_stationary_value():
     # (I - Gamma)^-1 lambda0 with the reference kernel gives ~52.7 s gaps
-    spec = mutual_excitation_spec(0.015, 0.023, 0.11)
+    spec = HawkesSpec(lambda0=[0.015, 0.015], alpha=[[0.0, 0.023], [0.023, 0.0]],
+                      beta=[[0.11, 0.11], [0.11, 0.11]])
     a, b = hawkes_arrivals(spec, 72000.0, seed=4)
     want = (1.0 - 0.023 / 0.11) / 0.015
     for arr in (a, b):
@@ -112,15 +105,13 @@ def test_hawkes_arrivals_mean_interarrival_near_stationary_value():
 
 
 def test_hawkes_arrivals_rejects_wrong_dimension():
-    from eppsim.hawkes import HawkesSpec
-
     spec3 = HawkesSpec(lambda0=np.ones(3) * 0.1, alpha=np.zeros((3, 3)), beta=np.ones((3, 3)))
     with pytest.raises(ParameterError):
         hawkes_arrivals(spec3, 10.0, seed=0)
 
 
 def test_hawkes_arrivals_alpha_zero_reduces_to_poisson_law():
-    spec = mutual_excitation_spec(1.0 / 15.0, 0.0, 1.0)
+    spec = HawkesSpec(lambda0=[1.0 / 15.0, 1.0 / 15.0], alpha=np.zeros((2, 2)), beta=np.ones((2, 2)))
     a, _ = hawkes_arrivals(spec, 72000.0, seed=5)
     gaps = np.diff(a.times)
     assert stats.kstest(gaps, "expon", args=(0, 15.0)).pvalue > 0.01
@@ -275,35 +266,32 @@ kernel_cases = dict(
     n_grid=st.integers(min_value=0, max_value=300),
     n_ticks=st.integers(min_value=0, max_value=400),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    always_linear=st.booleans(),
 )
 
 
 @given(**kernel_cases)
 @settings(max_examples=300, deadline=None)
-def test_tick_counts_equal_bisection(dt, n_grid, n_ticks, seed, always_linear):
-    # grids both denser and sparser than the ticks, ticks on grid points, at
-    # one ulp of them and past the last one; always_linear ranks dense legs
-    # among the queries too, so that path is checked there as well
+def test_tick_counts_equal_bisection(dt, n_grid, n_ticks, seed):
+    # grids both denser and sparser than the ticks (a dense leg is ranked
+    # among the queries like a sparse one), ticks on grid points, at one ulp
+    # of them and past the last one
     rng = np.random.default_rng(seed)
     horizon = dt * n_grid
     nodes = dt * np.arange(n_grid + 1)
     times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng)
     times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, 1.2 * horizon + dt, 3)])))
     ticks = TickSeries(times=times, values=np.arange(times.size, dtype=float), horizon=times.max(initial=0.0))
-    limit = 10**9 if always_linear else index.MAX_TICKS_PER_POINT
-    with mock.patch.object(index, "MAX_TICKS_PER_POINT", limit):
-        got = index._tick_counts(times, nodes, dt)
-        np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
-        # the overlap windows: ends dt + k*dt and starts (dt + k*dt) - dt
-        ends = dt + dt * np.arange(n_grid)
-        for queries in (ends, ends - dt):
-            got = index._tick_counts(times, queries, dt)
-            np.testing.assert_array_equal(got, np.searchsorted(times, queries, side="right"))
-        if len(ticks):
-            grid = previous_tick_grid(ticks, dt, horizon)
-            want = np.maximum(np.searchsorted(times, nodes, side="right") - 1, 0)
-            np.testing.assert_array_equal(grid.values, want.astype(float))
+    got = index._tick_counts(times, nodes, dt)
+    np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+    # the overlap windows: ends dt + k*dt and starts (dt + k*dt) - dt
+    ends = dt + dt * np.arange(n_grid)
+    for queries in (ends, ends - dt):
+        got = index._tick_counts(times, queries, dt)
+        np.testing.assert_array_equal(got, np.searchsorted(times, queries, side="right"))
+    if len(ticks):
+        grid = previous_tick_grid(ticks, dt, horizon)
+        want = np.maximum(np.searchsorted(times, nodes, side="right") - 1, 0)
+        np.testing.assert_array_equal(grid.values, want.astype(float))
 
 
 @pytest.mark.parametrize("n_ticks, n_grid", [(0, 50), (1, 50), (1, 1), (5000, 10), (10, 5000)])
@@ -425,9 +413,9 @@ def test_lattice_ranks_equal_bisection(step):
 def test_lattice_counts_equal_bisection(step):
     # ticks on grid points, one ulp either side of them, between them and
     # past the last; a first tick of 5e-324, whose quotient rounds to 0 at
-    # steps 2 and 2**20 yet which lies past node 0. Sparse legs are ranked
-    # (exactly on a power-of-two step, by bisection on any other),
-    # a leg with at least MAX_TICKS_PER_POINT ticks per node is bisected
+    # steps 2 and 2**20 yet which lies past node 0. Sparse and dense legs
+    # alike are ranked (exactly on a power-of-two step, by bisection on any
+    # other); pool holds more than 2 ticks per node
     n = 9
     nodes = index._lattice(n, step)
     np.testing.assert_array_equal(nodes, step * np.arange(n))
@@ -437,7 +425,7 @@ def test_lattice_counts_equal_bisection(step):
     rng = np.random.default_rng(7)
     legs = [pool[:0], pool[:1], pool[:3], np.array([5e-324, step]), pool]
     legs += [np.unique(rng.choice(pool, size)) for size in (4, 9, 15)]
-    assert pool.size >= index.MAX_TICKS_PER_POINT * n
+    assert pool.size > 2 * n
     for times in legs:
         got = index._tick_counts(times, n, step)
         np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
