@@ -4,8 +4,14 @@ Synthetic price processes (correlated Brownian, Merton jump-diffusion, a
 mutually exciting Hawkes price model), asynchronous observation schemes,
 correlation estimators with asynchrony corrections, replicated experiment
 drivers with a discrimination verdict, and a trade-file ingestion path
-that applies the same machinery to real tick data.
+that applies the same machinery to real tick data. On glibc, importing it
+sets malloc's mmap and trim thresholds to 32 and 64 MiB, so each tick pair
+reuses the heap pages the last one freed instead of faulting them in again;
+MALLOC_MMAP_THRESHOLD_ or MALLOC_TRIM_THRESHOLD_ in the environment wins.
 """
+
+import ctypes
+import os
 
 from .errors import (
     DataError,
@@ -89,3 +95,20 @@ from .taq import (
 )
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_pages() -> None:
+    """Pin glibc's mmap threshold at the ceiling of its dynamic one and the trim
+    threshold at twice that; setting only one would freeze the other."""
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")  # the M_* numbers are glibc's
+    except (AttributeError, ValueError, OSError):
+        return
+    if glibc and not {"MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"} & os.environ.keys():
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_pages()

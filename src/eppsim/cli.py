@@ -29,7 +29,6 @@ from . import __version__, seeding
 from .errors import (
     DataError,
     EppsimError,
-    EstimationError,
     NumericError,
     ParameterError,
     ScalingError,
@@ -431,20 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out, fresh = Path(args.out), not Path(args.out).exists()
     try:
         return args.fn(args)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except EppsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        if fresh and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()  # a failed run leaves no --out it made
+        return 2 if isinstance(exc, ParameterError) else 4 if isinstance(exc, NumericError) else 3
 
 
 if __name__ == "__main__":

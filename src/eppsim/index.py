@@ -56,10 +56,14 @@ def expected_ticks(rate: float, horizon: float) -> float:
     expected = rate * horizon
     collisions = expected * rate * math.ulp(horizon) / 2
     if not collisions < MAX_EXPECTED_COLLISIONS:
-        raise ParameterError(
-            f"rate {rate} over horizon {horizon} expects {collisions:.2g} pairs of equal "
-            f"float64 arrival times, at most {MAX_EXPECTED_COLLISIONS} are allowed"
-        )
+        many = (f"{collisions:.2g} pairs of equal float64 arrival times, at most "
+                f"{MAX_EXPECTED_COLLISIONS} are allowed")
+        if collisions == math.inf:  # past counting: the ticks against a leg's cap instead
+            cap = math.sqrt(2 * MAX_EXPECTED_COLLISIONS * horizon / math.ulp(horizon))
+            ticks = f"{expected:.2g}" if expected < math.inf else "more than 1e308"
+            many = (f"{ticks} ticks, past the {cap:.2g} at which {MAX_EXPECTED_COLLISIONS} "
+                    f"pairs of equal float64 arrival times are expected")
+        raise ParameterError(f"rate {rate} over horizon {horizon} expects {many}")
     return expected
 
 

@@ -122,3 +122,19 @@ def test_run_pairs_alternates_the_first_side_and_labels_each_run():
         (0, "base", "base"), (0, "change", "base"), (1, "change", "change"),
         (1, "base", "change"), (2, "base", "base"), (2, "change", "base")]
     assert {r["workload"] for r in runs} == {"w"} and {r["block"] for r in runs} == {"pairs"}
+
+
+def test_the_environment_names_the_c_library_and_the_malloc_variables(monkeypatch):
+    for name in [k for k in bench_pairs.os.environ if k.startswith("MALLOC_")]:
+        monkeypatch.delenv(name)
+    assert bench_pairs.allocator()["malloc_env"] == {}
+    monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+    monkeypatch.setenv("MALLOC_ARENA_MAX", "2")
+    got = bench_pairs.allocator()
+    assert got["malloc_env"] == {"MALLOC_ARENA_MAX": "2", "MALLOC_TRIM_THRESHOLD_": "131072"}
+    try:
+        libc = bench_pairs.os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        libc = None
+    assert got["libc"] == libc
+    assert libc is None or libc.startswith("glibc ")

@@ -1052,7 +1052,8 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
          GRID_BOUND),
         # Poisson legs past the tick bound and overlap windows past the grid bound
         (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
-         "error: --rates: mean_interarrivals entry 1e-300: rate ", "pairs of equal float64 arrival times"),
+         "error: --rates: mean_interarrivals entry 1e-300: rate ",
+         "expects 7.2e+304 ticks, past the 9.9e+06 at which 0.01 pairs of equal float64 arrival times"),
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
          "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
         # Hawkes processes expected to draw more events than simulate_hawkes may
@@ -1164,6 +1165,26 @@ def test_hawkes_times_that_collide_exit_4_naming_the_kernel(tmp_path, capsys, ar
     assert err.startswith("error: Hawkes simulation drew two equal float64 event times in component ")
     assert err.endswith("fastest decay 1e+13, horizon 3600.0)\n")
     assert "spectral radius 0." in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # the failed run removes the --out it made
+    # an --out that was there before the run stays, with what it held
+    (tmp_path / "kept").mkdir()
+    (tmp_path / "kept" / "notes.txt").write_text("mine")
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "kept")]) == 4
+    assert [p.name for p in (tmp_path / "kept").iterdir()] == ["notes.txt"]
+    (tmp_path / "empty").mkdir()
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 4
+    assert (tmp_path / "empty").is_dir()
+
+
+def test_an_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_figure", no_work)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"  # under a file: no directory can be made there
+    assert cli.main(["epps", "--figure", "2a", "--replications", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: cannot create output directory {str(out)!r}")
 
 
 def test_taq_pair_flag_required(tmp_path):

@@ -494,7 +494,8 @@ def test_config_validation_errors():
 def test_config_refuses_legs_and_strides_past_the_size_bounds():
     # refused when the config is built, before a replication draws a tick
     # or builds a window; only values far past the bounds are tried
-    ticks = r"expects \S+ pairs of equal float64 arrival times"
+    number = r"\d(\.\d+)?e\+\d+"  # finite: an overflowing count names the ticks instead
+    ticks = rf"expects {number} ticks, past the {number} at which 0.01 pairs of equal float64 arrival times"
     with pytest.raises(ParameterError, match=rf"^poisson_rate: rate 1e\+300 over horizon 3000.0 {ticks}"):
         small_cfg(poisson_rate=1e300)
     for axis in ("mean_interarrivals", "overlap_rates"):

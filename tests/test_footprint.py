@@ -1,6 +1,11 @@
 """The peak working memory of the estimators, of observe_path and of the
 simulators (measured by footprint.py) and the hand-over of the count arrays
-_hy_estimate consumes."""
+_hy_estimate consumes, and the heap pages one tick pair leaves to the next."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from eppsim import estimators, experiments
 from eppsim.estimators import hayashi_yoshida
 from eppsim.experiments import ESTIMATOR_NAMES, estimate_matrix, k_skip_row
 from eppsim.sampling import k_skip
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +96,47 @@ def test_hy_estimate_callers_never_read_the_counts_it_consumes(monkeypatch):
         estimate_matrix(s1, s2, dt_grid, ESTIMATOR_NAMES, 3000.0), want_matrix
     )
     assert len(consumed) == 2 * (1 + K_MAX + 1)
+
+
+# a child interpreter imports eppsim, draws one 72 000 s tick pair off a
+# GBM path and estimates it with HY, then prints the minor page faults that
+# ten more pairs take
+TICK_PAIRS = """
+import resource
+from eppsim import hayashi_yoshida, observe_path, poisson_arrivals, simulate_gbm
+from eppsim.presets import reference_params
+
+path = simulate_gbm(reference_params("gbm"), 0)
+
+def pair(s):
+    legs = [observe_path(path, poisson_arrivals(1.0, 72000.0, 2 * s + a), a) for a in (0, 1)]
+    hayashi_yoshida(*legs)
+
+pair(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for s in range(1, 11):
+    pair(s)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the malloc thresholds are glibc's")
+@pytest.mark.parametrize("malloc_env, faults", [
+    ({}, lambda n: n < 100),  # the glibc default faults some 14 600 pages back in
+    # the user's own thresholds win over the ones eppsim sets
+    ({"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}, lambda n: n > 1000),
+], ids=["eppsim", "user"])
+def test_tick_pairs_reuse_the_heap_pages_the_last_pair_freed(malloc_env, faults):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    env.update(malloc_env, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", TICK_PAIRS], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    assert faults(int(done.stdout)), done.stdout

@@ -71,8 +71,13 @@ def test_poisson_refuses_a_rate_past_the_tick_bound_before_drawing(monkeypatch):
 
     monkeypatch.setattr(sampling.seeding, "stream", no_draw)
     with pytest.raises(ParameterError, match=(
-            "^rate 1e\\+300 over horizon 72000.0 expects \\S+ pairs of equal float64 arrival times")):
+            "^rate 1e\\+300 over horizon 72000.0 expects 7.2e\\+304 ticks, past the 9.9e\\+06 at "
+            "which 0.01 pairs of equal float64 arrival times are expected$")):
         poisson_arrivals(1e300, 72000.0, seed=0)
+    # rate * horizon itself past the largest float
+    with pytest.raises(ParameterError, match=(
+            "^rate 1e\\+308 over horizon 3000.0 expects more than 1e308 ticks, past the 1.1e\\+07 ")):
+        poisson_arrivals(1e308, 3000.0, seed=0)
 
 
 def test_poisson_refuses_a_rate_likely_to_draw_equal_times_before_drawing(monkeypatch):

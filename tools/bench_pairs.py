@@ -24,7 +24,8 @@ BENCHMARK.json. The file holds per workload and metric: each side's
 median and q1-q3, the pairs won, the bound and whether the change's
 median stays inside it, the A/A spread and the verdict of RULE; and
 every run's correct/failed, whether every output digest equals the
-base's on the same seed, both SHAs, the seeds and the machine.
+base's on the same seed, both SHAs, the seeds and the machine, with its C
+library and the MALLOC_* variables the runs inherit.
 summarize() does the arithmetic alone, so it can be checked on fixed
 reports.
 """
@@ -146,6 +147,17 @@ def _env(root: Path) -> dict:
     return env
 
 
+def allocator() -> dict:
+    """The C library and every MALLOC_* variable the runs inherit: eppsim sets
+    glibc's malloc thresholds unless such a variable does, and they move the numbers."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        libc = None
+    return {"libc": libc,
+            "malloc_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")}}
+
+
 def bench_run(root: Path, seed: int, command: list, workload: str, seconds: float) -> dict:
     """One perfbench run in root: its result line, and its report's output digests."""
     done = subprocess.run(
@@ -246,7 +258,7 @@ def main(argv=None) -> int:
 
     summary = summarize(runs, bench["end_to_end"])
     cold = summarize(cold_runs, [cold_metric])["cli_cold_start"]
-    environment = next((r["environment"] for r in runs if r["environment"]), None)
+    environment = dict(next((r["environment"] for r in runs if r["environment"]), {}), **allocator())
     doc = {
         "rule": RULE,
         "sha": sha,
