@@ -75,9 +75,9 @@ def measured_correlation(gi: GridSeries, gj: GridSeries) -> CorrelationEstimate:
 
 def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
     """measured_correlation of two checked grids of step dt with returns ri and rj."""
-    cov = float(np.sum(ri * rj))
-    var_i = float(np.sum(np.square(ri)))
-    var_j = float(np.sum(np.square(rj)))
+    cov = float((ri * rj).sum())
+    var_i = float(np.square(ri).sum())
+    var_j = float(np.square(rj).sum())
     if var_i <= 0:
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
@@ -112,17 +112,17 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     so a caller passes arrays that nothing reads afterwards. The leg-j
     returns are written into the prefix-sum table and summed there.
     """
-    di = np.diff(vi)
-    var_i = float(np.sum(np.square(di)))
+    di = np.subtract(vi[1:], vi[:-1])
+    var_i = float(np.square(di).sum())
     pref = np.empty(vj.size)  # pref[k]: the sum of the first k leg-j returns
     pref[0] = 0.0
     dj = np.subtract(vj[1:], vj[:-1], out=pref[1:])
-    var_j = float(np.sum(np.square(dj)))
+    var_j = float(np.square(dj).sum())
     if var_i <= 0:
         raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
         raise DegenerateSeriesError("leg j has zero realised variance")
-    np.cumsum(dj, out=dj)
+    dj.cumsum(out=dj)
     # j-interval k = (tj[k], tj[k+1]] overlaps i-interval (a, b] iff
     # tj[k+1] > a and tj[k] < b; both bounds are monotone in k
     upto -= 1
@@ -131,7 +131,7 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     span = pref.take(k_hi)
     span -= pref.take(k_lo)
     span *= di
-    return CorrelationEstimate(float(np.sum(span)) / math.sqrt(var_i * var_j))
+    return CorrelationEstimate(float(span.sum()) / math.sqrt(var_i * var_j))
 
 
 def overlap_expectation(
@@ -205,7 +205,7 @@ def _first_window(lo_i, lo_j) -> int:
     """The first window that starts after both assets' first arrivals, from
     each asset's last-arrival index at the window starts (-1 before its
     first arrival). Indices never fall, so the windows kept form a suffix."""
-    first = max(np.searchsorted(lo_i, 0), np.searchsorted(lo_j, 0))
+    first = max(lo_i.searchsorted(0), lo_j.searchsorted(0))
     if first == lo_i.size:
         raise InsufficientDataError(
             "no evaluation windows start after both assets' first observations"
@@ -219,13 +219,13 @@ def _window_overlap(hi_i, lo_i, hi_j, lo_j, dt: float) -> OverlapStats:
     The intersection lengths are built inside hi_i, which nothing reads
     afterwards (lo_i may share its memory: it is read first).
     """
-    kappa_ii = float(np.mean(hi_i - lo_i))
-    kappa_jj = float(np.mean(hi_j - lo_j))
+    kappa_ii = float((hi_i - lo_i).mean())
+    kappa_jj = float((hi_j - lo_j).mean())
     lo = np.maximum(lo_i, lo_j)
     cross = np.minimum(hi_i, hi_j, out=hi_i)
     cross -= lo
     np.maximum(cross, 0.0, out=cross)
-    return OverlapStats(kappa_ii, kappa_jj, float(np.mean(cross)), dt)
+    return OverlapStats(kappa_ii, kappa_jj, float(cross.mean()), dt)
 
 
 def overlap_correction(rho_measured: float, stats: OverlapStats) -> CorrelationEstimate:
@@ -251,7 +251,7 @@ def _zero_fraction(r: np.ndarray) -> float:
     """flat_trade_probability of a grid with returns r."""
     if r.size == 0:
         raise DegenerateSeriesError("need at least one grid return")
-    return float(np.mean(r == 0.0))
+    return float((r == 0.0).mean())
 
 
 def flat_trade_correction(

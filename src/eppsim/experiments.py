@@ -417,8 +417,10 @@ def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, str
     Each grid-sized array built here is dropped after its last reader,
     and all of them when this returns; the indices stay the caller's.
     """
-    r1 = np.diff(s1.values.take(idx1, mode="clip"))
-    r2 = np.diff(s2.values.take(idx2, mode="clip"))
+    v = s1.values.take(idx1, mode="clip")
+    r1, v = np.subtract(v[1:], v[:-1]), None  # each value grid goes before the next is taken
+    v = s2.values.take(idx2, mode="clip")
+    r2, v = np.subtract(v[1:], v[:-1]), None
     try:
         measured = _measured_correlation(r1, r2, dt)
     except EstimationError:

@@ -31,7 +31,7 @@ from .series import ArrivalSet, PricePath
 STABILITY_TOL = 1e-9
 # most events simulate_hawkes draws in one run before it raises NumericError
 MAX_EVENTS = 5_000_000
-# the step in seconds of hawkes_price_model's grid, a power of two (index._lattice_ranks)
+# the step in seconds of hawkes_price_model's grid, a power of two: ranks on it are exact
 PRICE_GRID_DT = 1.0
 
 

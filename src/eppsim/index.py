@@ -1,10 +1,10 @@
 """Searches against sorted arrays: grid counts, tick ranks and tick counts.
 
 Every place that asks how many ticks lie before or at a time asks it here.
-_lattice_ranks ranks values against a grid (n, step) from 0 on either side,
-exactly: on a power-of-two step by arithmetic (floor(x/step) + 1 nodes at or
-before x, ceil(x/step) before it), on any other step by bisection against
-the grid. _tick_counts counts ticks from their left ranks among the grid
+_lattice_ranks ranks ticks against a grid (n, step) from 0 on the left,
+exactly: ceil(x/step) on a power-of-two step (sampling.observe_path reads
+the node at or before x as x/step truncated), bisection against the grid
+on any other. _tick_counts counts ticks from those ranks among the grid
 points, or among other ascending queries by bisection, on sparse and dense
 legs alike. A leg on the grid's own points is a strided read
 (_strided_counts). Ticks against ticks, the HY rank of a pair, are one
@@ -83,21 +83,17 @@ def _lattice(n: int, step: float) -> np.ndarray:
     return nodes
 
 
-def _lattice_ranks(x: np.ndarray, n: int, step: float, side: str = "right") -> np.ndarray:
-    """np.searchsorted(_lattice(n, step), x, side) for x >= 0. On a power-of-two
-    step each node k*step (k < 2**53) is a double and x/step is exact or
-    subnormal (below 1), so the rank is floor(x/step) + 1 on the right and
-    ceil(x/step) on the left, where a positive x whose quotient underflows to
-    0 still lies past node 0; on any other step bisection against the grid."""
+def _lattice_ranks(x: np.ndarray, n: int, step: float) -> np.ndarray:
+    """np.searchsorted(_lattice(n, step), x, side="left") for x >= 0. On a
+    power-of-two step each node k*step (k < 2**53) is a double and x/step is
+    exact or subnormal (below 1), so the rank is ceil(x/step), where a
+    positive x whose quotient underflows to 0 still lies past node 0; on any
+    other step bisection against the grid."""
     if math.frexp(step)[0] != 0.5:
-        return np.searchsorted(_lattice(n, step), x, side=side)
+        return _lattice(n, step).searchsorted(x, "left")
     r = np.divide(x, step)
-    if side == "right":
-        np.floor(r, out=r)
-        r += 1.0
-    else:
-        np.ceil(r, out=r)
-        np.maximum(r, x > 0, out=r)
+    np.ceil(r, out=r)
+    np.maximum(r, x > 0, out=r)
     return np.minimum(r, n, out=r).astype(np.intp)
 
 
@@ -111,13 +107,11 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
     place count the ranks.
     """
     if isinstance(queries, int):
-        n = queries
-        ranks = _lattice_ranks(times, n, step, side="left")
+        n, ranks = queries, _lattice_ranks(times, queries, step)
     else:
-        n = queries.size
-        ranks = np.searchsorted(queries, times, side="left")
+        n, ranks = queries.size, queries.searchsorted(times, "left")
     counts = np.bincount(ranks, minlength=n + 1)[:-1]
-    return np.cumsum(counts, out=counts)
+    return counts.cumsum(out=counts)
 
 
 def _strided_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None:
@@ -168,7 +162,7 @@ def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np
     keys[n:] |= 1
     keys.sort(kind="stable")
     keys &= 1
-    below = np.flatnonzero(keys == 0)
+    below = (keys == 0).nonzero()[0]
     del keys, values
     below -= np.arange(n)
     if times.size == 0:

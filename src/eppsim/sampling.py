@@ -4,14 +4,14 @@ Arrival processes (homogeneous Poisson or mutually exciting Hawkes) pick
 the observation times of each asset; observe_path reads the latent path at
 those times; previous_tick_grid synchronises a tick series back onto a
 regular grid by carrying the last observed value forward; k_skip thins a
-series to every k-th observation. Both searches rank against a uniform
-grid (n, step) by index._lattice_ranks, exact arithmetic on a power-of-two
-step and bisection against the grid on any other: observe_path on the
-right side, previous_tick_grid on the left through _tick_counts. A leg
-from time 0, such as a synchronous one, is first tried as a strided read
-of its ticks (_strided_counts). estimate_matrix counts each leg once per
-base step and reads a step that is an exact multiple of it as a strided
-view of those counts.
+series to every k-th observation. Both search a uniform grid (n, step) by
+exact arithmetic on a power-of-two step and by bisection against
+index._lattice on any other: observe_path truncates t/dt to the node at
+or before t, previous_tick_grid ranks ticks on the left through
+_tick_counts. A leg from time 0, such as a synchronous one, is first tried
+as a strided read of its ticks (_strided_counts). estimate_matrix counts
+each leg once per base step and reads a step that is an exact multiple of
+it as a strided view of those counts.
 """
 
 import math
@@ -19,10 +19,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import seeding
+from . import index, seeding
 from .errors import DegenerateSeriesError, NumericError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _lattice_ranks, _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -36,7 +36,7 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     (index.expected_ticks, which also caps a leg at about 1.3 * 10**7 ticks);
     two equal times drawn all the same raise NumericError.
     """
-    if rate < 0 or not np.isfinite(rate):
+    if rate < 0 or not math.isfinite(rate):
         raise ParameterError(f"rate must be finite and >= 0, got {rate}")
     if not horizon >= 0:
         raise ParameterError(f"horizon must be non-negative, got {horizon}")
@@ -48,14 +48,14 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     scale = 1.0 / rate
     total = rng.standard_exponential(size=block)
     total *= scale
-    np.cumsum(total, out=total)
+    total.cumsum(out=total)
     while total[-1] <= horizon:
         gaps = rng.standard_exponential(size=block)
         gaps *= scale
-        np.cumsum(gaps, out=gaps)
+        gaps.cumsum(out=gaps)
         gaps += total[-1]
         total = np.append(total, gaps)
-    times = total[: np.searchsorted(total, horizon, "right")]
+    times = total[: total.searchsorted(horizon, "right")]
     try:
         return ArrivalSet(times=times, horizon=horizon)
     except ParameterError as exc:
@@ -79,9 +79,10 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
 
     The value at arrival t is the path value at the greatest grid point <= t.
     Arrivals past the path's horizon are refused (an ArrivalSet starts at
-    0, as every path does). On a path whose step is a power of two (every
-    preset path: 1 s) that point is read off floor(t/dt) exactly; any
-    other path's grid is built and bisected.
+    0, as every path does). On a power-of-two step (every preset path: 1 s)
+    that point's index is t/dt truncated: t/dt is exact or below 1 and t >= 0,
+    so truncation is a floor, and the horizon check bounds it by n_steps.
+    Any other path's grid is built and bisected.
     """
     if asset not in (0, 1):
         raise ParameterError(f"asset must be 0 or 1, got {asset}")
@@ -91,8 +92,10 @@ def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSerie
             f"arrivals end at {t[-1]}, past the path horizon {path.horizon}"
         )
     # the last node of path.times() at or before each t
-    idx = _lattice_ranks(t, path.n_steps + 1, path.dt)
-    idx -= 1
+    if math.frexp(path.dt)[0] == 0.5:
+        idx = np.divide(t, path.dt).astype(np.intp)
+    else:
+        idx = index._lattice(path.n_steps + 1, path.dt).searchsorted(t, "right") - 1
     return TickSeries(
         times=t, values=path.values[:, asset].take(idx), horizon=arrivals.horizon
     )

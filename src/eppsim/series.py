@@ -25,7 +25,7 @@ def _check_times(t: np.ndarray, horizon: float, kind: str, faults) -> None:
     bound the rest); only if it or a fault fails do the checks run in order,
     naming the first fault: non-finite times, the faults, order, range."""
     if t.ndim == 1 and not any(failed for failed, _ in faults) and (t.size == 0 or bool(
-            0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and np.all(t[1:] > t[:-1]))):
+            0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and (t[1:] > t[:-1]).all())):
         return
     _as_float_array(t, "times")
     for failed, message in faults:

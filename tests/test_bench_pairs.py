@@ -92,6 +92,29 @@ def test_failures_crashes_and_changed_outputs_are_reported():
     assert bench_pairs.summarize(runs, END_TO_END)["w"]["failed"] == 20
 
 
+def test_ops_name_the_operation_that_moved_at_the_reference_speed():
+    # op b halves in every pair; op a only looks faster because the change
+    # ran in a fast period (reference 0.5 s against 1.0 s), op c is timed by
+    # the change alone and a crashed pair has no ops
+    runs = aa_block() + paired(BASE, BASE)
+    for r in runs[len(aa_block()):]:
+        change = r["side"] == "change"
+        ref = 0.5 if change else 1.0
+        r.update(reference_s=ref, op_walls_s={"a": 2.0 * ref, "b": (0.5 if change else 1.0) * ref})
+        if change:
+            r["op_walls_s"]["c"] = 1.0
+    crashed = paired([1.0], [None], start=10, correct=False, digests=None)
+    got = bench_pairs.summarize(runs + crashed, END_TO_END)["w"]["ops"]
+    assert sorted(got) == ["a", "b"]
+    assert got["a"] == {"ratio": pytest.approx(1.0), "pairs": 10, "pairs_won": 0}
+    assert got["b"] == {"ratio": pytest.approx(0.5), "pairs": 10, "pairs_won": 10}
+    # the median over pairs: one pair slower, the other nine faster
+    runs[len(aa_block()) + 1]["op_walls_s"]["b"] = 0.75
+    got = bench_pairs.summarize(runs, END_TO_END)["w"]["ops"]["b"]
+    assert got == {"ratio": pytest.approx(0.5), "pairs": 10, "pairs_won": 9}
+    assert bench_pairs.summarize(aa_block(), END_TO_END)["w"]["ops"] == {}
+
+
 def test_quartiles_follow_perfbench():
     assert bench_pairs.quartiles([3.0]) == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     got = bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0])

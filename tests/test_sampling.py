@@ -396,22 +396,45 @@ def test_observe_path_equals_bisection(dt, n_steps, n_arrivals, seed, order):
     np.testing.assert_array_equal(observe_path(path, arrivals, 1).values, -want.astype(float))
 
 
+@pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2.0**60, 0.1, 1.5, 3.0])
+def test_observe_path_reads_the_node_at_or_before_each_arrival(step):
+    # 0.0 or -0.0 first, the least subnormal (whose quotient underflows to 0
+    # at 2**60), every node and its one-ulp neighbours, and the horizon,
+    # which is the last node; one ulp past it is refused. A step that is not
+    # a power of two is bisected against the grid
+    rng = np.random.default_rng(11)
+    path = PricePath(dt=step, values=rng.standard_normal((7, 2)))
+    nodes = path.times()
+    assert nodes[-1] == path.horizon
+    near = np.concatenate([np.nextafter(nodes, -np.inf), nodes, np.nextafter(nodes, np.inf)])
+    near = near[(near > 0) & (near <= path.horizon)]
+    for zero in (0.0, -0.0):
+        t = np.concatenate([[zero], np.unique(np.concatenate([[5e-324, path.horizon], near]))])
+        arrivals = ArrivalSet(times=t, horizon=path.horizon)
+        for asset in (0, 1):
+            want = path.values[np.searchsorted(path.times(), t, "right") - 1, asset]
+            got = observe_path(path, arrivals, asset)
+            np.testing.assert_array_equal(got.values, want)
+            assert got.times is arrivals.times
+    past = ArrivalSet(times=np.array([np.nextafter(path.horizon, np.inf)]), horizon=2 * path.horizon)
+    with pytest.raises(OutOfRangeError):
+        observe_path(path, past, 0)
+
+
 @pytest.mark.parametrize("step", [1.0, 2.0, 0.5, 2**-10, 2**-1074, 2.0**60, 0.1, 1.5, 3.0])
 def test_lattice_ranks_equal_bisection(step):
     # zeros of either sign, the least subnormal, a node and its one-ulp
-    # neighbours, the last node and past it, on both sides; at 2**60 the
-    # subnormal's quotient underflows to 0, its rank on the right, yet it
-    # lies past node 0 on the left. A step that is not a power of two is
-    # bisected against the grid
+    # neighbours, the last node and past it; at 2**60 the subnormal's
+    # quotient underflows to 0, yet it lies past node 0. A step that is not
+    # a power of two is bisected against the grid
     n = 7
     nodes = step * np.arange(n)
     x = np.array([0.0, -0.0, 5e-324, np.nextafter(nodes[3], -np.inf), nodes[3],
                   np.nextafter(nodes[3], np.inf), nodes[-1], np.nextafter(nodes[-1], np.inf),
                   nodes[-1] + 5 * step])
-    for side in ("right", "left"):
-        got = index._lattice_ranks(x, n, step, side=side)
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side=side))
+    got = index._lattice_ranks(x, n, step)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, np.searchsorted(nodes, x, side="left"))
 
 
 @pytest.mark.parametrize("step", [2**-10, 1.0, 2.0, 2.0**20, 0.1, 1.5, 3.0])

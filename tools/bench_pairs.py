@@ -5,9 +5,9 @@ Run from the root of a checkout whose HEAD is the change:
     python3 tools/bench_pairs.py --out BENCH_<n>.json [--base HEAD~1] [--seed 2101]
 
 --base names the commit the change is measured against when the change
-spans several commits. The base commit is checked out with `git worktree
-add` in a temporary directory, which is removed when the script ends.
-Then, one process at a time:
+spans several commits. The base commit's files are extracted by `git
+archive` into a temporary directory, which is removed when the script
+ends. Then, one process at a time:
 
 1. an A/A block: AA_PAIRS pairs per workload of the base against itself,
    which measure each metric's spread when nothing changed;
@@ -22,10 +22,12 @@ Every workload run is `perfbench/run.py --trace 0` of BENCHMARK.json's
 command for its run_seconds; its workloads, metrics and bounds come from
 BENCHMARK.json. The file holds per workload and metric: each side's
 median and q1-q3, the pairs won, the bound and whether the change's
-median stays inside it, the A/A spread and the verdict of RULE; and
-every run's correct/failed, whether every output digest equals the
-base's on the same seed, both SHAs, the seeds and the machine, with its C
-library and the MALLOC_* variables the runs inherit.
+median stays inside it, the A/A spread and the verdict of RULE; per
+workload and operation, which operation moved (see summarize); and
+every run's correct/failed, its per-operation times and mean reference
+time, whether every output digest equals the base's on the same seed,
+both SHAs, the seeds and the machine, with its C library and the MALLOC_*
+variables the runs inherit.
 summarize() does the arithmetic alone, so it can be checked on fixed
 reports.
 """
@@ -80,8 +82,15 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     runs: one dict per run with workload, block ("aa" or "pairs"), pair,
     side ("base" or "change"; in the A/A block "base" and "base2"), seed,
     correct, failed, metrics (name -> value; empty when the run crashed)
-    and digests (the sha256 of its output digests, or None).
+    and digests (the sha256 of its output digests, or None), and, from a
+    perfbench report, op_walls_s (operation -> its median wall time) and
+    reference_s (the mean reference time).
     end_to_end: BENCHMARK.json's list of {name, better, bound, unit}.
+
+    Each workload's ops holds, per operation that both runs of a pair
+    timed, the median over those pairs of the change/base ratio of its
+    time over the run's mean reference time, and the pairs whose ratio is
+    below 1, so a moved end-to-end time can be traced to an operation.
     """
     out = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -126,8 +135,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "within_bound": worse <= m["bound"] * abs(base["median"]),
                 "verdict": "gain" if gain else "no change",
             }
+        ops = {}
+        for b, c in paired:
+            for op, wall in (c.get("op_walls_s") or {}).items():
+                if op in (b.get("op_walls_s") or {}):
+                    ops.setdefault(op, []).append(
+                        (wall / c["reference_s"]) / (b["op_walls_s"][op] / b["reference_s"]))
         out[workload] = {
             "metrics": metrics,
+            "ops": {op: {"ratio": statistics.median(r), "pairs": len(r),
+                         "pairs_won": sum(x < 1 for x in r)} for op, r in sorted(ops.items())},
             "runs_correct": all(r["correct"] for r in mine),
             "failed": sum(r["failed"] or 0 for r in mine),
             "digests_equal": all(b["digests"] is not None and b["digests"] == c["digests"]
@@ -176,7 +193,8 @@ def bench_run(root: Path, seed: int, command: list, workload: str, seconds: floa
         correct=res["correct"], failed=res["failed"], attempted=res["attempted"],
         metrics={k: v["value"] for k, v in res["metrics"].items()},
         digests=hashlib.sha256(json.dumps(report["digests"], sort_keys=True).encode()).hexdigest(),
-        environment=report["environment"],
+        environment=report["environment"], op_walls_s=report["op_walls_s"],
+        reference_s=statistics.fmean(report["reference_s"]),
     )
     return run
 
@@ -236,8 +254,11 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     base = tmp / "base"
-    _git("worktree", "add", "--detach", str(base), sha["base"], cwd=root)
     try:
+        base.mkdir()
+        archive = subprocess.run(["git", "archive", sha["base"]], cwd=root, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         trees = {"base": base, "base2": base, "change": root}
         runs = []
         for block, block_seeds, sides in blocks:
@@ -251,9 +272,6 @@ def main(argv=None) -> int:
         cold_runs = [run for block, block_seeds, sides in blocks
                      for run in run_pairs(trees, cold_start, "cli_cold_start", block_seeds, block, sides)]
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base)], cwd=root,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     summary = summarize(runs, bench["end_to_end"])
@@ -284,6 +302,8 @@ def main(argv=None) -> int:
                 print(f"  {name}: {m['base']['median']:.4g} -> {m['change']['median']:.4g} "
                       f"won {m['pairs_won']}/{m['pairs']} within_bound={m['within_bound']} "
                       f"{m['verdict']}")
+        for op, o in w.get("ops", {}).items():
+            print(f"  op {op}: change/base {o['ratio']:.3f} won {o['pairs_won']}/{o['pairs']}")
     for side in ("base", "change"):
         print(f"{side}: tier-1 {tier1_s[side]['wall_s']:.1f} s ({tier1_s[side]['summary']})")
     print(f"wrote {args.out}")
