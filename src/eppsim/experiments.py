@@ -65,6 +65,12 @@ PRICE_PARAMS = {"gbm": GbmParams, "merton": MertonParams, "hawkes": HawkesPriceP
 # the fewest usable curve points discriminate classifies
 MIN_VERDICT_POINTS = 5
 
+# the most replications an experiment runs: _map_replications holds each
+# replication's estimates until np.stack copies them, at most 1.3 kB per
+# replication for a preset (tracemalloc at 4 * 10**4 replications of figure
+# 9's 3 rates x 2 estimators x 10 dt), so a run at the bound needs about 1.3 GB
+MAX_REPLICATIONS = 10**6
+
 
 def check_axis(values, name: str) -> tuple:
     """values as a tuple if they are a curve axis: non-empty, positive,
@@ -314,10 +320,10 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
-        if not (isinstance(self.n_replications, Integral) and self.n_replications >= 1):
-            raise ParameterError(
-                f"n_replications must be an integer >= 1, got {self.n_replications!r}"
-            )
+        if not (isinstance(self.n_replications, Integral)
+                and 1 <= self.n_replications <= MAX_REPLICATIONS):
+            raise ParameterError(f"n_replications must be an integer in [1, "
+                                 f"{MAX_REPLICATIONS}], got {self.n_replications!r}")
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must lie in (0, 1), got {self.confidence}")
         seeding.check_seed(self.seed)
@@ -549,18 +555,21 @@ def k_skip_row(si: TickSeries, sj: TickSeries, k_max: int) -> np.ndarray:
     once, by one merge of its two legs (index._left_right_counts): of the
     c leg-j ticks before (or at) a leg-i tick, leg j thinned
     to every k-th tick keeps c // k, so each k reads its HY index off
-    strided views of the pair's arrays.
+    strided views of the pair's arrays. The counts are copied out of their
+    views and divided in place: copy and division take about half the time
+    numpy needs to divide the strided view.
     """
     if not isinstance(k_max, (int, np.integer)) or isinstance(k_max, bool) or k_max < 1:
         raise ParameterError(f"k_max must be a positive integer, got {k_max!r}")
     row = np.full((1, int(k_max)), np.nan)
     below, upto = _left_right_counts(sj.times, si.times)
     # a leg of n ticks keeps floor(n/k) >= 2 of them exactly while k <= n // 2;
-    # _hy_estimate consumes its counts, so each k gets fresh ones, except
-    # k = 1, run last, which is handed the pair's own
+    # _hy_estimate consumes its counts, so each k gets fresh ones, divided in
+    # place, except k = 1, run last, which is handed the pair's own
     for k in range(min(int(k_max), len(si) // 2, len(sj) // 2), 0, -1):
         thinned = slice(k - 1, None, k)
-        counts = (below, upto) if k == 1 else (below[thinned] // k, upto[thinned] // k)
+        counts = (below, upto) if k == 1 else [
+            np.floor_divide(c, k, out=c) for c in (below[thinned].copy(), upto[thinned].copy())]
         try:
             row[0, k - 1] = _hy_estimate(si.values[thinned], sj.values[thinned], *counts).rho
         except EstimationError:

@@ -5,8 +5,10 @@ _lattice_ranks ranks ticks against a grid (n, step) from 0 on the left,
 exactly: ceil(x/step) on a power-of-two step (sampling.observe_path reads
 the node at or before x as x/step truncated), bisection against the grid
 on any other. _tick_counts counts ticks from those ranks among the grid
-points, or among other ascending queries by bisection, on sparse and dense
-legs alike. A leg on the grid's own points is a strided read
+points, or among other ascending queries by bisection: a leg with fewer
+than one tick per RUN_LENGTH_POINTS_PER_TICK points repeats its run
+lengths, at a cost in its ticks, and a denser one sums a bincount over the
+points. A leg on the grid's own points is a strided read
 (_strided_counts). Ticks against ticks, the HY rank of a pair, are one
 merge of the two sorted legs and a tie test (_left_right_counts). Each
 kernel equals np.searchsorted bit for bit. The size bounds live here too:
@@ -29,12 +31,13 @@ from .errors import ParameterError
 MAX_GRID_STEPS = 10**8
 
 
-def _step_ratio(horizon: float, dt: float) -> float:
-    """horizon/dt, refused past MAX_GRID_STEPS before any grid is allocated."""
+def _step_ratio(horizon: float, dt: float, of: str = "") -> float:
+    """horizon/dt, refused past MAX_GRID_STEPS before any grid is allocated
+    by a message that ends in of (" of dt" names a step field)."""
     ratio = horizon / dt
     if not ratio <= MAX_GRID_STEPS:
         raise ParameterError(
-            f"horizon {horizon} at step {dt} needs more than {MAX_GRID_STEPS} grid steps"
+            f"horizon {horizon} at step {dt} needs more than {MAX_GRID_STEPS} grid steps{of}"
         )
     return ratio
 
@@ -76,6 +79,14 @@ def grid_count(horizon: float, dt: float) -> int:
     return int(math.floor(_step_ratio(horizon, dt) + 1e-9))
 
 
+# _tick_counts repeats run lengths on a leg with fewer than one tick per this
+# many grid points, and sums a bincount on a denser one: from the same ranks,
+# the repeat costs as much as the sum near m = n/6 ticks at n = 72 001 grid
+# points and near m = n/4 at n = 28 201, and less below (best of nine timeit
+# repeats of 50 calls, uniform legs, 2-vCPU VM)
+RUN_LENGTH_POINTS_PER_TICK = 5
+
+
 def _lattice(n: int, step: float) -> np.ndarray:
     """The grid step * np.arange(n), scaled in place."""
     nodes = np.arange(n, dtype=np.float64)
@@ -103,13 +114,23 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
 
     A tick lies at or before every query from the first one not below it, so
     each tick is ranked among the queries, side "left": against the grid by
-    _lattice_ranks, else by bisection. np.bincount and a cumulative sum in
-    place count the ranks.
+    _lattice_ranks, else by bisection. The count is j from the (j-1)-th of
+    the m ranks (0 for j = 0) up to the j-th (n for j = m), so a leg of
+    fewer than n/RUN_LENGTH_POINTS_PER_TICK ticks repeats np.arange(m + 1)
+    by the differences of its ranks padded with 0 and n, a cost per tick; a
+    denser one takes np.bincount and a cumulative sum in place, per query.
     """
     if isinstance(queries, int):
         n, ranks = queries, _lattice_ranks(times, queries, step)
     else:
         n, ranks = queries.size, queries.searchsorted(times, "left")
+    m = ranks.size
+    if m * RUN_LENGTH_POINTS_PER_TICK < n:
+        lengths = np.empty(m + 1, dtype=np.intp)
+        lengths[:m] = ranks
+        lengths[m] = n
+        lengths[1:] -= ranks
+        return np.arange(m + 1).repeat(lengths)
     counts = np.bincount(ranks, minlength=n + 1)[:-1]
     return counts.cumsum(out=counts)
 

@@ -25,7 +25,7 @@ def _n_steps(horizon: float, dt: float) -> int:
         raise ParameterError(f"dt must be positive, got {dt}")
     if not horizon > 0:
         raise ParameterError(f"horizon must be positive, got {horizon}")
-    ratio = _step_ratio(horizon, dt)
+    ratio = _step_ratio(horizon, dt, " of dt")
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, abs(ratio)):
         raise ParameterError(
@@ -40,8 +40,9 @@ def _check_diffusion(params):
         value = getattr(params, f.name)
         if not np.isfinite(value):
             raise ParameterError(f"{f.name} must be finite, got {value}")
-    if params.sigma_sq1 < 0 or params.sigma_sq2 < 0:
-        raise ParameterError("variances must be non-negative")
+    for name in ("sigma_sq1", "sigma_sq2"):
+        if getattr(params, name) < 0:
+            raise ParameterError(f"{name} must be non-negative, got {getattr(params, name)}")
     if not -1.0 <= params.rho <= 1.0:
         raise ParameterError(f"rho must lie in [-1, 1], got {params.rho}")
 

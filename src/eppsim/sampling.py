@@ -8,7 +8,8 @@ series to every k-th observation. Both search a uniform grid (n, step) by
 exact arithmetic on a power-of-two step and by bisection against
 index._lattice on any other: observe_path truncates t/dt to the node at
 or before t, previous_tick_grid ranks ticks on the left through
-_tick_counts. A leg from time 0, such as a synchronous one, is first tried
+_tick_counts, which counts a sparse leg by run lengths and a dense one by a
+cumulative sum. A leg from time 0, such as a synchronous one, is first tried
 as a strided read of its ticks (_strided_counts). estimate_matrix counts
 each leg once per base step and reads a step that is an exact multiple of
 it as a strided view of those counts.

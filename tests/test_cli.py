@@ -2,16 +2,21 @@
 
 import ast
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eppsim import cli, experiments, presets, seeding
 from eppsim.experiments import discriminate
@@ -61,23 +66,24 @@ def write_fixture(path, n_per_ticker=200, seed=0):
     path.write_text("\n".join(rows) + "\n")
 
 
+SMALL_GBM = {
+    "price_model": "gbm",
+    "price_params": {
+        "mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2,
+        "rho": 0.65, "horizon": 2000.0,
+    },
+    "sampler": "poisson",
+    "poisson_rate": 0.2,
+    "horizon": 2000.0,
+    "dt_grid": [5.0, 15.0],
+    "estimators": ["measured", "hy"],
+    "n_replications": 3,
+}
+
+
 def small_gbm_config(tmp_path, **experiment):
-    base = {
-        "price_model": "gbm",
-        "price_params": {
-            "mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2,
-            "rho": 0.65, "horizon": 2000.0,
-        },
-        "sampler": "poisson",
-        "poisson_rate": 0.2,
-        "horizon": 2000.0,
-        "dt_grid": [5.0, 15.0],
-        "estimators": ["measured", "hy"],
-        "n_replications": 3,
-    }
-    base.update(experiment)
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"experiment": base}))
+    cfg.write_text(json.dumps({"experiment": {**SMALL_GBM, **experiment}}))
     return cfg
 
 
@@ -283,6 +289,36 @@ def test_an_object_in_any_field_is_a_usage_error_naming_it(tmp_path, capsys, tab
     assert code == 2
     assert f"error: {name}: " in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# one field of the experiment table or of its GBM parameters, and one value
+FUZZ_FIELDS = [(None, f.name) for f in dataclasses.fields(experiments.ExperimentConfig)] + [
+    ("price_params", f.name) for f in dataclasses.fields(experiments.GbmParams)
+]
+FUZZ_VALUES = [None, "", "abc", "1", [], [1.0], ["hy"], {}, {"dt": 1.0}, True, False,
+               -1, 0, -0.0, "nan", "inf", "-inf", "1e400", 1e308, -1e308, 2**63,
+               5e-324, 1e-310, 2.2250738585072014e-308]
+
+
+@given(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=300, deadline=None)
+def test_any_value_in_any_field_exits_cleanly(field, value):
+    # a config is run, or refused with exit 2 naming the field it reads and
+    # leaving no --out, or stopped by a numeric or estimation error; no
+    # exception escapes. The base run has 2 replications on one thread.
+    table, name = field
+    experiment = json.loads(json.dumps({**SMALL_GBM, "n_replications": 2}))
+    (experiment[table] if table else experiment)[name] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out_dir = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg.write_text(json.dumps({"experiment": experiment}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["epps", "--config", str(cfg), "--threads", "1", "--out", str(out_dir)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and name in err.getvalue()
+            assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -1094,6 +1130,13 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "poisson_rate": 1e4}},
          "error: experiment: poisson_rate: rate 10000.0 over horizon 2000.0 ",
          "expects 0.023 pairs of equal float64 arrival times"),
+        # replication counts past the replication bound, which would run until memory ran out
+        (["epps"], {"experiment": {**SMALL_GBM, "n_replications": 1e308}},
+         "error: experiment: n_replications must be an integer in [1, 1000000]",
+         f"got {int(1e308)}"),
+        (["epps"], {"experiment": {**SMALL_GBM, "n_replications": 2**63}},
+         "error: experiment: n_replications must be an integer in [1, 1000000]",
+         "got 9223372036854775808"),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

@@ -306,6 +306,45 @@ def test_tick_counts_edge_sizes(n_ticks, n_grid):
     nodes = (100.0 / n_grid) * np.arange(n_grid + 1)
     got = index._tick_counts(times, nodes, 100.0 / n_grid)
     np.testing.assert_array_equal(got, np.searchsorted(times, nodes, side="right"))
+    got = index._tick_counts(times, n_grid + 1, 100.0 / n_grid)
+    want = np.searchsorted(times, index._lattice(n_grid + 1, 100.0 / n_grid), side="right")
+    np.testing.assert_array_equal(got, want)
+
+
+CUT = index.RUN_LENGTH_POINTS_PER_TICK
+
+
+@pytest.mark.parametrize("n_ticks, n, past, run_lengths", [
+    (80, 80 * CUT + 1, False, True),  # one tick below the density cut
+    (80, 80 * CUT, False, False),  # at it
+    (81, 80 * CUT, False, False),  # above it
+    (0, 80 * CUT, False, True),  # an empty leg
+    (0, 0, False, False),
+    (80, 80 * CUT + 1, True, True),  # every rank clips to n
+    (80 * CUT, 80 * CUT, True, False),
+])
+@pytest.mark.parametrize("step", [1.0, 0.1])
+def test_tick_counts_take_both_paths_around_the_density_cut(
+    monkeypatch, n_ticks, n, past, run_lengths, step
+):
+    # legs that repeat run lengths and legs that sum a bincount, ranked against
+    # the grid (exactly on step 1, by bisection on step 0.1) and among queries,
+    # with ticks on nodes, at one ulp of them and past the last one
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    rng = np.random.default_rng(n_ticks + n)
+    nodes = index._lattice(n, step)
+    span = step * max(n, 1)
+    times = near_nodes(nodes, rng.integers(0, 2**31, n_ticks), rng) if n else np.empty(0)
+    times = np.unique(np.abs(np.concatenate([times, rng.uniform(0.0, span, n_ticks)])))[:n_ticks]
+    if past:
+        times = np.sort(rng.uniform(span, 2 * span, n_ticks))
+    assert times.size == n_ticks
+    want = np.searchsorted(times, nodes, side="right")
+    for queries in (n, nodes):
+        np.testing.assert_array_equal(index._tick_counts(times, queries, step), want)
+    assert calls == ([] if run_lengths else [1, 1])
 
 
 @given(
