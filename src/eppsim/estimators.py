@@ -20,6 +20,7 @@ from .errors import (
     DegenerateSeriesError,
     InsufficientDataError,
     NoOverlapError,
+    NumericError,
     ParameterError,
     SaturationError,
 )
@@ -73,16 +74,24 @@ def measured_correlation(gi: GridSeries, gj: GridSeries) -> CorrelationEstimate:
     return _measured_correlation(gi.returns(), gj.returns(), gi.dt)
 
 
+def _finite(total: float, estimator: str, name: str) -> float:
+    """total, a sum an estimator formed; NumericError when it overflowed or is nan."""
+    if not math.isfinite(total):
+        raise NumericError(f"{estimator}: {name} is {total}, not a finite number")
+    return total
+
+
 def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
     """measured_correlation of two checked grids of step dt with returns ri and rj."""
-    cov = float((ri * rj).sum())
-    var_i = float(np.square(ri).sum())
-    var_j = float(np.square(rj).sum())
+    cov = _finite(float((ri * rj).sum()), "measured", "the cross sum")
+    var_i = _finite(float(np.square(ri).sum()), "measured", "the realised variance of leg i")
+    var_j = _finite(float(np.square(rj).sum()), "measured", "the realised variance of leg j")
     if var_i <= 0:
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
         raise DegenerateSeriesError("realised variance of leg j is zero")
-    return CorrelationEstimate(cov / math.sqrt(var_i * var_j), dt)
+    norm = _finite(var_i * var_j, "measured", "the product of the realised variances")
+    return CorrelationEstimate(cov / math.sqrt(norm), dt)
 
 
 def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
@@ -108,16 +117,18 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     leg-i tick, the number of leg-j ticks before it (below) and at or before
     it (upto).
 
-    It consumes below and upto: the interval bounds are built inside them,
-    so a caller passes arrays that nothing reads afterwards. The leg-j
-    returns are written into the prefix-sum table and summed there.
+    It consumes upto, in which the interval bounds are built, so a caller
+    passes count arrays that nothing reads afterwards. The leg-j returns
+    are written into the prefix-sum table and summed there. The table is
+    read with take(mode="clip"), which moves a bound that lies before its
+    first entry or past its last onto that entry.
     """
     di = np.subtract(vi[1:], vi[:-1])
-    var_i = float(np.square(di).sum())
+    var_i = _finite(float(np.square(di).sum()), "hy", "the realised variance of leg i")
     pref = np.empty(vj.size)  # pref[k]: the sum of the first k leg-j returns
     pref[0] = 0.0
     dj = np.subtract(vj[1:], vj[:-1], out=pref[1:])
-    var_j = float(np.square(dj).sum())
+    var_j = _finite(float(np.square(dj).sum()), "hy", "the realised variance of leg j")
     if var_i <= 0:
         raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
@@ -126,12 +137,12 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     # j-interval k = (tj[k], tj[k+1]] overlaps i-interval (a, b] iff
     # tj[k+1] > a and tj[k] < b; both bounds are monotone in k
     upto -= 1
-    k_lo = np.maximum(upto[:-1], 0, out=upto[:-1])
-    k_hi = np.minimum(below[1:], dj.size, out=below[1:])
-    span = pref.take(k_hi)
-    span -= pref.take(k_lo)
+    span = pref.take(below[1:], mode="clip")
+    span -= pref.take(upto[:-1], mode="clip")
     span *= di
-    return CorrelationEstimate(float(span.sum()) / math.sqrt(var_i * var_j))
+    cross = _finite(float(span.sum()), "hy", "the cross sum")
+    norm = _finite(var_i * var_j, "hy", "the product of the realised variances")
+    return CorrelationEstimate(cross / math.sqrt(norm))
 
 
 def overlap_expectation(

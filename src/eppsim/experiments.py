@@ -322,8 +322,13 @@ class ExperimentConfig:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
         if not (isinstance(self.n_replications, Integral)
                 and 1 <= self.n_replications <= MAX_REPLICATIONS):
+            got = repr(self.n_replications)
+            if isinstance(self.n_replications, Integral) and len(got) > 20:
+                from decimal import Context  # only to print a long integer: 10**308 as 1e+308
+
+                got = f"{Context(prec=6).normalize(int(self.n_replications)):g}"
             raise ParameterError(f"n_replications must be an integer in [1, "
-                                 f"{MAX_REPLICATIONS}], got {self.n_replications!r}")
+                                 f"{MAX_REPLICATIONS}], got {got}")
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must lie in (0, 1), got {self.confidence}")
         seeding.check_seed(self.seed)

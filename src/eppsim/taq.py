@@ -162,14 +162,21 @@ def _floats(strings) -> tuple[np.ndarray, np.ndarray]:
             values.append(math.nan)
     accepted = np.ones(len(values), dtype=bool)
     accepted[refused] = False
-    return np.array(values, dtype=float), accepted
+    return np.fromiter(values, float, len(values)), accepted
 
 
-def _codes(strings, table: dict[str, int]) -> np.ndarray:
-    """The code of each string in table, adding new strings with the next code."""
-    for text in dict.fromkeys(strings):
-        table.setdefault(text, len(table))
-    return np.fromiter(map(table.__getitem__, strings), dtype=np.int32, count=len(strings))
+class _CodeTable(dict):
+    """Codes of strings in the order they are first seen: looking up a new
+    string gives it the next code."""
+
+    def __missing__(self, text: str) -> int:
+        self[text] = code = len(self)
+        return code
+
+
+def _codes(strings, table: _CodeTable) -> np.ndarray:
+    """The code of each string in table, in one pass that adds the new ones."""
+    return np.fromiter(map(table.__getitem__, strings), np.int32, len(strings))
 
 
 # outside any line, str.strip removes these ASCII characters and no others;
@@ -185,8 +192,8 @@ class _TradeTable:
         self.n_lines = 1  # the header
         self.n_rows = 0
         self.diagnostics: list[str] = []
-        self.tickers: dict[str, int] = {}
-        self.dates: dict[str, int] = {}
+        self.tickers = _CodeTable()
+        self.dates = _CodeTable()
         self.date_ok: list[bool] = []
         # the accepted rows' ticker, date, t, price and volume: one piece per block each
         self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [], [])
@@ -362,12 +369,18 @@ def _trade_days(pieces, key_of) -> dict[tuple[str, str], TradeDay]:
     """TradeDays of flat trade columns, one per group, in group order.
 
     pieces holds the group, timestamp, price and volume columns, each a
-    non-empty list of arrays that is emptied here. Rows are sorted stably
-    by (group, timestamp), equal timestamps are merged, and key_of maps a
-    group to its (ticker, date). The columns are joined, sorted and merged
-    one at a time, so no step holds two copies of more than one column.
+    non-empty list of arrays that is emptied here; groups are integer
+    codes >= 0. Rows are sorted stably by (group, timestamp), equal
+    timestamps are merged, and key_of maps a group to its (ticker, date).
+    The group column is kept in the narrowest unsigned type that holds its
+    codes: up to 65 536 groups give a uint8 or uint16 key, whose stable
+    sort numpy does by radix, in the same order as on int64 codes. The
+    columns are joined, sorted and merged one at a time, so no step holds
+    two copies of more than one column.
     """
-    columns = [_joined(pieces[0]), _joined(pieces[1])]
+    group = _joined(pieces[0])
+    columns = [group.astype(np.min_scalar_type(group.max())), _joined(pieces[1])]
+    del group
     order = np.lexsort(columns[::-1])  # by group, then by time
     for k in range(2):
         columns[k] = columns[k][order]
@@ -419,7 +432,7 @@ def _line_blocks(read, errors: str, name: str):
 def _newlines(block: bytes, offset: int, errors: str, name: str) -> bytes:
     """block, checked as UTF-8, with every str.splitlines line break as one b"\\n"."""
     if block.isascii():
-        if len(block.translate(None, _BYTE_BREAKS)) == len(block):
+        if not any(byte in block for byte in _BYTE_BREAKS):
             return block
     else:
         try:
@@ -512,10 +525,10 @@ def combine(results) -> ParseResult:
 def _day_leg(ts: np.ndarray, price: np.ndarray, origin: float) -> TickSeries:
     """Shifted log-price ticks of one leg, standing value first."""
     after = ts > origin
-    standing = price[np.flatnonzero(~after)[-1]]
+    prices = [price[np.flatnonzero(~after)[-1]], *price[after].tolist()]
     return TickSeries(
         times=np.concatenate(([0.0], ts[after] - origin)),
-        values=np.array([math.log(p) for p in (standing, *price[after].tolist())]),
+        values=np.fromiter(map(math.log, prices), float, len(prices)),
         horizon=DAY_WINDOW,
     )
 

@@ -5,7 +5,7 @@ import math
 import tempfile
 import tracemalloc
 from dataclasses import replace
-from datetime import date as _date
+from datetime import date as _date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +342,115 @@ def test_equal_time_runs_across_blocks_merge_as_the_row_parser(tmp_path, monkeyp
         for got in _parse_both(tmp_path, text):
             assert (got.diagnostics, got.n_rows, got.n_used) == ((), n, n)
             assert bits(got.records) == bits(want.records), chunk
+
+
+@pytest.mark.parametrize("byte", list(taq._BYTE_BREAKS))
+def test_each_ascii_line_break_becomes_one_newline(byte):
+    # a plain ASCII block is returned as it is; one other line break at its
+    # start, middle or end comes out as b"\n", as the translate path gives it
+    lines = b"2024-01-02,AAA,1.5,100,1\n" * (taq.CHUNK_BYTES // 25)
+    assert taq._newlines(lines, 0, "strict", "f") is lines
+    for at in (0, len(lines) // 2 + 3, len(lines) - 1):
+        block = lines[:at] + bytes([byte]) + lines[at + 1 :]
+        want = lines[:at] + b"\n" + lines[at + 1 :]
+        assert block.replace(b"\r\n", b"\n").translate(taq._TO_NEWLINE) == want
+        assert taq._newlines(block, 0, "strict", "f") == want, (byte, at)
+
+
+COLUMNS = ("timestamp", "price", "volume")
+
+
+def end_to_end(records: dict) -> tuple:
+    """The keys of the days, their lengths, and the bytes of each column of
+    all days end to end."""
+    days = records.values()
+    return (list(records), [len(day) for day in days],
+            *(np.concatenate([getattr(day, c) for day in days]).tobytes() for c in COLUMNS))
+
+
+def int64_lexsort_days(group, ts, price, volume, key_of) -> tuple:
+    """end_to_end of the days as a sort on int64 group codes gives them:
+    np.lexsort by (group, time), then each run of one time in a group merged
+    row by row, volume and price * volume summed left to right."""
+    order = np.lexsort((ts, np.asarray(group, dtype=np.int64)))
+    merged: list[list] = []  # [group, t, price, volume, notional, in a run]
+    for g, t, p, v in zip(*(np.asarray(c)[order].tolist() for c in (group, ts, price, volume))):
+        if merged and merged[-1][:2] == [g, t]:
+            run = merged[-1]
+            run[3:] = [run[3] + v, run[4] + p * v, True]
+        else:
+            merged.append([g, t, p, v, p * v, False])
+    group, ts, price, volume = (np.array(c) for c in zip(*(
+        (g, t, notional / v if run else p, v) for g, t, p, v, notional, run in merged
+    )))
+    groups, lengths = np.unique(group, return_counts=True)
+    return ([key_of(g) for g in groups.tolist()], lengths.tolist(),
+            *(c.tobytes() for c in (ts, price, volume)))
+
+
+def synthetic_rows(rng, tickers, dates) -> list[tuple]:
+    """(ticker, date, t, price, volume) rows of every (ticker, date), in a
+    random file order. Each day has one to three trades at one of two times,
+    so runs of one time merge inside a day and many neighbouring days end
+    and start at the same time."""
+    keys = [(t, d) for t in tickers for d in dates]
+    day = rng.permutation(np.repeat(np.arange(len(keys)), rng.integers(1, 4, len(keys))))
+    ts = rng.choice([5.0, 7.25], day.size).tolist()
+    price = rng.uniform(1.0, 2.0, day.size).tolist()
+    volume = rng.integers(1, 9, day.size).astype(float).tolist()
+    return [(*keys[k], t, p, v) for k, t, p, v in zip(day.tolist(), ts, price, volume)]
+
+
+def table_of(rng, rows, tickers, dates) -> ParseResult:
+    """The parse of rows, filled into a trade table in two blocks of columns
+    with no text, its code tables seeing the names in a random order."""
+    table = taq._TradeTable()
+    table.fmt = "seconds"
+    for names, codes in ((tickers, table.tickers), (dates, table.dates)):
+        for name in rng.permutation(names).tolist():
+            codes[name]  # a new name takes the next code
+    for block in (rows[: len(rows) // 2], rows[len(rows) // 2 :]):
+        ticker, date, *floats = zip(*block)
+        columns = [np.array([table.tickers[t] for t in ticker], np.int32),
+                   np.array([table.dates[d] for d in date], np.int32), *map(np.array, floats)]
+        for pieces, column in zip(table.columns, columns):
+            pieces.append(column)
+    table.n_rows = len(rows)
+    return table.result()
+
+
+@pytest.mark.parametrize("n_tickers, n_dates, width", [
+    (16, 16, 1), (257, 1, 2), (256, 256, 2), (257, 256, 4),
+])
+def test_day_key_of_any_width_sorts_and_merges_as_an_int64_key(n_tickers, n_dates, width):
+    # group counts just under and over 2**8 and 2**16, so the group key is
+    # uint8 or uint16 (radix-sorted) or uint32 (merge-sorted)
+    assert np.min_scalar_type(n_tickers * n_dates - 1).itemsize == width
+    rng = np.random.default_rng(n_tickers * n_dates)
+    tickers = [f"T{k:03d}" for k in range(n_tickers)]
+    dates = [(_date(2000, 1, 1) + timedelta(days=k)).isoformat() for k in range(n_dates)]
+    rows = synthetic_rows(rng, tickers, dates)
+    keys = sorted({row[:2] for row in rows})
+    assert len(keys) == n_tickers * n_dates
+    code = {key: g for g, key in enumerate(keys)}
+
+    got = table_of(rng, rows, tickers, dates)
+    assert list(got.records) == keys
+    assert end_to_end(got.records) == int64_lexsort_days(
+        [code[row[:2]] for row in rows], *([row[k] for row in rows] for k in (2, 3, 4)),
+        keys.__getitem__,
+    )
+
+    # the rows split over two files; a day of both merges the second's after the first's
+    files = [table_of(rng, part, tickers, dates) for part in (rows[::2], rows[1::2])]
+    days = [(code[key], day) for f in files for key, day in f.records.items()]
+    both = combine(files)
+    assert list(both.records) == keys
+    assert end_to_end(both.records) == int64_lexsort_days(
+        np.concatenate([np.full(len(day), g) for g, day in days]),
+        *(np.concatenate([getattr(day, c) for _, day in days]) for c in COLUMNS),
+        keys.__getitem__,
+    )
 
 
 # ---------------------------------------------------------------------------
