@@ -73,10 +73,8 @@ from .taq import (
 
 
 def _sha256(path: Path) -> dict:
-    h = hashlib.sha256()
     data = path.read_bytes()
-    h.update(data)
-    return {"sha256": h.hexdigest(), "bytes": len(data)}
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
 
 
 class Run:

@@ -81,11 +81,12 @@ def _finite(total: float, estimator: str, name: str) -> float:
     return total
 
 
+@np.errstate(over="ignore")  # _finite refuses a sum that overflowed
 def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
     """measured_correlation of two checked grids of step dt with returns ri and rj."""
-    cov = _finite(float((ri * rj).sum()), "measured", "the cross sum")
-    var_i = _finite(float(np.square(ri).sum()), "measured", "the realised variance of leg i")
-    var_j = _finite(float(np.square(rj).sum()), "measured", "the realised variance of leg j")
+    cov = _finite(float(np.add.reduce(ri * rj)), "measured", "the cross sum")
+    var_i = _finite(float(np.add.reduce(np.square(ri))), "measured", "the realised variance of leg i")
+    var_j = _finite(float(np.add.reduce(np.square(rj))), "measured", "the realised variance of leg j")
     if var_i <= 0:
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
@@ -112,6 +113,7 @@ def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
     return _hy_estimate(si.values, sj.values, *_left_right_counts(sj.times, si.times))
 
 
+@np.errstate(over="ignore")  # _finite refuses a sum that overflowed
 def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     """hayashi_yoshida from the legs' values (two or more each) and, for each
     leg-i tick, the number of leg-j ticks before it (below) and at or before
@@ -124,11 +126,11 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     first entry or past its last onto that entry.
     """
     di = np.subtract(vi[1:], vi[:-1])
-    var_i = _finite(float(np.square(di).sum()), "hy", "the realised variance of leg i")
+    var_i = _finite(float(np.add.reduce(np.square(di))), "hy", "the realised variance of leg i")
     pref = np.empty(vj.size)  # pref[k]: the sum of the first k leg-j returns
     pref[0] = 0.0
     dj = np.subtract(vj[1:], vj[:-1], out=pref[1:])
-    var_j = _finite(float(np.square(dj).sum()), "hy", "the realised variance of leg j")
+    var_j = _finite(float(np.add.reduce(np.square(dj))), "hy", "the realised variance of leg j")
     if var_i <= 0:
         raise DegenerateSeriesError("leg i has zero realised variance")
     if var_j <= 0:
@@ -140,7 +142,7 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     span = pref.take(below[1:], mode="clip")
     span -= pref.take(upto[:-1], mode="clip")
     span *= di
-    cross = _finite(float(span.sum()), "hy", "the cross sum")
+    cross = _finite(float(np.add.reduce(span)), "hy", "the cross sum")
     norm = _finite(var_i * var_j, "hy", "the product of the realised variances")
     return CorrelationEstimate(cross / math.sqrt(norm))
 
@@ -230,13 +232,13 @@ def _window_overlap(hi_i, lo_i, hi_j, lo_j, dt: float) -> OverlapStats:
     The intersection lengths are built inside hi_i, which nothing reads
     afterwards (lo_i may share its memory: it is read first).
     """
-    kappa_ii = float((hi_i - lo_i).mean())
-    kappa_jj = float((hi_j - lo_j).mean())
+    kappa_ii = float(np.add.reduce(hi_i - lo_i) / hi_i.size)
+    kappa_jj = float(np.add.reduce(hi_j - lo_j) / hi_j.size)
     lo = np.maximum(lo_i, lo_j)
     cross = np.minimum(hi_i, hi_j, out=hi_i)
     cross -= lo
     np.maximum(cross, 0.0, out=cross)
-    return OverlapStats(kappa_ii, kappa_jj, float(cross.mean()), dt)
+    return OverlapStats(kappa_ii, kappa_jj, float(np.add.reduce(cross) / cross.size), dt)
 
 
 def overlap_correction(rho_measured: float, stats: OverlapStats) -> CorrelationEstimate:
@@ -262,7 +264,7 @@ def _zero_fraction(r: np.ndarray) -> float:
     """flat_trade_probability of a grid with returns r."""
     if r.size == 0:
         raise DegenerateSeriesError("need at least one grid return")
-    return float((r == 0.0).mean())
+    return np.count_nonzero(r == 0.0) / r.size
 
 
 def flat_trade_correction(

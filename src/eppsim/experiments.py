@@ -189,7 +189,9 @@ def ribbon(values, confidence: float) -> tuple[float, float]:
     if not 0.0 < confidence < 1.0:
         raise ParameterError(f"confidence must lie in (0, 1), got {confidence}")
     quantile = _t_quantile(vals.size - 1, float(confidence))
-    return float(vals.mean()), quantile * float(vals.std(ddof=1))
+    mean = np.add.reduce(vals) / vals.size  # mean() and std(ddof=1) as numpy forms them
+    sd = math.sqrt(np.add.reduce(np.square(vals - mean)) / (vals.size - 1))
+    return float(mean), quantile * sd
 
 
 @dataclass(frozen=True)
@@ -699,8 +701,7 @@ def _json_default(obj):
 def dump_json(obj, path) -> None:
     """The one JSON layout of every output file: indented, keys sorted, final newline."""
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def write_curve_json(curve: EppsCurve, path) -> None:

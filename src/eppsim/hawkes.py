@@ -73,13 +73,13 @@ class HawkesSpec:
                 f"alpha and beta must have shape ({m}, {m}), got "
                 f"{alpha.shape} and {beta.shape}"
             )
-        if not np.all(np.isfinite(lam0)) or np.any(lam0 < 0):
+        if not np.logical_and.reduce(np.isfinite(lam0) & (lam0 >= 0)):
             raise ParameterError("baseline intensities must be finite and >= 0")
-        if not np.all(np.isfinite(alpha)) or np.any(alpha < 0):
+        if not np.logical_and.reduce(np.isfinite(alpha) & (alpha >= 0), axis=None):
             raise ParameterError("excitation amplitudes must be finite and >= 0")
-        if not np.all(np.isfinite(beta)) or np.any(beta < 0):
+        if not np.logical_and.reduce(np.isfinite(beta) & (beta >= 0), axis=None):
             raise ParameterError("decay rates must be finite and >= 0")
-        if np.any((alpha > 0) & (beta <= 0)):
+        if np.logical_or.reduce((alpha > 0) & (beta <= 0), axis=None):
             raise ParameterError("beta must be positive wherever alpha > 0")
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "alpha", alpha)
@@ -108,7 +108,7 @@ def classify_stability(spec: HawkesSpec) -> StabilityReport:
     """Classify the kernel by the spectral radius of its branching matrix."""
     gamma = branching_matrix(spec)
     try:
-        radius = float(np.max(np.abs(np.linalg.eigvals(gamma))))
+        radius = float(np.maximum.reduce(np.abs(np.linalg.eigvals(gamma))))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigenvalue computation failed: {exc}") from exc
     if abs(radius - 1.0) <= STABILITY_TOL:
@@ -214,20 +214,20 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
             )
 
     expected = spec.lambda0 * horizon
-    check_cap(expected.sum())  # also keeps the Poisson mean in numpy's range
+    check_cap(np.add.reduce(expected))  # also keeps the Poisson mean in numpy's range
     n_immigrants = rng.poisson(expected)
-    total = int(n_immigrants.sum())
+    total = int(np.add.reduce(n_immigrants))
     check_cap(total)
-    comps = np.repeat(np.arange(m_dim), n_immigrants)
+    comps = np.arange(m_dim).repeat(n_immigrants)
     times = rng.uniform(0.0, horizon, total)
     all_comps, all_times = [comps], [times]
     while times.size:
         # children per (parent, target component), flattened row-major
         n_children = rng.poisson(gamma_t[comps]).ravel()
-        n_new = int(n_children.sum())
+        n_new = int(np.add.reduce(n_children))
         total += n_new
         check_cap(total)
-        slot = np.repeat(np.arange(n_children.size), n_children)
+        slot = np.arange(n_children.size).repeat(n_children)
         parent, target = np.divmod(slot, m_dim)
         source = comps[parent]
         times = times[parent] + rng.standard_exponential(n_new) / beta_t[source, target]
@@ -283,7 +283,7 @@ class HawkesPriceParams:
             raise ParameterError("excitation amplitudes must be >= 0")
         if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
-        if len(self.x0) != 2 or not np.all(np.isfinite(self.x0)):
+        if len(self.x0) != 2 or not np.logical_and.reduce(np.isfinite(self.x0)):
             raise ParameterError(f"x0 must be two finite log-prices, got {self.x0}")
         _require_stationary(price_spec(self), "the price model")
 

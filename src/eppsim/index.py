@@ -14,7 +14,7 @@ merge of the two sorted legs and a tie test (_left_right_counts). Each
 kernel equals np.searchsorted bit for bit. The size bounds live here too:
 a grid's steps (_step_ratio) and a Poisson leg's expected pairs of equal
 times (expected_ticks), the one bound on its ticks. The module imports
-only numpy and errors, so hawkes, sampling and estimators can all use it.
+only numpy and errors, so series, hawkes, sampling and estimators can all use it.
 """
 
 import math

@@ -27,6 +27,7 @@ from .index import _strided_counts, _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
+@np.errstate(over="ignore")  # a gap past the float range is past the horizon too
 def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
     """Homogeneous Poisson arrival times on [0, horizon].
 
@@ -65,14 +66,11 @@ def poisson_arrivals(rate: float, horizon: float, seed: int) -> ArrivalSet:
         ) from exc
 
 
-def hawkes_arrivals(
-    spec: HawkesSpec, horizon: float, seed: int
-) -> tuple[ArrivalSet, ArrivalSet]:
+def hawkes_arrivals(spec: HawkesSpec, horizon: float, seed: int) -> tuple[ArrivalSet, ArrivalSet]:
     """Paired arrival times from a 2-dim mutually exciting kernel."""
     if spec.dim != 2:
         raise ParameterError(f"sampling spec must be 2-dimensional, got {spec.dim}")
-    a, b = simulate_hawkes(spec, horizon, seed)
-    return a, b
+    return simulate_hawkes(spec, horizon, seed)
 
 
 def observe_path(path: PricePath, arrivals: ArrivalSet, asset: int) -> TickSeries:

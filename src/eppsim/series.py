@@ -9,11 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .index import _lattice
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise ParameterError(f"{name} contains non-finite values")
     return arr
 
@@ -25,13 +26,13 @@ def _check_times(t: np.ndarray, horizon: float, kind: str, faults) -> None:
     bound the rest); only if it or a fault fails do the checks run in order,
     naming the first fault: non-finite times, the faults, order, range."""
     if t.ndim == 1 and not any(failed for failed, _ in faults) and (t.size == 0 or bool(
-            0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and (t[1:] > t[:-1]).all())):
+            0 <= t[0] and t[-1] <= horizon and t[-1] < np.inf and np.logical_and.reduce(t[1:] > t[:-1]))):
         return
     _as_float_array(t, "times")
     for failed, message in faults:
         if failed:
             raise ParameterError(message)
-    if np.any(t[1:] <= t[:-1]):
+    if np.logical_or.reduce(t[1:] <= t[:-1]):
         raise ParameterError(f"{kind} times must be strictly increasing")
     if t.size and (t[0] < 0 or t[-1] > horizon):
         raise ParameterError(f"{kind} times must lie in [0, horizon]")
@@ -70,7 +71,7 @@ class PricePath:
         return self.n_steps * self.dt
 
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.shape[0])
+        return _lattice(self.values.shape[0], self.dt)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -119,7 +120,7 @@ class TickSeries:
         t = np.asarray(self.times, dtype=np.float64)
         v = np.asarray(self.values, dtype=np.float64)
         _check_times(t, self.horizon, "tick", (
-            (not np.isfinite(v).all(), "values contains non-finite values"),
+            (not np.logical_and.reduce(np.isfinite(v), axis=None), "values contains non-finite values"),
             (t.ndim != 1 or v.ndim != 1 or t.size != v.size, "times and values must be 1-d and equally long"),
         ))
         object.__setattr__(self, "times", t)

@@ -509,7 +509,7 @@ def combine(results) -> ParseResult:
     days = [(g, r.records[key]) for g, key in enumerate(keys) for r in results if key in r.records]
     records = {}
     if days:
-        pieces = [[np.full(len(d), g) for g, d in days]]
+        pieces = [[np.repeat([g for g, _ in days], [len(d) for _, d in days])]]
         pieces += ([getattr(d, c) for _, d in days] for c in ("timestamp", "price", "volume"))
         records = _trade_days(pieces, keys.__getitem__)
     fmts = {r.timestamp_format for r in results} - {None}

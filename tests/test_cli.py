@@ -1184,6 +1184,7 @@ def test_poisson_times_that_collide_all_the_same_exit_4_naming_the_leg(
     )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning must not leak
 @pytest.mark.parametrize("estimator", ["measured", "hy"])
 def test_an_overflowing_realised_variance_exits_4_naming_the_estimator(
     tmp_path, capsys, estimator
@@ -1195,13 +1196,23 @@ def test_an_overflowing_realised_variance_exits_4_naming_the_estimator(
         estimators=[estimator], n_replications=2,
     )
     out_dir = tmp_path / "out"
-    with np.errstate(over="ignore"):
-        code = cli.main(["epps", "--config", str(cfg), "--threads", "1", "--out", str(out_dir)])
+    code = cli.main(["epps", "--config", str(cfg), "--threads", "1", "--out", str(out_dir)])
     assert code == 4
     assert capsys.readouterr().err == (
         f"error: {estimator}: the realised variance of leg i is inf, not a finite number\n"
     )
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_poisson_rate_whose_gaps_overflow_runs_without_a_warning(tmp_path, capsys):
+    # at rate 1e-308 the scaled gaps and their sums overflow to inf, past the
+    # horizon as they should be; numpy's overflow warning must not leak
+    cfg = small_gbm_config(tmp_path, poisson_rate=1e-308, n_replications=2)
+    out_dir = tmp_path / "out"
+    assert cli.main(["epps", "--config", str(cfg), "--threads", "1", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "curve.csv").exists()
 
 
 FAST_DECAY = 1e13  # delays far below an ulp of the times they are added to

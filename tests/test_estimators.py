@@ -103,6 +103,7 @@ def test_measured_flat_leg_raises_with_leg_tag():
         measured_correlation(gj, gi)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # numpy's overflow warning must not leak
 @pytest.mark.parametrize("vi, vj, name", [
     ([0.0, 1e200, 0.0], [0.0, 1.0, 0.0], "the realised variance of leg i is inf"),
     ([0.0, 1.0, 0.0], [0.0, 1e200, 0.0], "the realised variance of leg j is inf"),
@@ -113,11 +114,10 @@ def test_sums_that_overflow_raise_numeric_error_naming_estimator_and_leg(vi, vj,
     # finite values whose squared returns overflow: the estimates read 0.0
     legs = [TickSeries(times=np.arange(len(v), dtype=float), values=np.array(v),
                        horizon=float(len(v))) for v in (vi, vj)]
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match=f"^measured: {name}, not a finite number$"):
-            measured_correlation(*grids(vi, vj))
-        with pytest.raises(NumericError, match=f"^hy: {name}, not a finite number$"):
-            hayashi_yoshida(*legs)
+    with pytest.raises(NumericError, match=f"^measured: {name}, not a finite number$"):
+        measured_correlation(*grids(vi, vj))
+    with pytest.raises(NumericError, match=f"^hy: {name}, not a finite number$"):
+        hayashi_yoshida(*legs)
 
 
 # ---------------------------------------------------------------------------
