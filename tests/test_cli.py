@@ -1189,8 +1189,8 @@ def test_poisson_times_that_collide_all_the_same_exit_4_naming_the_leg(
 def test_an_overflowing_realised_variance_exits_4_naming_the_estimator(
     tmp_path, capsys, estimator
 ):
-    # asset 1's returns are about 1e154 a step, so their squares overflow;
-    # the sums read inf and the estimates came out as a clean 0.0
+    # asset 1's returns are about 1e154 a step, so their squares overflow
+    # and the realised variance of leg i reads inf
     cfg = small_gbm_config(
         tmp_path, price_params={**SMALL_GBM["price_params"], "sigma_sq1": 1e308},
         estimators=[estimator], n_replications=2,

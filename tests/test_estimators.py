@@ -111,7 +111,7 @@ def test_measured_flat_leg_raises_with_leg_tag():
      "the product of the realised variances is inf"),
 ])
 def test_sums_that_overflow_raise_numeric_error_naming_estimator_and_leg(vi, vj, name):
-    # finite values whose squared returns overflow: the estimates read 0.0
+    # finite values whose squared returns, or the product of their sums, overflow
     legs = [TickSeries(times=np.arange(len(v), dtype=float), values=np.array(v),
                        horizon=float(len(v))) for v in (vi, vj)]
     with pytest.raises(NumericError, match=f"^measured: {name}, not a finite number$"):
