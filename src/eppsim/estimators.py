@@ -81,6 +81,14 @@ def _finite(total: float, estimator: str, name: str) -> float:
     return total
 
 
+def _root_product(var_i: float, var_j: float, estimator: str) -> float:
+    """sqrt(var_i * var_j), NumericError where the product overflows or underflows to 0."""
+    name = "the product of the realised variances"
+    if (norm := _finite(var_i * var_j, estimator, name)) == 0.0:
+        raise NumericError(f"{estimator}: {name} underflows to 0")
+    return math.sqrt(norm)
+
+
 @np.errstate(over="ignore")  # _finite refuses a sum that overflowed
 def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
     """measured_correlation of two checked grids of step dt with returns ri and rj."""
@@ -91,8 +99,7 @@ def _measured_correlation(ri, rj, dt: float) -> CorrelationEstimate:
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
         raise DegenerateSeriesError("realised variance of leg j is zero")
-    norm = _finite(var_i * var_j, "measured", "the product of the realised variances")
-    return CorrelationEstimate(cov / math.sqrt(norm), dt)
+    return CorrelationEstimate(cov / _root_product(var_i, var_j, "measured"), dt)
 
 
 def hayashi_yoshida(si: TickSeries, sj: TickSeries) -> CorrelationEstimate:
@@ -143,8 +150,7 @@ def _hy_estimate(vi, vj, below, upto) -> CorrelationEstimate:
     span -= pref.take(upto[:-1], mode="clip")
     span *= di
     cross = _finite(float(np.add.reduce(span)), "hy", "the cross sum")
-    norm = _finite(var_i * var_j, "hy", "the product of the realised variances")
-    return CorrelationEstimate(cross / math.sqrt(norm))
+    return CorrelationEstimate(cross / _root_product(var_i, var_j, "hy"))
 
 
 def overlap_expectation(

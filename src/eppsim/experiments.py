@@ -240,10 +240,10 @@ class ExperimentConfig:
 
     price_model selects the latent path generator ("gbm", "merton",
     "hawkes") with its params object; sampler selects how observation
-    times arise ("poisson" with poisson_rate, "hawkes" with
-    hawkes_sampler, or "synchronous" which reads the path grid itself and
-    only supports the measured estimator). Replication r derives its
-    streams from (seed, r), so results do not depend on evaluation order;
+    times arise ("poisson" with poisson_rate, "hawkes" with hawkes_sampler,
+    or "synchronous", every path node, read off strided views of the path
+    by the measured estimator alone). Replication r derives its streams
+    from (seed, r), so results do not depend on evaluation order;
     replication_seeds overrides the derivation for degenerate-spread
     checks. fresh_paths re-simulates the latent path each replication.
     """
@@ -458,19 +458,14 @@ def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, str
             pass
 
 
-def _tick_pairs(cfg: ExperimentConfig, path: PricePath | None, rates, r: int):
-    """The tick-series pairs of replication r, drawn one at a time.
+def _tick_pairs(cfg: ExperimentConfig, path: PricePath, rates, rep_seed: int):
+    """The tick-series pairs of the replication of seed rep_seed, one at a time.
 
     With rates None this is the one pair of cfg.sampler: the path's own
     grid, a Hawkes pair from stream 1 or Poisson legs from streams 1 and 2.
     Otherwise pair j samples by Poisson legs at rate 1 / rates[j] from
-    streams (j, 1) and (j, 2), so each rate samples independently. All
-    streams are of the replication seed; path None simulates a fresh
-    latent path from its stream 0.
+    streams (j, 1) and (j, 2), so each rate samples independently.
     """
-    rep_seed = _replication_seed(cfg, r)
-    if path is None:
-        path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
     if rates is None and cfg.sampler == "synchronous":
         yield synchronous_ticks(path, 0), synchronous_ticks(path, 1)
     elif rates is None and cfg.sampler == "hawkes":
@@ -492,9 +487,36 @@ def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r:
 
     measure maps a tick pair (s1, s2) to an (n_series, n_axis) array, nan
     = failed: estimate_matrix or k_skip_row with its other arguments bound.
-    rates None counts as one rate, that of cfg.sampler (see _tick_pairs).
+    rates None counts as one rate, that of cfg.sampler (see _tick_pairs); a
+    synchronous sampler's estimate_matrix reads the path (_synchronous_matrix).
+    path None simulates a fresh latent path from the replication seed's stream 0.
     """
-    return np.stack([measure(s1, s2) for s1, s2 in _tick_pairs(cfg, path, rates, r)])
+    rep_seed = _replication_seed(cfg, r)
+    if path is None:
+        path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
+    if rates is None and cfg.sampler == "synchronous" and getattr(measure, "func", None) is estimate_matrix:
+        return _synchronous_matrix(path, *measure.args, **measure.keywords)[None]
+    return np.stack([measure(s1, s2) for s1, s2 in _tick_pairs(cfg, path, rates, rep_seed)])
+
+
+def _synchronous_matrix(path: PricePath, dt_grid, estimators, horizon: float, stride=None):
+    """estimate_matrix of the path's two columns as synchronous tick series:
+    at a dt of exactly k path steps (_stride) grid point h is node k*h, so
+    the measured estimator, the only one a synchronous sampler runs, reads
+    the strided views values[::k]; any other dt takes the tick route."""
+    out = np.full((len(estimators), len(dt_grid)), np.nan)
+    for j, dt in enumerate(dt_grid):
+        if (nodes := _stride(path.dt, path.n_steps, dt, horizon)) is None:
+            out[:, j : j + 1] = estimate_matrix(synchronous_ticks(path, 0), synchronous_ticks(path, 1),
+                                                (dt,), estimators, horizon, stride)
+            continue
+        v = path.values[nodes]
+        r = np.subtract(v[1:], v[:-1])
+        try:
+            out[:, j] = _measured_correlation(r[:, 0], r[:, 1], dt).rho
+        except EstimationError:
+            pass
+    return out
 
 
 def _worker_count(max_workers: int, n_replications: int) -> int:

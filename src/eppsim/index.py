@@ -8,10 +8,9 @@ on any other. _tick_counts counts ticks from those ranks among the grid
 points, or among other ascending queries by bisection: a leg with fewer
 than one tick per RUN_LENGTH_POINTS_PER_TICK points repeats its run
 lengths, at a cost in its ticks, and a denser one sums a bincount over the
-points. A leg on the grid's own points is a strided read
-(_strided_counts). Ticks against ticks, the HY rank of a pair, are one
-merge of the two sorted legs and a tie test (_left_right_counts). Each
-kernel equals np.searchsorted bit for bit. The size bounds live here too:
+points. Ticks against ticks, the HY rank of a pair, are one merge of the
+two sorted legs and a tie test (_left_right_counts). Each kernel equals
+np.searchsorted bit for bit. The size bounds live here too:
 a grid's steps (_step_ratio) and a Poisson leg's expected pairs of equal
 times (expected_ticks), the one bound on its ticks. The module imports
 only numpy and errors, so series, hawkes, sampling and estimators can all use it.
@@ -133,31 +132,6 @@ def _tick_counts(times: np.ndarray, queries, step: float) -> np.ndarray:
         return np.arange(m + 1).repeat(lengths)
     counts = np.bincount(ranks, minlength=n + 1)[:-1]
     return counts.cumsum(out=counts)
-
-
-def _strided_counts(times: np.ndarray, n: int, step: float) -> np.ndarray | None:
-    """_tick_counts(times, n, step) when every grid point is a tick.
-
-    For strictly increasing times from 0 and a grid whose points are s ticks
-    apart (a synchronous leg on a grid of s path steps), grid point h is
-    tick s*h, so s*h + 1 ticks lie at or before it, and every tick at or
-    before a point past the last one. That is checked bit for bit against
-    the grid points it reads, never assumed; None when it does not hold.
-    Only those points of the grid are built.
-    """
-    size = times.size
-    if size < 2 or n < 2 or times[0] != 0:
-        return None
-    s = round(min(float(step) / float(times[1]), size))  # Python floats: inf, not a warning
-    if s < 1:
-        return None
-    m = min((size - 1) // s + 1, n)  # the grid points that can be ticks
-    if not np.array_equal(times[: s * (m - 1) + 1 : s], _lattice(m, step)):
-        return None
-    if m < n and not m * step >= times[-1]:
-        return None
-    counts = np.arange(1, s * (n - 1) + 2, s)  # s*h + 1
-    return np.minimum(counts, size, out=counts)
 
 
 def _left_right_counts(times: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

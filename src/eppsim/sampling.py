@@ -9,10 +9,8 @@ exact arithmetic on a power-of-two step and by bisection against
 index._lattice on any other: observe_path truncates t/dt to the node at
 or before t, previous_tick_grid ranks ticks on the left through
 _tick_counts, which counts a sparse leg by run lengths and a dense one by a
-cumulative sum. A leg from time 0, such as a synchronous one, is first tried
-as a strided read of its ticks (_strided_counts). estimate_matrix counts
-each leg once per base step and reads a step that is an exact multiple of
-it as a strided view of those counts.
+cumulative sum. A synchronous sampler's curve reads the path grid itself
+(experiments._synchronous_matrix); its tick series are synchronous_ticks.
 """
 
 import math
@@ -23,7 +21,7 @@ import numpy as np
 from . import index, seeding
 from .errors import DegenerateSeriesError, NumericError, OutOfRangeError, ParameterError
 from .hawkes import HawkesSpec, simulate_hawkes
-from .index import _strided_counts, _tick_counts, expected_ticks, grid_count
+from .index import _tick_counts, expected_ticks, grid_count
 from .series import ArrivalSet, GridSeries, PricePath, TickSeries
 
 
@@ -116,9 +114,7 @@ def _previous_tick_counts(ticks: TickSeries, dt: float, horizon: float) -> np.nd
     """The number of ticks at or before each grid point h*dt, h = 0..floor(T/dt)."""
     if len(ticks) == 0:
         raise DegenerateSeriesError("cannot synchronise an empty tick series")
-    n, t = grid_count(horizon, dt) + 1, ticks.times
-    counts = _strided_counts(t, n, dt)
-    return _tick_counts(t, n, dt) if counts is None else counts
+    return _tick_counts(ticks.times, grid_count(horizon, dt) + 1, dt)
 
 
 def synchronous_ticks(path: PricePath, asset: int) -> TickSeries:

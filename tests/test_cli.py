@@ -1204,6 +1204,28 @@ def test_an_overflowing_realised_variance_exits_4_naming_the_estimator(
     assert not out_dir.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning may leak either
+@pytest.mark.parametrize("sampler, estimator", [
+    ({"sampler": "poisson"}, "hy"),  # estimate_matrix forms HY first
+    ({"sampler": "synchronous", "estimators": ["measured"]}, "measured"),
+])
+def test_a_product_of_variances_that_underflows_exits_4_naming_it(
+    tmp_path, capsys, sampler, estimator
+):
+    # returns of about 1e-102 a step: each realised variance is about 1e-200,
+    # their product underflows to 0, and dividing by its root raised
+    # ZeroDivisionError
+    params = {**SMALL_GBM["price_params"], "mu1": 0.0, "mu2": 0.0,
+              "sigma_sq1": 1e-200, "sigma_sq2": 1e-200}
+    cfg = small_gbm_config(tmp_path, price_params=params, **sampler)
+    out_dir = tmp_path / "out"
+    assert cli.main(["epps", "--config", str(cfg), "--threads", "1", "--out", str(out_dir)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {estimator}: the product of the realised variances underflows to 0\n"
+    )
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_poisson_rate_whose_gaps_overflow_runs_without_a_warning(tmp_path, capsys):
     # at rate 1e-308 the scaled gaps and their sums overflow to inf, past the

@@ -120,6 +120,17 @@ def test_sums_that_overflow_raise_numeric_error_naming_estimator_and_leg(vi, vj,
         hayashi_yoshida(*legs)
 
 
+def test_a_product_of_variances_that_underflows_raises_numeric_error():
+    # each realised variance is 2e-200, their product is below the float range
+    v = [0.0, 1e-100, 0.0]
+    legs = [TickSeries(times=np.arange(3.0), values=np.array(v), horizon=3.0)] * 2
+    name = "the product of the realised variances underflows to 0"
+    with pytest.raises(NumericError, match=f"^measured: {name}$"):
+        measured_correlation(*grids(v, v))
+    with pytest.raises(NumericError, match=f"^hy: {name}$"):
+        hayashi_yoshida(*legs)
+
+
 # ---------------------------------------------------------------------------
 # Hayashi-Yoshida
 

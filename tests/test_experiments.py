@@ -53,13 +53,14 @@ from eppsim.experiments import (
 )
 from eppsim.hawkes import HawkesPriceParams, HawkesSpec
 from eppsim.paths import GbmParams, MertonParams, simulate_gbm
-from eppsim.presets import WIDE_DT_GRID, FigureRecipe, run_figure
+from eppsim.presets import WIDE_DT_GRID, FigureRecipe, read_run, run_figure
 from eppsim.index import grid_count
 from eppsim.sampling import (
     hawkes_arrivals,
     k_skip,
     observe_path,
     poisson_arrivals,
+    synchronous_ticks,
 )
 from eppsim import seeding
 from eppsim.series import ArrivalSet, GridSeries, TickSeries
@@ -567,6 +568,39 @@ def test_rate_recipes_refuse_a_sampler_other_than_poisson(kind, sampler):
     assert FigureRecipe("test", "epps", cfg).config.sampler == sampler
 
 
+SYNCHRONOUS_GBM = {"price_model": "gbm", "price_params": {
+    "mu1": 0.01, "mu2": 0.01, "sigma_sq1": 0.1, "sigma_sq2": 0.2, "rho": 0.65, "horizon": 600.0},
+    "sampler": "synchronous", "horizon": 600.0, "estimators": ["measured"], "seed": 5}
+
+
+def test_a_synchronous_epps_document_equals_its_tick_route():
+    # fresh paths; 1.5 and 7.5 are no whole multiple of the 1 s path step,
+    # so those two dt take the tick route and the rest read the path grid
+    experiment = {**SYNCHRONOUS_GBM, "dt_grid": [1.0, 1.5, 3.0, 7.5, 50.0, 600.0, 900.0],
+                  "n_replications": 3, "fresh_paths": True}
+    recipe = read_run({"kind": "epps", "experiment": experiment})[0]
+    cfg = recipe.config
+    stack = np.stack([
+        estimate_matrix(synchronous_ticks(path, 0), synchronous_ticks(path, 1), cfg.dt_grid,
+                        cfg.estimators, cfg.horizon)
+        for path in (_simulate_path(cfg, seeding.child_seed(_replication_seed(cfg, r), 0))
+                     for r in range(3))
+    ])
+    want = aggregate_curve(cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack, {})
+    assert run_figure(recipe).curves["curve"].series == want.series
+
+
+def test_a_synchronous_kskip_document_thins_the_path_grid():
+    # a kskip run keeps its tick pair on a synchronous sampler: k_skip_row of
+    # the path's two columns as synchronous tick series
+    recipe = read_run({"kind": "kskip", "k_max": 8, "experiment": SYNCHRONOUS_GBM})[0]
+    path = _simulate_path(recipe.config, 5)
+    want = k_skip_row(synchronous_ticks(path, 0), synchronous_ticks(path, 1), 8)
+    got = run_figure(recipe).curves["curve"].series["hy"]
+    assert np.array([p.mean for p in got]).tobytes() == want[0].tobytes()
+    assert all(p.n_ok == 1 for p in got)
+
+
 # ---------------------------------------------------------------------------
 # experiment drivers
 
@@ -665,7 +699,7 @@ def random_walk_ticks(n, seed):
 def test_k_skip_truncates_when_ticks_run_out():
     # legs of about 60 ticks, thinned up to k = 40
     cfg = small_cfg(n_replications=1, poisson_rate=1.0 / 50.0, estimators=("hy",))
-    si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, 0))
+    si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, _replication_seed(cfg, 0)))
     last = min(len(si), len(sj)) // 2  # the last k that leaves both legs two ticks
     assert 20 < last < 40
     result = run_kind("kskip", cfg, k_max=40)
@@ -682,10 +716,12 @@ def test_a_kskip_recipe_honours_its_config(fresh_paths):
     # each replication's tick pair thinned by k_skip_row, pooled as every kind pools
     cfg = small_cfg(n_replications=4, horizon=3600.0, price_params=replace(GBM, horizon=3600.0),
                     estimators=("hy",), fresh_paths=fresh_paths)
-    path = None if fresh_paths else _simulate_path(cfg, cfg.seed)
+    seeds = [_replication_seed(cfg, r) for r in range(cfg.n_replications)]
+    paths = [_simulate_path(cfg, seeding.child_seed(rep_seed, 0)) if fresh_paths
+             else _simulate_path(cfg, cfg.seed) for rep_seed in seeds]
     stack = np.stack([
-        np.stack([k_skip_row(s1, s2, 10) for s1, s2 in _tick_pairs(cfg, path, None, r)])
-        for r in range(cfg.n_replications)
+        np.stack([k_skip_row(s1, s2, 10) for s1, s2 in _tick_pairs(cfg, path, None, rep_seed)])
+        for path, rep_seed in zip(paths, seeds)
     ])
     want = aggregate_curve(("hy",), cfg.confidence, range(1, 11), "k", stack[:, 0], {})
     serial = run_kind("kskip", cfg, k_max=10)

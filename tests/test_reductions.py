@@ -9,7 +9,6 @@ around numpy's pairwise-sum blocks (8 and 128 elements) and with zeros,
 called on the path.
 """
 
-import math
 import sys
 
 import numpy as np
@@ -24,7 +23,8 @@ except ImportError:  # numpy < 2
 
 from eppsim import estimators
 from eppsim.errors import DegenerateSeriesError, EppsimError
-from eppsim.estimators import _finite, _hy_estimate, _measured_correlation, _window_overlap, _zero_fraction
+from eppsim.estimators import (
+    _finite, _hy_estimate, _measured_correlation, _root_product, _window_overlap, _zero_fraction)
 from eppsim.experiments import _t_quantile, estimate_matrix, k_skip_row, ribbon
 from eppsim.hawkes import HawkesSpec
 from eppsim.index import _left_right_counts
@@ -58,11 +58,12 @@ def bits(x: float) -> bytes:
 
 
 def outcome(fn, *args):
-    """fn(*args) as bit patterns of its floats, or the class and message it raised
-    (a ZeroDivisionError where the product of two tiny variances underflows to 0)."""
+    """fn(*args) as bit patterns of its floats, or the class and message of the
+    package error it raised (a NumericError where the product of two tiny
+    variances underflows to 0)."""
     try:
         result = fn(*args)
-    except (EppsimError, ZeroDivisionError) as exc:
+    except EppsimError as exc:
         return type(exc), str(exc)
     values = result if isinstance(result, tuple) else (
         (result,) if isinstance(result, float) else tuple(vars(result).values()))
@@ -77,8 +78,7 @@ def measured_oracle(ri, rj, dt):
         raise DegenerateSeriesError("realised variance of leg i is zero")
     if var_j <= 0:
         raise DegenerateSeriesError("realised variance of leg j is zero")
-    norm = _finite(var_i * var_j, "measured", "the product of the realised variances")
-    return estimators.CorrelationEstimate(cov / math.sqrt(norm), dt)
+    return estimators.CorrelationEstimate(cov / _root_product(var_i, var_j, "measured"), dt)
 
 
 def hy_oracle(vi, vj, below, upto):
@@ -92,8 +92,7 @@ def hy_oracle(vi, vj, below, upto):
     pref = np.concatenate(([0.0], dj.cumsum()))
     span = pref.take(below[1:], mode="clip") - pref.take(upto[:-1] - 1, mode="clip")
     cross = _finite(float((span * di).sum()), "hy", "the cross sum")
-    norm = _finite(var_i * var_j, "hy", "the product of the realised variances")
-    return estimators.CorrelationEstimate(cross / math.sqrt(norm))
+    return estimators.CorrelationEstimate(cross / _root_product(var_i, var_j, "hy"))
 
 
 def window_oracle(hi_i, lo_i, hi_j, lo_j, dt):

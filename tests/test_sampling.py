@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from eppsim import index, sampling
-from eppsim.errors import DegenerateSeriesError, OutOfRangeError, ParameterError
+from eppsim import index, sampling, series
+from eppsim.errors import DegenerateSeriesError, EstimationError, OutOfRangeError, ParameterError
+from eppsim.estimators import measured_correlation
+from eppsim.experiments import _stride, _synchronous_matrix
 from eppsim.paths import GbmParams, simulate_gbm
 from eppsim.index import grid_count
 from eppsim.sampling import (
@@ -347,17 +349,45 @@ def test_tick_counts_take_both_paths_around_the_density_cut(
     assert calls == ([] if run_lengths else [1, 1])
 
 
+def random_walk_path(n_steps, step, seed):
+    rng = np.random.default_rng(seed)
+    return PricePath(dt=step, values=np.cumsum(rng.standard_normal((n_steps + 1, 2)), axis=0))
+
+
+def tick_route(path, dt_grid, horizon):
+    """The measured curve of the path's synchronous tick series, one
+    previous-tick grid per leg and dt; nan where the estimate fails."""
+    s1, s2 = synchronous_ticks(path, 0), synchronous_ticks(path, 1)
+    rho = []
+    for dt in dt_grid:
+        try:
+            grids = (previous_tick_grid(s, dt, horizon) for s in (s1, s2))
+            rho.append(measured_correlation(*grids).rho)
+        except EstimationError:
+            rho.append(math.nan)
+    return np.array([rho])
+
+
+def assert_reads_the_tick_route(path, dt_grid, horizon):
+    # the synchronous reader, bit for bit, strided views and ticked dt alike
+    got = _synchronous_matrix(path, dt_grid, ("measured",), horizon)
+    assert got.tobytes() == tick_route(path, dt_grid, horizon).tobytes()
+
+
 @given(
     step=st.sampled_from([1.0, 0.5, 0.1]),
     n_steps=st.integers(min_value=0, max_value=400),
-    multiple=st.sampled_from([1, 2, 5, 15, 1.5, 0.5]),
+    multiple=st.sampled_from([1, 2, 5, 15, 1000, 1.5, 0.5]),
     span=st.sampled_from([1.0, 0.3, 0.77, 1.3]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=300, deadline=None)
-def test_synchronous_grid_counts_equal_bisection(step, n_steps, multiple, span):
+def test_synchronous_grid_counts_equal_bisection(step, n_steps, multiple, span, seed):
     # a synchronous leg's previous-tick counts at dt = multiple * step over
-    # horizons that are not multiples of dt, short of the path's and past it
-    path = PricePath(dt=step, values=np.zeros((n_steps + 1, 2)))
+    # horizons that are not multiples of dt, short of the path's and past
+    # it, and dt past the horizon; and the synchronous curve read off the
+    # random-walk path against the tick route
+    path = random_walk_path(n_steps, step, seed)
     ticks = synchronous_ticks(path, 0)
     dt = multiple * step
     horizon = span * (path.horizon + step)
@@ -365,51 +395,47 @@ def test_synchronous_grid_counts_equal_bisection(step, n_steps, multiple, span):
     want = np.searchsorted(ticks.times, queries, side="right")
     np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, dt, horizon), want)
     np.testing.assert_array_equal(index._tick_counts(ticks.times, queries, dt), want)
-    strided = index._strided_counts(ticks.times, queries.size, dt)
-    if strided is not None:
-        np.testing.assert_array_equal(strided, want)
-    lattice = step != 0.1 and n_steps >= 1
-    if lattice and isinstance(multiple, int) and queries.size >= 2:
-        assert strided is not None
-    # at dt = 1.5 * step the second grid point falls between two ticks
-    # unless the leg ends before it
-    between = multiple == 1.5 and n_steps >= 2 and queries.size >= 2
-    if multiple == 0.5 or between:
-        assert strided is None
+    assert_reads_the_tick_route(path, (dt,), horizon)
+    # whole multiples of a binary step on a grid inside the path are read
+    # as strided views; a dt off the multiples never is
+    strided = _stride(path.dt, path.n_steps, dt, horizon) is not None
+    if step != 0.1 and isinstance(multiple, int) and span < 1:
+        assert strided
+    if not isinstance(multiple, int):
+        assert not strided
 
 
 @pytest.mark.parametrize("dt, strided", [(0.3, False), (0.7, False), (1.1, False),
                                           (0.2, True), (1.0, True), (5.0, True)])
 def test_synchronous_grid_at_a_step_of_a_tenth(dt, strided):
     # 0.1 * 3 is 0.30000000000000004, so the grid h * 0.3 misses ticks by an
-    # ulp and takes the general path; 0.1 * (10 * h) rounds to h exactly, so
-    # the one-second grid is every tenth tick
-    path = PricePath(dt=0.1, values=np.zeros((3001, 2)))
+    # ulp; 0.1 * (10 * h) rounds to h exactly, so the one-second grid is
+    # every tenth tick. Only 0.2 is a whole multiple of 0.1 as rationals,
+    # so the synchronous curve reads it off the path and ticks the rest
+    path = random_walk_path(3000, 0.1, 10)
     ticks = synchronous_ticks(path, 0)
     queries = dt * np.arange(grid_count(300.0, dt) + 1)
+    assert np.isin(queries, ticks.times).all() == strided
     want = np.searchsorted(ticks.times, queries, side="right")
-    got = index._strided_counts(ticks.times, queries.size, dt)
-    assert (got is not None) == strided
-    if strided:
-        np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, dt, 300.0), want)
+    assert (_stride(0.1, 3000, dt, 300.0) is not None) == (dt == 0.2)
+    assert_reads_the_tick_route(path, (dt, 0.2, 0.3, 1.0), 300.0)
 
 
 @pytest.mark.parametrize("at, nudge", [(0, np.inf), (1, -np.inf), (40, -np.inf),
                                        (40, np.inf), (99, np.inf), (100, -np.inf)])
 def test_strided_counts_check_every_tick_they_read(at, nudge):
-    # one tick of a one-second lattice moved by an ulp: an even one is no
-    # longer a point of the two-second grid, an odd one is not read
+    # one tick of a one-second lattice moved by an ulp: the counts on the
+    # two-second grid lose it at its point only when an even tick moves up
     times = np.arange(101.0)
     times[at] = np.nextafter(times[at], nudge)
     queries = 2.0 * np.arange(grid_count(103.0, 2.0) + 1)
     want = np.searchsorted(times, queries, side="right")
-    got = index._strided_counts(times, queries.size, 2.0)
-    assert (got is None) == (at % 2 == 0)
-    if got is not None:
-        np.testing.assert_array_equal(got, want)
+    on_lattice = np.minimum(2 * np.arange(queries.size) + 1, times.size)
+    assert np.array_equal(want, on_lattice) == (at % 2 == 1 or nudge < 0)
     ticks = TickSeries(times=times, values=times, horizon=times[-1])
     np.testing.assert_array_equal(sampling._previous_tick_counts(ticks, 2.0, 103.0), want)
+    np.testing.assert_array_equal(index._tick_counts(times, queries.size, 2.0), want)
 
 
 @given(
@@ -553,22 +579,15 @@ def test_left_right_counts_equal_bisection(sizes, negative_zero, shared, seed):
 
 @pytest.fixture
 def lattice_builds(monkeypatch):
-    """(n, built by _strided_counts) for every grid index._lattice builds."""
-    lattice, strided, built, inside = index._lattice, sampling._strided_counts, [], []
+    """The size of every grid index._lattice builds, a path's times included."""
+    lattice, built = index._lattice, []
 
     def counted_lattice(n, step):
-        built.append((n, bool(inside)))
+        built.append(n)
         return lattice(n, step)
 
-    def counted_strided(*args):
-        inside.append(True)
-        try:
-            return strided(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(index, "_lattice", counted_lattice)
-    monkeypatch.setattr(sampling, "_strided_counts", counted_strided)
+    monkeypatch.setattr(series, "_lattice", counted_lattice)
     return built
 
 
@@ -576,15 +595,13 @@ def test_preset_grids_are_counted_without_the_correction_loop(lattice_builds):
     # every preset's base step is 1 s, a power of two, so no preset grid is
     # built to be searched: Poisson legs (2a) and Hawkes-clocked legs of a
     # Hawkes path (6b) are counted by exact arithmetic on their stated grid,
-    # synchronous legs (5) read by _strided_counts, which builds only the
-    # grid points it compares
+    # and the synchronous curve (5) reads strided views of the path, so no
+    # grid is built at all, not even the path's own times
     from eppsim.presets import figure_recipe, run_figure
 
-    for name in ("2a", "6b"):
+    for name in ("2a", "6b", "5"):
         run_figure(figure_recipe(name, seed=0, n_replications=2))
         assert lattice_builds == [], name
-    run_figure(figure_recipe("5", seed=0, n_replications=2))
-    assert lattice_builds and all(strided for _, strided in lattice_builds)
 
 
 def test_observe_path_ranks_preset_paths_without_the_correction_loop(lattice_builds):
@@ -599,7 +616,7 @@ def test_observe_path_ranks_preset_paths_without_the_correction_loop(lattice_bui
     for dt, rows in ((0.1, 31), (3.0, 2), (0.5, 5)):
         lattice_builds.clear()
         observe_path(PricePath(dt=dt, values=np.zeros((rows, 2))), arrivals, 0)
-        assert lattice_builds == ([] if dt == 0.5 else [(rows, False)]), dt
+        assert lattice_builds == ([] if dt == 0.5 else [rows]), dt
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
