@@ -1212,9 +1212,8 @@ def test_an_overflowing_realised_variance_exits_4_naming_the_estimator(
 def test_a_product_of_variances_that_underflows_exits_4_naming_it(
     tmp_path, capsys, sampler, estimator
 ):
-    # returns of about 1e-102 a step: each realised variance is about 1e-200,
-    # their product underflows to 0, and dividing by its root raised
-    # ZeroDivisionError
+    # returns of about 1e-102 a step: each realised variance is about 1e-200
+    # and their product underflows to 0, which no correlation can divide by
     params = {**SMALL_GBM["price_params"], "mu1": 0.0, "mu2": 0.0,
               "sigma_sq1": 1e-200, "sigma_sq2": 1e-200}
     cfg = small_gbm_config(tmp_path, price_params=params, **sampler)
