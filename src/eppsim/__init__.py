@@ -73,7 +73,6 @@ from .paths import (
     simulate_merton,
 )
 from .sampling import (
-    hawkes_arrivals,
     k_skip,
     observe_path,
     poisson_arrivals,

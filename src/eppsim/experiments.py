@@ -43,12 +43,12 @@ from .hawkes import (
     expected_events,
     hawkes_price_model,
     price_spec,
+    simulate_hawkes,
 )
 from .index import _left_right_counts, expected_ticks, grid_count
 from .paths import DAY_SECONDS, GbmParams, MertonParams, _n_steps, simulate_gbm, simulate_merton
 from .sampling import (
     _previous_tick_counts,
-    hawkes_arrivals,
     observe_path,
     poisson_arrivals,
     synchronous_ticks,
@@ -469,7 +469,7 @@ def _tick_pairs(cfg: ExperimentConfig, path: PricePath, rates, rep_seed: int):
     if rates is None and cfg.sampler == "synchronous":
         yield synchronous_ticks(path, 0), synchronous_ticks(path, 1)
     elif rates is None and cfg.sampler == "hawkes":
-        u1, u2 = hawkes_arrivals(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, 1))
+        u1, u2 = simulate_hawkes(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, 1))
         yield observe_path(path, u1, 0), observe_path(path, u2, 1)
     else:
         if rates is None:

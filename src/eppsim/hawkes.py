@@ -11,9 +11,9 @@ and the large-interval limit are provided in closed form.
 Simulation uses the cluster (branching) representation of Hawkes & Oakes
 (1974): baseline events arrive as independent Poisson processes, and each
 event independently starts a Poisson number of children, alpha/beta on
-average per target component, at exponential delays. Every generation is
-drawn at once in numpy, so the cost is a few array operations per
-generation rather than interpreted work per event.
+average per target component, at exponential delays. Each generation is
+drawn pooled per (target, source) pair (see simulate_hawkes), so the cost
+is a few array operations per generation rather than work per event.
 """
 
 import math
@@ -184,27 +184,28 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
 
     Uses the cluster (branching) representation of Hawkes & Oakes (1974),
     one generation at a time: Poisson(lambda0[m] * horizon) immigrants of
-    each component m, uniform on [0, horizon]; then every event of
-    component n gets Poisson(alpha[m, n] / beta[m, n]) children in
-    component m at Exp(beta[m, n]) delays. Children past the horizon are
-    dropped together with their descendants, which all come later still.
-    The union of all generations, sorted per component, has the law of the
+    each component m, uniform on [0, horizon]; then, for each target m and
+    source n, Poisson(gamma[m, n] * c) children in m, with gamma = alpha/beta
+    and c the generation's events of n, each with a parent uniform among
+    those c events and an Exp(beta[m, n]) delay. A Poisson total spread
+    uniformly over c parents gives each an independent Poisson(gamma[m, n])
+    count (Poisson splitting), the per-event law. Children past the horizon
+    are dropped with their descendants, which all come later still. The
+    union of all generations, sorted per component, has the law of the
     process on [0, horizon].
 
     Non-stationary kernels are refused. A run that would draw more than
-    MAX_EVENTS events, or whose baseline events alone are expected to,
-    raises NumericError before those draws are made; so does a component
-    whose drawn times hold two equal float64 values (a fast decay adds
-    delays below an ulp of the parent's time).
+    MAX_EVENTS events, or whose immigrants or next generation are expected
+    to, raises NumericError before those draws are made (so every Poisson
+    mean is in numpy's range); so does a component whose drawn times hold
+    two equal float64 values (a fast decay adds delays below an ulp).
     """
     if not (horizon >= 0 and math.isfinite(horizon)):
         raise ParameterError(f"horizon must be finite and non-negative, got {horizon}")
     report = _require_stationary(spec, "the simulation")
     rng = seeding.stream(seed, seeding.HAWKES)
     m_dim = spec.dim
-    # offspring means, transposed: gamma_t[n, m] children in m per event of n
-    gamma_t = branching_matrix(spec).T
-    beta_t = spec.beta.T
+    gamma = branching_matrix(spec)
 
     def check_cap(total: float) -> None:
         if total > MAX_EVENTS:
@@ -214,25 +215,28 @@ def simulate_hawkes(spec: HawkesSpec, horizon: float, seed: int) -> tuple[Arriva
             )
 
     expected = spec.lambda0 * horizon
-    check_cap(np.add.reduce(expected))  # also keeps the Poisson mean in numpy's range
-    n_immigrants = rng.poisson(expected)
-    total = int(np.add.reduce(n_immigrants))
+    check_cap(np.add.reduce(expected))
+    counts = rng.poisson(expected)  # the generation's events per component
+    total = int(np.add.reduce(counts))
     check_cap(total)
-    comps = np.arange(m_dim).repeat(n_immigrants)
+    comps = np.arange(m_dim).repeat(counts)
     times = rng.uniform(0.0, horizon, total)
     all_comps, all_times = [comps], [times]
     while times.size:
-        # children per (parent, target component), flattened row-major
-        n_children = rng.poisson(gamma_t[comps]).ravel()
+        # every generation is grouped by component: source n's events are starts[n] + [0, counts[n])
+        means = gamma * counts
+        check_cap(total + np.add.reduce(means, axis=None))
+        n_children = rng.poisson(means).ravel()  # pair (m, n) at m * m_dim + n
         n_new = int(np.add.reduce(n_children))
         total += n_new
         check_cap(total)
-        slot = np.arange(n_children.size).repeat(n_children)
-        parent, target = np.divmod(slot, m_dim)
-        source = comps[parent]
-        times = times[parent] + rng.standard_exponential(n_new) / beta_t[source, target]
+        target, source = np.divmod(np.arange(n_children.size).repeat(n_children), m_dim)
+        starts = np.cumsum(counts) - counts
+        parent = starts[source] + rng.integers(counts[source])
+        times = times[parent] + rng.standard_exponential(n_new) / spec.beta[target, source]
         keep = times <= horizon
         times, comps = times[keep], target[keep]
+        counts = np.bincount(comps, minlength=m_dim)
         all_comps.append(comps)
         all_times.append(times)
     comps = np.concatenate(all_comps)

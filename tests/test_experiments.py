@@ -51,12 +51,11 @@ from eppsim.experiments import (
     write_curve_json,
     write_verdict_json,
 )
-from eppsim.hawkes import HawkesPriceParams, HawkesSpec
+from eppsim.hawkes import HawkesPriceParams, HawkesSpec, simulate_hawkes
 from eppsim.paths import GbmParams, MertonParams, simulate_gbm
 from eppsim.presets import WIDE_DT_GRID, FigureRecipe, read_run, run_figure
 from eppsim.index import grid_count
 from eppsim.sampling import (
-    hawkes_arrivals,
     k_skip,
     observe_path,
     poisson_arrivals,
@@ -193,7 +192,7 @@ def oracle_clock(clock, horizon, seed):
     if clock == "hawkes":
         spec = HawkesSpec(lambda0=[0.015 * (1 + seed)] * 2, alpha=[[0.0, 0.023], [0.023, 0.0]],
                           beta=[[0.11, 0.11], [0.11, 0.11]])
-        return hawkes_arrivals(spec, horizon, seed)
+        return simulate_hawkes(spec, horizon, seed)
     rates = (1.0 / 15.0, 1.0 / 3.0, 1.0, 1.0 / 300.0)[seed]
     u1 = poisson_arrivals(rates, horizon, 2 * seed)
     return u1, poisson_arrivals(rates / 2.0, horizon, 2 * seed + 1)

@@ -216,6 +216,15 @@ def test_simulate_run_stops_at_event_cap(monkeypatch):
         simulate_hawkes(warm, 1000.0, seed=0)
 
 
+def test_simulate_refuses_offspring_means_past_numpys_poisson_range():
+    # spectral radius 0.316, yet one event of component 1 expects 1e19
+    # children in component 0, past what Generator.poisson accepts
+    spec = HawkesSpec(lambda0=[0.01, 0.01], alpha=[[0.0, 1e19], [1e-20, 0.0]], beta=np.ones((2, 2)))
+    assert classify_stability(spec).classification == "stationary"
+    with pytest.raises(NumericError, match=r"more than 5000000 events \(spectral radius 0\.316228"):
+        simulate_hawkes(spec, 1000.0, seed=0)
+
+
 def test_expected_events_is_the_stationary_count_and_bounded(monkeypatch):
     # each price component runs at mu / (1 - gamma_r - gamma_c)
     rate = PRICE.mu / (1.0 - PRICE.gamma_r - PRICE.gamma_c)
@@ -289,9 +298,17 @@ ORACLE_HORIZON = 20000.0
 CLUSTER_SEEDS = range(30)
 ORACLE_SEEDS = range(1000, 1030)
 ORACLE_LEVEL = 1e-3
+# SAMPLING and the price kernel are symmetric in (target, source), so a
+# swapped pair index or a transposed beta would leave their law unchanged.
+# This kernel is not: branching ratios [[0.5, 0.1], [0.6, 0]] (component 0
+# self-exciting) with a fast 0 -> 1 and a slow 1 -> 0 delay; it was fixed,
+# with the constants above, before its first run.
+ASYMMETRIC = HawkesSpec(lambda0=[0.01, 0.02], alpha=[[0.25, 0.002], [3.0, 0.0]],
+                        beta=[[0.5, 0.02], [5.0, 1.0]])
 
 
-@pytest.mark.parametrize("spec", [SAMPLING, price_spec(PRICE)], ids=["sampling", "price"])
+@pytest.mark.parametrize("spec", [SAMPLING, price_spec(PRICE), ASYMMETRIC],
+                         ids=["sampling", "price", "asymmetric"])
 def test_cluster_sampler_matches_thinning_oracle(spec):
     cluster = [simulate_hawkes(spec, ORACLE_HORIZON, seed=s) for s in CLUSTER_SEEDS]
     oracle = [thinning_oracle(spec, ORACLE_HORIZON, seed=s) for s in ORACLE_SEEDS]

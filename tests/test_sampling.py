@@ -15,14 +15,13 @@ from eppsim.experiments import _stride, _synchronous_matrix
 from eppsim.paths import GbmParams, simulate_gbm
 from eppsim.index import grid_count
 from eppsim.sampling import (
-    hawkes_arrivals,
     k_skip,
     observe_path,
     poisson_arrivals,
     previous_tick_grid,
     synchronous_ticks,
 )
-from eppsim.hawkes import HawkesSpec
+from eppsim.hawkes import HawkesSpec, simulate_hawkes
 from eppsim.series import ArrivalSet, PricePath, TickSeries
 
 
@@ -105,21 +104,15 @@ def test_hawkes_arrivals_mean_interarrival_near_stationary_value():
     # (I - Gamma)^-1 lambda0 with the reference kernel gives ~52.7 s gaps
     spec = HawkesSpec(lambda0=[0.015, 0.015], alpha=[[0.0, 0.023], [0.023, 0.0]],
                       beta=[[0.11, 0.11], [0.11, 0.11]])
-    a, b = hawkes_arrivals(spec, 72000.0, seed=4)
+    a, b = simulate_hawkes(spec, 72000.0, seed=4)
     want = (1.0 - 0.023 / 0.11) / 0.015
     for arr in (a, b):
         assert np.mean(np.diff(arr.times)) == pytest.approx(want, rel=0.05)
 
 
-def test_hawkes_arrivals_rejects_wrong_dimension():
-    spec3 = HawkesSpec(lambda0=np.ones(3) * 0.1, alpha=np.zeros((3, 3)), beta=np.ones((3, 3)))
-    with pytest.raises(ParameterError):
-        hawkes_arrivals(spec3, 10.0, seed=0)
-
-
 def test_hawkes_arrivals_alpha_zero_reduces_to_poisson_law():
     spec = HawkesSpec(lambda0=[1.0 / 15.0, 1.0 / 15.0], alpha=np.zeros((2, 2)), beta=np.ones((2, 2)))
-    a, _ = hawkes_arrivals(spec, 72000.0, seed=5)
+    a, _ = simulate_hawkes(spec, 72000.0, seed=5)
     gaps = np.diff(a.times)
     assert stats.kstest(gaps, "expon", args=(0, 15.0)).pvalue > 0.01
 
