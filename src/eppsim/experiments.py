@@ -243,9 +243,8 @@ class ExperimentConfig:
     times arise ("poisson" with poisson_rate, "hawkes" with hawkes_sampler,
     or "synchronous", every path node, read off strided views of the path
     by the measured estimator alone). Replication r derives its streams
-    from (seed, r), so results do not depend on evaluation order;
-    replication_seeds overrides the derivation for degenerate-spread
-    checks. fresh_paths re-simulates the latent path each replication.
+    from (seed, r), so results do not depend on evaluation order.
+    fresh_paths re-simulates the latent path each replication.
     """
 
     price_model: str
@@ -260,10 +259,10 @@ class ExperimentConfig:
     fresh_paths: bool = False
     poisson_rate: float | None = None
     hawkes_sampler: HawkesSpec | None = None
-    replication_seeds: tuple[int, ...] | None = None
-    kappa_stride: float | None = None
     mean_interarrivals: tuple[float, ...] = tuple(float(m) for m in range(1, 46))
     overlap_rates: tuple[float, ...] = (1.0, 10.0, 25.0)
+    # no annotation, so no field: perfbench/traced.py reads both until ROADMAP items 17 and 6
+    replication_seeds = kappa_stride = None
 
     def __post_init__(self):
         if self.price_model not in PRICE_PARAMS:
@@ -313,12 +312,6 @@ class ExperimentConfig:
         for axis in ("mean_interarrivals", "overlap_rates"):
             for m in check_axis(getattr(self, axis), axis):
                 _named(f"{axis} entry {m}", expected_ticks, 1.0 / m, self.horizon)
-        if self.kappa_stride is not None:
-            if not 0 < self.kappa_stride <= self.horizon:
-                raise ParameterError(
-                    f"kappa_stride must lie in (0, horizon], got {self.kappa_stride}"
-                )
-            _named("kappa_stride", grid_count, self.horizon, self.kappa_stride)
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown or not self.estimators:
             raise ParameterError(f"unknown estimators: {sorted(unknown)}")
@@ -334,11 +327,6 @@ class ExperimentConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ParameterError(f"confidence must lie in (0, 1), got {self.confidence}")
         seeding.check_seed(self.seed)
-        if self.replication_seeds is not None:
-            if len(self.replication_seeds) != self.n_replications:
-                raise ParameterError("replication_seeds must have one seed per replication")
-            for seed in self.replication_seeds:
-                _named("replication_seeds", seeding.check_seed, seed)
 
 
 def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:
@@ -350,19 +338,12 @@ def _simulate_path(cfg: ExperimentConfig, seed: int) -> PricePath:
     return path
 
 
-def _replication_seed(cfg: ExperimentConfig, r: int) -> int:
-    if cfg.replication_seeds is not None:
-        return cfg.replication_seeds[r]
-    return seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
-
-
 def estimate_matrix(
     s1: TickSeries,
     s2: TickSeries,
     dt_grid,
     estimators,
     horizon: float,
-    stride: float | None = None,
 ) -> np.ndarray:
     """All requested estimates on one pair of tick series.
 
@@ -374,9 +355,9 @@ def estimate_matrix(
     the grid of a base step; a later dt that is exactly k times that step
     (as rationals, see _stride) reads every k-th entry, any other dt
     becomes the base. The overlap correction reads its windows off the
-    tick times (in sampled and traded data the ticks are the arrivals),
-    at the grid points from the grid's own previous-tick index, at
-    another stride from overlap_expectation.
+    tick times (in sampled and traded data the ticks are the arrivals)
+    at the grid points: from the grid's own previous-tick index where the
+    windows are exactly the grid cells, else from overlap_expectation.
     """
     out = np.full((len(estimators), len(dt_grid)), np.nan)
     col = {name: i for i, name in enumerate(estimators)}
@@ -402,7 +383,7 @@ def estimate_matrix(
             except EstimationError:
                 continue  # the grid estimators all need both indices
             step, coarse = dt, slice(None)
-        _grid_estimates(out[:, j], col, s1, s2, idx1[coarse], idx2[coarse], dt, horizon, stride)
+        _grid_estimates(out[:, j], col, s1, s2, idx1[coarse], idx2[coarse], dt, horizon)
     return out
 
 
@@ -422,7 +403,7 @@ def _stride(step: float, n_step: int, dt: float, horizon: float) -> slice | None
     return slice(None, k * n + 1, k) if rest == 0 and k * n <= n_step else None
 
 
-def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, stride) -> None:
+def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float) -> None:
     """estimate_matrix's grid estimators at one dt, written into out by col,
     from each leg's previous-tick index idx1, idx2 at the grid points h*dt
     (-1 before the first tick, whose value a clipped take backfills there).
@@ -450,9 +431,9 @@ def _grid_estimates(out, col, s1, s2, idx1, idx2, dt: float, horizon: float, str
     r1 = r2 = None
     if "overlap" in col:
         try:
-            kap = _grid_overlap(s1.times, s2.times, idx1, idx2, dt, horizon) if stride is None else None
+            kap = _grid_overlap(s1.times, s2.times, idx1, idx2, dt, horizon)
             if kap is None:
-                kap = overlap_expectation(s1, s2, dt, horizon, stride=stride)
+                kap = overlap_expectation(s1, s2, dt, horizon)
             out[col["overlap"]] = overlap_correction(measured.rho, kap).rho
         except EstimationError:
             pass
@@ -462,11 +443,13 @@ def _tick_pairs(cfg: ExperimentConfig, path: PricePath, rates, rep_seed: int):
     """The tick-series pairs of the replication of seed rep_seed, one at a time.
 
     With rates None this is the one pair of cfg.sampler: the path's own
-    grid, a Hawkes pair from stream 1 or Poisson legs from streams 1 and 2.
-    Otherwise pair j samples by Poisson legs at rate 1 / rates[j] from
-    streams (j, 1) and (j, 2), so each rate samples independently.
+    grid up to cfg.horizon, a Hawkes pair from stream 1 or Poisson legs
+    from streams 1 and 2. Otherwise pair j samples by Poisson legs at rate
+    1 / rates[j] from streams (j, 1) and (j, 2), so each rate samples
+    independently.
     """
     if rates is None and cfg.sampler == "synchronous":
+        path = PricePath(path.dt, path.values[: grid_count(cfg.horizon, path.dt) + 1])
         yield synchronous_ticks(path, 0), synchronous_ticks(path, 1)
     elif rates is None and cfg.sampler == "hawkes":
         u1, u2 = simulate_hawkes(cfg.hawkes_sampler, cfg.horizon, seeding.child_seed(rep_seed, 1))
@@ -491,7 +474,7 @@ def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r:
     synchronous sampler's estimate_matrix reads the path (_synchronous_matrix).
     path None simulates a fresh latent path from the replication seed's stream 0.
     """
-    rep_seed = _replication_seed(cfg, r)
+    rep_seed = seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
     if path is None:
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
     if rates is None and cfg.sampler == "synchronous" and getattr(measure, "func", None) is estimate_matrix:
@@ -499,7 +482,7 @@ def _replicate(cfg: ExperimentConfig, path: PricePath | None, rates, measure, r:
     return np.stack([measure(s1, s2) for s1, s2 in _tick_pairs(cfg, path, rates, rep_seed)])
 
 
-def _synchronous_matrix(path: PricePath, dt_grid, estimators, horizon: float, stride=None):
+def _synchronous_matrix(path: PricePath, dt_grid, estimators, horizon: float):
     """estimate_matrix of the path's two columns as synchronous tick series:
     at a dt of exactly k path steps (_stride) grid point h is node k*h, so
     the measured estimator, the only one a synchronous sampler runs, reads
@@ -508,7 +491,7 @@ def _synchronous_matrix(path: PricePath, dt_grid, estimators, horizon: float, st
     for j, dt in enumerate(dt_grid):
         if (nodes := _stride(path.dt, path.n_steps, dt, horizon)) is None:
             out[:, j : j + 1] = estimate_matrix(synchronous_ticks(path, 0), synchronous_ticks(path, 1),
-                                                (dt,), estimators, horizon, stride)
+                                                (dt,), estimators, horizon)
             continue
         v = path.values[nodes]
         r = np.subtract(v[1:], v[:-1])

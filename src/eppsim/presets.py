@@ -333,7 +333,7 @@ def run_figure(
         measure = partial(k_skip_row, k_max=recipe.k_max)
     else:
         measure = partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=estimators,
-                          horizon=cfg.horizon, stride=cfg.kappa_stride)
+                          horizon=cfg.horizon)
     stack = _map_replications(cfg, rates, measure, max_workers)
     common = {
         "price_model": cfg.price_model,

@@ -225,7 +225,7 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
         ({"dt_grid": [5.0, "x"]}, "experiment.dt_grid"),
         ({"dt_grid": 5.0}, "experiment.dt_grid"),
         ({"estimators": 3}, "experiment.estimators"),
-        ({"replication_seeds": [1, 2, 3.5]}, "experiment.replication_seeds"),
+        ({"estimators": ["hy", 3]}, "experiment.estimators"),
         (
             {"sampler": "hawkes", "hawkes_sampler": {**HAWKES_CLOCK, "alpha": [[0, "x"], ["x", 0]]}},
             "experiment.hawkes_sampler",
@@ -251,7 +251,6 @@ def test_config_tables_that_are_not_objects_are_usage_errors(
                                                     "beta": 1.0}, "horizon": 2000.5},
          "experiment: horizon"),
         ({"price_model": [1]}, "experiment.price_model"),
-        ({"n_replications": 2, "replication_seeds": [-1, 3]}, "experiment: replication_seeds"),
     ],
 )
 def test_bad_experiment_fields_are_named(tmp_path, capsys, experiment, field):
@@ -1086,12 +1085,13 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         (["simulate", "--model", "hawkes-price", "--preset", "reference"],
          {"simulate": {"horizon": 1e300}}, "error: simulate.horizon: horizon 1e+300 at step 1.0 ",
          GRID_BOUND),
-        # Poisson legs past the tick bound and overlap windows past the grid bound
+        # Poisson legs past the tick bound
         (["epps", "--figure", "8b", "--replications", "2", "--rates", "1e-300,1,2,3,4"], {},
          "error: --rates: mean_interarrivals entry 1e-300: rate ",
          "expects 7.2e+304 ticks, past the 9.9e+06 at which 0.01 pairs of equal float64 arrival times"),
+        # a key retired from ExperimentConfig (so is replication_seeds, below)
         (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "kappa_stride": 1e-300}},
-         "error: experiment: kappa_stride: horizon 2000.0 at step 1e-300 ", GRID_BOUND),
+         "error: experiment: unknown key ", "'kappa_stride'"),
         # Hawkes processes expected to draw more events than simulate_hawkes may
         (["epps"], {"experiment": {
             **ADHOC_CONFIG["experiment"], "sampler": "hawkes",
@@ -1137,6 +1137,9 @@ HAWKES_PRICE = {"mu": 0.015, "alpha_r": 0.023, "alpha_c": 0.05, "beta": 0.11}
         (["epps"], {"experiment": {**SMALL_GBM, "n_replications": 2**63}},
          "error: experiment: n_replications must be an integer in [1, 1000000]",
          "got 9223372036854775808"),
+        (["epps"], {"experiment": {**ADHOC_CONFIG["experiment"], "n_replications": 2,
+                                   "replication_seeds": [-1, 3]}},
+         "error: experiment: unknown key ", "'replication_seeds'"),
     ],
 )
 def test_bad_config_values_and_keys_are_refused_before_any_output(

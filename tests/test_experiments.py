@@ -33,8 +33,8 @@ from eppsim import experiments
 from eppsim.experiments import (
     ESTIMATOR_NAMES,
     FIG_DT_GRID,
+    _map_replications,
     _replicate,
-    _replication_seed,
     _simulate_path,
     _t_quantile,
     _tick_pairs,
@@ -96,6 +96,17 @@ def hy_curve(cfg, max_workers=1):
     return run_kind("hy", cfg, max_workers).curves["curve"]
 
 
+def replication_seed(cfg, r):
+    """The seed of replication r, derived from cfg.seed as _replicate derives it."""
+    return seeding.child_seed(cfg.seed, seeding.REPLICATION, r)
+
+
+def epps_measure(cfg):
+    """The measure run_figure maps over an epps recipe's replications."""
+    return partial(estimate_matrix, dt_grid=cfg.dt_grid, estimators=cfg.estimators,
+                   horizon=cfg.horizon)
+
+
 def poisson_legs(path, rate, horizon, rep_seed, j):
     """The tick pair of rate j: Poisson legs from streams (j, 1) and (j, 2) of rep_seed."""
     u1 = poisson_arrivals(rate, horizon, seeding.child_seed(rep_seed, j, 1))
@@ -133,7 +144,7 @@ def oracle_overlap(u1, u2, dt, horizon, stride=None):
     )
 
 
-def searchsorted_oracle(s1, s2, dt_grid, estimators, horizon, stride=None):
+def searchsorted_oracle(s1, s2, dt_grid, estimators, horizon):
     """estimate_matrix as it was written with np.searchsorted: a bisection
     for each leg's previous-tick grid, and oracle_overlap on the tick times."""
 
@@ -167,7 +178,7 @@ def searchsorted_oracle(s1, s2, dt_grid, estimators, horizon, stride=None):
                 pass
         if "overlap" in col:
             try:
-                kap = oracle_overlap(s1, s2, dt, horizon, stride)
+                kap = oracle_overlap(s1, s2, dt, horizon)
                 out[col["overlap"], j] = overlap_correction(measured.rho, kap).rho
             except EstimationError:
                 pass
@@ -207,12 +218,11 @@ def test_estimate_matrix_matches_searchsorted_oracle(grid, clock):
     for seed in range(4):
         u1, u2 = oracle_clock(clock, horizon, seed)
         s1, s2 = observe_path(path, u1, 0), observe_path(path, u2, 1)
-        for stride in (None, 1.5):
-            args = (s1, s2, dt_grid, estimators, horizon, stride)
-            want = searchsorted_oracle(*args)
-            got = estimate_matrix(*args)
-            assert np.array_equal(got, want, equal_nan=True), (seed, stride)
-            assert np.isfinite(want).sum() > want.size // 2
+        args = (s1, s2, dt_grid, estimators, horizon)
+        want = searchsorted_oracle(*args)
+        got = estimate_matrix(*args)
+        assert np.array_equal(got, want, equal_nan=True), seed
+        assert np.isfinite(want).sum() > want.size // 2
 
 
 def _outcome(fn, *args):
@@ -400,8 +410,11 @@ def test_ribbon_rejects_degenerate_input():
 
 
 def test_identical_replication_seeds_give_zero_ribbons():
-    cfg = small_cfg(n_replications=2, replication_seeds=(7, 7))
-    curve = epps_curve(cfg)
+    # replication 0 twice: two estimates from the same seed
+    cfg = small_cfg(n_replications=2)
+    row = _replicate(cfg, _simulate_path(cfg, cfg.seed), None, epps_measure(cfg), 0)
+    stack = np.stack([row, row])[:, 0]
+    curve = aggregate_curve(cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack, {})
     for pts in curve.series.values():
         for p in pts:
             assert p.half_width == 0.0
@@ -433,9 +446,13 @@ def test_overlap_multi_rate_parallel_matches_serial_bitwise():
 
 
 def test_replication_order_does_not_move_the_mean():
-    seeds = (11, 23, 37, 41)
-    fwd = epps_curve(small_cfg(n_replications=4, replication_seeds=seeds))
-    rev = epps_curve(small_cfg(n_replications=4, replication_seeds=seeds[::-1]))
+    cfg = small_cfg(n_replications=4)
+    path, measure = _simulate_path(cfg, cfg.seed), epps_measure(cfg)
+    fwd = _map_replications(cfg, None, measure, 1)[:, 0]
+    rev = np.stack([_replicate(cfg, path, None, measure, r) for r in range(3, -1, -1)])[:, 0]
+    assert np.array_equal(rev, fwd[::-1], equal_nan=True)
+    fwd, rev = (aggregate_curve(cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack, {})
+                for stack in (fwd, rev))
     for name in fwd.series:
         a = [p.mean for p in fwd.series[name]]
         b = [p.mean for p in rev.series[name]]
@@ -477,8 +494,6 @@ def test_config_validation_errors():
         small_cfg(estimators=("kernel",))
     with pytest.raises(ParameterError):
         small_cfg(confidence=0.0)
-    with pytest.raises(ParameterError):
-        small_cfg(replication_seeds=(1, 2, 3))
     for bad in (math.inf, math.nan, 0.0, None):
         with pytest.raises(ParameterError, match="poisson_rate"):
             small_cfg(sampler="poisson", poisson_rate=bad)
@@ -493,7 +508,7 @@ def test_config_validation_errors():
 
 def test_config_refuses_legs_and_strides_past_the_size_bounds():
     # refused when the config is built, before a replication draws a tick
-    # or builds a window; only values far past the bounds are tried
+    # or builds a grid; only values far past the bounds are tried
     number = r"\d(\.\d+)?e\+\d+"  # finite: an overflowing count names the ticks instead
     ticks = rf"expects {number} ticks, past the {number} at which 0.01 pairs of equal float64 arrival times"
     with pytest.raises(ParameterError, match=rf"^poisson_rate: rate 1e\+300 over horizon 3000.0 {ticks}"):
@@ -501,14 +516,12 @@ def test_config_refuses_legs_and_strides_past_the_size_bounds():
     for axis in ("mean_interarrivals", "overlap_rates"):
         with pytest.raises(ParameterError, match=rf"^{axis} entry 1e-300: rate .* {ticks}"):
             small_cfg(**{axis: (1e-300, 1.0)})
-    for bad in (0.0, -1.0, math.inf, math.nan, 3000.5):
-        with pytest.raises(ParameterError, match=r"^kappa_stride must lie in \(0, horizon\], got"):
-            small_cfg(kappa_stride=bad)
+    # the finest grid step, at which the overlap windows are evaluated too
     with pytest.raises(
-        ParameterError, match="^kappa_stride: horizon 3000.0 at step 1e-300 needs more than 100000000 grid"
+        ParameterError, match="^dt_grid: horizon 3000.0 at step 1e-300 needs more than 100000000 grid"
     ):
-        small_cfg(kappa_stride=1e-300)
-    assert small_cfg(kappa_stride=3000.0).kappa_stride == 3000.0
+        small_cfg(dt_grid=(1e-300, 1.0))
+    assert small_cfg(dt_grid=(3000.0,)).dt_grid == (3000.0,)
 
 
 def test_config_refuses_a_horizon_past_the_latent_path():
@@ -582,7 +595,7 @@ def test_a_synchronous_epps_document_equals_its_tick_route():
     stack = np.stack([
         estimate_matrix(synchronous_ticks(path, 0), synchronous_ticks(path, 1), cfg.dt_grid,
                         cfg.estimators, cfg.horizon)
-        for path in (_simulate_path(cfg, seeding.child_seed(_replication_seed(cfg, r), 0))
+        for path in (_simulate_path(cfg, seeding.child_seed(replication_seed(cfg, r), 0))
                      for r in range(3))
     ])
     want = aggregate_curve(cfg.estimators, cfg.confidence, cfg.dt_grid, "dt", stack, {})
@@ -598,6 +611,18 @@ def test_a_synchronous_kskip_document_thins_the_path_grid():
     got = run_figure(recipe).curves["curve"].series["hy"]
     assert np.array([p.mean for p in got]).tobytes() == want[0].tobytes()
     assert all(p.n_ok == 1 for p in got)
+
+
+def test_a_synchronous_kskip_document_thins_the_path_only_up_to_its_horizon():
+    # a GBM path over 1000 s is a bitwise prefix of the one over 2000 s, so a
+    # run over the first 1000 s of either thins the same tick pair
+    def curve(path_horizon):
+        experiment = {**SYNCHRONOUS_GBM, "horizon": 1000.0, "seed": 4, "price_params": {
+            **SYNCHRONOUS_GBM["price_params"], "horizon": path_horizon}}
+        recipe = read_run({"kind": "kskip", "k_max": 8, "experiment": experiment})[0]
+        return run_figure(recipe).curves["curve"].series
+
+    assert curve(2000.0) == curve(1000.0)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +654,7 @@ def test_hy_replicate_draws_the_poisson_sampler_streams():
     for r in range(cfg.n_replications):
         want = []
         for j, m in enumerate(cfg.mean_interarrivals):
-            s1, s2 = poisson_legs(path, 1.0 / m, cfg.horizon, _replication_seed(cfg, r), j)
+            s1, s2 = poisson_legs(path, 1.0 / m, cfg.horizon, replication_seed(cfg, r), j)
             want.append(hayashi_yoshida(s1, s2).rho)
         got = _replicate(cfg, path, cfg.mean_interarrivals, hy, r)
         # one HY estimate per rate, repeated along the dt axis
@@ -654,7 +679,7 @@ def test_rate_kinds_honour_fresh_paths(kind):
     estimators = ("hy",) if kind == "hy" else cfg.estimators
     stack = np.full((cfg.n_replications, len(rates), len(estimators), len(cfg.dt_grid)), np.nan)
     for r in range(cfg.n_replications):
-        rep_seed = _replication_seed(cfg, r)
+        rep_seed = replication_seed(cfg, r)
         path = _simulate_path(cfg, seeding.child_seed(rep_seed, 0))
         for j, m in enumerate(rates):
             s1, s2 = poisson_legs(path, 1.0 / m, cfg.horizon, rep_seed, j)
@@ -698,7 +723,7 @@ def random_walk_ticks(n, seed):
 def test_k_skip_truncates_when_ticks_run_out():
     # legs of about 60 ticks, thinned up to k = 40
     cfg = small_cfg(n_replications=1, poisson_rate=1.0 / 50.0, estimators=("hy",))
-    si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, _replication_seed(cfg, 0)))
+    si, sj = next(_tick_pairs(cfg, _simulate_path(cfg, cfg.seed), None, replication_seed(cfg, 0)))
     last = min(len(si), len(sj)) // 2  # the last k that leaves both legs two ticks
     assert 20 < last < 40
     result = run_kind("kskip", cfg, k_max=40)
@@ -715,7 +740,7 @@ def test_a_kskip_recipe_honours_its_config(fresh_paths):
     # each replication's tick pair thinned by k_skip_row, pooled as every kind pools
     cfg = small_cfg(n_replications=4, horizon=3600.0, price_params=replace(GBM, horizon=3600.0),
                     estimators=("hy",), fresh_paths=fresh_paths)
-    seeds = [_replication_seed(cfg, r) for r in range(cfg.n_replications)]
+    seeds = [replication_seed(cfg, r) for r in range(cfg.n_replications)]
     paths = [_simulate_path(cfg, seeding.child_seed(rep_seed, 0)) if fresh_paths
              else _simulate_path(cfg, cfg.seed) for rep_seed in seeds]
     stack = np.stack([

@@ -163,13 +163,14 @@ def test_intensity_recursion_matches_brute_force():
 # simulation
 
 
-def test_simulate_poisson_degeneracy_counts_and_ks():
+@pytest.mark.parametrize("seed", [1, 5])
+def test_simulate_poisson_degeneracy_counts_and_ks(seed):
     spec = HawkesSpec(
         lambda0=np.array([1.0 / 15.0, 1.0 / 15.0]),
         alpha=np.zeros((2, 2)),
         beta=np.ones((2, 2)),
     )
-    a, b = simulate_hawkes(spec, 72000.0, seed=1)
+    a, b = simulate_hawkes(spec, 72000.0, seed=seed)
     for arr in (a, b):
         assert abs(len(arr) - 4800) < 3 * math.sqrt(4800)
         gaps = np.diff(arr.times)

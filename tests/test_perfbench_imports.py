@@ -42,7 +42,7 @@ def test_perfbench_reads_only_names_eppsim_has(module):
     assert [name for name in sorted(used) if not hasattr(eppsim, name)] == []
 
 
-FIGURES = ("2a", "6b", "8b", "10b")
+FIGURES = ("2a", "5", "6b", "8b", "10a", "10b")
 
 
 @pytest.fixture

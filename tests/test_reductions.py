@@ -185,16 +185,12 @@ def test_the_profile_hook_sees_a_method_form_reduction():
     assert wrapper_calls(lambda: np.all(np.ones(3))) > 0
 
 
-@pytest.mark.parametrize("estimators, stride", [
-    (("measured", "flat_trade", "overlap", "hy"), None),
-    (("measured", "flat_trade", "overlap", "hy"), 2.5),
-    (("hy",), None),
-])
-def test_estimate_matrix_calls_no_reduction_wrapper(tick_pair, estimators, stride):
+@pytest.mark.parametrize("estimators", [("measured", "flat_trade", "overlap", "hy"), ("hy",)])
+def test_estimate_matrix_calls_no_reduction_wrapper(tick_pair, estimators):
     *_, s1, s2 = tick_pair
     # 5 then 15 reads a strided view; 0.1 is no power-of-two step, so its
     # overlap windows come from overlap_expectation
-    args = (s1, s2, (5.0, 15.0, 0.1), estimators, 2000.0, stride)
+    args = (s1, s2, (5.0, 15.0, 0.1), estimators, 2000.0)
     assert np.isfinite(estimate_matrix(*args)).all()
     assert wrapper_calls(lambda: estimate_matrix(*args)) == 0
 

@@ -110,13 +110,6 @@ def test_hawkes_arrivals_mean_interarrival_near_stationary_value():
         assert np.mean(np.diff(arr.times)) == pytest.approx(want, rel=0.05)
 
 
-def test_hawkes_arrivals_alpha_zero_reduces_to_poisson_law():
-    spec = HawkesSpec(lambda0=[1.0 / 15.0, 1.0 / 15.0], alpha=np.zeros((2, 2)), beta=np.ones((2, 2)))
-    a, _ = simulate_hawkes(spec, 72000.0, seed=5)
-    gaps = np.diff(a.times)
-    assert stats.kstest(gaps, "expon", args=(0, 15.0)).pvalue > 0.01
-
-
 # ---------------------------------------------------------------------------
 # observe_path
 
